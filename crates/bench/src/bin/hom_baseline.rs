@@ -187,6 +187,5 @@ fn main() {
         rows.join(",\n"),
         metrics
     );
-    std::fs::write(&out_path, json).expect("write benchmark baseline");
-    println!("wrote {out_path}");
+    rde_bench::write_baseline(&out_path, &json);
 }

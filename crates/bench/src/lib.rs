@@ -10,6 +10,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Write a bench binary's JSON baseline to `path`. An unwritable path
+/// is a one-line error and exit status 1, not a panic.
+pub fn write_baseline(path: &str, json: &str) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
+}
+
 pub mod workloads {
     //! Mapping families and instance generators.
 

@@ -35,7 +35,9 @@ const TIME_CHECK_STRIDE: u64 = 256;
 #[derive(Debug, Clone)]
 pub struct HomConfig {
     /// Node budget: the maximum number of candidate-tuple unification
-    /// attempts. `None` = run to completion.
+    /// attempts. `None` = run to completion. A fully bound atom's
+    /// membership probe counts as one node on a hit and none on a miss
+    /// (it has at most one candidate and nothing to unify).
     ///
     /// **Semantics (exact):** the counter is incremented *before* each
     /// attempt and the search stops when `nodes > budget`, so
@@ -52,8 +54,10 @@ pub struct HomConfig {
     /// every [`TIME_CHECK_STRIDE`] nodes, so very short searches may
     /// finish before the first check.
     pub time_budget: Option<Duration>,
-    /// Use per-column posting lists to enumerate candidate tuples
-    /// (`false` = scan the whole target relation per fact).
+    /// Use per-column posting lists to enumerate candidate tuples, and
+    /// match a fully bound atom with one membership probe instead of a
+    /// row enumeration (`false` = scan the whole target relation per
+    /// fact, probe included).
     pub use_index: bool,
     /// Dynamically pick the next source fact with the fewest candidates
     /// (`false` = fixed left-to-right order).
@@ -82,7 +86,8 @@ impl Default for HomConfig {
 /// Search counters, reported by [`for_each_hom`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HomStats {
-    /// Candidate tuple unification attempts.
+    /// Candidate tuple unification attempts (a membership probe hit
+    /// counts as one, a miss as none).
     pub nodes: u64,
     /// Failed unifications (a proxy for backtracking work).
     pub backtracks: u64,
@@ -236,6 +241,7 @@ impl CompiledPattern {
             deadline: config.time_budget.map(|d| Instant::now() + d),
             stats: HomStats::default(),
             trail: Vec::new(),
+            probe_tuple: Vec::new(),
             prunes: 0,
             buckets_scanned: 0,
             buckets_skipped: 0,
@@ -258,17 +264,22 @@ impl CompiledPattern {
         // Every homomorphism search in the system (chase premise
         // matching, hom deciders, core minimization) funnels through
         // here, so this is the single metrics flush point for the
-        // engine. One relaxed atomic add per counter per *search*, not
-        // per node — invisible next to the search itself.
+        // engine. One relaxed atomic add per *non-zero* counter per
+        // search, not per node: most searches are a handful of probes,
+        // so the zero counters would otherwise dominate the flush.
         rde_obs::counter!("hom.search.searches").inc();
-        rde_obs::counter!("hom.search.nodes").add(searcher.stats.nodes);
-        rde_obs::counter!("hom.search.backtracks").add(searcher.stats.backtracks);
-        rde_obs::counter!("hom.search.found").add(searcher.stats.found);
-        rde_obs::counter!("hom.search.prunes").add(searcher.prunes);
-        rde_obs::counter!("chase.bucket.scanned").add(searcher.buckets_scanned);
-        rde_obs::counter!("chase.bucket.skipped").add(searcher.buckets_skipped);
-        if searcher.exhausted.is_some() {
-            rde_obs::counter!("hom.search.exhausted").inc();
+        for (n, counter) in [
+            (searcher.stats.nodes, rde_obs::counter!("hom.search.nodes")),
+            (searcher.stats.backtracks, rde_obs::counter!("hom.search.backtracks")),
+            (searcher.stats.found, rde_obs::counter!("hom.search.found")),
+            (searcher.prunes, rde_obs::counter!("hom.search.prunes")),
+            (searcher.buckets_scanned, rde_obs::counter!("chase.bucket.scanned")),
+            (searcher.buckets_skipped, rde_obs::counter!("chase.bucket.skipped")),
+            (u64::from(searcher.exhausted.is_some()), rde_obs::counter!("hom.search.exhausted")),
+        ] {
+            if n != 0 {
+                counter.add(n);
+            }
         }
         SearchReport { stats: searcher.stats, exhausted: searcher.exhausted }
     }
@@ -291,6 +302,9 @@ struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
     /// search: each node records a mark and truncates back to it,
     /// instead of allocating a fresh trail per candidate row.
     trail: Vec<u32>,
+    /// Scratch tuple for membership probes of fully bound atoms, reused
+    /// across the whole search.
+    probe_tuple: Vec<Value>,
     /// Forward-check prunes: picks where some remaining fact already
     /// had zero candidate rows, cutting the branch without expanding
     /// it. Flushed to the `hom.search.prunes` metric (deliberately not
@@ -307,7 +321,7 @@ struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
     on_found: F,
 }
 
-impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
+impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
     /// Returns `true` if enumeration should stop (callback said stop,
     /// or a budget was exhausted — see [`Self::exhausted`]).
     fn solve(&mut self, remaining: &mut Vec<usize>) -> bool {
@@ -325,50 +339,71 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
         stopped
     }
 
-    fn try_rows(&mut self, fact_idx: usize, rows: Rows, remaining: &mut Vec<usize>) -> bool {
-        let n_rows = match &rows {
-            Rows::All(n) => *n,
-            Rows::Some(v) => v.len(),
-        };
-        rde_obs::histogram!("chase.match.candidates").record(n_rows as u64);
-        for i in 0..n_rows {
-            let row = match &rows {
-                Rows::All(_) => i as u32,
-                Rows::Some(v) => v[i],
-            };
-            // Budget check: increment first, then compare, so a budget
-            // of N permits exactly N unification attempts (see
-            // [`HomConfig::node_budget`]).
-            self.stats.nodes += 1;
-            if let Some(budget) = self.config.node_budget {
-                if self.stats.nodes > budget {
-                    self.exhausted = Some(Exhausted::Nodes(budget));
-                    return true;
-                }
-            }
-            if self.stats.nodes.is_multiple_of(TIME_CHECK_STRIDE) {
-                if let Some(deadline) = self.deadline {
-                    if Instant::now() >= deadline {
-                        let budget = self.config.time_budget.unwrap_or_default();
-                        self.exhausted = Some(Exhausted::Time(budget));
+    fn try_rows(&mut self, fact_idx: usize, rows: Rows<'a>, remaining: &mut Vec<usize>) -> bool {
+        let rows: &[u32] = match rows {
+            Rows::All(n) => {
+                rde_obs::histogram!("chase.match.candidates").record(n as u64);
+                for row in 0..n as u32 {
+                    if self.try_row(fact_idx, row, remaining) {
                         return true;
                     }
                 }
-                if self.config.ctx.is_cancelled() {
-                    self.exhausted = Some(Exhausted::Cancelled);
+                return false;
+            }
+            // A fully bound atom binds nothing, so a hit is one node with
+            // nothing to unify and a miss is no node at all.
+            Rows::Probe(hit) => {
+                rde_obs::histogram!("chase.match.candidates").record(u64::from(hit));
+                return hit && (self.charge_node() || self.solve(remaining));
+            }
+            Rows::List(rows) => rows,
+            Rows::Filtered(ref rows) => rows,
+        };
+        rde_obs::histogram!("chase.match.candidates").record(rows.len() as u64);
+        rows.iter().any(|&row| self.try_row(fact_idx, row, remaining))
+    }
+
+    /// One node: unify fact `fact_idx` with target row `row` and
+    /// recurse. Returns `true` if enumeration should stop.
+    fn try_row(&mut self, fact_idx: usize, row: u32, remaining: &mut Vec<usize>) -> bool {
+        if self.charge_node() {
+            return true;
+        }
+        let mark = self.trail.len();
+        if self.unify(fact_idx, row) {
+            let stopped = self.solve(remaining);
+            self.undo_to(mark);
+            stopped
+        } else {
+            self.stats.backtracks += 1;
+            self.undo_to(mark);
+            false
+        }
+    }
+
+    /// Count one node against the budgets. Returns `true` when a budget
+    /// ran out (recorded in [`Self::exhausted`]).
+    fn charge_node(&mut self) -> bool {
+        // Increment first, then compare, so a budget of N permits
+        // exactly N nodes (see [`HomConfig::node_budget`]).
+        self.stats.nodes += 1;
+        if let Some(budget) = self.config.node_budget {
+            if self.stats.nodes > budget {
+                self.exhausted = Some(Exhausted::Nodes(budget));
+                return true;
+            }
+        }
+        if self.stats.nodes.is_multiple_of(TIME_CHECK_STRIDE) {
+            if let Some(deadline) = self.deadline {
+                if Instant::now() >= deadline {
+                    let budget = self.config.time_budget.unwrap_or_default();
+                    self.exhausted = Some(Exhausted::Time(budget));
                     return true;
                 }
             }
-            let mark = self.trail.len();
-            if self.unify(fact_idx, row) {
-                let stopped = self.solve(remaining);
-                self.undo_to(mark);
-                if stopped {
-                    return true;
-                }
-            } else {
-                self.stats.backtracks += 1;
-                self.undo_to(mark);
+            if self.config.ctx.is_cancelled() {
+                self.exhausted = Some(Exhausted::Cancelled);
+                return true;
             }
         }
         false
@@ -411,10 +446,15 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
         Some(best_slot)
     }
 
-    /// Cheap upper bound on the number of candidate rows for a fact.
+    /// Cheap upper bound on the number of candidate rows for a fact. A
+    /// fully bound atom is a membership probe: at most one candidate,
+    /// rated without touching a posting list so it is checked first.
     fn estimate(&self, fact_idx: usize) -> u64 {
         let f = &self.facts[fact_idx];
         let mut best = f.rel_data.len() as u64;
+        if self.config.use_index && f.args.iter().all(|&arg| self.arg_value(arg).is_some()) {
+            return best.min(1);
+        }
         for (col, arg) in f.args.iter().enumerate() {
             if let Some(v) = self.arg_value(*arg) {
                 let n = f.rel_data.rows_with(col, &v).len() as u64;
@@ -453,18 +493,22 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
     }
 
     /// Candidate target rows for a fact under the current assignment:
-    /// the cheapest bound column's posting list, further pruned by the
+    /// one membership probe when every argument is bound, else the
+    /// cheapest bound column's posting list, further pruned by the
     /// null-pattern buckets when the relation is columnar. Every path
     /// yields rows in ascending order, so match emission order — and
     /// therefore everything downstream: trigger order, fresh-null
     /// numbering, checkpoint bytes — is identical across backends; the
     /// pruning only drops rows whose null pattern contradicts the
     /// atom's, which would have failed unification anyway.
-    fn candidate_rows(&mut self, fact_idx: usize) -> Rows {
+    fn candidate_rows(&mut self, fact_idx: usize) -> Rows<'a> {
         let f = &self.facts[fact_idx];
         let (data, args) = (f.rel_data, f.args);
         if self.config.use_index {
-            let mut best: Option<&[u32]> = None;
+            if let Some(hit) = self.probe(data, args) {
+                return Rows::Probe(hit);
+            }
+            let mut best: Option<&'a [u32]> = None;
             for (col, arg) in args.iter().enumerate() {
                 if let Some(v) = self.arg_value(*arg) {
                     let rows = data.rows_with(col, &v);
@@ -489,10 +533,10 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
                                 m & const_mask == 0 && m & null_mask == null_mask
                             })
                             .collect();
-                        return Rows::Some(filtered);
+                        return Rows::Filtered(filtered);
                     }
                 }
-                return Rows::Some(rows.to_vec());
+                return Rows::List(rows);
             }
         }
         // No bound column (or indexes disabled): scan the relation. With
@@ -506,6 +550,18 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
             }
         }
         Rows::All(data.len())
+    }
+
+    /// Membership of a fully bound atom's tuple, assembled in the
+    /// reused scratch tuple (`None` while some argument is unbound).
+    /// The columnar store answers through its value dictionary.
+    fn probe(&mut self, data: &RelationData, args: &[PatArg]) -> Option<bool> {
+        self.probe_tuple.clear();
+        for &arg in args {
+            let v = self.arg_value(arg)?;
+            self.probe_tuple.push(v);
+        }
+        Some(data.contains(&self.probe_tuple))
     }
 
     /// Check one pattern argument against one target value, binding a
@@ -539,11 +595,15 @@ impl<F: FnMut(&[Option<Value>]) -> bool> Searcher<'_, F> {
     }
 }
 
-enum Rows {
+enum Rows<'a> {
     /// All rows `0..n` of the relation.
     All(usize),
-    /// An explicit row list from a posting-list lookup.
-    Some(Vec<u32>),
+    /// A posting list, borrowed from the target's column index.
+    List(&'a [u32]),
+    /// A posting list narrowed by the columnar null-pattern masks.
+    Filtered(Vec<u32>),
+    /// A fully bound atom's membership probe: `true` on a hit.
+    Probe(bool),
 }
 
 /// Compile the facts of `source` into a [`CompiledPattern`] whose
@@ -971,6 +1031,99 @@ mod tests {
             |_| true,
         );
         assert_eq!(miss.stats, HomStats { nodes: 1, backtracks: 1, found: 0 });
+    }
+
+    /// A ground source is a pure membership test: P(a, b) against a
+    /// target where `a` and `b` each head several rows.
+    fn ground_probe(target_has_it: bool) -> (Instance, Instance) {
+        let source = inst(&[(0, &[c(0), c(1)])]);
+        let mut target =
+            inst(&[(0, &[c(0), c(2)]), (0, &[c(0), c(3)]), (0, &[c(4), c(1)]), (0, &[n(0), c(1)])]);
+        if target_has_it {
+            target.insert(Fact::new(RelId(0), vec![c(0), c(1)]));
+        }
+        (source, target)
+    }
+
+    #[test]
+    fn fully_bound_atom_is_one_probe_on_both_backends() {
+        for backend in [rde_model::BackendKind::Row, rde_model::BackendKind::Columnar] {
+            let all = |source: &Instance, target: &Instance| {
+                let target = target.to_backend(backend);
+                for_each_hom(source, &target, &Substitution::new(), &HomConfig::default(), |_| true)
+            };
+            // A hit is exactly one node, whatever the posting lists hold.
+            let (source, target) = ground_probe(true);
+            let hit = all(&source, &target);
+            assert_eq!(hit.stats, HomStats { nodes: 1, backtracks: 0, found: 1 }, "{backend:?}");
+            assert!(hit.complete());
+            // A miss costs no node at all.
+            let (source, target) = ground_probe(false);
+            let miss = all(&source, &target);
+            assert_eq!(miss.stats, HomStats { nodes: 0, backtracks: 0, found: 0 }, "{backend:?}");
+            assert!(miss.complete());
+            // The scan reference agrees on the answer, at full price.
+            let scan = HomConfig { use_index: false, ..HomConfig::default() };
+            let (source, target) = ground_probe(true);
+            let target = target.to_backend(backend);
+            let r = for_each_hom(&source, &target, &Substitution::new(), &scan, |_| true);
+            assert_eq!(r.stats.found, 1);
+            assert_eq!(r.stats.nodes, 5, "the scan tries every row");
+        }
+    }
+
+    #[test]
+    fn probe_hits_obey_the_node_budget() {
+        let (source, target) = ground_probe(true);
+        let run = |budget: u64| {
+            let cfg = HomConfig { node_budget: Some(budget), ..HomConfig::default() };
+            for_each_hom(&source, &target, &Substitution::new(), &cfg, |_| true)
+        };
+        let cut = run(0);
+        assert_eq!(cut.exhausted, Some(Exhausted::Nodes(0)));
+        assert_eq!(cut.stats, HomStats { nodes: 1, backtracks: 0, found: 0 });
+        let mut stats = HomStats::default();
+        let cfg0 = HomConfig { node_budget: Some(0), ..HomConfig::default() };
+        assert_eq!(
+            exists_hom_budgeted(&source, &target, &cfg0, &mut stats),
+            Verdict::Unknown { budget: Exhausted::Nodes(0) }
+        );
+        let done = run(1);
+        assert!(done.complete());
+        assert_eq!(done.stats, HomStats { nodes: 1, backtracks: 0, found: 1 });
+        // A miss needs no budget: it is a definite refutation even at 0.
+        let (source, target) = ground_probe(false);
+        let mut stats = HomStats::default();
+        assert_eq!(exists_hom_budgeted(&source, &target, &cfg0, &mut stats), Verdict::Fails);
+    }
+
+    #[test]
+    fn pre_cancelled_ground_search_reports_cancelled() {
+        let (source, target) = ground_probe(true);
+        let token = rde_faults::CancelToken::new();
+        token.cancel();
+        let cfg =
+            HomConfig { ctx: ExecContext::default().with_cancel(token), ..HomConfig::default() };
+        let report = for_each_hom(&source, &target, &Substitution::new(), &cfg, |_| true);
+        assert_eq!(report.exhausted, Some(Exhausted::Cancelled));
+        assert_eq!(report.stats, HomStats::default());
+    }
+
+    #[test]
+    fn seeded_slots_make_an_atom_a_probe() {
+        // T(x, z) with x and z seeded is the triangle rule's third atom.
+        let pattern = CompiledPattern::new(vec![PatternAtom {
+            rel: RelId(0),
+            args: vec![PatArg::Var(0), PatArg::Var(1)],
+        }]);
+        let target = inst(&[(0, &[c(0), c(1)]), (0, &[c(0), c(2)]), (0, &[c(3), c(1)])]);
+        let seeded = |x, z| {
+            pattern
+                .for_each_match(&target, &[Some(x), Some(z)], &HomConfig::default(), |_| true)
+                .stats
+        };
+        assert_eq!(seeded(c(0), c(1)), HomStats { nodes: 1, backtracks: 0, found: 1 });
+        assert_eq!(seeded(c(3), c(2)), HomStats { nodes: 0, backtracks: 0, found: 0 });
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property-based tests for the homomorphism engine.
 
 use proptest::prelude::*;
-use rde_hom::{core_of, exists_hom, find_hom, hom_equivalent, is_core, is_isomorphic};
-use rde_model::{Fact, Instance, Substitution, Value, Vocabulary};
+use rde_hom::{
+    core_of, exists_hom, find_hom, hom_equivalent, is_core, is_isomorphic, CompiledPattern,
+    HomConfig, PatArg, PatternAtom,
+};
+use rde_model::{BackendKind, Fact, Instance, Substitution, Value, Vocabulary};
 
 fn abstract_facts(max: usize) -> impl Strategy<Value = Vec<Vec<(bool, u8)>>> {
     prop::collection::vec(prop::collection::vec((any::<bool>(), 0u8..4), 2), 0..=max)
@@ -26,6 +29,137 @@ fn materialize(vocab: &mut Vocabulary, facts: &[Vec<(bool, u8)>]) -> Instance {
             Fact::new(rel, vals)
         })
         .collect()
+}
+
+/// Abstract target facts: relation choice (`E/2` or `F/3`) and value
+/// indexes into [`value_pool`].
+fn abstract_target(max: usize) -> impl Strategy<Value = Vec<(bool, Vec<u8>)>> {
+    prop::collection::vec((any::<bool>(), prop::collection::vec(0u8..7, 3)), 0..=max)
+}
+
+/// Abstract pattern atoms: relation choice, a "ground" flag, and per
+/// argument a (kind, index) pair — kind 0 is a `Fixed` pool value,
+/// kind 1 a seeded slot, kind 2 a free slot (a seeded one when the atom
+/// is flagged ground, so it is fully bound once the seed is applied).
+type AbstractAtom = (bool, bool, Vec<(u8, u8)>);
+
+fn abstract_pattern(max: usize) -> impl Strategy<Value = Vec<AbstractAtom>> {
+    prop::collection::vec(
+        (any::<bool>(), any::<bool>(), prop::collection::vec((0u8..3, 0u8..7), 3)),
+        1..=max,
+    )
+}
+
+/// Constants `c0..c3` then nulls `n4..n6`.
+fn value_pool(vocab: &mut Vocabulary) -> Vec<Value> {
+    (0..7)
+        .map(|i| {
+            if i < 4 {
+                vocab.const_value(&format!("c{i}"))
+            } else {
+                vocab.null_value(&format!("n{i}"))
+            }
+        })
+        .collect()
+}
+
+/// Seeded slots are 0 and 1; free slots 2..=4. Seed entries of 7 or
+/// more leave the slot free.
+fn materialize_pattern(
+    vocab: &mut Vocabulary,
+    atoms: &[AbstractAtom],
+    seed: &[u8],
+) -> (CompiledPattern, Vec<Option<Value>>) {
+    let pool = value_pool(vocab);
+    let rels = [vocab.relation("E", 2).unwrap(), vocab.relation("F", 3).unwrap()];
+    let atoms = atoms
+        .iter()
+        .map(|(is_f, ground, args)| {
+            let arity = if *is_f { 3 } else { 2 };
+            let args = args[..arity]
+                .iter()
+                .map(|&(kind, i)| match (kind, ground) {
+                    (0, _) => PatArg::Fixed(pool[usize::from(i)]),
+                    (1, _) | (_, true) => PatArg::Var(u32::from(i % 2)),
+                    _ => PatArg::Var(2 + u32::from(i % 3)),
+                })
+                .collect();
+            PatternAtom { rel: rels[usize::from(*is_f)], args }
+        })
+        .collect();
+    let seed = seed.iter().map(|&i| pool.get(usize::from(i)).copied()).collect();
+    (CompiledPattern::new(atoms), seed)
+}
+
+fn materialize_target(vocab: &mut Vocabulary, facts: &[(bool, Vec<u8>)]) -> Instance {
+    let pool = value_pool(vocab);
+    let rels = [vocab.relation("E", 2).unwrap(), vocab.relation("F", 3).unwrap()];
+    facts
+        .iter()
+        .map(|(is_f, vals)| {
+            let arity = if *is_f { 3 } else { 2 };
+            Fact::new(
+                rels[usize::from(*is_f)],
+                vals[..arity].iter().map(|&i| pool[usize::from(i)]).collect::<Vec<_>>(),
+            )
+        })
+        .collect()
+}
+
+/// Every match in emission order, plus the reported `found` count.
+fn matches(
+    pattern: &CompiledPattern,
+    target: &Instance,
+    seed: &[Option<Value>],
+    config: &HomConfig,
+) -> (Vec<Vec<Option<Value>>>, u64) {
+    let mut seq = Vec::new();
+    let report = pattern.for_each_match(target, seed, config, |vals| {
+        seq.push(vals.to_vec());
+        true
+    });
+    assert!(report.complete(), "unbudgeted searches run to completion");
+    (seq, report.stats.found)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Fully bound atoms (through `Fixed` arguments or seeded slots)
+    /// are membership probes: on both backends the match set equals the
+    /// full-scan, fixed-order reference, the two backends emit the same
+    /// sequence, and every `found` count agrees.
+    #[test]
+    fn bound_atom_probes_match_the_scan_reference(
+        target in abstract_target(14),
+        atoms in abstract_pattern(4),
+        seed in prop::collection::vec(0u8..9, 2),
+    ) {
+        let mut vocab = Vocabulary::new();
+        let (pattern, seed) = materialize_pattern(&mut vocab, &atoms, &seed);
+        let row = materialize_target(&mut vocab, &target);
+        let columnar = row.to_backend(BackendKind::Columnar);
+        let scan = HomConfig { use_index: false, dynamic_order: false, ..HomConfig::default() };
+        let (reference, ref_found) = matches(&pattern, &row, &seed, &scan);
+        prop_assert_eq!(ref_found, reference.len() as u64);
+        let mut reference = reference;
+        reference.sort();
+        let (row_seq, row_found) = matches(&pattern, &row, &seed, &HomConfig::default());
+        let (col_seq, col_found) = matches(&pattern, &columnar, &seed, &HomConfig::default());
+        prop_assert_eq!(&row_seq, &col_seq, "backends emit the same sequence");
+        prop_assert_eq!(row_found, ref_found);
+        prop_assert_eq!(col_found, ref_found);
+        let mut row_set = row_seq;
+        row_set.sort();
+        prop_assert_eq!(row_set, reference);
+        let (col_scan, col_scan_found) = matches(&pattern, &columnar, &seed, &scan);
+        prop_assert_eq!(col_scan_found, ref_found);
+        let mut col_scan = col_scan;
+        col_scan.sort();
+        let mut col_set = col_seq;
+        col_set.sort();
+        prop_assert_eq!(col_scan, col_set);
+    }
 }
 
 proptest! {
