@@ -1,9 +1,7 @@
 //! Chase strategy scaling experiment: measures naive vs semi-naive vs
-//! parallel collection vs the restricted (Standard-mode) variant, and
-//! the row vs columnar instance backend on the same seeds, on the
-//! recursive null-chord workload. Writes
-//! `BENCH_chase.json` (repo root, or the path given as the first
-//! argument) as the recorded baseline.
+//! parallel collection vs the restricted (Standard-mode) variant on the
+//! recursive null-chord workload. Writes `BENCH_chase.json` (repo root,
+//! or the path given as the first argument) as the recorded baseline.
 //!
 //! Pass `--quick` to shrink the sweep for CI smoke runs.
 
@@ -11,7 +9,7 @@ use std::time::Instant;
 
 use rde_bench::workloads;
 use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseStrategy, ChaseVariant};
-use rde_model::{BackendKind, Fact, Instance, Vocabulary};
+use rde_model::{Instance, Vocabulary};
 
 /// Mean wall-clock seconds per run (few repetitions; the chase runs
 /// are long enough that warm-up noise is small).
@@ -32,16 +30,9 @@ fn time_chase(
 }
 
 /// Cumulative `chase.round.us` histogram sum, for differencing around
-/// a timed run to attribute round time to one backend.
+/// a timed run to attribute round time to it.
 fn round_us() -> u64 {
     rde_obs::snapshot().histogram("chase.round.us").map_or(0, |h| h.sum)
-}
-
-/// The bit-level content of a result instance: every fact in iteration
-/// order, so the row/columnar assertion covers insertion order and
-/// null identity, not just set equality.
-fn fact_seq(i: &Instance) -> Vec<Fact> {
-    i.facts().collect()
 }
 
 fn main() {
@@ -54,17 +45,16 @@ fn main() {
         .unwrap_or_else(|| "BENCH_chase.json".to_string());
     let mut rows = Vec::new();
     println!(
-        "{:>6} {:>5} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>11}",
+        "{:>6} {:>5} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11}",
         "nodes",
         "deps",
         "facts",
         "naive_ms",
-        "row_ms",
-        "col_ms",
+        "semi_ms",
         "par_ms",
         "restr_ms",
-        "row_nodes",
-        "col_nodes"
+        "round_us",
+        "hom_nodes"
     );
     let sizes: &[usize] = if quick { &[16] } else { &[16, 32, 64, 128] };
     for &nodes in sizes {
@@ -72,10 +62,6 @@ fn main() {
             let mut vocab = Vocabulary::new();
             let deps = workloads::triangle_deps(&mut vocab, extra_deps);
             let instance = workloads::random_graph_nulls(&mut vocab, nodes, nodes / 2, 11);
-            // Same seed, both layouts: the backend columns below rerun
-            // the identical semi-naive chase on each store.
-            let inst_row = instance.to_backend(BackendKind::Row);
-            let inst_col = instance.to_backend(BackendKind::Columnar);
             let reps = if nodes >= 64 { 2 } else { 5 };
             let naive = ChaseOptions { strategy: ChaseStrategy::Naive, ..ChaseOptions::default() };
             let semi =
@@ -86,40 +72,31 @@ fn main() {
                 ..ChaseOptions::default()
             };
             let restricted = ChaseOptions::for_variant(ChaseVariant::Restricted);
-            let (t_naive, r_naive) = time_chase(&vocab, &inst_row, &deps, &naive, reps);
+            let (t_naive, r_naive) = time_chase(&vocab, &instance, &deps, &naive, reps);
             let us0 = round_us();
-            let (t_row, r_row) = time_chase(&vocab, &inst_row, &deps, &semi, reps);
+            let (t_semi, r_semi) = time_chase(&vocab, &instance, &deps, &semi, reps);
             let us1 = round_us();
-            let (t_col, r_col) = time_chase(&vocab, &inst_col, &deps, &semi, reps);
-            let us2 = round_us();
-            let (t_par, r_par) = time_chase(&vocab, &inst_row, &deps, &par, reps);
-            let (t_res, r_res) = time_chase(&vocab, &inst_row, &deps, &restricted, reps);
-            assert_eq!(r_naive.instance, r_row.instance, "strategies must agree exactly");
+            let (t_par, r_par) = time_chase(&vocab, &instance, &deps, &par, reps);
+            let (t_res, r_res) = time_chase(&vocab, &instance, &deps, &restricted, reps);
+            assert_eq!(r_naive.instance, r_semi.instance, "strategies must agree exactly");
             assert!(
-                r_res.instance.len() <= r_row.instance.len(),
+                r_res.instance.len() <= r_semi.instance.len(),
                 "the restricted chase never mints facts the oblivious one skipped"
             );
-            assert_eq!(r_row.instance, r_par.instance, "thread count must not matter");
-            assert_eq!(
-                fact_seq(&r_row.instance),
-                fact_seq(&r_col.instance),
-                "backends must agree bit-for-bit"
-            );
-            let speedup = t_naive / t_row;
-            let row_round_us = (us1 - us0) / reps as u64;
-            let col_round_us = (us2 - us1) / reps as u64;
+            assert_eq!(r_semi.instance, r_par.instance, "thread count must not matter");
+            let speedup = t_naive / t_semi;
+            let semi_round_us = (us1 - us0) / reps as u64;
             println!(
-                "{:>6} {:>5} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>11} {:>11}",
+                "{:>6} {:>5} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10} {:>11}",
                 nodes,
                 deps.len(),
-                r_row.instance.len(),
+                r_semi.instance.len(),
                 t_naive * 1e3,
-                t_row * 1e3,
-                t_col * 1e3,
+                t_semi * 1e3,
                 t_par * 1e3,
                 t_res * 1e3,
-                r_row.hom.nodes,
-                r_col.hom.nodes
+                semi_round_us,
+                r_semi.hom.nodes
             );
             rows.push(format!(
                 concat!(
@@ -128,9 +105,7 @@ fn main() {
                     "\"parallel_ms\": {:.3}, \"restricted_ms\": {:.3}, ",
                     "\"restricted_fired\": {}, \"restricted_facts\": {}, ",
                     "\"speedup_semi_vs_naive\": {:.2}, ",
-                    "\"row_ms\": {:.3}, \"columnar_ms\": {:.3}, ",
-                    "\"row_round_us\": {}, \"columnar_round_us\": {}, ",
-                    "\"row_hom_nodes\": {}, \"columnar_hom_nodes\": {}}}"
+                    "\"round_us\": {}, \"hom_nodes\": {}}}"
                 ),
                 nodes,
                 deps.len(),
@@ -138,24 +113,19 @@ fn main() {
                 r_naive.fired,
                 r_naive.instance.len(),
                 t_naive * 1e3,
-                t_row * 1e3,
+                t_semi * 1e3,
                 t_par * 1e3,
                 t_res * 1e3,
                 r_res.fired,
                 r_res.instance.len(),
                 speedup,
-                t_row * 1e3,
-                t_col * 1e3,
-                row_round_us,
-                col_round_us,
-                r_row.hom.nodes,
-                r_col.hom.nodes
+                semi_round_us,
+                r_semi.hom.nodes
             ));
         }
     }
-    // Embed the process-wide metrics registry: chase round/trigger and
-    // bucket-pruning counters and delta/latency histograms across every
-    // run above.
+    // Embed the process-wide metrics registry: chase round/trigger
+    // counters and delta/latency histograms across every run above.
     let metrics = rde_obs::snapshot().to_json();
     let json = format!(
         concat!(
@@ -165,7 +135,6 @@ fn main() {
             "plus side-output rules\",\n",
             "  \"modes\": [\"naive\", \"semi_naive\", ",
             "\"semi_naive+parallel(threads=auto)\", \"restricted\"],\n",
-            "  \"backends\": [\"row\", \"columnar\"],\n",
             "  \"results\": [\n{}\n  ],\n",
             "  \"metrics\": {}\n}}\n"
         ),

@@ -1,5 +1,5 @@
 //! Serve-layer baseline: an in-process `rde serve` daemon under
-//! concurrent client load, on both instance backends. Measures request
+//! concurrent client load. Measures request
 //! latency (client-observed p50/p99), verifies that every concurrent
 //! answer is bit-identical to a reference request, and drives enough
 //! distinct-constant `ARROW` churn to exercise the cache's eviction
@@ -7,7 +7,7 @@
 //! Writes `BENCH_serve.json` (repo root, or the path given as the
 //! first argument).
 //!
-//! The timed fleet runs twice per backend — plain, then with the
+//! The timed fleet runs twice — plain, then with the
 //! access log on (rotating journal sink; slow-trace capture discards
 //! every request's tree) — so the baseline records both latency pairs
 //! and the access log's overhead is directly visible. A further
@@ -24,7 +24,6 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 use rde_core::arrow::CachePolicy;
-use rde_model::BackendKind;
 use rde_obs::{journal, Record, Sink};
 use rde_serve::{spawn, Client, Reply, Request, ServeOptions, TenantQuota, UniverseDims};
 
@@ -90,7 +89,7 @@ fn verify_access_log(path: &std::path::Path, expected: usize) {
             access += 1;
             assert_ne!(record.req(), 0, "access lines are request-stamped: {line}");
             assert!(reqs.insert(record.req()), "duplicate access line: {line}");
-            for key in ["op", "mapping", "backend", "outcome", "us"] {
+            for key in ["op", "mapping", "outcome", "us"] {
                 assert!(record.field(key).is_some(), "access line missing {key}: {line}");
             }
         }
@@ -147,22 +146,17 @@ fn verify_reconstruction(path: &std::path::Path, expected: usize) {
     }
 }
 
-/// Drive one backend: `threads` persistent connections issuing `reps`
+/// Drive the fleet: `threads` persistent connections issuing `reps`
 /// rounds of mixed CHASE / INVERTIBLE / ARROW requests apiece, all
 /// released together. Returns the JSON result row.
-fn run_backend(backend: BackendKind, threads: usize, reps: usize) -> String {
-    let backend_name = match backend {
-        BackendKind::Row => "row",
-        BackendKind::Columnar => "columnar",
-    };
-    let dir = catalog(backend_name);
+fn run_fleet(threads: usize, reps: usize) -> String {
+    let dir = catalog("fleet");
     // A small class bound so the ARROW churn below must evict; a
     // generous in-flight ceiling so nothing sheds (shed==0 is asserted:
     // the daemon must *sustain* the fleet, not survive it).
     let class_bound = 16;
     let options = ServeOptions {
         catalog: dir.clone(),
-        backend,
         dims: UniverseDims { consts: 1, nulls: 1, facts: 1 },
         policy: CachePolicy::bounded(1 << 12, class_bound),
         max_inflight: 4 * threads,
@@ -326,7 +320,6 @@ fn run_backend(backend: BackendKind, threads: usize, reps: usize) -> String {
     if cfg!(feature = "trace") {
         let options = ServeOptions {
             catalog: dir.clone(),
-            backend,
             dims: UniverseDims { consts: 1, nulls: 1, facts: 1 },
             policy: CachePolicy::bounded(1 << 12, class_bound),
             max_inflight: 4 * threads,
@@ -379,13 +372,13 @@ fn run_backend(backend: BackendKind, threads: usize, reps: usize) -> String {
 
     let requests = threads * reps * 3;
     println!(
-        "{backend_name:>9} {threads:>8} {requests:>9} {p50:>8} {p99:>8} \
+        "{threads:>8} {requests:>9} {p50:>8} {p99:>8} \
          {p50_log:>8} {p99_log:>8} {p50_reload:>8} {p99_reload:>8} \
          {interned:>9} {class_evictions:>10}"
     );
     format!(
         concat!(
-            "    {{\"backend\": \"{}\", \"threads\": {}, \"requests\": {}, ",
+            "    {{\"experiment\": \"fleet\", \"threads\": {}, \"requests\": {}, ",
             "\"p50_us\": {}, \"p99_us\": {}, ",
             "\"access_log\": {{\"p50_us\": {}, \"p99_us\": {}}}, ",
             "\"reload_under_load\": {{\"p50_us\": {}, \"p99_us\": {}, \"reloads\": {}}}, ",
@@ -393,7 +386,6 @@ fn run_backend(backend: BackendKind, threads: usize, reps: usize) -> String {
             "\"cache\": {{\"interned\": {}, \"class_bound\": {}, \"class_evictions\": {}, ",
             "\"memo_hits\": {}, \"intern_hits\": {}, \"memo_evictions\": {}}}}}"
         ),
-        backend_name,
         threads,
         requests,
         p50,
@@ -552,8 +544,7 @@ fn main() {
     // mode keeps the shape but shrinks the fleet for smoke runs.
     let (threads, reps) = if quick { (8, 4) } else { (64, 8) };
     println!(
-        "{:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>10}",
-        "backend",
+        "{:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>10}",
         "threads",
         "requests",
         "p50_us",
@@ -565,13 +556,9 @@ fn main() {
         "interned",
         "evictions"
     );
-    let mut rows: Vec<String> = [BackendKind::Row, BackendKind::Columnar]
-        .into_iter()
-        .map(|backend| run_backend(backend, threads, reps))
-        .collect();
-    // Last: it sheds on purpose, and the per-backend runs assert a
-    // cumulative shed count of zero up to their own finish line.
-    rows.push(run_quota_experiment(reps));
+    // The quota experiment goes last: it sheds on purpose, and the
+    // fleet asserts a cumulative shed count of zero up to its finish.
+    let rows = [run_fleet(threads, reps), run_quota_experiment(reps)];
     let metrics = rde_obs::snapshot().to_json();
     assert!(
         metrics.contains("\"labeled_counters\"") && metrics.contains("serve.requests{"),

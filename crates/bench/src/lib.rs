@@ -129,11 +129,9 @@ pub mod workloads {
     }
 
     /// [`recursive_deps`] plus a triangle-listing rule whose third
-    /// premise atom arrives fully bound. That atom's candidate set is a
-    /// whole posting list, most of which fails unification — the regime
-    /// the columnar backend's null-pattern buckets prune: rows whose
-    /// null/constant pattern contradicts the bound values are skipped
-    /// without a unification attempt.
+    /// premise atom arrives fully bound. The hom searcher answers that
+    /// atom with one membership probe instead of walking a posting
+    /// list, so the rule stresses probe cost rather than unification.
     pub fn triangle_deps(vocab: &mut Vocabulary, extra: usize) -> Vec<rde_deps::Dependency> {
         let mut deps = recursive_deps(vocab, extra);
         deps.push(
@@ -170,8 +168,7 @@ pub mod workloads {
     /// random cycle vertex to a fresh labeled null (alternating which
     /// endpoint is the null). Nulls are the paper's setting — reverse
     /// mappings chase instances that carry them — and the closure `T`
-    /// then mixes null and constant column patterns, the layout the
-    /// columnar backend buckets by.
+    /// then mixes nulls and constants in both columns.
     pub fn random_graph_nulls(
         vocab: &mut Vocabulary,
         nodes: usize,

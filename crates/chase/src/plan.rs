@@ -22,9 +22,8 @@
 //! trigger key.
 //!
 //! All premise enumeration funnels through [`CompiledPattern`], so the
-//! plans are backend-agnostic: on a columnar instance the hom searcher
-//! additionally prunes candidate rows whose null-pattern bucket
-//! contradicts the bound values (DESIGN.md §13) with no change here.
+//! plans share the hom searcher's posting lists and its one-probe
+//! handling of fully bound atoms (DESIGN.md §8) with no change here.
 //!
 //! [`ChaseMode::Standard`]: crate::ChaseMode::Standard
 

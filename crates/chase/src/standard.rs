@@ -88,10 +88,9 @@ pub enum ChaseVariant {
 
 impl Default for ChaseVariant {
     /// [`ChaseVariant::SemiNaive`] normally. The `restricted-default`
-    /// cargo feature flips it to [`ChaseVariant::Restricted`]
-    /// (mirroring `rde-model/columnar-default`) so the whole test suite
-    /// replays under the restricted chase; tests about a *specific*
-    /// variant's semantics must name it explicitly.
+    /// cargo feature flips it to [`ChaseVariant::Restricted`] so the
+    /// whole test suite replays under the restricted chase; tests about
+    /// a *specific* variant's semantics must name it explicitly.
     fn default() -> Self {
         if cfg!(feature = "restricted-default") {
             ChaseVariant::Restricted
@@ -318,10 +317,9 @@ struct DepCandidates {
 }
 
 /// A round's delta facts grouped by relation, built once per round and
-/// shared (read-only) by every dependency's collection — the same
-/// bucketing idea the columnar store applies to whole relations,
-/// applied to the delta: seeding atom `k` touches only the delta facts
-/// of atom `k`'s relation instead of filtering the full delta per atom.
+/// shared (read-only) by every dependency's collection: seeding atom `k`
+/// touches only the delta facts of atom `k`'s relation instead of
+/// filtering the full delta per atom.
 /// Per-relation order is the delta's insertion order, so the seeded
 /// enumeration visits exactly the facts the ungrouped scan would have,
 /// in the same order — required for bit-identical trigger order.
@@ -536,10 +534,7 @@ pub fn chase(
                 message: "snapshot null count conflicts with named nulls".to_owned(),
             });
         }
-        // Checkpoint bytes are backend-agnostic; land the loaded
-        // instance on the input's backend so a resumed run uses the
-        // same layout (and telemetry) as an uninterrupted one.
-        current = snap.instance.into_backend(current.backend());
+        current = snap.instance;
         fired_keys = snap.fired_keys;
         fired = snap.fired;
         rounds = snap.rounds;

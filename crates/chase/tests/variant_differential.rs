@@ -10,14 +10,13 @@
 //! delta-driven optimization of the same oblivious firing order.
 //!
 //! Three generated mapping families, each certified weakly acyclic by
-//! the static analyzer before any chase runs, each exercised on both
-//! instance backends.
+//! the static analyzer before any chase runs.
 
 use proptest::prelude::*;
 use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseVariant};
 use rde_deps::{analyze_dependencies, parse_dependency, Dependency, TerminationVerdict};
 use rde_hom::{core_of, hom_equivalent, is_isomorphic};
-use rde_model::{BackendKind, Fact, Instance, Vocabulary};
+use rde_model::{Fact, Instance, Vocabulary};
 
 /// A generated mapping family: a dependency pool (the first rule is
 /// always kept; proptest picks a subset of the rest) plus the base
@@ -76,7 +75,6 @@ fn setup(
     family: &Family,
     picks: &[bool],
     facts: &[(bool, u8, bool, u8)],
-    backend: BackendKind,
 ) -> (Vocabulary, Vec<Dependency>, Instance) {
     let mut vocab = Vocabulary::new();
     // Parse the full pool first so every run interns identical ids,
@@ -110,21 +108,21 @@ fn setup(
             Fact::new(base, args)
         })
         .collect();
-    (vocab, deps, instance.into_backend(backend))
+    (vocab, deps, instance)
 }
 
 fn fact_seq(i: &Instance) -> Vec<Fact> {
     i.facts().collect()
 }
 
-/// Chase one family input under every variant on one backend and check
-/// the differential properties.
+/// Chase one family input under every variant and check the
+/// differential properties.
 fn check_family(family: &Family, picks: &[bool], facts: &[(bool, u8, bool, u8)]) {
     // The premise of the whole test: every family (full pool — the
     // picked subset only removes edges) is statically weakly acyclic,
     // so each variant is guaranteed to terminate unbudgeted.
     {
-        let (_, all, _) = setup(family, &vec![true; family.pool.len()], &[], BackendKind::Row);
+        let (_, all, _) = setup(family, &vec![true; family.pool.len()], &[]);
         let report = analyze_dependencies(&all, &rde_faults::ExecContext::new()).unwrap();
         assert!(
             matches!(report.verdict, TerminationVerdict::WeaklyAcyclic { .. }),
@@ -132,44 +130,42 @@ fn check_family(family: &Family, picks: &[bool], facts: &[(bool, u8, bool, u8)])
             report.verdict
         );
     }
-    for backend in [BackendKind::Row, BackendKind::Columnar] {
-        let run = |variant: ChaseVariant| -> ChaseResult {
-            let (mut vocab, deps, instance) = setup(family, picks, facts, backend);
-            let options = ChaseOptions::for_variant(variant);
-            chase(&instance, &deps, &mut vocab, &options).unwrap()
-        };
-        let naive = run(ChaseVariant::Naive);
-        let semi = run(ChaseVariant::SemiNaive);
-        let restricted = run(ChaseVariant::Restricted);
+    let run = |variant: ChaseVariant| -> ChaseResult {
+        let (mut vocab, deps, instance) = setup(family, picks, facts);
+        let options = ChaseOptions::for_variant(variant);
+        chase(&instance, &deps, &mut vocab, &options).unwrap()
+    };
+    let naive = run(ChaseVariant::Naive);
+    let semi = run(ChaseVariant::SemiNaive);
+    let restricted = run(ChaseVariant::Restricted);
 
-        // Semi-naive is a pure optimization of the same firing order:
-        // exact equality, null ids and all.
-        assert_eq!(fact_seq(&naive.instance), fact_seq(&semi.instance), "{backend:?}");
-        assert_eq!(naive.fired, semi.fired, "{backend:?}");
+    // Semi-naive is a pure optimization of the same firing order:
+    // exact equality, null ids and all.
+    assert_eq!(fact_seq(&naive.instance), fact_seq(&semi.instance));
+    assert_eq!(naive.fired, semi.fired);
 
-        // The restricted chase may fire fewer triggers (skipping those
-        // whose conclusion is already satisfied) and mint different
-        // nulls, but the result must be a universal solution for the
-        // same input: hom-equivalent to both oblivious runs.
-        assert!(
-            hom_equivalent(&naive.instance, &restricted.instance),
-            "{backend:?}: naive and restricted must be hom-equivalent"
-        );
-        assert!(
-            hom_equivalent(&semi.instance, &restricted.instance),
-            "{backend:?}: semi-naive and restricted must be hom-equivalent"
-        );
+    // The restricted chase may fire fewer triggers (skipping those
+    // whose conclusion is already satisfied) and mint different
+    // nulls, but the result must be a universal solution for the
+    // same input: hom-equivalent to both oblivious runs.
+    assert!(
+        hom_equivalent(&naive.instance, &restricted.instance),
+        "naive and restricted must be hom-equivalent"
+    );
+    assert!(
+        hom_equivalent(&semi.instance, &restricted.instance),
+        "semi-naive and restricted must be hom-equivalent"
+    );
 
-        // Hom-equivalent instances have isomorphic cores: identical up
-        // to renumbering the labeled nulls.
-        let naive_core = core_of(&naive.instance).core;
-        let restricted_core = core_of(&restricted.instance).core;
-        assert_eq!(naive_core.len(), restricted_core.len(), "{backend:?}");
-        assert!(
-            is_isomorphic(&naive_core, &restricted_core),
-            "{backend:?}: cores must agree up to null renumbering"
-        );
-    }
+    // Hom-equivalent instances have isomorphic cores: identical up
+    // to renumbering the labeled nulls.
+    let naive_core = core_of(&naive.instance).core;
+    let restricted_core = core_of(&restricted.instance).core;
+    assert_eq!(naive_core.len(), restricted_core.len());
+    assert!(
+        is_isomorphic(&naive_core, &restricted_core),
+        "cores must agree up to null renumbering"
+    );
 }
 
 fn abstract_facts(max: usize) -> impl Strategy<Value = Vec<(bool, u8, bool, u8)>> {

@@ -94,7 +94,7 @@ USAGE:
                   [--node-budget N] [--time-budget-ms N] [--retries N]
                   [--deadline-ms N] [--stats] [--metrics] [--trace-out PATH]
                   [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
-                  [--backend row|columnar] [--variant naive|semi-naive|restricted]
+                  [--variant naive|semi-naive|restricted]
 
 COMMANDS:
     chase    <mapping> <instance>             canonical universal solution chase_M(I)
@@ -173,12 +173,6 @@ of the chase round state to PATH (atomically, every
 restarts an interrupted run from such a snapshot; the resumed result
 is bit-identical to an uninterrupted run.
 
---backend {row,columnar} picks the instance storage layout (default
-row). The columnar backend dictionary-encodes values and buckets rows
-by null pattern, pruning premise-match candidates; results are
-bit-identical across backends — compare --metrics or `rde profile`
-output to see the work difference (chase.bucket.scanned/skipped).
-
 --variant {naive,semi-naive,restricted} picks the chase variant for
 every chase the command runs. naive and semi-naive are oblivious (every
 trigger fires; semi-naive only re-matches against each round's delta);
@@ -227,7 +221,7 @@ reconnects with backoff instead of exiting.
 Serve telemetry: every request gets a monotonic id stamped as a `req`
 field on all of its journal records, engine worker threads included.
 --access-log PATH streams the request journal to a rotating JSONL file
-(one `serve.access` line per request: op, mapping, backend, outcome,
+(one `serve.access` line per request: op, mapping, outcome,
 elapsed µs, arrow-cache hit/miss). --trace-slow-ms N buffers each
 request's span tree and journals it only when the request took ≥ N ms
 (0 keeps every tree). `rde profile LOG --request-id N` then rebuilds
@@ -310,12 +304,9 @@ fn load_mapping(vocab: &mut Vocabulary, path: &str) -> Result<SchemaMapping, Str
     parse_mapping(vocab, &read(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Parse an instance file and land it on the backend selected by
-/// `--backend` (every instance derived from it inherits the layout).
-fn load_instance(vocab: &mut Vocabulary, opts: &Options, path: &str) -> Result<Instance, String> {
-    parse_instance(vocab, &read(path)?)
-        .map(|i| i.into_backend(opts.backend))
-        .map_err(|e| format!("{path}: {e}"))
+/// Parse an instance file.
+fn load_instance(vocab: &mut Vocabulary, path: &str) -> Result<Instance, String> {
+    parse_instance(vocab, &read(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 fn universe(vocab: &mut Vocabulary, opts: &Options) -> Universe {
@@ -367,7 +358,7 @@ fn print_hom_stats(stats: &HomStats) {
 fn cmd_chase(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
-    let instance = load_instance(&mut vocab, opts, opts.positional(1, "instance file")?)?;
+    let instance = load_instance(&mut vocab, opts.positional(1, "instance file")?)?;
     let options = chase_options(opts);
     let result = rde_chase::chase(&instance, &mapping.dependencies, &mut vocab, &options)
         .map_err(chase_err)?;
@@ -383,7 +374,7 @@ fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
-    let instance = load_instance(&mut vocab, opts, opts.positional(2, "instance file")?)?;
+    let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
     let u = chase_mapping(&instance, &mapping, &mut vocab, &ChaseOptions::default())
         .map_err(|e| e.to_string())?;
     let result = disjunctive_chase(
@@ -624,7 +615,7 @@ fn cmd_certain(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
-    let instance = load_instance(&mut vocab, opts, opts.positional(2, "instance file")?)?;
+    let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
     let query_text = opts.positional(3, "query")?;
     let q = ConjunctiveQuery::parse(&mut vocab, query_text).map_err(|e| e.to_string())?;
     let answers = rde_query::reverse_certain_answers(
@@ -647,7 +638,7 @@ fn cmd_certain(opts: &Options) -> Result<(), CliError> {
 fn cmd_core(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
-    let instance = load_instance(&mut vocab, opts, opts.positional(1, "instance file")?)?;
+    let instance = load_instance(&mut vocab, opts.positional(1, "instance file")?)?;
     let options = chase_options(opts);
     let core = rde_chase::core_chase_mapping(&instance, &mapping, &mut vocab, &options)
         .map_err(chase_err)?;
@@ -659,8 +650,8 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
     // Both instances share one vocabulary: `?name` in either file
     // denotes the same labeled null.
     let mut vocab = Vocabulary::new();
-    let i1 = load_instance(&mut vocab, opts, opts.positional(0, "first instance file")?)?;
-    let i2 = load_instance(&mut vocab, opts, opts.positional(1, "second instance file")?)?;
+    let i1 = load_instance(&mut vocab, opts.positional(0, "first instance file")?)?;
+    let i2 = load_instance(&mut vocab, opts.positional(1, "second instance file")?)?;
     match rde_hom::find_hom(&i1, &i2) {
         Some(h) => {
             println!("I1 -> I2: YES");
@@ -683,7 +674,7 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
 
 fn cmd_eval(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
-    let instance = load_instance(&mut vocab, opts, opts.positional(0, "instance file")?)?;
+    let instance = load_instance(&mut vocab, opts.positional(0, "instance file")?)?;
     let q = ConjunctiveQuery::parse(&mut vocab, opts.positional(1, "query")?)
         .map_err(|e| e.to_string())?;
     let all = rde_query::evaluate(&q, &instance);
@@ -821,7 +812,6 @@ fn cmd_serve(opts: &Options) -> Result<(), CliError> {
     let serve_options = rde_serve::ServeOptions {
         addr: opts.addr.clone().unwrap_or_else(|| "127.0.0.1:7643".to_owned()),
         catalog: catalog.into(),
-        backend: opts.backend,
         dims: rde_serve::UniverseDims { consts: opts.consts, nulls: opts.nulls, facts: opts.facts },
         policy: rde_core::arrow::CachePolicy::bounded(
             opts.cache_memo.unwrap_or(defaults.policy.max_memo),
@@ -1054,7 +1044,7 @@ fn cmd_call(opts: &Options) -> Result<(), CliError> {
 fn profile_chase(opts: &Options) -> Result<(u64, u64), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
-    let instance = load_instance(&mut vocab, opts, opts.positional(1, "instance file")?)?;
+    let instance = load_instance(&mut vocab, opts.positional(1, "instance file")?)?;
     let options = chase_options(opts);
     let result = rde_chase::chase(&instance, &mapping.dependencies, &mut vocab, &options)
         .map_err(chase_err)?;

@@ -1,7 +1,6 @@
 //! Flag parsing for the `rde` CLI.
 
 use rde_chase::ChaseVariant;
-use rde_model::BackendKind;
 
 /// Parsed command-line options: positional arguments plus the bounded-
 /// universe knobs shared by the checking commands.
@@ -45,10 +44,6 @@ pub struct Options {
     /// previous run of the same command; the result is bit-identical
     /// to an uninterrupted run.
     pub resume: Option<String>,
-    /// `--backend {row,columnar}`: instance storage layout for every
-    /// instance the command loads or builds. Results are bit-identical
-    /// across backends; the layout only changes the work profile.
-    pub backend: BackendKind,
     /// `--addr HOST:PORT`: (serve) listen address; port 0 picks a free
     /// port and prints it.
     pub addr: Option<String>,
@@ -123,7 +118,6 @@ impl Default for Options {
             checkpoint: None,
             checkpoint_every: 1,
             resume: None,
-            backend: BackendKind::default(),
             addr: None,
             max_inflight: None,
             cache_memo: None,
@@ -217,12 +211,6 @@ impl Options {
                     opts.resume = Some(
                         it.next().ok_or_else(|| "--resume requires a path".to_string())?.clone(),
                     );
-                }
-                "--backend" => {
-                    opts.backend = it
-                        .next()
-                        .ok_or_else(|| "--backend requires `row` or `columnar`".to_string())?
-                        .parse::<BackendKind>()?;
                 }
                 "--addr" => {
                     opts.addr = Some(
@@ -433,18 +421,6 @@ mod tests {
         assert!(Options::parse(&strings(&["--checkpoint"])).is_err());
         assert!(Options::parse(&strings(&["--checkpoint-every", "x"])).is_err());
         assert!(Options::parse(&strings(&["--resume"])).is_err());
-    }
-
-    #[test]
-    fn backend_flag() {
-        let o = Options::parse(&strings(&["m.map", "--backend", "columnar"])).unwrap();
-        assert_eq!(o.backend, BackendKind::Columnar);
-        let o = Options::parse(&strings(&["m.map", "--backend", "row"])).unwrap();
-        assert_eq!(o.backend, BackendKind::Row);
-        let o = Options::parse(&strings(&["m.map"])).unwrap();
-        assert_eq!(o.backend, BackendKind::default());
-        assert!(Options::parse(&strings(&["--backend"])).is_err());
-        assert!(Options::parse(&strings(&["--backend", "paged"])).is_err());
     }
 
     #[test]

@@ -260,7 +260,7 @@ fn serve_telemetry_flows_from_access_log_to_top_and_profile() {
             let record = rde_obs::Record::parse_json_line(line).expect("valid access-log line");
             if record.name == "serve.access" {
                 assert_ne!(record.req(), 0, "access lines are request-stamped: {line}");
-                for key in ["op", "mapping", "backend", "outcome", "us"] {
+                for key in ["op", "mapping", "outcome", "us"] {
                     assert!(record.field(key).is_some(), "missing {key}: {line}");
                 }
             }

@@ -243,8 +243,6 @@ impl CompiledPattern {
             trail: Vec::new(),
             probe_tuple: Vec::new(),
             prunes: 0,
-            buckets_scanned: 0,
-            buckets_skipped: 0,
             exhausted: None,
             on_found,
         };
@@ -273,8 +271,6 @@ impl CompiledPattern {
             (searcher.stats.backtracks, rde_obs::counter!("hom.search.backtracks")),
             (searcher.stats.found, rde_obs::counter!("hom.search.found")),
             (searcher.prunes, rde_obs::counter!("hom.search.prunes")),
-            (searcher.buckets_scanned, rde_obs::counter!("chase.bucket.scanned")),
-            (searcher.buckets_skipped, rde_obs::counter!("chase.bucket.skipped")),
             (u64::from(searcher.exhausted.is_some()), rde_obs::counter!("hom.search.exhausted")),
         ] {
             if n != 0 {
@@ -310,11 +306,6 @@ struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
     /// it. Flushed to the `hom.search.prunes` metric (deliberately not
     /// part of [`HomStats`], whose layout is pinned by boundary tests).
     prunes: u64,
-    /// Null-pattern buckets touched / pruned while generating candidate
-    /// rows (columnar backend only; both stay 0 on the row store).
-    /// Flushed to `chase.bucket.scanned` / `chase.bucket.skipped`.
-    buckets_scanned: u64,
-    buckets_skipped: u64,
     /// Set when a budget cut the search short.
     exhausted: Option<Exhausted>,
     /// Callback; returns `false` to stop enumerating.
@@ -357,7 +348,6 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
                 return hit && (self.charge_node() || self.solve(remaining));
             }
             Rows::List(rows) => rows,
-            Rows::Filtered(ref rows) => rows,
         };
         rde_obs::histogram!("chase.match.candidates").record(rows.len() as u64);
         rows.iter().any(|&row| self.try_row(fact_idx, row, remaining))
@@ -471,36 +461,12 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
         }
     }
 
-    /// The null/constant requirements the atom imposes on candidate
-    /// rows under the current assignment: bit `c` of the first mask
-    /// demands a *constant* in column `c`, bit `c` of the second a
-    /// *null*. Columns whose pattern argument is still an unbound
-    /// variable constrain nothing, and columns ≥ 64 carry no bits —
-    /// mirroring the per-row null masks of the columnar store.
-    fn pattern_masks(&self, args: &[PatArg]) -> (u64, u64) {
-        let mut const_mask = 0u64;
-        let mut null_mask = 0u64;
-        for (col, arg) in args.iter().enumerate().take(64) {
-            if let Some(v) = self.arg_value(*arg) {
-                if v.is_const() {
-                    const_mask |= 1 << col;
-                } else {
-                    null_mask |= 1 << col;
-                }
-            }
-        }
-        (const_mask, null_mask)
-    }
-
     /// Candidate target rows for a fact under the current assignment:
     /// one membership probe when every argument is bound, else the
-    /// cheapest bound column's posting list, further pruned by the
-    /// null-pattern buckets when the relation is columnar. Every path
-    /// yields rows in ascending order, so match emission order — and
-    /// therefore everything downstream: trigger order, fresh-null
-    /// numbering, checkpoint bytes — is identical across backends; the
-    /// pruning only drops rows whose null pattern contradicts the
-    /// atom's, which would have failed unification anyway.
+    /// cheapest bound column's posting list, else the whole relation.
+    /// Every path yields rows in ascending order, so match emission
+    /// order — and therefore everything downstream: trigger order,
+    /// fresh-null numbering, checkpoint bytes — is deterministic.
     fn candidate_rows(&mut self, fact_idx: usize) -> Rows<'a> {
         let f = &self.facts[fact_idx];
         let (data, args) = (f.rel_data, f.args);
@@ -518,43 +484,15 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
                 }
             }
             if let Some(rows) = best {
-                if let Some(masks) = data.null_masks() {
-                    let (const_mask, null_mask) = self.pattern_masks(args);
-                    if let Some((scanned, skipped)) = data.bucket_stats(const_mask, null_mask) {
-                        self.buckets_scanned += scanned;
-                        self.buckets_skipped += skipped;
-                    }
-                    if const_mask != 0 || null_mask != 0 {
-                        let filtered: Vec<u32> = rows
-                            .iter()
-                            .copied()
-                            .filter(|&r| {
-                                let m = masks[r as usize];
-                                m & const_mask == 0 && m & null_mask == null_mask
-                            })
-                            .collect();
-                        return Rows::Filtered(filtered);
-                    }
-                }
                 return Rows::List(rows);
             }
         }
-        // No bound column (or indexes disabled): scan the relation. With
-        // nothing bound the pattern masks are empty by construction, so
-        // bucket pruning cannot help; the bucket counters still see the
-        // scan so `chase.bucket.scanned` reflects all candidate work.
-        if self.config.use_index {
-            if let Some((scanned, skipped)) = data.bucket_stats(0, 0) {
-                self.buckets_scanned += scanned;
-                self.buckets_skipped += skipped;
-            }
-        }
+        // No bound column (or indexes disabled): scan the relation.
         Rows::All(data.len())
     }
 
     /// Membership of a fully bound atom's tuple, assembled in the
     /// reused scratch tuple (`None` while some argument is unbound).
-    /// The columnar store answers through its value dictionary.
     fn probe(&mut self, data: &RelationData, args: &[PatArg]) -> Option<bool> {
         self.probe_tuple.clear();
         for &arg in args {
@@ -583,15 +521,10 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
 
     /// Try to map fact `fact_idx` onto target row `row`, binding
     /// variables as needed; new bindings are pushed on the shared trail.
-    /// The row store hands out the tuple as one slice; the columnar
-    /// store is probed cell-by-cell (no contiguous row exists there).
     fn unify(&mut self, fact_idx: usize, row: u32) -> bool {
         let f = &self.facts[fact_idx];
-        let (data, args) = (f.rel_data, f.args);
-        match data.row_slice(row) {
-            Some(tuple) => args.iter().zip(tuple).all(|(&arg, &tv)| self.bind(arg, tv)),
-            None => (0..args.len()).all(|col| self.bind(args[col], data.value_at(row, col))),
-        }
+        let tuple = f.rel_data.row_slice(row);
+        f.args.iter().zip(tuple).all(|(&arg, &tv)| self.bind(arg, tv))
     }
 }
 
@@ -600,8 +533,6 @@ enum Rows<'a> {
     All(usize),
     /// A posting list, borrowed from the target's column index.
     List(&'a [u32]),
-    /// A posting list narrowed by the columnar null-pattern masks.
-    Filtered(Vec<u32>),
     /// A fully bound atom's membership probe: `true` on a hit.
     Probe(bool),
 }
@@ -1046,30 +977,26 @@ mod tests {
     }
 
     #[test]
-    fn fully_bound_atom_is_one_probe_on_both_backends() {
-        for backend in [rde_model::BackendKind::Row, rde_model::BackendKind::Columnar] {
-            let all = |source: &Instance, target: &Instance| {
-                let target = target.to_backend(backend);
-                for_each_hom(source, &target, &Substitution::new(), &HomConfig::default(), |_| true)
-            };
-            // A hit is exactly one node, whatever the posting lists hold.
-            let (source, target) = ground_probe(true);
-            let hit = all(&source, &target);
-            assert_eq!(hit.stats, HomStats { nodes: 1, backtracks: 0, found: 1 }, "{backend:?}");
-            assert!(hit.complete());
-            // A miss costs no node at all.
-            let (source, target) = ground_probe(false);
-            let miss = all(&source, &target);
-            assert_eq!(miss.stats, HomStats { nodes: 0, backtracks: 0, found: 0 }, "{backend:?}");
-            assert!(miss.complete());
-            // The scan reference agrees on the answer, at full price.
-            let scan = HomConfig { use_index: false, ..HomConfig::default() };
-            let (source, target) = ground_probe(true);
-            let target = target.to_backend(backend);
-            let r = for_each_hom(&source, &target, &Substitution::new(), &scan, |_| true);
-            assert_eq!(r.stats.found, 1);
-            assert_eq!(r.stats.nodes, 5, "the scan tries every row");
-        }
+    fn fully_bound_atom_is_one_probe() {
+        let all = |source: &Instance, target: &Instance| {
+            for_each_hom(source, target, &Substitution::new(), &HomConfig::default(), |_| true)
+        };
+        // A hit is exactly one node, whatever the posting lists hold.
+        let (source, target) = ground_probe(true);
+        let hit = all(&source, &target);
+        assert_eq!(hit.stats, HomStats { nodes: 1, backtracks: 0, found: 1 });
+        assert!(hit.complete());
+        // A miss costs no node at all.
+        let (source, target) = ground_probe(false);
+        let miss = all(&source, &target);
+        assert_eq!(miss.stats, HomStats { nodes: 0, backtracks: 0, found: 0 });
+        assert!(miss.complete());
+        // The scan reference agrees on the answer, at full price.
+        let scan = HomConfig { use_index: false, ..HomConfig::default() };
+        let (source, target) = ground_probe(true);
+        let r = for_each_hom(&source, &target, &Substitution::new(), &scan, |_| true);
+        assert_eq!(r.stats.found, 1);
+        assert_eq!(r.stats.nodes, 5, "the scan tries every row");
     }
 
     #[test]

@@ -1,82 +1,64 @@
 //! Instances: deduplicated, column-indexed fact sets.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-use crate::backend::{BackendKind, BucketScan, ColumnarRelation, InstanceBackend, RowRelation};
 use crate::fact::Fact;
-use crate::fx::{FxHashSet, FxHasher};
+use crate::fx::{FxHashMap, FxHashSet, FxHasher};
 use crate::schema::{RelId, Schema};
 use crate::value::Value;
 use crate::vocab::Vocabulary;
 use crate::ModelError;
 
-/// The tuples of one relation, behind one of the two storage layouts
-/// (see [`crate::backend`]).
+/// The tuples of one relation: boxed `[Value]` rows plus per-column
+/// posting lists.
 ///
 /// Tuples are kept in insertion order (deterministic iteration) and
 /// deduplicated (set semantics, as in the paper). Each column maintains
-/// a posting list `value → row ids`, which makes homomorphism search
-/// and chase premise matching sub-linear: a partially bound atom is
-/// matched by intersecting the posting lists of its bound columns. The
-/// columnar layout additionally buckets rows by null pattern so that
-/// pattern-incompatible candidates are skipped without being touched.
-#[derive(Debug, Clone)]
-pub enum RelationData {
-    /// Row store (the default layout).
-    Row(RowRelation),
-    /// Columnar store with dictionary encoding and null-pattern buckets.
-    Columnar(ColumnarRelation),
-}
-
-impl Default for RelationData {
-    fn default() -> Self {
-        RelationData::new(0, BackendKind::default())
-    }
+/// a posting list `value → sorted row ids`, which makes homomorphism
+/// search and chase premise matching sub-linear: a partially bound atom
+/// only visits the shortest posting list among its bound columns, and a
+/// fully bound one is a single [`Self::contains`] probe.
+///
+/// Row ids are dense `0..len()`: inserting appends, and removing
+/// swap-moves the last row into the freed slot and repairs every index,
+/// so posting lists always hold ascending row ids.
+#[derive(Debug, Clone, Default)]
+pub struct RelationData {
+    tuples: Vec<Box<[Value]>>,
+    dedup: FxHashMap<Box<[Value]>, u32>,
+    /// `index[col][value]` = sorted row ids with `value` in column `col`.
+    index: Vec<FxHashMap<Value, Vec<u32>>>,
 }
 
 impl RelationData {
-    pub(crate) fn new(arity: usize, kind: BackendKind) -> Self {
-        match kind {
-            BackendKind::Row => RelationData::Row(RowRelation::with_arity(arity)),
-            BackendKind::Columnar => RelationData::Columnar(ColumnarRelation::with_arity(arity)),
-        }
-    }
-
-    /// Which storage layout this relation uses.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            RelationData::Row(d) => d.kind(),
-            RelationData::Columnar(d) => d.kind(),
+    /// An empty relation with the given number of columns.
+    fn with_arity(arity: usize) -> Self {
+        RelationData {
+            tuples: Vec::new(),
+            dedup: FxHashMap::default(),
+            index: vec![FxHashMap::default(); arity],
         }
     }
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        match self {
-            RelationData::Row(d) => d.arity(),
-            RelationData::Columnar(d) => d.arity(),
-        }
+        self.index.len()
     }
 
-    /// All tuples, in insertion order. Row-store tuples are borrowed;
-    /// columnar ones are materialized per item.
-    pub fn tuples(&self) -> TupleIter<'_> {
-        TupleIter { data: self, next: 0, len: u32::try_from(self.len()).expect("relation fits") }
+    /// All tuples, in insertion order.
+    pub fn tuples(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
+        self.tuples.iter().map(|t| &**t)
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        match self {
-            RelationData::Row(d) => d.len(),
-            RelationData::Columnar(d) => d.len(),
-        }
+        self.tuples.len()
     }
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tuples.is_empty()
     }
 
     /// Row ids whose column `col` holds `value`, ascending (empty slice
@@ -84,116 +66,70 @@ impl RelationData {
     /// indexes yet).
     #[inline]
     pub fn rows_with(&self, col: usize, value: &Value) -> &[u32] {
-        match self {
-            RelationData::Row(d) => d.rows_with(col, value),
-            RelationData::Columnar(d) => d.rows_with(col, value),
-        }
+        self.index.get(col).and_then(|m| m.get(value)).map_or(&[], |v| &v[..])
     }
 
-    /// The value in one cell, by row id (from [`Self::rows_with`]) and
-    /// column.
+    /// The tuple at a row id (from [`Self::rows_with`]).
     #[inline]
-    pub fn value_at(&self, row: u32, col: usize) -> Value {
-        match self {
-            RelationData::Row(d) => d.value_at(row, col),
-            RelationData::Columnar(d) => d.value_at(row, col),
-        }
-    }
-
-    /// The whole tuple at `row` as a contiguous slice — `Some` only on
-    /// the row store (the columnar layout has no contiguous rows; use
-    /// [`Self::value_at`] there).
-    #[inline]
-    pub fn row_slice(&self, row: u32) -> Option<&[Value]> {
-        match self {
-            RelationData::Row(d) => Some(d.tuple(row)),
-            RelationData::Columnar(_) => None,
-        }
-    }
-
-    /// The per-row null-pattern masks — `Some` only on the columnar
-    /// store. `masks[row]` has bit `c` set iff column `c` of `row`
-    /// holds a null (columns ≥ 64 carry no bits).
-    #[inline]
-    pub fn null_masks(&self) -> Option<&[u64]> {
-        match self {
-            RelationData::Row(_) => None,
-            RelationData::Columnar(d) => Some(d.masks()),
-        }
-    }
-
-    /// Scanned/skipped bucket counts for a pattern requiring constants
-    /// at `const_required` and nulls at `null_required` — `Some` only
-    /// on the columnar store.
-    pub fn bucket_stats(&self, const_required: u64, null_required: u64) -> Option<(u64, u64)> {
-        match self {
-            RelationData::Row(_) => None,
-            RelationData::Columnar(d) => Some(d.bucket_stats(const_required, null_required)),
-        }
-    }
-
-    /// Pattern-compatible rows via the null-pattern buckets — `Some`
-    /// only on the columnar store.
-    pub fn bucket_scan(&self, const_required: u64, null_required: u64) -> Option<BucketScan<'_>> {
-        match self {
-            RelationData::Row(_) => None,
-            RelationData::Columnar(d) => Some(d.bucket_rows(const_required, null_required)),
-        }
+    pub fn row_slice(&self, row: u32) -> &[Value] {
+        &self.tuples[row as usize]
     }
 
     /// Does the relation contain this exact tuple?
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        match self {
-            RelationData::Row(d) => d.contains(tuple),
-            RelationData::Columnar(d) => d.contains(tuple),
-        }
+        self.dedup.contains_key(tuple)
     }
 
+    /// Insert a tuple; `true` if it was new.
     fn insert(&mut self, tuple: &[Value]) -> bool {
-        match self {
-            RelationData::Row(d) => d.insert(tuple),
-            RelationData::Columnar(d) => d.insert(tuple),
+        if self.dedup.contains_key(tuple) {
+            return false;
         }
+        let row = u32::try_from(self.tuples.len()).expect("relation too large");
+        for (col, &v) in tuple.iter().enumerate() {
+            self.index[col].entry(v).or_default().push(row);
+        }
+        let boxed: Box<[Value]> = tuple.into();
+        self.dedup.insert(boxed.clone(), row);
+        self.tuples.push(boxed);
+        true
     }
 
+    /// Remove a tuple in place, if present; returns `true` when removed.
+    /// The last row is swap-moved into the freed slot (row ids obtained
+    /// earlier from [`Self::rows_with`] are invalidated) and every index
+    /// is repaired.
     fn remove(&mut self, tuple: &[Value]) -> bool {
-        match self {
-            RelationData::Row(d) => d.remove(tuple),
-            RelationData::Columnar(d) => d.remove(tuple),
+        let Some(row) = self.dedup.remove(tuple) else {
+            return false;
+        };
+        for (col, &v) in tuple.iter().enumerate() {
+            let col_index = &mut self.index[col];
+            let rows = col_index.get_mut(&v).expect("removed tuple is indexed");
+            let pos = rows.binary_search(&row).expect("removed row is listed");
+            rows.remove(pos);
+            if rows.is_empty() {
+                col_index.remove(&v);
+            }
         }
-    }
-}
-
-/// Iterator over a relation's tuples in insertion order (see
-/// [`RelationData::tuples`]).
-pub struct TupleIter<'a> {
-    data: &'a RelationData,
-    next: u32,
-    len: u32,
-}
-
-impl<'a> Iterator for TupleIter<'a> {
-    type Item = Cow<'a, [Value]>;
-
-    fn next(&mut self) -> Option<Cow<'a, [Value]>> {
-        if self.next == self.len {
-            return None;
+        let last = u32::try_from(self.tuples.len() - 1).expect("relation too large");
+        self.tuples.swap_remove(row as usize);
+        if row != last {
+            // The previous last tuple now lives at `row`: renumber its
+            // posting-list entries and its dedup slot.
+            let moved = &self.tuples[row as usize];
+            for (col, &v) in moved.iter().enumerate() {
+                let rows = self.index[col].get_mut(&v).expect("moved tuple is indexed");
+                let pos = rows.binary_search(&last).expect("moved row is listed");
+                rows.remove(pos);
+                let ins = rows.binary_search(&row).expect_err("freed row id is unused");
+                rows.insert(ins, row);
+            }
+            *self.dedup.get_mut(&**moved).expect("moved tuple is deduped") = row;
         }
-        let row = self.next;
-        self.next += 1;
-        Some(match self.data {
-            RelationData::Row(d) => Cow::Borrowed(d.tuple(row)),
-            RelationData::Columnar(d) => Cow::Owned(d.tuple_vec(row)),
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = (self.len - self.next) as usize;
-        (n, Some(n))
+        true
     }
 }
-
-impl ExactSizeIterator for TupleIter<'_> {}
 
 /// An instance: for each relation symbol, a finite set of tuples over
 /// `Const ∪ Var` (Section 2 of the paper).
@@ -202,12 +138,6 @@ impl ExactSizeIterator for TupleIter<'_> {}
 /// to a [`Vocabulary`]; use [`Instance::conforms_to`] to check
 /// membership in a particular [`Schema`]. Relations are kept in a
 /// `BTreeMap` so that all iteration is deterministic.
-///
-/// Every instance carries a [`BackendKind`] choosing its tuple storage
-/// layout; derived instances (restriction, mapping, set operations)
-/// inherit it, and [`Instance::to_backend`] converts while preserving
-/// insertion order, so the two layouts are observationally
-/// interchangeable (equality, hashing, and iteration order all agree).
 #[derive(Debug, Clone, Default)]
 pub struct Instance {
     relations: BTreeMap<RelId, RelationData>,
@@ -216,52 +146,12 @@ pub struct Instance {
     /// (`max null id + 1`, 0 when ground). Maintained incrementally so
     /// hot paths (chase premise matching) never rescan the instance.
     null_offset: u32,
-    backend: BackendKind,
 }
 
 impl Instance {
-    /// The empty instance, on the build-default backend.
+    /// The empty instance.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The empty instance on an explicit storage backend.
-    pub fn with_backend(backend: BackendKind) -> Self {
-        Instance { backend, ..Instance::default() }
-    }
-
-    /// Which storage backend this instance's relations use.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
-    /// An empty instance sharing this one's backend — every derived
-    /// instance is built through this so the layout is sticky.
-    fn new_like(&self) -> Instance {
-        Instance::with_backend(self.backend)
-    }
-
-    /// The same fact set on another backend, preserving per-relation
-    /// insertion order. The null offset is carried over verbatim (it
-    /// may be a loose upper bound after removals; keeping it exact-ly
-    /// equal keeps fresh-null numbering identical across backends).
-    pub fn to_backend(&self, backend: BackendKind) -> Instance {
-        let mut out = Instance::with_backend(backend);
-        for f in self.facts() {
-            out.insert(f);
-        }
-        out.null_offset = out.null_offset.max(self.null_offset);
-        out
-    }
-
-    /// Owning variant of [`Instance::to_backend`]: a no-op (no copy)
-    /// when the instance is already on `backend`.
-    pub fn into_backend(self, backend: BackendKind) -> Instance {
-        if self.backend == backend {
-            self
-        } else {
-            self.to_backend(backend)
-        }
     }
 
     /// Build an instance from facts, validating arities against `vocab`.
@@ -295,11 +185,10 @@ impl Instance {
     /// Returns `true` if the fact was new.
     pub fn insert(&mut self, fact: Fact) -> bool {
         let arity = fact.arity();
-        let backend = self.backend;
         let data = self
             .relations
             .entry(fact.relation())
-            .or_insert_with(|| RelationData::new(arity, backend));
+            .or_insert_with(|| RelationData::with_arity(arity));
         debug_assert_eq!(
             data.arity(),
             arity,
@@ -355,7 +244,7 @@ impl Instance {
 
     /// Iterate over all facts, in (relation id, insertion) order.
     pub fn facts(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.relations().flat_map(|(r, d)| d.tuples().map(move |t| Fact::new(r, t.into_owned())))
+        self.relations().flat_map(|(r, d)| d.tuples().map(move |t| Fact::new(r, t.to_vec())))
     }
 
     /// All facts sorted structurally — a canonical listing for equality,
@@ -401,7 +290,7 @@ impl Instance {
 
     /// The sub-instance of facts over `schema`'s relations.
     pub fn restrict_to(&self, schema: &Schema) -> Instance {
-        let mut out = self.new_like();
+        let mut out = Instance::new();
         for f in self.facts() {
             if schema.contains(f.relation()) {
                 out.insert(f);
@@ -413,14 +302,14 @@ impl Instance {
     /// Apply a value mapping to every fact (e.g. a homomorphism or a
     /// null-renaming), producing a new instance.
     pub fn map_values(&self, mut f: impl FnMut(Value) -> Value) -> Instance {
-        let mut out = self.new_like();
+        let mut out = Instance::new();
         for fact in self.facts() {
             out.insert(fact.map_values(&mut f));
         }
         out
     }
 
-    /// Set union of two instances (on `self`'s backend).
+    /// Set union of two instances.
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
         for f in other.facts() {
@@ -429,9 +318,9 @@ impl Instance {
         out
     }
 
-    /// Set intersection of two instances (on `self`'s backend).
+    /// Set intersection of two instances.
     pub fn intersection(&self, other: &Instance) -> Instance {
-        let mut out = self.new_like();
+        let mut out = Instance::new();
         for f in self.facts() {
             if other.contains(&f) {
                 out.insert(f);
@@ -440,9 +329,9 @@ impl Instance {
         out
     }
 
-    /// Set difference `self ∖ other` (on `self`'s backend).
+    /// Set difference `self ∖ other`.
     pub fn difference(&self, other: &Instance) -> Instance {
-        let mut out = self.new_like();
+        let mut out = Instance::new();
         for f in self.facts() {
             if !other.contains(&f) {
                 out.insert(f);
@@ -481,7 +370,7 @@ impl Instance {
     /// The instance with one fact removed (copy; instances are immutable
     /// fact *sets* and the engines rely on persistent snapshots).
     pub fn without_fact(&self, fact: &Fact) -> Instance {
-        let mut out = self.new_like();
+        let mut out = Instance::new();
         for f in self.facts() {
             if &f != fact {
                 out.insert(f);
@@ -493,7 +382,7 @@ impl Instance {
     /// The sub-instance of facts that do **not** mention any value in
     /// `values` (used by core computation to drop a null's facts).
     pub fn without_values(&self, values: &FxHashSet<Value>) -> Instance {
-        let mut out = self.new_like();
+        let mut out = Instance::new();
         for f in self.facts() {
             if !f.args().iter().any(|v| values.contains(v)) {
                 out.insert(f);
@@ -504,7 +393,7 @@ impl Instance {
 }
 
 impl PartialEq for Instance {
-    /// Set equality of facts (backend-independent).
+    /// Set equality of facts.
     fn eq(&self, other: &Self) -> bool {
         self.fact_count == other.fact_count && self.is_subset_of(other)
     }
@@ -514,7 +403,7 @@ impl Eq for Instance {}
 
 impl Hash for Instance {
     /// Order-independent hash (sum of per-fact hashes), consistent with
-    /// the set-equality `PartialEq` — and therefore backend-independent.
+    /// the set-equality `PartialEq`.
     fn hash<H: Hasher>(&self, state: &mut H) {
         let mut acc: u64 = 0;
         for f in self.facts() {
@@ -551,9 +440,6 @@ mod tests {
     fn fact(r: u32, args: &[Value]) -> Fact {
         Fact::new(RelId(r), args.to_vec())
     }
-    fn tuple_at(d: &RelationData, row: u32) -> Vec<Value> {
-        (0..d.arity()).map(|col| d.value_at(row, col)).collect()
-    }
 
     #[test]
     fn insert_dedups_and_counts() {
@@ -578,18 +464,16 @@ mod tests {
 
     #[test]
     fn column_index_finds_rows() {
-        for kind in [BackendKind::Row, BackendKind::Columnar] {
-            let mut i = Instance::with_backend(kind);
-            i.insert(fact(0, &[c(0), c(1)]));
-            i.insert(fact(0, &[c(0), c(2)]));
-            i.insert(fact(0, &[c(3), c(1)]));
-            let d = i.relation(RelId(0)).unwrap();
-            assert_eq!(d.rows_with(0, &c(0)).len(), 2);
-            assert_eq!(d.rows_with(1, &c(1)).len(), 2);
-            assert_eq!(d.rows_with(1, &c(9)).len(), 0);
-            for &row in d.rows_with(0, &c(0)) {
-                assert_eq!(d.value_at(row, 0), c(0));
-            }
+        let mut i = Instance::new();
+        i.insert(fact(0, &[c(0), c(1)]));
+        i.insert(fact(0, &[c(0), c(2)]));
+        i.insert(fact(0, &[c(3), c(1)]));
+        let d = i.relation(RelId(0)).unwrap();
+        assert_eq!(d.rows_with(0, &c(0)).len(), 2);
+        assert_eq!(d.rows_with(1, &c(1)).len(), 2);
+        assert_eq!(d.rows_with(1, &c(9)).len(), 0);
+        for &row in d.rows_with(0, &c(0)) {
+            assert_eq!(d.row_slice(row)[0], c(0));
         }
     }
 
@@ -622,57 +506,6 @@ mod tests {
         assert_eq!(h(&a), h(&b));
         b.insert(fact(0, &[c(2)]));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn set_equality_and_hash_ignore_backend() {
-        use std::collections::hash_map::DefaultHasher;
-        let mut a = Instance::with_backend(BackendKind::Row);
-        a.insert(fact(0, &[c(0), n(1)]));
-        a.insert(fact(1, &[n(1)]));
-        let b = a.to_backend(BackendKind::Columnar);
-        assert_eq!(b.backend(), BackendKind::Columnar);
-        assert_eq!(a, b);
-        let h = |i: &Instance| {
-            let mut s = DefaultHasher::new();
-            i.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&a), h(&b));
-        // Conversion preserves insertion order fact-for-fact.
-        let fa: Vec<Fact> = a.facts().collect();
-        let fb: Vec<Fact> = b.facts().collect();
-        assert_eq!(fa, fb);
-        assert_eq!(b.null_offset(), a.null_offset());
-    }
-
-    #[test]
-    fn into_backend_is_identity_on_same_kind() {
-        let mut a = Instance::with_backend(BackendKind::Columnar);
-        a.insert(fact(0, &[c(0)]));
-        let b = a.clone().into_backend(BackendKind::Columnar);
-        assert_eq!(b.backend(), BackendKind::Columnar);
-        assert_eq!(a, b);
-        let r = a.into_backend(BackendKind::Row);
-        assert_eq!(r.backend(), BackendKind::Row);
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn derived_instances_inherit_the_backend() {
-        let mut i = Instance::with_backend(BackendKind::Columnar);
-        i.insert(fact(0, &[c(0), n(0)]));
-        i.insert(fact(1, &[c(1)]));
-        let schema = Schema::from_relations([RelId(0)]);
-        assert_eq!(i.restrict_to(&schema).backend(), BackendKind::Columnar);
-        assert_eq!(i.map_values(|v| v).backend(), BackendKind::Columnar);
-        assert_eq!(i.union(&Instance::new()).backend(), BackendKind::Columnar);
-        assert_eq!(i.intersection(&i.clone()).backend(), BackendKind::Columnar);
-        assert_eq!(i.difference(&Instance::new()).backend(), BackendKind::Columnar);
-        assert_eq!(i.without_fact(&fact(1, &[c(1)])).backend(), BackendKind::Columnar);
-        let mut kill = FxHashSet::default();
-        kill.insert(n(0));
-        assert_eq!(i.without_values(&kill).backend(), BackendKind::Columnar);
     }
 
     #[test]
@@ -759,85 +592,45 @@ mod tests {
 
     #[test]
     fn remove_fact_is_the_inverse_of_insert() {
-        for kind in [BackendKind::Row, BackendKind::Columnar] {
-            let mut i = Instance::with_backend(kind);
-            i.insert(fact(0, &[c(0), c(1)]));
-            i.insert(fact(0, &[c(1), c(2)]));
-            i.insert(fact(0, &[c(2), c(0)]));
-            let before = i.clone();
-            assert!(i.remove_fact(&fact(0, &[c(1), c(2)])));
-            assert_eq!(i.len(), 2);
-            assert!(!i.contains(&fact(0, &[c(1), c(2)])));
-            assert!(!i.remove_fact(&fact(0, &[c(1), c(2)])), "already gone");
-            assert!(!i.remove_fact(&fact(7, &[c(0), c(0)])), "unknown relation");
-            i.insert(fact(0, &[c(1), c(2)]));
-            assert_eq!(i, before, "remove + reinsert is a set-level no-op");
-        }
+        let mut i = Instance::new();
+        i.insert(fact(0, &[c(0), c(1)]));
+        i.insert(fact(0, &[c(1), c(2)]));
+        i.insert(fact(0, &[c(2), c(0)]));
+        let before = i.clone();
+        assert!(i.remove_fact(&fact(0, &[c(1), c(2)])));
+        assert_eq!(i.len(), 2);
+        assert!(!i.contains(&fact(0, &[c(1), c(2)])));
+        assert!(!i.remove_fact(&fact(0, &[c(1), c(2)])), "already gone");
+        assert!(!i.remove_fact(&fact(7, &[c(0), c(0)])), "unknown relation");
+        i.insert(fact(0, &[c(1), c(2)]));
+        assert_eq!(i, before, "remove + reinsert is a set-level no-op");
     }
 
     #[test]
     fn remove_fact_repairs_posting_lists() {
         // Removing a middle row swap-moves the last row into its slot;
-        // every index lookup must stay consistent afterwards — on both
-        // backends identically.
-        for kind in [BackendKind::Row, BackendKind::Columnar] {
-            let mut i = Instance::with_backend(kind);
-            i.insert(fact(0, &[c(0), c(1)]));
-            i.insert(fact(0, &[c(0), c(2)]));
-            i.insert(fact(0, &[c(0), c(1)])); // duplicate, ignored
-            i.insert(fact(0, &[c(3), c(1)]));
-            assert!(i.remove_fact(&fact(0, &[c(0), c(2)])));
-            let d = i.relation(RelId(0)).unwrap();
-            assert_eq!(d.len(), 2);
-            for (col, v, want) in [
-                (0, c(0), vec![vec![c(0), c(1)]]),
-                (0, c(3), vec![vec![c(3), c(1)]]),
-                (1, c(1), vec![vec![c(0), c(1)], vec![c(3), c(1)]]),
-                (1, c(2), vec![]),
-            ] {
-                let mut got: Vec<Vec<Value>> =
-                    d.rows_with(col, &v).iter().map(|&r| tuple_at(d, r)).collect();
-                got.sort();
-                assert_eq!(got, want, "{kind:?} col {col} value {v:?}");
-                let rows = d.rows_with(col, &v);
-                assert!(rows.windows(2).all(|w| w[0] < w[1]), "posting list stays sorted");
-            }
-        }
-    }
-
-    #[test]
-    fn backends_agree_row_for_row_after_removals() {
-        // The same insert/remove script leaves both backends with the
-        // same tuples at the same row ids — the invariant the engine's
-        // cross-backend determinism is built on.
-        let mut row = Instance::with_backend(BackendKind::Row);
-        let mut col = Instance::with_backend(BackendKind::Columnar);
-        let script: &[(&str, Fact)] = &[
-            ("+", fact(0, &[c(0), n(0)])),
-            ("+", fact(0, &[c(1), c(2)])),
-            ("+", fact(0, &[n(1), n(0)])),
-            ("+", fact(0, &[c(0), c(0)])),
-            ("-", fact(0, &[c(1), c(2)])),
-            ("+", fact(0, &[c(1), n(2)])),
-            ("-", fact(0, &[c(0), n(0)])),
-        ];
-        for (op, f) in script {
-            if *op == "+" {
-                assert_eq!(row.insert(f.clone()), col.insert(f.clone()));
-            } else {
-                assert_eq!(row.remove_fact(f), col.remove_fact(f));
-            }
-            let (dr, dc) = (row.relation(RelId(0)), col.relation(RelId(0)));
-            match (dr, dc) {
-                (Some(dr), Some(dc)) => {
-                    assert_eq!(dr.len(), dc.len());
-                    for r in 0..dr.len() as u32 {
-                        assert_eq!(tuple_at(dr, r), tuple_at(dc, r), "row {r}");
-                    }
-                }
-                (None, None) => {}
-                (dr, dc) => panic!("presence mismatch: {:?}", (dr.is_some(), dc.is_some())),
-            }
+        // every index lookup must stay consistent afterwards.
+        let mut i = Instance::new();
+        i.insert(fact(0, &[c(0), c(1)]));
+        i.insert(fact(0, &[c(0), c(2)]));
+        i.insert(fact(0, &[c(0), c(1)])); // duplicate, ignored
+        i.insert(fact(0, &[c(3), c(1)]));
+        assert!(i.remove_fact(&fact(0, &[c(0), c(2)])));
+        let d = i.relation(RelId(0)).unwrap();
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.row_slice(1), &[c(3), c(1)], "the last row moved into the freed slot");
+        for (col, v, want) in [
+            (0, c(0), vec![vec![c(0), c(1)]]),
+            (0, c(3), vec![vec![c(3), c(1)]]),
+            (1, c(1), vec![vec![c(0), c(1)], vec![c(3), c(1)]]),
+            (1, c(2), vec![]),
+        ] {
+            let mut got: Vec<Vec<Value>> =
+                d.rows_with(col, &v).iter().map(|&r| d.row_slice(r).to_vec()).collect();
+            got.sort();
+            assert_eq!(got, want, "col {col} value {v:?}");
+            let rows = d.rows_with(col, &v);
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "posting list stays sorted");
         }
     }
 
@@ -855,17 +648,14 @@ mod tests {
     }
 
     #[test]
-    fn to_backend_preserves_a_loose_null_offset() {
-        // After a removal the offset may exceed every remaining null;
-        // conversion must not tighten it, or fresh-null numbering would
-        // diverge between a converted and an unconverted run.
-        let mut i = Instance::new();
-        i.insert(fact(0, &[n(9)]));
-        i.insert(fact(1, &[n(0)]));
-        i.remove_fact(&fact(0, &[n(9)]));
-        assert_eq!(i.null_offset(), 10);
-        let converted = i.to_backend(BackendKind::Columnar);
-        assert_eq!(converted.null_offset(), 10);
+    fn zero_arity_relations_work() {
+        let mut d = RelationData::with_arity(0);
+        assert!(d.insert(&[]));
+        assert!(!d.insert(&[]));
+        assert_eq!(d.len(), 1);
+        assert!(d.contains(&[]));
+        assert!(d.remove(&[]));
+        assert!(d.is_empty());
     }
 
     #[test]

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod display;
 pub mod enumerate;
 mod error;
@@ -40,12 +39,9 @@ mod substitution;
 mod value;
 mod vocab;
 
-pub use backend::{
-    BackendKind, BucketRows, BucketScan, ColumnarRelation, InstanceBackend, RowRelation,
-};
 pub use error::ModelError;
 pub use fact::Fact;
-pub use instance::{Instance, RelationData, TupleIter};
+pub use instance::{Instance, RelationData};
 pub use schema::{RelId, Schema};
 pub use substitution::Substitution;
 pub use value::{ConstId, NullId, Value};

@@ -1,47 +1,56 @@
 //! Property-based tests for the data model.
 
 use proptest::prelude::*;
-use rde_model::{
-    display, parse::parse_instance, BackendKind, Fact, Instance, Substitution, Value, Vocabulary,
-};
+use rde_model::{display, parse::parse_instance, Fact, Instance, Substitution, Value, Vocabulary};
 
-/// Strategy: abstract facts over 3 relations (arities 1, 2, 3), with
+type AbstractFact = (u8, Vec<(bool, u8)>);
+
+/// Strategy: one abstract fact over 3 relations (arities 1, 2, 3), with
 /// arguments drawn from 4 constants and 4 named nulls.
-fn abstract_facts() -> impl Strategy<Value = Vec<(u8, Vec<(bool, u8)>)>> {
-    prop::collection::vec(
-        (0u8..3).prop_flat_map(|rel| {
-            let arity = match rel {
-                0 => 1,
-                1 => 2,
-                _ => 3,
-            };
-            (Just(rel), prop::collection::vec((any::<bool>(), 0u8..4), arity))
-        }),
-        0..12,
-    )
+fn abstract_fact() -> impl Strategy<Value = AbstractFact> {
+    (0u8..3).prop_flat_map(|rel| {
+        let arity = match rel {
+            0 => 1,
+            1 => 2,
+            _ => 3,
+        };
+        (Just(rel), prop::collection::vec((any::<bool>(), 0u8..4), arity))
+    })
 }
 
-fn materialize(vocab: &mut Vocabulary, facts: &[(u8, Vec<(bool, u8)>)]) -> Instance {
+fn abstract_facts() -> impl Strategy<Value = Vec<AbstractFact>> {
+    prop::collection::vec(abstract_fact(), 0..12)
+}
+
+/// Strategy: an interleaved insert/remove script. Each step is
+/// `(remove?, pick, fact)`: an insert adds `fact`; a remove takes the
+/// `pick`-th earlier insert (mod their number), so most removes hit a
+/// present tuple and force a swap-remove repair, and some miss.
+fn abstract_script() -> impl Strategy<Value = Vec<(bool, u8, AbstractFact)>> {
+    prop::collection::vec((any::<bool>(), 0u8..64, abstract_fact()), 0..24)
+}
+
+fn materialize_fact(vocab: &mut Vocabulary, (rel, args): &AbstractFact) -> Fact {
     let rels = [
         vocab.relation("Ra", 1).unwrap(),
         vocab.relation("Rb", 2).unwrap(),
         vocab.relation("Rc", 3).unwrap(),
     ];
-    let mut out = Instance::new();
-    for (rel, args) in facts {
-        let vals: Vec<Value> = args
-            .iter()
-            .map(|&(is_null, i)| {
-                if is_null {
-                    vocab.null_value(&format!("n{i}"))
-                } else {
-                    vocab.const_value(&format!("c{i}"))
-                }
-            })
-            .collect();
-        out.insert(Fact::new(rels[*rel as usize], vals));
-    }
-    out
+    let vals: Vec<Value> = args
+        .iter()
+        .map(|&(is_null, i)| {
+            if is_null {
+                vocab.null_value(&format!("n{i}"))
+            } else {
+                vocab.const_value(&format!("c{i}"))
+            }
+        })
+        .collect();
+    Fact::new(rels[*rel as usize], vals)
+}
+
+fn materialize(vocab: &mut Vocabulary, facts: &[AbstractFact]) -> Instance {
+    facts.iter().map(|f| materialize_fact(vocab, f)).collect()
 }
 
 proptest! {
@@ -162,56 +171,55 @@ proptest! {
         prop_assert!(dom.len() <= total.max(1));
     }
 
-    /// Column indexes return exactly the rows holding the value — on
-    /// both storage backends.
+    /// Column indexes return exactly the rows holding the value through
+    /// any interleaving of inserts and removes: after every step the
+    /// instance's size and membership match a reference fact set, the
+    /// surviving tuples are exactly that set, and every posting list
+    /// equals the ascending row ids of an index rebuilt from the
+    /// surviving tuples — removed values included, whose lists must be
+    /// empty.
     #[test]
-    fn posting_lists_are_exact(facts in abstract_facts()) {
+    fn posting_lists_are_exact(script in abstract_script()) {
         let mut vocab = Vocabulary::new();
-        let row = materialize(&mut vocab, &facts);
-        for i in [row.clone(), row.to_backend(BackendKind::Columnar)] {
-            for (_, data) in i.relations() {
-                let tuples: Vec<Vec<Value>> = data.tuples().map(|t| t.to_vec()).collect();
-                for col in 0..data.arity() {
-                    for &v in tuples.iter().flat_map(|t| t.iter()) {
-                        let rows = data.rows_with(col, &v);
-                        for &r in rows {
-                            prop_assert_eq!(data.value_at(r, col), v);
-                        }
-                        let expected = tuples.iter().filter(|t| t[col] == v).count();
-                        prop_assert_eq!(rows.len(), expected);
-                    }
+        let mut inst = Instance::new();
+        let mut inserted: Vec<Fact> = Vec::new();
+        let mut alive: Vec<Fact> = Vec::new();
+        for (is_remove, pick, fact) in &script {
+            if *is_remove && !inserted.is_empty() {
+                let f = inserted[usize::from(*pick) % inserted.len()].clone();
+                prop_assert_eq!(inst.remove_fact(&f), alive.contains(&f));
+                alive.retain(|g| g != &f);
+            } else {
+                let f = materialize_fact(&mut vocab, fact);
+                let new = !alive.contains(&f);
+                prop_assert_eq!(inst.insert(f.clone()), new);
+                if new {
+                    alive.push(f.clone());
                 }
+                inserted.push(f);
             }
-        }
-    }
-
-    /// The columnar backend is observationally identical to the row
-    /// store: same facts in the same order, same row ids behind every
-    /// posting list, same null-pattern semantics.
-    #[test]
-    fn backends_are_observationally_equal(facts in abstract_facts()) {
-        let mut vocab = Vocabulary::new();
-        let row = materialize(&mut vocab, &facts);
-        let col = row.to_backend(BackendKind::Columnar);
-        prop_assert_eq!(&row, &col);
-        prop_assert_eq!(row.len(), col.len());
-        prop_assert_eq!(row.null_offset(), col.null_offset());
-        let rf: Vec<Fact> = row.facts().collect();
-        let cf: Vec<Fact> = col.facts().collect();
-        prop_assert_eq!(rf, cf);
-        for (rel, rd) in row.relations() {
-            let cd = col.relation(rel).unwrap();
-            let masks = cd.null_masks().unwrap();
-            prop_assert_eq!(rd.len(), masks.len());
-            for (r, t) in rd.tuples().enumerate() {
-                for (c, &v) in t.iter().enumerate() {
-                    prop_assert_eq!(cd.value_at(r as u32, c), v);
-                    let bit = c < 64 && (masks[r] >> c) & 1 == 1;
-                    prop_assert_eq!(bit, v.is_null() && c < 64);
-                    prop_assert_eq!(
-                        rd.rows_with(c, &v), cd.rows_with(c, &v),
-                        "posting lists must agree row-for-row"
-                    );
+            prop_assert_eq!(inst.len(), alive.len());
+            for f in &inserted {
+                prop_assert_eq!(inst.contains(f), alive.contains(f));
+            }
+            let survivors = inst.canonical_facts();
+            let mut expected = alive.clone();
+            expected.sort();
+            prop_assert_eq!(survivors, expected);
+            let domain: Vec<Value> = inserted.iter().flat_map(|f| f.args().to_vec()).collect();
+            for (_, data) in inst.relations() {
+                let tuples: Vec<&[Value]> = data.tuples().collect();
+                prop_assert_eq!(data.len(), tuples.len());
+                for (r, t) in tuples.iter().enumerate() {
+                    prop_assert_eq!(data.row_slice(r as u32), *t);
+                }
+                for col in 0..data.arity() {
+                    for v in &domain {
+                        let rebuilt: Vec<u32> = (0..tuples.len() as u32)
+                            .filter(|&r| tuples[r as usize][col] == *v)
+                            .collect();
+                        prop_assert_eq!(data.rows_with(col, v), &rebuilt[..], "col {} {:?}", col, v);
+                    }
                 }
             }
         }

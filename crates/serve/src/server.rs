@@ -62,7 +62,7 @@
 //! per-mapping inflight gauges, per-tenant request and
 //! `{tenant, reason}` shed counters, and per-outcome counters;
 //! `METRICS` exposes the lot in Prometheus text format. Each request
-//! also leaves one `serve.access` journal event (op, mapping, backend,
+//! also leaves one `serve.access` journal event (op, mapping, tenant,
 //! outcome, elapsed µs, arrow-cache hit/miss) — point a rotating
 //! journal sink at a file and that is the access log. With
 //! [`ServeOptions::trace_slow_ms`] set, the request thread's span tree
@@ -92,8 +92,8 @@ use rde_core::invertibility::{check_homomorphism_property_cached, BoundedVerdict
 use rde_core::CoreError;
 use rde_faults::{CancelToken, ExecContext, FaultInjector};
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_model::display;
 use rde_model::parse::parse_instance;
-use rde_model::{display, BackendKind};
 use rde_obs::metrics::HistogramSnapshot;
 use rde_obs::{counter, gauge, histogram};
 use rde_query::ConjunctiveQuery;
@@ -159,8 +159,6 @@ pub struct ServeOptions {
     pub addr: String,
     /// Catalog directory of `NAME.map` (+ optional `NAME.rev`) files.
     pub catalog: PathBuf,
-    /// Instance storage layout for request instances.
-    pub backend: BackendKind,
     /// Bounded-universe dimensions for each mapping's warm family.
     pub dims: UniverseDims,
     /// Size caps for each mapping's arrow cache.
@@ -204,7 +202,6 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".to_owned(),
             catalog: PathBuf::from("."),
-            backend: BackendKind::default(),
             dims: UniverseDims::default(),
             // Defaults sized for a long-lived process: large enough
             // that a working set never thrashes, small enough that a
@@ -679,7 +676,6 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
         ("op", op.into()),
         ("mapping", mapping.into()),
         ("tenant", tenant.into()),
-        ("backend", rde_obs::Field::Str(backend_name(state.options.backend))),
         ("outcome", outcome.into()),
         ("us", us.into()),
     ];
@@ -688,15 +684,6 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
     }
     rde_obs::event("serve.access", &fields);
     reply
-}
-
-/// Static name for the backend label (access log + metrics want
-/// `&'static str`, `Display` allocates).
-fn backend_name(backend: BackendKind) -> &'static str {
-    match backend {
-        BackendKind::Row => "row",
-        BackendKind::Columnar => "columnar",
-    }
 }
 
 /// Per-request execution context: fresh cancel token (armed with the
@@ -743,10 +730,10 @@ fn handle_request(
         "STATS" => op_stats(state, &cat),
         "METRICS" => op_metrics(state, &cat),
         "RELOAD" => reload_now(state),
-        "CHASE" => with_mapping(catalog, request, |e| op_chase(state, e, request, &config)),
+        "CHASE" => with_mapping(catalog, request, |e| op_chase(e, request, &config)),
         "INVERTIBLE" => with_mapping(catalog, request, |e| op_invertible(e, &config)),
-        "ARROW" => with_mapping(catalog, request, |e| op_arrow(state, e, request, &config, access)),
-        "CERTAIN" => with_mapping(catalog, request, |e| op_certain(state, e, request, &config)),
+        "ARROW" => with_mapping(catalog, request, |e| op_arrow(e, request, &config, access)),
+        "CERTAIN" => with_mapping(catalog, request, |e| op_certain(e, request, &config)),
         other => Reply::Err(format!("unknown op `{other}`")),
     }
 }
@@ -931,15 +918,10 @@ fn core_reply(e: CoreError) -> Reply {
 /// target-restricted result. A fresh clone of the entry's post-parse
 /// vocabulary replays exactly what a cold `rde chase` run does, so the
 /// reply is bit-identical to the CLI's stdout.
-fn op_chase(
-    state: &ServerState,
-    entry: &MappingEntry,
-    request: &Request,
-    config: &HomConfig,
-) -> Reply {
+fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Reply {
     let mut vocab = entry.base_vocab.clone();
     let instance = match parse_instance(&mut vocab, &request.body_blob()) {
-        Ok(i) => i.into_backend(state.options.backend),
+        Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
     let mut options =
@@ -991,7 +973,6 @@ fn op_invertible(entry: &MappingEntry, config: &HomConfig) -> Reply {
 /// resolve identically, and the eviction policy keeps a hostile
 /// request stream from growing the cache without bound.
 fn op_arrow(
-    state: &ServerState,
     entry: &MappingEntry,
     request: &Request,
     config: &HomConfig,
@@ -1011,7 +992,7 @@ fn op_arrow(
         let mut vocab = lock(&warm.vocab);
         for text in &texts {
             let instance = match parse_instance(&mut vocab, text) {
-                Ok(i) => i.into_backend(state.options.backend),
+                Ok(i) => i,
                 Err(e) => return Reply::Err(format!("instance: {e}")),
             };
             match warm.cache.intern(&entry.mapping, &instance, &mut vocab, config) {
@@ -1035,12 +1016,7 @@ fn op_arrow(
 /// `CERTAIN m` — reverse certain answers (Thm 6.5) of the `query=`
 /// header over the body instance, using the catalog's `NAME.rev`
 /// reverse mapping.
-fn op_certain(
-    state: &ServerState,
-    entry: &MappingEntry,
-    request: &Request,
-    config: &HomConfig,
-) -> Reply {
+fn op_certain(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Reply {
     let Some(reverse) = &entry.reverse else {
         return Reply::Err(format!("mapping `{}` has no reverse (.rev) mapping", entry.name));
     };
@@ -1049,7 +1025,7 @@ fn op_certain(
     };
     let mut vocab = entry.base_vocab.clone();
     let instance = match parse_instance(&mut vocab, &request.body_blob()) {
-        Ok(i) => i.into_backend(state.options.backend),
+        Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
     let q = match ConjunctiveQuery::parse(&mut vocab, query_text) {
