@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rde_bench::workloads;
 use rde_chase::{
-    chase_mapping, disjunctive_chase, ChaseMode, ChaseOptions, DisjunctiveChaseOptions,
+    chase_mapping, disjunctive_chase, ChaseOptions, ChaseVariant, DisjunctiveChaseOptions,
 };
 use rde_model::Vocabulary;
 
@@ -17,9 +17,10 @@ fn bench_chase_modes(c: &mut Criterion) {
         // Skewed instances (few distinct endpoints) make many triggers
         // already satisfied: satisfaction checking pays off in facts.
         let instance = workloads::source_instance(&mut vocab, &w.mapping, size, 6, 2, 0.2, 31);
-        for (name, mode) in [("oblivious", ChaseMode::Oblivious), ("standard", ChaseMode::Standard)]
+        for (name, variant) in
+            [("oblivious", ChaseVariant::SemiNaive), ("standard", ChaseVariant::Restricted)]
         {
-            let opts = ChaseOptions { mode, ..ChaseOptions::default() };
+            let opts = ChaseOptions::for_variant(variant);
             group.bench_with_input(BenchmarkId::new(name, size), &instance, |b, inst| {
                 b.iter(|| {
                     let mut v = vocab.clone();

@@ -1,6 +1,5 @@
-//! Chase strategy scaling experiment: measures naive vs semi-naive vs
-//! parallel collection vs the restricted (Standard-mode) variant on the
-//! recursive null-chord workload. Writes `BENCH_chase.json` (repo root,
+//! Chase variant scaling experiment: measures the naive, semi-naive and
+//! restricted variants on the recursive null-chord workload. Writes `BENCH_chase.json` (repo root,
 //! or the path given as the first argument) as the recorded baseline.
 //!
 //! Pass `--quick` to shrink the sweep for CI smoke runs.
@@ -8,7 +7,7 @@
 use std::time::Instant;
 
 use rde_bench::workloads;
-use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseStrategy, ChaseVariant};
+use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseVariant};
 use rde_model::{Instance, Vocabulary};
 
 /// Mean wall-clock seconds per run (few repetitions; the chase runs
@@ -45,16 +44,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_chase.json".to_string());
     let mut rows = Vec::new();
     println!(
-        "{:>6} {:>5} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11}",
-        "nodes",
-        "deps",
-        "facts",
-        "naive_ms",
-        "semi_ms",
-        "par_ms",
-        "restr_ms",
-        "round_us",
-        "hom_nodes"
+        "{:>6} {:>5} {:>7} {:>10} {:>10} {:>10} {:>10} {:>11}",
+        "nodes", "deps", "facts", "naive_ms", "semi_ms", "restr_ms", "round_us", "hom_nodes"
     );
     let sizes: &[usize] = if quick { &[16] } else { &[16, 32, 64, 128] };
     for &nodes in sizes {
@@ -63,37 +54,31 @@ fn main() {
             let deps = workloads::triangle_deps(&mut vocab, extra_deps);
             let instance = workloads::random_graph_nulls(&mut vocab, nodes, nodes / 2, 11);
             let reps = if nodes >= 64 { 2 } else { 5 };
-            let naive = ChaseOptions { strategy: ChaseStrategy::Naive, ..ChaseOptions::default() };
-            let semi =
-                ChaseOptions { strategy: ChaseStrategy::SemiNaive, ..ChaseOptions::default() };
-            let par = ChaseOptions {
-                strategy: ChaseStrategy::SemiNaive,
-                threads: 0,
-                ..ChaseOptions::default()
-            };
+            let naive = ChaseOptions::for_variant(ChaseVariant::Naive);
+            let semi = ChaseOptions::for_variant(ChaseVariant::SemiNaive);
             let restricted = ChaseOptions::for_variant(ChaseVariant::Restricted);
             let (t_naive, r_naive) = time_chase(&vocab, &instance, &deps, &naive, reps);
             let us0 = round_us();
             let (t_semi, r_semi) = time_chase(&vocab, &instance, &deps, &semi, reps);
             let us1 = round_us();
-            let (t_par, r_par) = time_chase(&vocab, &instance, &deps, &par, reps);
             let (t_res, r_res) = time_chase(&vocab, &instance, &deps, &restricted, reps);
-            assert_eq!(r_naive.instance, r_semi.instance, "strategies must agree exactly");
+            assert_eq!(
+                r_naive.instance, r_semi.instance,
+                "naive and semi-naive must agree exactly"
+            );
             assert!(
                 r_res.instance.len() <= r_semi.instance.len(),
                 "the restricted chase never mints facts the oblivious one skipped"
             );
-            assert_eq!(r_semi.instance, r_par.instance, "thread count must not matter");
             let speedup = t_naive / t_semi;
             let semi_round_us = (us1 - us0) / reps as u64;
             println!(
-                "{:>6} {:>5} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10} {:>11}",
+                "{:>6} {:>5} {:>7} {:>10.3} {:>10.3} {:>10.3} {:>10} {:>11}",
                 nodes,
                 deps.len(),
                 r_semi.instance.len(),
                 t_naive * 1e3,
                 t_semi * 1e3,
-                t_par * 1e3,
                 t_res * 1e3,
                 semi_round_us,
                 r_semi.hom.nodes
@@ -102,7 +87,7 @@ fn main() {
                 concat!(
                     "    {{\"nodes\": {}, \"deps\": {}, \"rounds\": {}, \"fired\": {}, ",
                     "\"result_facts\": {}, \"naive_ms\": {:.3}, \"semi_naive_ms\": {:.3}, ",
-                    "\"parallel_ms\": {:.3}, \"restricted_ms\": {:.3}, ",
+                    "\"restricted_ms\": {:.3}, ",
                     "\"restricted_fired\": {}, \"restricted_facts\": {}, ",
                     "\"speedup_semi_vs_naive\": {:.2}, ",
                     "\"round_us\": {}, \"hom_nodes\": {}}}"
@@ -114,7 +99,6 @@ fn main() {
                 r_naive.instance.len(),
                 t_naive * 1e3,
                 t_semi * 1e3,
-                t_par * 1e3,
                 t_res * 1e3,
                 r_res.fired,
                 r_res.instance.len(),
@@ -133,8 +117,7 @@ fn main() {
             "  \"workload\": \"cycle graph + labeled-null chords; copy E into T, linear closure ",
             "T(x,y) & E(y,z) -> T(x,z), triangle rule with a fully bound premise atom, ",
             "plus side-output rules\",\n",
-            "  \"modes\": [\"naive\", \"semi_naive\", ",
-            "\"semi_naive+parallel(threads=auto)\", \"restricted\"],\n",
+            "  \"modes\": [\"naive\", \"semi_naive\", \"restricted\"],\n",
             "  \"results\": [\n{}\n  ],\n",
             "  \"metrics\": {}\n}}\n"
         ),

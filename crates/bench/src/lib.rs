@@ -114,7 +114,7 @@ pub mod workloads {
     /// add `extra` side-output rules `T → Aᵢ`. Linear (rather than
     /// doubling) recursion chases for as many rounds as the longest
     /// `E`-path, the regime the semi-naive delta rounds target; `extra`
-    /// scales the dependency count for the parallel collection sweep.
+    /// scales the dependency count.
     pub fn recursive_deps(vocab: &mut Vocabulary, extra: usize) -> Vec<rde_deps::Dependency> {
         let mut deps = vec![
             rde_deps::parse_dependency(vocab, "E(x, y) -> T(x, y)").unwrap(),

@@ -17,22 +17,18 @@
 //!   the procedural engine behind reverse data exchange with maximum
 //!   extended recoveries (Definition 6.1, Theorems 6.2 and 6.5).
 //!
-//! * [`plan`] — compiled execution plans ([`PremisePlan`],
-//!   [`SatisfactionPlan`], [`FiringTemplate`]): each dependency's
-//!   premise/conclusion is compiled once per chase into
-//!   `rde_hom::CompiledPattern` slot form, and the fixpoint runs
-//!   semi-naive delta rounds with optionally parallel (and always
-//!   deterministic) trigger collection — see [`ChaseStrategy`] and
-//!   `ChaseOptions::threads`.
+//! * [`plan`] — the one matcher: a [`DependencyPlan`] compiles a
+//!   dependency's premise ([`PremisePlan`]) and, per disjunct, its
+//!   satisfaction check ([`SatisfactionPlan`]) and firing template
+//!   ([`FiringTemplate`]) once per call into `rde_hom::CompiledPattern`
+//!   slot form. Both chases run on it, and so do the solution checks
+//!   (`(I, J) ⊨ Σ`) in `rde-core` and CQ evaluation in `rde-query`.
 //!
-//! * [`matching`] — legacy premise matching (enumerating assignments of
-//!   a dependency's premise into an instance), built directly on the
-//!   homomorphism engine: matching `φ(x)` into `I` is finding a
-//!   homomorphism from the canonical (frozen) instance of `φ` into `I`.
-//!   Retained for callers that want one-off matches without a plan.
-//!
-//! Both chases fire triggers *obliviously or with a satisfaction check*
-//! (see [`ChaseMode`]); resource limits are explicit and typed.
+//! [`ChaseOptions::variant`] is the one chase selector: a
+//! [`ChaseVariant`] names the firing discipline (oblivious, or
+//! restricted with a satisfaction check) together with the enumeration
+//! schedule (naive or delta-driven rounds). Resource limits are
+//! explicit and typed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +40,6 @@ mod checkpoint;
 mod core_chase;
 mod disjunctive;
 mod error;
-pub mod matching;
 pub mod plan;
 mod standard;
 
@@ -52,8 +47,8 @@ pub use checkpoint::CheckpointPolicy;
 pub use core_chase::core_chase_mapping;
 pub use disjunctive::{disjunctive_chase, DisjunctiveChaseOptions, DisjunctiveChaseResult};
 pub use error::ChaseError;
-pub use plan::{FiringTemplate, MatchReport, PremisePlan, SatisfactionPlan};
+pub use plan::{DependencyPlan, FiringTemplate, MatchReport, PremisePlan, SatisfactionPlan};
 pub use standard::{
-    chase, chase_mapping, chase_mapping_default, ChaseMode, ChaseOptions, ChaseResult,
-    ChaseStrategy, ChaseVariant, FiringRecord, RoundStats,
+    chase, chase_mapping, chase_mapping_default, ChaseOptions, ChaseResult, ChaseVariant,
+    FiringRecord, RoundStats,
 };

@@ -1,33 +1,32 @@
-//! Compiled dependency plans for the chase hot path.
+//! Compiled dependency plans: the one matcher behind the chase,
+//! solution checks and CQ evaluation.
 //!
-//! [`matching`](crate::matching) freezes a premise into a throwaway
-//! `Instance` on *every* enumeration call, which in turn forces a scan
-//! over the target's nulls to pick a collision-free offset. A chase
-//! evaluates the same premises against a growing instance thousands of
-//! times, so this module compiles each dependency **once** into:
+//! Every consumer that matches a dependency into an instance goes
+//! through a [`DependencyPlan`], compiled once per call:
 //!
 //! * a [`PremisePlan`] — the premise atoms over dense variable slots
 //!   (a [`CompiledPattern`]) plus the guard checks, supporting both
 //!   full enumeration and delta-seeded enumeration for the semi-naive
 //!   rounds;
-//! * a conclusion satisfaction pattern (for [`ChaseMode::Standard`]
-//!   pre-checks), sharing the premise's slot space;
-//! * a [`FiringTemplate`] — the conclusion atoms as value/slot
-//!   instructions, so firing a trigger is a direct copy with no hash
-//!   lookups.
+//! * one [`SatisfactionPlan`] per conclusion disjunct, sharing the
+//!   premise's slot space (the restricted chase's pre-check, the
+//!   disjunctive chase's branch test, and `(I, J) ⊨ Σ`);
+//! * one [`FiringTemplate`] per conclusion disjunct — the conclusion
+//!   atoms as value/slot instructions, so firing a trigger (or
+//!   building a CQ answer from the query head) is a direct copy with no
+//!   hash lookups.
 //!
 //! Slots are assigned in first-appearance order over the premise
 //! atoms, i.e. exactly `Dependency::universal_vars()` order — a full
 //! slot assignment `[Value]` therefore doubles as the canonical
 //! trigger key.
 //!
-//! All premise enumeration funnels through [`CompiledPattern`], so the
+//! Slots are pattern-local, so they never collide with the target's
+//! nulls. All enumeration funnels through [`CompiledPattern`], so the
 //! plans share the hom searcher's posting lists and its one-probe
-//! handling of fully bound atoms (DESIGN.md §8) with no change here.
-//!
-//! [`ChaseMode::Standard`]: crate::ChaseMode::Standard
+//! handling of fully bound atoms (DESIGN.md §8).
 
-use rde_deps::{Conjunct, Premise, Term, VarId};
+use rde_deps::{Conjunct, Dependency, Premise, Term, VarId};
 use rde_hom::{CompiledPattern, Exhausted, HomConfig, HomStats, PatArg, PatternAtom, Verdict};
 use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, RelId, Value};
@@ -42,6 +41,77 @@ pub struct MatchReport {
     /// `Some` when the configured budget cut the enumeration short —
     /// the matches reported so far are valid but incomplete.
     pub exhausted: Option<Exhausted>,
+}
+
+/// A dependency compiled for matching: its premise plan plus, per
+/// conclusion disjunct (in order), a satisfaction check and a firing
+/// template over the premise's slots. The standard chase reads
+/// disjunct 0, the disjunctive chase all of them, solution checks the
+/// satisfaction checks, and CQ evaluation the head's template.
+/// The parts are private: each conclusion plan is only meaningful over
+/// the slot space of the premise plan it was compiled against.
+#[derive(Debug, Clone)]
+pub struct DependencyPlan {
+    premise: PremisePlan,
+    satisfaction: Vec<SatisfactionPlan>,
+    templates: Vec<FiringTemplate>,
+}
+
+impl DependencyPlan {
+    /// Compile a dependency. Validated dependencies guarantee that every
+    /// guard and conclusion variable is a premise-atom variable or an
+    /// existential of its disjunct.
+    pub fn compile(dep: &Dependency) -> Self {
+        let premise = PremisePlan::compile(&dep.premise);
+        let satisfaction =
+            dep.disjuncts.iter().map(|c| SatisfactionPlan::compile(&premise, c)).collect();
+        let templates =
+            dep.disjuncts.iter().map(|c| FiringTemplate::compile(&premise, c)).collect();
+        DependencyPlan { premise, satisfaction, templates }
+    }
+
+    /// The premise: atoms over slots plus guards.
+    pub fn premise(&self) -> &PremisePlan {
+        &self.premise
+    }
+
+    /// The satisfaction checks, one per disjunct.
+    pub fn satisfaction(&self) -> &[SatisfactionPlan] {
+        &self.satisfaction
+    }
+
+    /// The firing templates, one per disjunct.
+    pub fn templates(&self) -> &[FiringTemplate] {
+        &self.templates
+    }
+
+    /// Is some disjunct witnessed in `instance` under the trigger
+    /// `premise_vals`? Kleene disjunction over the disjuncts in order:
+    /// [`Verdict::Holds`] at the first witnessed one, else
+    /// [`Verdict::Unknown`] with the first cut search's budget, else
+    /// [`Verdict::Fails`]. Search work accumulates into `stats`.
+    pub fn witnessed(
+        &self,
+        instance: &Instance,
+        premise_vals: &[Value],
+        config: &HomConfig,
+        stats: &mut HomStats,
+    ) -> Verdict {
+        let mut unknown: Option<Exhausted> = None;
+        for sat in &self.satisfaction {
+            match sat.satisfiable_budgeted(instance, premise_vals, config, stats) {
+                Verdict::Holds => return Verdict::Holds,
+                Verdict::Fails => {}
+                Verdict::Unknown { budget } => {
+                    unknown.get_or_insert(budget);
+                }
+            }
+        }
+        match unknown {
+            Some(budget) => Verdict::Unknown { budget },
+            None => Verdict::Fails,
+        }
+    }
 }
 
 /// A compiled premise: atoms over dense slots plus guards.
@@ -60,7 +130,7 @@ pub struct PremisePlan {
 impl PremisePlan {
     /// Compile a premise. Guard variables are resolved to slots here;
     /// validated dependencies guarantee they occur in premise atoms.
-    pub fn compile(premise: &Premise) -> Self {
+    pub(crate) fn compile(premise: &Premise) -> Self {
         let mut slots: FxHashMap<VarId, u32> = FxHashMap::default();
         let mut vars: Vec<VarId> = Vec::new();
         let slot_of = |v: VarId, vars: &mut Vec<VarId>, slots: &mut FxHashMap<VarId, u32>| {
@@ -241,7 +311,7 @@ pub struct SatisfactionPlan {
 
 impl SatisfactionPlan {
     /// Compile the satisfaction check for one conclusion disjunct.
-    pub fn compile(premise_plan: &PremisePlan, conclusion: &Conjunct) -> Self {
+    pub(crate) fn compile(premise_plan: &PremisePlan, conclusion: &Conjunct) -> Self {
         let mut slots = premise_plan.slot_map();
         let mut next = premise_plan.num_vars() as u32;
         for &ev in &conclusion.existentials {
@@ -273,14 +343,8 @@ impl SatisfactionPlan {
     }
 
     /// Does some extension of the trigger's assignment (existentials
-    /// free) satisfy the conclusion in `instance`? Unbounded.
-    pub fn satisfiable(&self, instance: &Instance, premise_vals: &[Value]) -> bool {
-        let mut stats = HomStats::default();
-        self.satisfiable_budgeted(instance, premise_vals, &HomConfig::default(), &mut stats).holds()
-    }
-
-    /// Three-valued satisfiability under `config`'s budgets,
-    /// accumulating search work into `stats`.
+    /// free) satisfy the conclusion in `instance`? Three-valued under
+    /// `config`'s budgets; search work accumulates into `stats`.
     pub fn satisfiable_budgeted(
         &self,
         instance: &Instance,
@@ -328,7 +392,7 @@ impl FiringTemplate {
     /// Compile one conclusion disjunct against a premise plan.
     /// Validated dependencies guarantee every conclusion variable is
     /// either universal (a premise slot) or existential.
-    pub fn compile(premise_plan: &PremisePlan, conclusion: &Conjunct) -> Self {
+    pub(crate) fn compile(premise_plan: &PremisePlan, conclusion: &Conjunct) -> Self {
         let premise_slots = premise_plan.slot_map();
         let exist_slots: FxHashMap<VarId, u32> =
             conclusion.existentials.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
@@ -354,8 +418,7 @@ impl FiringTemplate {
     }
 
     /// Number of fresh nulls one firing allocates (one per existential
-    /// variable of the disjunct, in declaration order — matching the
-    /// order the interpreted chase allocated them).
+    /// variable of the disjunct, in declaration order).
     pub fn num_existentials(&self) -> usize {
         self.n_existentials
     }
@@ -386,8 +449,80 @@ impl FiringTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rde_deps::parse_dependency;
-    use rde_model::{NullId, Vocabulary};
+    use proptest::prelude::*;
+    use rde_deps::{parse_dependency, Atom};
+    use rde_hom::for_each_hom;
+    use rde_model::{NullId, Substitution, Vocabulary};
+
+    /// The reference matcher the compiled plans are checked against:
+    /// matching a conjunction into `instance` is finding a homomorphism
+    /// from its frozen instance (variable `v` becomes a null past every
+    /// null of `instance` and `seed`) into `instance`. Returns, per
+    /// match extending `seed`, the values of `vars` in enumeration order.
+    fn reference_matches(
+        atoms: &[Atom],
+        instance: &Instance,
+        seed: &FxHashMap<VarId, Value>,
+        vars: &[VarId],
+    ) -> Vec<Vec<Value>> {
+        let offset = seed
+            .values()
+            .filter_map(|v| match v {
+                Value::Null(n) => Some(n.0 + 1),
+                Value::Const(_) => None,
+            })
+            .fold(instance.null_offset(), u32::max);
+        let frozen_var = |v: VarId| Value::Null(NullId(offset + v.0));
+        let frozen: Instance = atoms.iter().map(|a| a.instantiate(&frozen_var)).collect();
+        let seed_sub: Substitution =
+            seed.iter().map(|(&v, &val)| (NullId(offset + v.0), val)).collect();
+        let mut out = Vec::new();
+        for_each_hom(&frozen, instance, &seed_sub, &HomConfig::default(), |sub| {
+            let mut assignment = seed.clone();
+            for v in atoms.iter().flat_map(Atom::vars) {
+                assignment.insert(v, sub.apply(frozen_var(v)));
+            }
+            out.push(vars.iter().map(|v| assignment[v]).collect());
+            true
+        });
+        out
+    }
+
+    /// Reference premise matching: [`reference_matches`] over the
+    /// premise atoms, filtered by the guards, keyed in slot order.
+    fn reference_premise_matches(
+        premise: &Premise,
+        instance: &Instance,
+        seed: &FxHashMap<VarId, Value>,
+    ) -> Vec<Vec<Value>> {
+        let vars = premise.atom_vars();
+        let slot = |v: &VarId| vars.iter().position(|u| u == v).unwrap();
+        let mut keys = reference_matches(&premise.atoms, instance, seed, &vars);
+        keys.retain(|key| {
+            premise.constant_vars.iter().all(|v| key[slot(v)].is_const())
+                && premise.inequalities.iter().all(|(a, b)| key[slot(a)] != key[slot(b)])
+        });
+        keys
+    }
+
+    fn plan_matches(plan: &PremisePlan, instance: &Instance) -> Vec<Vec<Value>> {
+        let mut keys = Vec::new();
+        plan.for_each_match(instance, |vals| {
+            keys.push(vals.to_vec());
+            true
+        });
+        keys
+    }
+
+    fn sorted(mut keys: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        keys.sort();
+        keys
+    }
+
+    fn satisfiable(sat: &SatisfactionPlan, instance: &Instance, vals: &[Value]) -> bool {
+        let mut stats = HomStats::default();
+        sat.satisfiable_budgeted(instance, vals, &HomConfig::default(), &mut stats).holds()
+    }
 
     #[test]
     fn slot_order_matches_universal_vars() {
@@ -404,36 +539,50 @@ mod tests {
         let i = rde_model::parse::parse_instance(&mut v, "P(a, b)\nP(b, c)\nP(a, ?x)\n").unwrap();
         let d = parse_dependency(&mut v, "P(x, y) & P(y, z) -> P(x, z)").unwrap();
         let plan = PremisePlan::compile(&d.premise);
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        plan.for_each_match(&i, |vals| {
-            keys.push(vals.to_vec());
-            true
-        });
-        let universal = d.universal_vars();
-        let mut legacy: Vec<Vec<Value>> = Vec::new();
-        crate::matching::for_each_premise_match(&d.premise, &i, |a| {
-            legacy.push(crate::matching::trigger_key(&universal, a));
-            true
-        });
-        keys.sort();
-        legacy.sort();
-        assert_eq!(keys, legacy);
+        let keys = plan_matches(&plan, &i);
+        // Only a→b→c joins: no fact starts with the null.
+        let (a, b, c) = (v.const_value("a"), v.const_value("b"), v.const_value("c"));
+        assert_eq!(keys, vec![vec![a, b, c]]);
+        let reference = reference_premise_matches(&d.premise, &i, &FxHashMap::default());
+        assert_eq!(sorted(keys), sorted(reference));
     }
 
     #[test]
     fn guards_filter_plan_matches() {
         let mut v = Vocabulary::new();
         let i = rde_model::parse::parse_instance(&mut v, "R(a, a)\nR(a, b)\nR(?n, b)").unwrap();
-        let d = parse_dependency(&mut v, "R(x, y) & Constant(x) & x != y -> R(y, x)").unwrap();
-        let plan = PremisePlan::compile(&d.premise);
-        let mut count = 0;
-        plan.for_each_match(&i, |vals| {
-            assert!(vals[0].is_const());
-            assert_ne!(vals[0], vals[1]);
-            count += 1;
-            true
-        });
-        assert_eq!(count, 1); // only R(a, b)
+        let count = |v: &mut Vocabulary, text: &str| {
+            let d = parse_dependency(v, text).unwrap();
+            plan_matches(&PremisePlan::compile(&d.premise), &i).len()
+        };
+        assert_eq!(count(&mut v, "R(x, y) & x != y -> R(y, x)"), 2);
+        assert_eq!(count(&mut v, "R(x, y) & Constant(x) -> R(y, x)"), 2);
+        // Only R(a, b) passes both guards.
+        assert_eq!(count(&mut v, "R(x, y) & Constant(x) & x != y -> R(y, x)"), 1);
+    }
+
+    #[test]
+    fn nulls_match_like_values() {
+        let mut v = Vocabulary::new();
+        for _ in 0..10 {
+            v.fresh_null();
+        }
+        // A high null id next to constants: slots never collide with it.
+        let i =
+            rde_model::parse::parse_instance(&mut v, "P(a, b)\nP(a, ?x)\nP(?big, ?big)").unwrap();
+        let d = parse_dependency(&mut v, "P(x, y) -> P(y, x)").unwrap();
+        let keys = plan_matches(&PremisePlan::compile(&d.premise), &i);
+        assert_eq!(keys.len(), 3, "every fact matches, nulls included");
+        let big = v.null_value("big");
+        assert!(keys.contains(&vec![big, big]));
+    }
+
+    #[test]
+    fn empty_conjunction_matches_once() {
+        let plan = PremisePlan::compile(&Premise::default());
+        assert_eq!(plan_matches(&plan, &Instance::new()), vec![Vec::<Value>::new()]);
+        let sat = SatisfactionPlan::compile(&plan, &Conjunct::full(Vec::new()));
+        assert!(satisfiable(&sat, &Instance::new(), &[]));
     }
 
     #[test]
@@ -482,9 +631,26 @@ mod tests {
         let i = rde_model::parse::parse_instance(&mut v, "Q(a, ?w)").unwrap();
         let (a, b) = (v.const_value("a"), v.const_value("b"));
         // Trigger (x=b, y=a): Q(a, ·) exists.
-        assert!(sat.satisfiable(&i, &[b, a]));
+        assert!(satisfiable(&sat, &i, &[b, a]));
         // Trigger (x=a, y=b): no Q(b, ·).
-        assert!(!sat.satisfiable(&i, &[a, b]));
+        assert!(!satisfiable(&sat, &i, &[a, b]));
+    }
+
+    #[test]
+    fn witnessed_is_a_kleene_disjunction() {
+        let mut v = Vocabulary::new();
+        let d = parse_dependency(&mut v, "R(x) -> P(x) | exists y . Q(x, y)").unwrap();
+        let plan = DependencyPlan::compile(&d);
+        let i = rde_model::parse::parse_instance(&mut v, "Q(a, ?n)").unwrap();
+        let (a, b) = (v.const_value("a"), v.const_value("b"));
+        let cfg = HomConfig::default();
+        let mut stats = HomStats::default();
+        assert!(plan.witnessed(&i, &[a], &cfg, &mut stats).holds(), "second disjunct");
+        assert!(plan.witnessed(&i, &[b], &cfg, &mut stats).fails());
+        // A zero budget cuts the second disjunct's search: no definite
+        // verdict.
+        let tight = HomConfig { node_budget: Some(0), ..HomConfig::default() };
+        assert!(plan.witnessed(&i, &[a], &tight, &mut stats).is_unknown());
     }
 
     #[test]
@@ -500,5 +666,166 @@ mod tests {
         tpl.instantiate(&[a, b], &[z], |f| facts.push(f));
         let q = v.find_relation("Q").unwrap();
         assert_eq!(facts, vec![Fact::new(q, vec![a, z]), Fact::new(q, vec![z, b])]);
+    }
+
+    const RELS: [(&str, usize); 3] = [("P", 2), ("Q", 2), ("R", 1)];
+
+    /// A generated atom: a relation index and two term codes (the
+    /// second is ignored for `R/1`).
+    type GenAtom = (usize, (u8, u8));
+
+    fn gen_atom() -> impl Strategy<Value = GenAtom> {
+        (0..RELS.len(), (0u8..10, 0u8..10))
+    }
+
+    /// Render a generated dependency. Premise codes `0..8` are the
+    /// variables `x0..x3`, the rest the constant `c0`; conclusion codes
+    /// `0..5` are variables, `5..8` the existentials `e0`, `e1`, the
+    /// rest `c0`. A guard or conclusion variable missing from the
+    /// premise atoms is renamed to one that occurs (or to `c0`), so
+    /// every case is a valid dependency.
+    fn render(premise: &[GenAtom], guards: (u8, (u8, u8)), conclusion: &[GenAtom]) -> String {
+        let terms = |&(rel, (a, b)): &GenAtom| [a, b].into_iter().take(RELS[rel].1);
+        let bound: Vec<u8> =
+            premise.iter().flat_map(terms).filter(|&c| c < 8).map(|c| c % 4).collect();
+        let var = |i: u8| {
+            if bound.contains(&i) {
+                Some(format!("x{i}"))
+            } else {
+                bound.get(usize::from(i) % bound.len().max(1)).map(|j| format!("x{j}"))
+            }
+        };
+        let atom = |a: &GenAtom, code: &dyn Fn(u8) -> String| {
+            let args: Vec<String> = terms(a).map(code).collect();
+            format!("{}({})", RELS[a.0].0, args.join(", "))
+        };
+        let mut lhs: Vec<String> = premise
+            .iter()
+            .map(|a| atom(a, &|c| if c < 8 { format!("x{}", c % 4) } else { "'c0'".into() }))
+            .collect();
+        let (constant, (left, right)) = guards;
+        if let Some(x) = var(constant).filter(|_| constant < 4) {
+            lhs.push(format!("Constant({x})"));
+        }
+        if let (Some(x), Some(y)) = (var(left % 4), var(right % 4)) {
+            if left < 4 && x != y {
+                lhs.push(format!("{x} != {y}"));
+            }
+        }
+        let mut exists: Vec<String> = Vec::new();
+        let rhs: Vec<String> = conclusion
+            .iter()
+            .map(|a| {
+                atom(a, &|c| match c {
+                    0..=4 => var(c % 4).unwrap_or_else(|| "'c0'".into()),
+                    5..=7 => format!("e{}", c % 2),
+                    _ => "'c0'".into(),
+                })
+            })
+            .collect();
+        for e in ["e0", "e1"] {
+            if rhs.iter().any(|a| a.contains(e)) {
+                exists.push(e.to_owned());
+            }
+        }
+        let quantifier = if exists.is_empty() {
+            String::new()
+        } else {
+            format!("exists {} . ", exists.join(", "))
+        };
+        format!("{} -> {quantifier}{}", lhs.join(" & "), rhs.join(" & "))
+    }
+
+    /// A generated fact: a relation index and two `(is_null, index)`
+    /// argument codes (the second is ignored for `R/1`).
+    type GenFact = (usize, (bool, u8, bool, u8));
+
+    /// Random instance over P/2, Q/2, R/1 with constants `c0..c2` and
+    /// nulls `n0..n2`.
+    fn build_instance(v: &mut Vocabulary, facts: &[GenFact]) -> Instance {
+        facts
+            .iter()
+            .map(|&(rel, (n1, a, n2, b))| {
+                let (name, arity) = RELS[rel];
+                let r = v.find_relation(name).unwrap();
+                let vals: Vec<Value> = [(n1, a), (n2, b)][..arity]
+                    .iter()
+                    .map(|&(null, i)| {
+                        if null {
+                            v.null_value(&format!("n{i}"))
+                        } else {
+                            v.const_value(&format!("c{i}"))
+                        }
+                    })
+                    .collect();
+                Fact::new(r, vals)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The compiled plans against the reference matcher: full
+        /// premise enumeration, delta-seeded enumeration through every
+        /// unifying fact, and satisfaction of every trigger with the
+        /// existentials free — as multisets, so a duplicate or a
+        /// missing match fails alike.
+        #[test]
+        fn plans_agree_with_the_reference_matcher(
+            premise in prop::collection::vec(gen_atom(), 1..=3),
+            guards in (0u8..8, (0u8..8, 0u8..8)),
+            conclusion in prop::collection::vec(gen_atom(), 1..=2),
+            facts in prop::collection::vec(
+                (0..RELS.len(), (any::<bool>(), 0u8..3, any::<bool>(), 0u8..3)),
+                0..=10,
+            ),
+        ) {
+            let text = render(&premise, guards, &conclusion);
+            let mut v = Vocabulary::new();
+            for (name, arity) in RELS {
+                v.relation(name, arity).unwrap();
+            }
+            let d = parse_dependency(&mut v, &text).unwrap();
+            let i = build_instance(&mut v, &facts);
+            let plan = DependencyPlan::compile(&d);
+            let none = FxHashMap::default();
+
+            let keys = plan_matches(plan.premise(), &i);
+            let reference = reference_premise_matches(&d.premise, &i, &none);
+            prop_assert_eq!(sorted(keys.clone()), sorted(reference), "{}", text);
+
+            for atom_idx in 0..plan.premise().num_atoms() {
+                let rel = plan.premise().atom_rel(atom_idx);
+                for fact in i.facts().filter(|f| f.relation() == rel) {
+                    let Some(seed) = plan.premise().seed_from_fact(atom_idx, fact.args()) else {
+                        continue;
+                    };
+                    let mut seeded = Vec::new();
+                    plan.premise().for_each_match_seeded(atom_idx, &seed, &i, |vals| {
+                        seeded.push(vals.to_vec());
+                        true
+                    });
+                    let seed_map: FxHashMap<VarId, Value> = plan
+                        .premise
+                        .vars()
+                        .iter()
+                        .zip(&seed)
+                        .filter_map(|(&var, val)| val.map(|val| (var, val)))
+                        .collect();
+                    let reference = reference_premise_matches(&d.premise, &i, &seed_map);
+                    prop_assert_eq!(sorted(seeded), sorted(reference), "{} via {:?}", text, fact);
+                }
+            }
+
+            let sat = &plan.satisfaction()[0];
+            for key in &keys {
+                let seed: FxHashMap<VarId, Value> =
+                    plan.premise().vars().iter().copied().zip(key.iter().copied()).collect();
+                let expected =
+                    !reference_matches(&d.disjuncts[0].atoms, &i, &seed, &[]).is_empty();
+                prop_assert_eq!(satisfiable(sat, &i, key), expected, "{} at {:?}", text, key);
+            }
+        }
     }
 }

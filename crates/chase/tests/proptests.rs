@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rde_chase::{
-    chase_mapping, core_chase_mapping, disjunctive_chase, ChaseError, ChaseMode, ChaseOptions,
+    chase_mapping, core_chase_mapping, disjunctive_chase, ChaseError, ChaseOptions, ChaseVariant,
     CheckpointPolicy, DisjunctiveChaseOptions,
 };
 use rde_deps::parse_mapping;
@@ -76,7 +76,7 @@ proptest! {
         let m = two_step(&mut vocab);
         let i = p_instance(&mut vocab, &facts);
         let oblivious = chase_mapping(&i, &m, &mut vocab, &ChaseOptions::default()).unwrap();
-        let std_opts = ChaseOptions { mode: ChaseMode::Standard, ..ChaseOptions::default() };
+        let std_opts = ChaseOptions::for_variant(ChaseVariant::Restricted);
         let standard = chase_mapping(&i, &m, &mut vocab, &std_opts).unwrap();
         prop_assert!(hom_equivalent(&oblivious, &standard));
         prop_assert!(standard.len() <= oblivious.len());

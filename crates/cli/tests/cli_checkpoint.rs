@@ -127,7 +127,7 @@ fn killed_run_resumes_bit_identical_to_an_uninterrupted_one() {
 }
 
 /// The same no-mercy contract under `--variant restricted`: the
-/// Standard-mode chase consults the live instance before every firing,
+/// restricted chase consults the live instance before every firing,
 /// so its round state is genuinely different from the oblivious one —
 /// and a SIGKILLed restricted run resumed from its snapshot must still
 /// land byte-identical on an uninterrupted restricted run.

@@ -1,11 +1,7 @@
 //! The semantic view of schema mappings: satisfaction, solutions,
 //! universal solutions (Section 2).
 
-use rde_chase::matching::{
-    atoms_satisfiable, atoms_satisfiable_budgeted, for_each_premise_match,
-    for_each_premise_match_budgeted, VarAssignment,
-};
-use rde_chase::{chase_mapping, ChaseOptions};
+use rde_chase::{chase_mapping, ChaseOptions, DependencyPlan};
 use rde_deps::{Dependency, SchemaMapping};
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
@@ -18,18 +14,8 @@ use crate::CoreError;
 /// must be witnessed in `target` (extending the premise assignment on
 /// the existentials).
 pub fn satisfies_dependency(source: &Instance, target: &Instance, dep: &Dependency) -> bool {
-    let universal = dep.universal_vars();
-    let mut ok = true;
-    for_each_premise_match(&dep.premise, source, |assignment| {
-        let seed: VarAssignment = universal.iter().map(|&v| (v, assignment[&v])).collect();
-        let witnessed = dep.disjuncts.iter().any(|d| atoms_satisfiable(&d.atoms, target, &seed));
-        if !witnessed {
-            ok = false;
-            return false;
-        }
-        true
-    });
-    ok
+    let mut stats = HomStats::default();
+    satisfies_dependency_budgeted(source, target, dep, &HomConfig::default(), &mut stats).holds()
 }
 
 /// Budgeted form of [`satisfies_dependency`]: premise enumeration and
@@ -45,31 +31,17 @@ pub fn satisfies_dependency_budgeted(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Verdict {
-    let universal = dep.universal_vars();
+    let plan = DependencyPlan::compile(dep);
     let mut violated = false;
     let mut unknown: Option<Exhausted> = None;
-    let report = for_each_premise_match_budgeted(&dep.premise, source, config, |assignment| {
-        let seed: VarAssignment = universal.iter().map(|&v| (v, assignment[&v])).collect();
-        let mut trigger_unknown: Option<Exhausted> = None;
-        let witnessed = dep.disjuncts.iter().any(|d| {
-            match atoms_satisfiable_budgeted(&d.atoms, target, &seed, config, stats) {
-                Verdict::Holds => true,
-                Verdict::Fails => false,
-                Verdict::Unknown { budget } => {
-                    trigger_unknown.get_or_insert(budget);
-                    false
-                }
-            }
-        });
-        if witnessed {
-            return true;
-        }
-        match trigger_unknown {
-            None => {
+    let report = plan.premise().for_each_match_budgeted(source, config, |vals| {
+        match plan.witnessed(target, vals, config, stats) {
+            Verdict::Holds => true,
+            Verdict::Fails => {
                 violated = true;
                 false
             }
-            Some(budget) => {
+            Verdict::Unknown { budget } => {
                 unknown.get_or_insert(budget);
                 true
             }

@@ -4,7 +4,7 @@
 //! Registration (by name, `crate.subsystem.event` convention) takes a
 //! registry lock once; the returned handle is `&'static` and every
 //! subsequent update is a relaxed atomic operation — safe and cheap to
-//! call from parallel chase workers. The [`counter!`]/[`histogram!`]
+//! call from concurrent request threads. The [`counter!`]/[`histogram!`]
 //! macros cache the handle per call site in a `OnceLock`, so hot loops
 //! never touch the registry lock.
 //!

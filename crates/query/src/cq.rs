@@ -1,8 +1,8 @@
 //! Conjunctive queries.
 
-use rde_chase::matching::for_each_premise_match;
-use rde_deps::{parse_dependency, Atom, DepError, Dependency, Term};
-use rde_model::{Instance, Value, Vocabulary};
+use rde_chase::DependencyPlan;
+use rde_deps::{parse_dependency, Atom, DepError, Dependency};
+use rde_model::{Instance, Vocabulary};
 
 use crate::answers::AnswerSet;
 
@@ -103,18 +103,13 @@ impl ConjunctiveQuery {
 /// body into `I`. Answers may contain nulls; use [`evaluate_null_free`]
 /// for `q(I)↓`.
 pub fn evaluate(q: &ConjunctiveQuery, instance: &Instance) -> AnswerSet {
+    let plan = DependencyPlan::compile(&q.dep);
     let mut out = AnswerSet::new();
-    let head = q.head();
-    for_each_premise_match(&q.dep.premise, instance, |assignment| {
-        let tuple: Vec<Value> = head
-            .args
-            .iter()
-            .map(|t| match *t {
-                Term::Var(v) => assignment[&v],
-                Term::Const(c) => Value::Const(c),
-            })
-            .collect();
-        out.insert(tuple);
+    plan.premise().for_each_match(instance, |vals| {
+        // The head has no existentials: its one "firing" is the answer.
+        plan.templates()[0].instantiate(vals, &[], |head| {
+            out.insert(head.args().to_vec());
+        });
         true
     });
     out

@@ -627,7 +627,7 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
             excess.saturating_mul(5).max(5),
         )
     } else {
-        handle_request(state, request, id, &mut access)
+        handle_request(state, request, &mut access)
     };
     let now = state.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
     gauge!("serve.inflight").set(now as u64);
@@ -688,9 +688,8 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
 
 /// Per-request execution context: fresh cancel token (armed with the
 /// `deadline-ms` header, watching the process interrupt flag) — never
-/// shared with any other request. The request id rides on the context
-/// so engines re-install it on their worker threads.
-fn request_config(request: &Request, id: u64) -> Result<HomConfig, String> {
+/// shared with any other request.
+fn request_config(request: &Request) -> Result<HomConfig, String> {
     let token = match request.u64_header("deadline-ms")? {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::new(),
@@ -698,17 +697,12 @@ fn request_config(request: &Request, id: u64) -> Result<HomConfig, String> {
     Ok(HomConfig {
         node_budget: request.u64_header("node-budget")?,
         time_budget: request.u64_header("time-budget-ms")?.map(Duration::from_millis),
-        ctx: ExecContext::default().with_cancel(token.watching_interrupt()).with_request_id(id),
+        ctx: ExecContext::default().with_cancel(token.watching_interrupt()),
         ..HomConfig::default()
     })
 }
 
-fn handle_request(
-    state: &ServerState,
-    request: &Request,
-    id: u64,
-    access: &mut AccessInfo,
-) -> Reply {
+fn handle_request(state: &ServerState, request: &Request, access: &mut AccessInfo) -> Reply {
     let _span = rde_obs::span(
         "serve.request",
         &[
@@ -716,7 +710,7 @@ fn handle_request(
             ("mapping", request.mapping.as_deref().unwrap_or("-").into()),
         ],
     );
-    let config = match request_config(request, id) {
+    let config = match request_config(request) {
         Ok(config) => config,
         Err(e) => return Reply::Err(e),
     };
@@ -928,7 +922,7 @@ fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Repl
         ChaseOptions { hom: config.clone(), ctx: config.ctx.clone(), ..ChaseOptions::default() };
     if let Some(text) = request.get_header("variant") {
         match text.parse::<rde_chase::ChaseVariant>() {
-            Ok(variant) => options = options.with_variant(variant),
+            Ok(variant) => options.variant = variant,
             Err(e) => return Reply::Err(format!("variant: {e}")),
         }
     }
