@@ -10,9 +10,9 @@
 //! < decomposition < union < projection, roughly) is the quantitative
 //! shadow of the "less lossy" order of Section 6.3.
 //!
-//! Usage: `cargo run -p rde-bench --bin loss_census [--threads N]`
+//! Usage: `cargo run -p rde-bench --bin loss_census`
 
-use rde_core::loss::information_loss_parallel;
+use rde_core::loss::information_loss;
 use rde_core::Universe;
 use rde_deps::parse_mapping;
 use rde_model::Vocabulary;
@@ -43,14 +43,6 @@ const FAMILIES: &[FamilySpec] = &[
 ];
 
 fn main() {
-    let threads = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
-    };
     println!("information loss census: →_M \\ →  (Definition 4.5 / Corollary 4.14)");
     println!("{:-<86}", "");
     println!(
@@ -63,18 +55,17 @@ fn main() {
             let mut vocab = Vocabulary::new();
             let mapping = parse_mapping(&mut vocab, family.text).expect("valid family mapping");
             let universe = Universe::new(&mut vocab, consts, nulls, facts);
-            let report =
-                match information_loss_parallel(&mapping, &universe, &mut vocab, 0, threads) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        println!(
-                            "{:<14} {:<18} (skipped: {e})",
-                            family.name,
-                            format!("{consts}c/{nulls}n/≤{facts}f")
-                        );
-                        continue;
-                    }
-                };
+            let report = match information_loss(&mapping, &universe, &mut vocab, 0) {
+                Ok(r) => r,
+                Err(e) => {
+                    println!(
+                        "{:<14} {:<18} (skipped: {e})",
+                        family.name,
+                        format!("{consts}c/{nulls}n/≤{facts}f")
+                    );
+                    continue;
+                }
+            };
             println!(
                 "{:<14} {:<18} {:>9} {:>10} {:>9} {:>9} {:>9.2}%",
                 family.name,

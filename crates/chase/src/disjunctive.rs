@@ -10,10 +10,9 @@
 //! (Theorem 6.5) are stated about.
 
 use rde_deps::Dependency;
-use rde_faults::ExecContext;
-use rde_hom::{HomConfig, HomStats};
+use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashSet;
-use rde_model::{Instance, Value, Vocabulary};
+use rde_model::{Instance, Substitution, Value, Vocabulary};
 
 use crate::plan::DependencyPlan;
 use crate::ChaseError;
@@ -35,13 +34,19 @@ pub struct DisjunctiveChaseOptions {
     /// harmless to conditions (1)–(2). Off by default because
     /// Definition 6.1 is stated on the raw leaf set.
     pub prune_subsumed: bool,
-    /// Scoped execution context. Its cancel token is polled once per
-    /// branch popped off the work list (the reverse chase branches
-    /// exponentially, so per-branch granularity bounds the overshoot);
-    /// its fault injector drives the `chase.disj.branch` injection
-    /// point. A cancelled run returns [`ChaseError::Cancelled`]. Inert
-    /// by default.
-    pub ctx: ExecContext,
+    /// Budgets and execution context for every homomorphism search the
+    /// run makes: premise enumeration, the satisfaction test that
+    /// decides whether a trigger needs firing, and subsumption pruning.
+    /// A search cut short returns [`ChaseError::MatchBudgetExhausted`]:
+    /// an undecided satisfaction test is never read as "unwitnessed",
+    /// which would branch unsoundly. The context's cancel token is also
+    /// polled once per branch popped off the work list (the reverse
+    /// chase branches exponentially, so per-branch granularity bounds
+    /// the overshoot), and its fault injector drives the
+    /// `chase.disj.branch` and `hom.search.exhaust` injection points. A
+    /// cancelled run returns [`ChaseError::Cancelled`]. Unbounded and
+    /// inert by default.
+    pub hom: HomConfig,
 }
 
 impl Default for DisjunctiveChaseOptions {
@@ -51,7 +56,7 @@ impl Default for DisjunctiveChaseOptions {
             max_facts: 1_000_000,
             max_steps: 1_000_000,
             prune_subsumed: false,
-            ctx: ExecContext::default(),
+            hom: HomConfig::default(),
         }
     }
 }
@@ -96,12 +101,11 @@ pub fn disjunctive_chase(
         // Per-branch cancellation and fault injection: the branching
         // loop is the disjunctive chase's hot loop, mirroring the
         // standard chase's per-round check.
-        if options.ctx.should_inject("chase.disj.branch") || options.ctx.is_cancelled() {
-            rde_obs::counter!("chase.disj.cancelled").inc();
-            rde_obs::event("chase.disj.cancelled", &[("steps", steps.into())]);
-            return Err(ChaseError::Cancelled);
+        let ctx = &options.hom.ctx;
+        if ctx.should_inject("chase.disj.branch") || ctx.is_cancelled() {
+            return Err(cut(Exhausted::Cancelled, steps));
         }
-        match next_trigger(&branch, &plans) {
+        match next_trigger(&branch, &plans, &options.hom).map_err(|b| cut(b, steps))? {
             None => leaves.push(branch.instance),
             Some((di, vals)) => {
                 steps += 1;
@@ -144,13 +148,19 @@ pub fn disjunctive_chase(
 
     let mut pruned = 0;
     if options.prune_subsumed {
+        let mut stats = HomStats::default();
+        let mut arrow = |from: &Instance, to: &Instance| {
+            rde_hom::find_hom_budgeted(from, to, &Substitution::new(), &options.hom, &mut stats)
+                .map(|hom| hom.is_some())
+                .map_err(|budget| cut(budget, steps))
+        };
         let mut kept: Vec<Instance> = Vec::new();
         'next: for (i, v) in unique.iter().enumerate() {
             for (j, w) in unique.iter().enumerate() {
-                if i != j && rde_hom::exists_hom(w, v) {
+                if i != j && arrow(w, v)? {
                     // Keep the hom-smaller one; break ties by index to
                     // keep exactly one of a mutually-equivalent pair.
-                    let mutually = rde_hom::exists_hom(v, w);
+                    let mutually = arrow(v, w)?;
                     if !mutually || j < i {
                         pruned += 1;
                         continue 'next;
@@ -165,28 +175,67 @@ pub fn disjunctive_chase(
     Ok(DisjunctiveChaseResult { leaves: unique, steps, pruned })
 }
 
-/// First unfired, unsatisfied trigger of one dependency in a branch.
-fn first_trigger(di: usize, plan: &DependencyPlan, branch: &Branch) -> Option<Vec<Value>> {
+/// The error a search cut short ends the run with: a cancelled search
+/// is the cancellation it reports, any other budget a match-budget
+/// error.
+fn cut(budget: Exhausted, steps: u64) -> ChaseError {
+    match budget {
+        Exhausted::Cancelled => {
+            rde_obs::counter!("chase.disj.cancelled").inc();
+            rde_obs::event("chase.disj.cancelled", &[("steps", steps.into())]);
+            ChaseError::Cancelled
+        }
+        budget => ChaseError::MatchBudgetExhausted { budget },
+    }
+}
+
+/// First unfired, unsatisfied trigger of one dependency in a branch,
+/// or the budget that cut a search before the answer was known.
+fn first_trigger(
+    di: usize,
+    plan: &DependencyPlan,
+    branch: &Branch,
+    config: &HomConfig,
+) -> Result<Option<Vec<Value>>, Exhausted> {
     let mut found: Option<Vec<Value>> = None;
-    plan.premise().for_each_match(&branch.instance, |vals| {
+    let mut undecided: Option<Exhausted> = None;
+    let mut stats = HomStats::default();
+    let report = plan.premise().for_each_match(&branch.instance, config, |vals| {
         if branch.fired.contains(&(di, vals.to_vec())) {
             return true;
         }
         // Satisfaction check: skip if some disjunct already holds.
-        let mut stats = HomStats::default();
-        if plan.witnessed(&branch.instance, vals, &HomConfig::default(), &mut stats).holds() {
-            return true;
+        match plan.witnessed(&branch.instance, vals, config, &mut stats) {
+            Verdict::Holds => true,
+            Verdict::Fails => {
+                found = Some(vals.to_vec());
+                false
+            }
+            Verdict::Unknown { budget } => {
+                undecided = Some(budget);
+                false
+            }
         }
-        found = Some(vals.to_vec());
-        false
     });
-    found
+    match undecided.or(report.exhausted) {
+        Some(budget) => Err(budget),
+        None => Ok(found),
+    }
 }
 
 /// Find the first unfired, unsatisfied trigger in a branch:
 /// lowest dependency index, then premise-match order.
-fn next_trigger(branch: &Branch, plans: &[DependencyPlan]) -> Option<(usize, Vec<Value>)> {
-    plans.iter().enumerate().find_map(|(di, p)| first_trigger(di, p, branch).map(|vals| (di, vals)))
+fn next_trigger(
+    branch: &Branch,
+    plans: &[DependencyPlan],
+    config: &HomConfig,
+) -> Result<Option<(usize, Vec<Value>)>, Exhausted> {
+    for (di, plan) in plans.iter().enumerate() {
+        if let Some(vals) = first_trigger(di, plan, branch, config)? {
+            return Ok(Some((di, vals)));
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -288,11 +337,24 @@ mod tests {
         // R(x) -> P(x,x) | exists y . P(x,y):
         // leaf {P(a,a)} is reached by leaf {P(a,Y)} via Y ↦ a.
         let opts = DisjunctiveChaseOptions { prune_subsumed: true, ..Default::default() };
-        let (v, leaves) = run(&["R(x) -> P(x, x) | exists y . P(x, y)"], "R(a)", &opts);
+        let (mut v, leaves) = run(&["R(x) -> P(x, x) | exists y . P(x, y)"], "R(a)", &opts);
         assert_eq!(leaves.len(), 1);
         let p = v.find_relation("P").unwrap();
         let args: Vec<_> = leaves[0].relation(p).unwrap().tuples().next().unwrap().to_vec();
         assert!(args[1].is_null(), "the general (null) leaf must be the survivor");
+        // The pruning searches run under the options' budget too: one
+        // node decides every trigger here but no leaf-to-leaf search.
+        let hom = HomConfig { node_budget: Some(1), ..HomConfig::default() };
+        let tight = DisjunctiveChaseOptions { hom, ..opts };
+        let d = parse_dependency(&mut v, "R(x) -> P(x, x) | exists y . P(x, y)").unwrap();
+        let i = parse_instance(&mut v, "R(a)").unwrap();
+        let unpruned = DisjunctiveChaseOptions { prune_subsumed: false, ..tight.clone() };
+        let chased = disjunctive_chase(&i, std::slice::from_ref(&d), &mut v, &unpruned).unwrap();
+        assert_eq!(chased.leaves.len(), 2);
+        assert_eq!(
+            disjunctive_chase(&i, &[d], &mut v, &tight).unwrap_err(),
+            ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(1) }
+        );
     }
 
     #[test]
@@ -303,6 +365,52 @@ mod tests {
         let i = parse_instance(&mut v, "R(a)\nR(b)\nR(c)").unwrap();
         let err = disjunctive_chase(&i, &[d], &mut v, &opts).unwrap_err();
         assert_eq!(err, ChaseError::BranchBudgetExhausted { branches: 3 });
+    }
+
+    #[test]
+    fn hom_budgets_and_context_reach_every_search() {
+        let mut v = Vocabulary::new();
+        let d = parse_dependency(&mut v, "R(x) -> P(x) | exists y . Q(x, y)").unwrap();
+        let i = parse_instance(&mut v, "R(a)\nR(b)").unwrap();
+        let run = |v: &Vocabulary, hom: HomConfig| {
+            let options = DisjunctiveChaseOptions { hom, ..Default::default() };
+            disjunctive_chase(&i, std::slice::from_ref(&d), &mut v.clone(), &options)
+        };
+        let nodes = |n| HomConfig { node_budget: Some(n), ..HomConfig::default() };
+        assert_eq!(
+            run(&v, nodes(0)).unwrap_err(),
+            ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(0) }
+        );
+        let cancelled = rde_faults::ExecContext::cancellable();
+        cancelled.cancel.cancel();
+        let err = run(&v, HomConfig { ctx: cancelled, ..HomConfig::default() }).unwrap_err();
+        assert_eq!(err, ChaseError::Cancelled);
+        // A budget that no search exhausts yields the unbounded run's
+        // leaves, null ids included.
+        let unbounded = run(&v, HomConfig::default()).unwrap();
+        assert_eq!(unbounded.leaves.len(), 4);
+        assert_eq!(run(&v, nodes(1 << 20)).unwrap().leaves, unbounded.leaves);
+    }
+
+    #[test]
+    fn a_cut_satisfaction_test_is_an_error_not_a_branch() {
+        // The premise match R(a) costs one node; the witness search for
+        // S(a, y) & U(y) needs more, so under a budget of one the
+        // trigger is undecided: branching on it would be unsound.
+        let mut v = Vocabulary::new();
+        let d = parse_dependency(&mut v, "R(x) -> exists y . S(x, y) & U(y) | T(x)").unwrap();
+        let i = parse_instance(&mut v, "R(a)\nS(a, b)\nS(a, c)\nU(c)").unwrap();
+        let run = |n| {
+            let hom = HomConfig { node_budget: Some(n), ..HomConfig::default() };
+            let options = DisjunctiveChaseOptions { hom, ..Default::default() };
+            disjunctive_chase(&i, std::slice::from_ref(&d), &mut v.clone(), &options)
+        };
+        assert_eq!(
+            run(1).unwrap_err(),
+            ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(1) }
+        );
+        let decided = run(8).unwrap();
+        assert_eq!(decided.leaves, vec![i.clone()], "the trigger is witnessed: no branching");
     }
 
     #[test]

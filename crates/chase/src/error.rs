@@ -36,10 +36,10 @@ pub enum ChaseError {
         budget: Exhausted,
     },
     /// The run was cooperatively cancelled (explicit request, elapsed
-    /// deadline, or Ctrl-C) via `ChaseOptions::ctx` (per branch via
-    /// `DisjunctiveChaseOptions::ctx` in the disjunctive chase).
-    /// Checked at round granularity, and propagated from any cancelled
-    /// homomorphism search inside the round.
+    /// deadline, or Ctrl-C) through the context of its `HomConfig`
+    /// (`ChaseOptions::hom`, `DisjunctiveChaseOptions::hom`). Checked
+    /// per round (per branch in the disjunctive chase), and propagated
+    /// from any cancelled homomorphism search in between.
     Cancelled,
     /// Writing or reading a chase checkpoint failed (I/O error, or a
     /// malformed/incompatible snapshot on resume).

@@ -28,7 +28,10 @@
 //! [`ChaseVariant`] names the firing discipline (oblivious, or
 //! restricted with a satisfaction check) together with the enumeration
 //! schedule (naive or delta-driven rounds). Resource limits are
-//! explicit and typed.
+//! explicit and typed: each engine's hom-search budgets and its
+//! execution context (cancellation, fault injection, scope label) ride
+//! in one `rde_hom::HomConfig`, [`ChaseOptions::hom`] and
+//! [`DisjunctiveChaseOptions::hom`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

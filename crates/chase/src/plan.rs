@@ -219,21 +219,11 @@ impl PremisePlan {
         Some(seed)
     }
 
-    /// Enumerate all premise matches (guards filtered) in `instance`,
-    /// unbounded. The callback gets the full slot assignment and
-    /// returns `false` to stop. Returns the number of matches
-    /// enumerated (pre-guard).
+    /// Enumerate all premise matches (guards filtered) in `instance`
+    /// under `config`'s budgets and context. The callback gets the full
+    /// slot assignment and returns `false` to stop; check
+    /// [`MatchReport::exhausted`] for completeness.
     pub fn for_each_match(
-        &self,
-        instance: &Instance,
-        on_match: impl FnMut(&[Value]) -> bool,
-    ) -> u64 {
-        self.enumerate(None, instance, &[], &HomConfig::default(), on_match).matches
-    }
-
-    /// Like [`Self::for_each_match`] but honouring `config`'s budgets;
-    /// check [`MatchReport::exhausted`] for completeness.
-    pub fn for_each_match_budgeted(
         &self,
         instance: &Instance,
         config: &HomConfig,
@@ -244,21 +234,9 @@ impl PremisePlan {
 
     /// Enumerate premise matches where atom `atom_idx` is mapped onto
     /// the (already inserted) fact that produced `seed` — the
-    /// semi-naive delta step. `seed` must come from
-    /// [`Self::seed_from_fact`] for that atom. Unbounded.
+    /// semi-naive delta step — under `config`'s budgets and context.
+    /// `seed` must come from [`Self::seed_from_fact`] for that atom.
     pub fn for_each_match_seeded(
-        &self,
-        atom_idx: usize,
-        seed: &[Option<Value>],
-        instance: &Instance,
-        on_match: impl FnMut(&[Value]) -> bool,
-    ) -> u64 {
-        self.enumerate(Some(atom_idx), instance, seed, &HomConfig::default(), on_match).matches
-    }
-
-    /// Like [`Self::for_each_match_seeded`] but honouring `config`'s
-    /// budgets.
-    pub fn for_each_match_seeded_budgeted(
         &self,
         atom_idx: usize,
         seed: &[Option<Value>],
@@ -507,7 +485,7 @@ mod tests {
 
     fn plan_matches(plan: &PremisePlan, instance: &Instance) -> Vec<Vec<Value>> {
         let mut keys = Vec::new();
-        plan.for_each_match(instance, |vals| {
+        plan.for_each_match(instance, &HomConfig::default(), |vals| {
             keys.push(vals.to_vec());
             true
         });
@@ -596,7 +574,7 @@ mod tests {
         // Seed atom 0 := E(b, c): only the match (b, c, d).
         let seed = plan.seed_from_fact(0, &[b, c]).unwrap();
         let mut keys = Vec::new();
-        plan.for_each_match_seeded(0, &seed, &i, |vals| {
+        plan.for_each_match_seeded(0, &seed, &i, &HomConfig::default(), |vals| {
             keys.push(vals.to_vec());
             true
         });
@@ -604,7 +582,7 @@ mod tests {
         // Seed atom 1 := E(b, c): only the match (a, b, c).
         let seed = plan.seed_from_fact(1, &[b, c]).unwrap();
         keys.clear();
-        plan.for_each_match_seeded(1, &seed, &i, |vals| {
+        plan.for_each_match_seeded(1, &seed, &i, &HomConfig::default(), |vals| {
             keys.push(vals.to_vec());
             true
         });
@@ -802,7 +780,8 @@ mod tests {
                         continue;
                     };
                     let mut seeded = Vec::new();
-                    plan.premise().for_each_match_seeded(atom_idx, &seed, &i, |vals| {
+                    let cfg = HomConfig::default();
+                    plan.premise().for_each_match_seeded(atom_idx, &seed, &i, &cfg, |vals| {
                         seeded.push(vals.to_vec());
                         true
                     });

@@ -21,7 +21,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use rde_deps::{Dependency, SchemaMapping};
-use rde_faults::ExecContext;
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::fx::{FxHashMap, FxHashSet};
 use rde_model::{Fact, Instance, RelId, Value, Vocabulary};
@@ -57,16 +56,9 @@ pub enum ChaseVariant {
 }
 
 impl Default for ChaseVariant {
-    /// [`ChaseVariant::SemiNaive`] normally. The `restricted-default`
-    /// cargo feature flips it to [`ChaseVariant::Restricted`] so the
-    /// whole test suite replays under the restricted chase; tests about
-    /// a *specific* variant's semantics must name it explicitly.
+    /// [`ChaseVariant::SemiNaive`].
     fn default() -> Self {
-        if cfg!(feature = "restricted-default") {
-            ChaseVariant::Restricted
-        } else {
-            ChaseVariant::SemiNaive
-        }
+        ChaseVariant::SemiNaive
     }
 }
 
@@ -120,20 +112,18 @@ pub struct ChaseOptions {
     /// dependency, under which assignment, produced which facts).
     /// Off by default — tracing costs memory proportional to the chase.
     pub trace: bool,
-    /// Budgets for the homomorphism searches behind premise matching and
-    /// the restricted chase's satisfaction checks. Unbounded by default;
-    /// when a budget cuts a search short the chase returns
-    /// [`ChaseError::MatchBudgetExhausted`] rather than an unsound
-    /// result.
+    /// Budgets and execution context for the whole run. The budgets
+    /// bound each homomorphism search behind premise matching and the
+    /// restricted chase's satisfaction checks; when one cuts a search
+    /// short the chase returns [`ChaseError::MatchBudgetExhausted`]
+    /// rather than an unsound result. The context's cancel token is
+    /// checked at the top of every round and inside every search (a
+    /// cancelled run returns [`ChaseError::Cancelled`]); its fault
+    /// injector drives the `chase.round`, `chase.restricted.check`,
+    /// `chase.checkpoint.write` and `hom.search.exhaust` injection
+    /// points; its scope label rides on the `chase.run` span.
+    /// Unbounded and inert by default.
     pub hom: HomConfig,
-    /// Scoped execution context for this chase. Its cancel token is
-    /// checked at the top of every round and propagated into the
-    /// round's homomorphism searches (unless [`ChaseOptions::hom`]
-    /// already carries its own live context); its fault injector
-    /// drives the `chase.round` and `chase.checkpoint.write` injection
-    /// points. A cancelled run returns [`ChaseError::Cancelled`].
-    /// Inert by default.
-    pub ctx: ExecContext,
     /// Write a resumable snapshot of the round state every N completed
     /// rounds (see [`CheckpointPolicy`]). Off by default.
     pub checkpoint: Option<CheckpointPolicy>,
@@ -158,7 +148,6 @@ impl ChaseOptions {
             max_facts: 1_000_000,
             trace: false,
             hom: HomConfig::default(),
-            ctx: ExecContext::default(),
             checkpoint: None,
             resume_from: None,
         }
@@ -313,7 +302,7 @@ fn collect_dep(
         };
         match delta {
             None => {
-                let report = plan.premise().for_each_match_budgeted(current, hom, &mut on_match);
+                let report = plan.premise().for_each_match(current, hom, &mut on_match);
                 out.matches += report.matches;
                 out.hom += report.stats;
                 if exhausted.get().is_none() {
@@ -325,7 +314,7 @@ fn collect_dep(
                     let rel = plan.premise().atom_rel(atom_idx);
                     for fact in db.for_rel(rel) {
                         if let Some(seed) = plan.premise().seed_from_fact(atom_idx, fact.args()) {
-                            let report = plan.premise().for_each_match_seeded_budgeted(
+                            let report = plan.premise().for_each_match_seeded(
                                 atom_idx,
                                 &seed,
                                 current,
@@ -376,7 +365,7 @@ pub fn chase(
 
     // The context's scope label rides on the run span, so one journal
     // shared by many contexts can be demultiplexed per context.
-    let run_span = match options.ctx.scope.as_deref() {
+    let run_span = match options.hom.ctx.scope.as_deref() {
         Some(scope) => rde_obs::span(
             "chase.run",
             &[
@@ -402,16 +391,6 @@ pub fn chase(
     let mut delta: Option<Vec<Fact>> = None;
     let semi_naive = options.variant != ChaseVariant::Naive;
     let restricted = options.variant == ChaseVariant::Restricted;
-    // The round's hom searches inherit the chase's context, so
-    // cancellation also cuts *within* a round at node-stride
-    // granularity and the scoped injector reaches the
-    // `hom.search.exhaust` point. An explicit context on `options.hom`
-    // wins.
-    let hom_cfg = if options.hom.ctx.is_inert() {
-        HomConfig { ctx: options.ctx.clone(), ..options.hom.clone() }
-    } else {
-        options.hom.clone()
-    };
     // A previous run that crashed (or took an injected fault) between a
     // checkpoint's create and rename strands `<path>.tmp` next to the
     // last complete snapshot. Sweep it before writing or resuming —
@@ -451,7 +430,7 @@ pub fn chase(
         );
     }
     loop {
-        if options.ctx.should_inject("chase.round") || options.ctx.is_cancelled() {
+        if options.hom.ctx.should_inject("chase.round") || options.hom.ctx.is_cancelled() {
             rde_obs::counter!("chase.cancelled").inc();
             rde_obs::event("chase.cancelled", &[("round", rounds.into())]);
             return Err(ChaseError::Cancelled);
@@ -484,7 +463,7 @@ pub fn chase(
                     &fired_keys,
                     delta_buckets.as_ref(),
                     restricted,
-                    &hom_cfg,
+                    &options.hom,
                 )
             })
             .collect();
@@ -574,7 +553,7 @@ pub fn chase(
                 // Same chaos point as the collection-phase pre-check:
                 // the re-check can die too, and must fail just as
                 // loudly.
-                if options.ctx.should_inject("chase.restricted.check") {
+                if options.hom.ctx.should_inject("chase.restricted.check") {
                     rde_obs::counter!("chase.budget.match_exhausted").inc();
                     rde_obs::event("chase.budget_exhausted", &[("kind", "recheck".into())]);
                     return Err(ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(0) });
@@ -584,7 +563,7 @@ pub fn chase(
                 match plan.satisfaction()[0].satisfiable_budgeted(
                     &current,
                     &vals,
-                    &hom_cfg,
+                    &options.hom,
                     &mut stats.hom,
                 ) {
                     Verdict::Holds => continue,
@@ -667,7 +646,7 @@ pub fn chase(
             if policy.every > 0 && rounds.is_multiple_of(policy.every) {
                 checkpoint::save(
                     &policy.path,
-                    &options.ctx.injector,
+                    &options.hom.ctx.injector,
                     &SnapshotRef {
                         rounds,
                         fired,
@@ -714,6 +693,7 @@ pub fn chase_mapping_default(
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
+    use rde_faults::ExecContext;
     use rde_model::parse::parse_instance;
 
     fn chase_text(mapping_text: &str, instance_text: &str) -> (Vocabulary, Instance) {
@@ -793,8 +773,7 @@ mod tests {
             .unwrap();
         let i = parse_instance(&mut v, "P(a, b)\nP(a, c)").unwrap();
         // This test is *about* the oblivious/standard contrast, so both
-        // sides name their variant (the build-wide default may be
-        // flipped by the restricted-default feature).
+        // sides name their variant.
         let oblivious =
             chase_mapping(&i, &m, &mut v, &ChaseOptions::for_variant(ChaseVariant::SemiNaive))
                 .unwrap();
@@ -990,51 +969,30 @@ mod tests {
         // Divergent without a budget: cancellation is the only way out.
         let dep = rde_deps::parse_dependency(&mut v, "E(x, y) -> exists z . E(y, z)").unwrap();
         let i = parse_instance(&mut v, "E(a,b)").unwrap();
-        let ctx = ExecContext::cancellable();
-        ctx.cancel.cancel();
-        let opts = ChaseOptions { ctx, max_rounds: u64::MAX, ..ChaseOptions::default() };
-        assert_eq!(
-            chase(&i, std::slice::from_ref(&dep), &mut v, &opts).unwrap_err(),
-            ChaseError::Cancelled
-        );
-        // An already-expired deadline cancels at the first round check.
-        let opts = ChaseOptions {
-            ctx: ExecContext::default()
-                .with_cancel(rde_faults::CancelToken::with_deadline(std::time::Duration::ZERO)),
+        let under = |cancel: rde_faults::CancelToken| ChaseOptions {
+            hom: HomConfig {
+                ctx: ExecContext::default().with_cancel(cancel),
+                ..HomConfig::default()
+            },
             max_rounds: u64::MAX,
             ..ChaseOptions::default()
         };
+        let token = rde_faults::CancelToken::new();
+        token.cancel();
         assert_eq!(
-            chase(&i, std::slice::from_ref(&dep), &mut v, &opts).unwrap_err(),
+            chase(&i, std::slice::from_ref(&dep), &mut v, &under(token)).unwrap_err(),
+            ChaseError::Cancelled
+        );
+        // An already-expired deadline cancels at the first round check.
+        let expired = rde_faults::CancelToken::with_deadline(std::time::Duration::ZERO);
+        assert_eq!(
+            chase(&i, std::slice::from_ref(&dep), &mut v, &under(expired)).unwrap_err(),
             ChaseError::Cancelled
         );
         // A live but uncancelled token does not disturb a normal run.
         let copy = rde_deps::parse_dependency(&mut v, "E(x, y) -> F(x, y)").unwrap();
-        let opts = ChaseOptions { ctx: ExecContext::cancellable(), ..ChaseOptions::default() };
-        let r = chase(&i, &[copy], &mut v, &opts).unwrap();
+        let r = chase(&i, &[copy], &mut v, &under(rde_faults::CancelToken::new())).unwrap();
         assert_eq!(r.fired, 1);
-    }
-
-    #[test]
-    fn chase_context_reaches_the_hom_searches() {
-        // The chase clones its context into the effective hom config,
-        // so cancellation cuts *inside* a round too. A token cancelled
-        // after N stride-checks is hard to time deterministically, so
-        // instead verify the plumbing: an explicit hom-level context
-        // wins over the chase-level one, and the chase-level context
-        // is used when the hom config's is inert.
-        let mut v = Vocabulary::new();
-        let dep = rde_deps::parse_dependency(&mut v, "E(x, y) -> F(x, y)").unwrap();
-        let i = parse_instance(&mut v, "E(a,b)").unwrap();
-        let hom_ctx = ExecContext::cancellable();
-        hom_ctx.cancel.cancel();
-        // Cancelled hom context: the first premise search reports
-        // Exhausted::Cancelled, which the chase maps to Cancelled.
-        let opts = ChaseOptions {
-            hom: HomConfig { ctx: hom_ctx, ..HomConfig::default() },
-            ..ChaseOptions::default()
-        };
-        assert_eq!(chase(&i, &[dep], &mut v, &opts).unwrap_err(), ChaseError::Cancelled);
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn reference_chase(
     loop {
         let mut pending: Vec<(usize, Vec<Value>)> = Vec::new();
         for (di, plan) in plans.iter().enumerate() {
-            plan.premise().for_each_match(&current, |vals| {
+            plan.premise().for_each_match(&current, &HomConfig::default(), |vals| {
                 if seen.insert((di, vals.to_vec())) && !holds(plan, &current, vals) {
                     pending.push((di, vals.to_vec()));
                 }

@@ -153,7 +153,8 @@ a pass is exact within the bound.
 --node-budget N caps every homomorphism search at N nodes, and
 --time-budget-ms N caps it in wall-clock time: checks then answer
 UNKNOWN instead of searching without bound (counterexamples reported
-under a budget are still genuine). --retries N reruns an UNKNOWN check
+under a budget are still genuine); chase, core, reverse and certain stop
+with an error instead. --retries N reruns an UNKNOWN check
 up to N more times with exponentially escalated budgets. --stats prints
 search-work counters after the answer (chase, invertible, compare,
 check-recovery).
@@ -322,13 +323,12 @@ fn hom_config(opts: &Options) -> HomConfig {
     }
 }
 
-/// Chase options for the chase-driving commands: the command's context
-/// plus any `--checkpoint`/`--resume` flags, on the `--variant` chase
-/// (the build default when the flag is absent).
+/// Chase options for the chase-driving commands: the command's budgets
+/// and context plus any `--checkpoint`/`--resume` flags, on the
+/// `--variant` chase (the default variant when the flag is absent).
 fn chase_options(opts: &Options) -> ChaseOptions {
     ChaseOptions {
         hom: hom_config(opts),
-        ctx: exec_context(opts),
         checkpoint: opts
             .checkpoint
             .as_deref()
@@ -375,15 +375,12 @@ fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
     let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
-    let u = chase_mapping(&instance, &mapping, &mut vocab, &ChaseOptions::default())
-        .map_err(|e| e.to_string())?;
-    let result = disjunctive_chase(
-        &u,
-        &reverse.dependencies,
-        &mut vocab,
-        &DisjunctiveChaseOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let hom = hom_config(opts);
+    let forward = ChaseOptions { hom: hom.clone(), ..ChaseOptions::default() };
+    let u = chase_mapping(&instance, &mapping, &mut vocab, &forward).map_err(chase_err)?;
+    let options = DisjunctiveChaseOptions { hom, ..DisjunctiveChaseOptions::default() };
+    let result =
+        disjunctive_chase(&u, &reverse.dependencies, &mut vocab, &options).map_err(chase_err)?;
     println!("# {} leaf instance(s)", result.leaves.len());
     for (i, leaf) in result.leaves.iter().enumerate() {
         println!("# leaf {}", i + 1);
@@ -624,9 +621,9 @@ fn cmd_certain(opts: &Options) -> Result<(), CliError> {
         &mapping,
         &reverse,
         &mut vocab,
-        &DisjunctiveChaseOptions::default(),
+        &DisjunctiveChaseOptions { hom: hom_config(opts), ..DisjunctiveChaseOptions::default() },
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(chase_err)?;
     println!("# {} certain answer(s)", answers.len());
     for tuple in &answers {
         let rendered: Vec<String> = tuple.iter().map(|&v| vocab.value_name(v)).collect();

@@ -79,6 +79,44 @@ fn ordinary_failure_keeps_exit_status_1() {
     assert_eq!(status.code(), Some(1), "errors must stay distinct from cancellation");
 }
 
+#[test]
+fn reverse_and_certain_honour_budgets_and_deadlines() {
+    // The union mapping, its disjunctive recovery, and I = {A(a), B(b)}.
+    let dir = std::env::temp_dir().join(format!("rde-cli-reverse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_string_lossy().into_owned()
+    };
+    let map = write("union.map", "source: A/1, B/1\ntarget: R/1\nA(x) -> R(x)\nB(x) -> R(x)\n");
+    let rev = write("union.rev", "source: R/1\ntarget: A/1, B/1\nR(x) -> A(x) | B(x)\n");
+    let inst = write("i.inst", "A(a)\nB(b)\n");
+
+    // Control: unbudgeted, the reverse chase branches into 4 leaves.
+    let output = rde().args(["reverse", &map, &rev, &inst]).output().expect("spawn rde");
+    assert_eq!(output.status.code(), Some(0), "{:?}", output.status);
+    assert!(String::from_utf8_lossy(&output.stdout).starts_with("# 4 leaf instance(s)"));
+
+    // A starved node budget is an error, not a leaf set.
+    let output = rde()
+        .args(["reverse", &map, &rev, &inst, "--node-budget", "0"])
+        .output()
+        .expect("spawn rde");
+    assert_eq!(output.status.code(), Some(1), "{:?}", output.status);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("node budget of 0 exhausted"), "stderr: {stderr}");
+
+    // An expired deadline is a cancellation, not an empty answer set.
+    let output = rde()
+        .args(["certain", &map, &rev, &inst, "q(x) :- A(x)", "--deadline-ms", "0"])
+        .output()
+        .expect("spawn rde");
+    assert_eq!(output.status.code(), Some(EXIT_CANCELLED), "{:?}", output.status);
+    assert!(output.stdout.is_empty(), "no partial answer: {:?}", output.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // `rde serve` / `rde call` exit-code audit: a SHED or UNKNOWN reply is a
 // retryable server decision (4), the client's own elapsed deadline is a

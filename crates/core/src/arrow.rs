@@ -259,7 +259,6 @@ impl ArrowMCache {
         let span = rde_obs::span("core.arrow.build", &[("instances", family.len().into())]);
         let chase_options = ChaseOptions {
             hom: HomConfig { node_budget: None, ..config.clone() },
-            ctx: config.ctx.clone(),
             ..ChaseOptions::default()
         };
         let mut chased = Vec::with_capacity(family.len());
@@ -343,7 +342,6 @@ impl ArrowMCache {
     ) -> Result<ClassHandle, CoreError> {
         let chase_options = ChaseOptions {
             hom: HomConfig { node_budget: None, ..config.clone() },
-            ctx: config.ctx.clone(),
             ..ChaseOptions::default()
         };
         let c = chase_mapping(instance, mapping, vocab, &chase_options)?;

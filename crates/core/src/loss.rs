@@ -126,109 +126,6 @@ pub fn information_loss_scoped(
     Ok(LossReport { universe_size: family.len(), arrow_m_pairs, hom_pairs, lost_pairs, examples })
 }
 
-/// Parallel variant of [`information_loss`]: the chase cache is built
-/// once (sequentially — it allocates fresh nulls), then the `n²`
-/// homomorphism checks are fanned out over scoped worker threads, one
-/// row-range each. Deterministic: per-row results are merged in row
-/// order, so counts *and* examples match the sequential census.
-pub fn information_loss_parallel(
-    mapping: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-    max_examples: usize,
-    threads: usize,
-) -> Result<LossReport, CoreError> {
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = ArrowMCache::new(mapping, &family, vocab)?;
-    let span = rde_obs::span("core.loss.census", &[("universe", family.len().into())]);
-    let journal_on = rde_obs::journal::enabled();
-    let n = family.len();
-    let threads = threads.max(1).min(n.max(1));
-
-    #[derive(Default)]
-    struct Partial {
-        arrow_m_pairs: usize,
-        hom_pairs: usize,
-        lost: Vec<(usize, usize)>,
-    }
-
-    let chunk = n.div_ceil(threads);
-    let mut partials: Vec<Partial> = Vec::new();
-    // Keep worker-emitted records attributed to the owning request.
-    let req_id = rde_obs::request::current();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            let family = &family;
-            let cache = &cache;
-            handles.push(scope.spawn(move || {
-                let _req = rde_obs::request::enter(req_id);
-                let mut p = Partial::default();
-                for a in lo..hi {
-                    let lost_before = p.lost.len();
-                    for b in 0..n {
-                        if exists_hom(&family[a], &family[b]) {
-                            p.hom_pairs += 1;
-                            p.arrow_m_pairs += 1;
-                        } else if cache.arrow(a, b) {
-                            p.arrow_m_pairs += 1;
-                            p.lost.push((a, b));
-                        }
-                    }
-                    rde_obs::counter!("core.loss.rows").inc();
-                    if journal_on {
-                        // Progress with worker attribution (rows are
-                        // chunked contiguously across workers).
-                        rde_obs::event(
-                            "core.loss.row",
-                            &[
-                                ("row", a.into()),
-                                ("of", n.into()),
-                                ("worker", t.into()),
-                                ("lost", (p.lost.len() - lost_before).into()),
-                            ],
-                        );
-                    }
-                }
-                p
-            }));
-        }
-        for h in handles {
-            // A worker panic is re-raised with its original payload
-            // rather than wrapped in a second panic here.
-            partials.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-    });
-
-    let mut report = LossReport {
-        universe_size: n,
-        arrow_m_pairs: 0,
-        hom_pairs: 0,
-        lost_pairs: 0,
-        examples: Vec::new(),
-    };
-    for p in partials {
-        report.arrow_m_pairs += p.arrow_m_pairs;
-        report.hom_pairs += p.hom_pairs;
-        report.lost_pairs += p.lost.len();
-        for (a, b) in p.lost {
-            if report.examples.len() < max_examples {
-                report.examples.push((family[a].clone(), family[b].clone()));
-            }
-        }
-    }
-    span.close_with(&[
-        ("arrow_m_pairs", report.arrow_m_pairs.into()),
-        ("hom_pairs", report.hom_pairs.into()),
-        ("lost_pairs", report.lost_pairs.into()),
-    ]);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,25 +174,6 @@ mod tests {
             let report = information_loss(&m, &u, &mut v, 0).unwrap();
             let hp = crate::invertibility::check_homomorphism_property(&m, &u, &mut v).unwrap();
             assert_eq!(report.is_lossless_within_bound(), hp.holds(), "mapping: {text}");
-        }
-    }
-
-    /// The parallel census matches the sequential one exactly
-    /// (counts and examples), at several thread counts.
-    #[test]
-    fn parallel_census_matches_sequential() {
-        let mut v = Vocabulary::new();
-        let m = parse_mapping(&mut v, "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)")
-            .unwrap();
-        let u = Universe::new(&mut v, 2, 1, 2);
-        let sequential = information_loss(&m, &u, &mut v, 8).unwrap();
-        for threads in [1, 2, 4, 7] {
-            let parallel = information_loss_parallel(&m, &u, &mut v, 8, threads).unwrap();
-            assert_eq!(parallel.universe_size, sequential.universe_size);
-            assert_eq!(parallel.arrow_m_pairs, sequential.arrow_m_pairs, "threads={threads}");
-            assert_eq!(parallel.hom_pairs, sequential.hom_pairs);
-            assert_eq!(parallel.lost_pairs, sequential.lost_pairs);
-            assert_eq!(parallel.examples, sequential.examples, "deterministic example order");
         }
     }
 

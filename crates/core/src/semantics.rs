@@ -34,7 +34,7 @@ pub fn satisfies_dependency_budgeted(
     let plan = DependencyPlan::compile(dep);
     let mut violated = false;
     let mut unknown: Option<Exhausted> = None;
-    let report = plan.premise().for_each_match_budgeted(source, config, |vals| {
+    let report = plan.premise().for_each_match(source, config, |vals| {
         match plan.witnessed(target, vals, config, stats) {
             Verdict::Holds => true,
             Verdict::Fails => {

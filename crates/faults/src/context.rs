@@ -10,10 +10,13 @@
 //!   decisions and hit/fire counters belong to this context alone, so
 //!   two contexts on concurrent threads never observe each other's
 //!   faults;
-//! * default hom budgets (node count, wall clock) that front ends use
-//!   to build `HomConfig`s for work under this context;
 //! * an observability scope label attached to the journal records the
 //!   work emits, so one journal can be demultiplexed per context.
+//!
+//! A context carries no budgets. Every engine that runs a
+//! homomorphism search takes its budgets and its context from one
+//! `rde_hom::HomConfig`, so one value decides how far and under which
+//! token and campaign the work runs.
 //!
 //! The default context is fully **inert**: no allocation, cancellation
 //! polls are a pointer-sized `Option` check, and with the
@@ -21,8 +24,6 @@
 //! `#[inline(always)]` constant `false`. Engines therefore thread a
 //! context unconditionally; the zero-cost path of the old ambient
 //! design is preserved, without the ambient state.
-
-use std::time::Duration;
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::inject::{FaultConfig, FaultReport};
@@ -166,10 +167,6 @@ pub struct ExecContext {
     pub cancel: CancelToken,
     /// Scoped fault injection for work under this context.
     pub injector: FaultInjector,
-    /// Default hom-search node budget for work under this context.
-    pub node_budget: Option<u64>,
-    /// Default wall-clock budget for work under this context.
-    pub time_budget: Option<Duration>,
     /// Observability scope label: attached as a `scope` field to the
     /// journal spans the engines open for this context's work.
     pub scope: Option<std::sync::Arc<str>>,
@@ -207,14 +204,6 @@ impl ExecContext {
         self
     }
 
-    /// True if neither the token nor the injector can ever act: the
-    /// context is indistinguishable from no context at all. Engines use
-    /// this to decide whether a nested call should inherit an outer
-    /// context.
-    pub fn is_inert(&self) -> bool {
-        self.cancel.is_inert() && self.injector.is_inert()
-    }
-
     /// Poll this context's cancel token.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
@@ -245,7 +234,7 @@ mod tests {
     #[test]
     fn default_context_is_inert() {
         let ctx = ExecContext::default();
-        assert!(ctx.is_inert());
+        assert!(ctx.cancel.is_inert() && ctx.injector.is_inert());
         assert!(!ctx.is_cancelled());
         assert!(!ctx.should_inject("chase.round"));
         assert!(ctx.fault_report().points.is_empty());

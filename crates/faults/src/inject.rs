@@ -6,7 +6,7 @@
 //! they were handed:
 //!
 //! ```ignore
-//! if options.ctx.should_inject("chase.round") {
+//! if options.hom.ctx.should_inject("chase.round") {
 //!     return Err(ChaseError::Cancelled);
 //! }
 //! ```

@@ -6,8 +6,9 @@
 //! sets. This crate is the resilience layer the engines share:
 //!
 //! * [`ExecContext`] — the unit-of-work bundle the engines thread
-//!   explicitly: a [`CancelToken`], a scoped [`FaultInjector`], default
-//!   hom budgets, and an observability scope label. Two contexts on
+//!   explicitly (inside a `HomConfig`, beside the budgets, wherever a
+//!   homomorphism search runs): a [`CancelToken`], a scoped
+//!   [`FaultInjector`], and an observability scope label. Two contexts on
 //!   concurrent threads are fully isolated from each other; the default
 //!   context is inert and free.
 //! * [`CancelToken`] — a cloneable cooperative cancellation handle

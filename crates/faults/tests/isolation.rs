@@ -69,18 +69,14 @@ fn run_engines(ctx: &ExecContext) -> Result<Answers, String> {
     let mut vocab = Vocabulary::new();
     let (mapping, family, universe) = setup(&mut vocab);
 
-    let options = ChaseOptions { ctx: ctx.clone(), ..ChaseOptions::default() };
+    let config = HomConfig { ctx: ctx.clone(), ..HomConfig::default() };
+    let options = ChaseOptions { hom: config.clone(), ..ChaseOptions::default() };
     let chased = rde_chase::chase(&family[1], &mapping.dependencies, &mut vocab, &options)
         .map_err(|e| format!("chase: {e}"))?
         .instance;
 
-    let cache = ArrowMCache::new_budgeted(
-        &mapping,
-        &family,
-        &mut vocab,
-        &HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
-    )
-    .map_err(|e| format!("arrow: {e}"))?;
+    let cache = ArrowMCache::new_budgeted(&mapping, &family, &mut vocab, &config)
+        .map_err(|e| format!("arrow: {e}"))?;
     let n = cache.len();
     let arrows = (0..n).map(|a| (0..n).map(|b| cache.arrow(a, b)).collect()).collect();
 

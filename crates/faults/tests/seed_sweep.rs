@@ -3,7 +3,7 @@
 //! Injection families — spurious search exhaustion + round
 //! cancellation in the standard chase (every chase variant), poisoned
 //! locks in the arrow cache, I/O errors in the journal sink, branch
-//! cancellation in the disjunctive chase,
+//! cancellation + search exhaustion in the disjunctive chase,
 //! aborted quasi-inverse construction, stranded checkpoint writes,
 //! spurious satisfaction-check exhaustion in the restricted chase,
 //! and aborted termination analysis — each swept across 24
@@ -102,7 +102,10 @@ fn chase_survives_injected_exhaustion_and_cancellation() {
                 1 << (seed % 11),
                 None,
             )));
-            let options = ChaseOptions { ctx: ctx.clone(), ..ChaseOptions::for_variant(variant) };
+            let options = ChaseOptions {
+                hom: HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
+                ..ChaseOptions::for_variant(variant)
+            };
             let result = catch_unwind(AssertUnwindSafe(|| {
                 rde_chase::chase(&input, &deps, &mut vocab, &options)
             }));
@@ -273,12 +276,16 @@ fn journal_stays_valid_jsonl_under_injected_write_errors() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Family 4: the disjunctive chase under `chase.disj.branch`. The
-/// branching loop polls its context per branch: a fire is a typed
-/// [`ChaseError::Cancelled`], and a campaign that never fired must
-/// leave the leaf set bit-identical to a clean reference run.
+/// Family 4: the disjunctive chase under `chase.disj.branch` and
+/// `hom.search.exhaust`, both driven by the context in
+/// `DisjunctiveChaseOptions::hom`. A branch fire is a typed
+/// [`ChaseError::Cancelled`]; an exhaust fire cuts a premise or
+/// satisfaction search and must end in
+/// [`ChaseError::MatchBudgetExhausted`], never in a branch fired on an
+/// undecided trigger. A campaign that never fired must leave the leaf
+/// set bit-identical to a clean reference run.
 #[test]
-fn disjunctive_chase_survives_injected_branch_cancellation() {
+fn disjunctive_chase_survives_injected_branch_cancellation_and_exhaustion() {
     let _g = shared();
     let mut vocab = Vocabulary::new();
     let deps = vec![
@@ -294,40 +301,56 @@ fn disjunctive_chase_survives_injected_branch_cancellation() {
         disjunctive_chase(&input, &deps, &mut vocab, &DisjunctiveChaseOptions::default()).unwrap();
     assert!(reference.leaves.len() > 2, "needs genuine branching to be interesting");
 
-    let mut cancelled = 0u64;
-    let mut clean = 0u64;
+    let mut outcomes = [0u64; 3]; // clean, cancelled, exhausted
     for seed in 0..SEEDS {
+        // Every branch makes several searches, so the fire rate sweeps
+        // from 1/1 down to 1/1024 to leave room for clean runs.
         let ctx = ExecContext::default().with_injector(FaultInjector::new(FaultConfig::ratio(
             seed,
             1,
-            1 << (seed % 6),
-            Some("chase.disj"),
+            1 << (seed % 11),
+            None,
         )));
-        let options = DisjunctiveChaseOptions { ctx: ctx.clone(), ..Default::default() };
+        let options = DisjunctiveChaseOptions {
+            hom: HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
+            ..Default::default()
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
             disjunctive_chase(&input, &deps, &mut vocab, &options)
         }))
         .unwrap_or_else(|_| panic!("seed {seed}: disjunctive chase panicked under injection"));
         let report = ctx.fault_report();
-        let point = report.point("chase.disj.branch").expect("branch point evaluated");
-        assert!(point.hits >= 1, "every run consults the branch point");
+        let fired = |name| report.point(name).map_or(0, |c| c.fired);
+        let branch = report.point("chase.disj.branch").expect("branch point evaluated");
+        assert!(branch.hits >= 1, "every run consults the branch point");
         match result {
             Ok(r) => {
-                assert_eq!(point.fired, 0, "seed {seed}: an Ok run must be injection-free");
+                assert_eq!(
+                    report.total_fired(),
+                    0,
+                    "seed {seed}: an Ok run must be injection-free"
+                );
                 assert_eq!(
                     r.leaves, reference.leaves,
                     "seed {seed}: clean run must match the reference leaf set"
                 );
-                clean += 1;
+                outcomes[0] += 1;
             }
             Err(ChaseError::Cancelled) => {
-                assert!(point.fired > 0, "seed {seed}: Cancelled requires a fire");
-                cancelled += 1;
+                assert!(branch.fired > 0, "seed {seed}: Cancelled requires a branch fire");
+                outcomes[1] += 1;
+            }
+            Err(ChaseError::MatchBudgetExhausted { .. }) => {
+                assert!(
+                    fired("hom.search.exhaust") > 0,
+                    "seed {seed}: exhaustion requires a search fire"
+                );
+                outcomes[2] += 1;
             }
             Err(other) => panic!("seed {seed}: unexpected error {other}"),
         }
     }
-    assert!(cancelled > 0 && clean > 0, "sweep too one-sided: {cancelled} / {clean}");
+    assert!(outcomes.iter().all(|&n| n > 0), "sweep too one-sided: {outcomes:?}");
 }
 
 /// Family 6: checkpoint writes under `chase.checkpoint.write`. The
@@ -365,7 +388,7 @@ fn checkpoint_write_faults_strand_a_tmp_that_startup_sweeps() {
         )));
         let options = ChaseOptions {
             checkpoint: Some(rde_chase::CheckpointPolicy::new(&path, 1)),
-            ctx: ctx.clone(),
+            hom: HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
             ..ChaseOptions::default()
         };
         let mut v = vocab.clone();
@@ -462,7 +485,7 @@ fn restricted_chase_survives_injected_satisfaction_exhaustion() {
             Some("chase.restricted"),
         )));
         let options = ChaseOptions {
-            ctx: ctx.clone(),
+            hom: HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
             ..ChaseOptions::for_variant(rde_chase::ChaseVariant::Restricted)
         };
         let mut v = vocab.clone();

@@ -2,6 +2,7 @@
 
 use rde_chase::DependencyPlan;
 use rde_deps::{parse_dependency, Atom, DepError, Dependency};
+use rde_hom::HomConfig;
 use rde_model::{Instance, Vocabulary};
 
 use crate::answers::AnswerSet;
@@ -105,7 +106,7 @@ impl ConjunctiveQuery {
 pub fn evaluate(q: &ConjunctiveQuery, instance: &Instance) -> AnswerSet {
     let plan = DependencyPlan::compile(&q.dep);
     let mut out = AnswerSet::new();
-    plan.premise().for_each_match(instance, |vals| {
+    plan.premise().for_each_match(instance, &HomConfig::default(), |vals| {
         // The head has no existentials: its one "firing" is the answer.
         plan.templates()[0].instantiate(vals, &[], |head| {
             out.insert(head.args().to_vec());

@@ -43,6 +43,9 @@ pub fn forward_certain_answers(
 ///
 /// By Theorem 6.5 this equals `certain_{e(M) ∘ e(M′)}(q, I)`; by
 /// Theorem 6.4, when `M′` is an extended *inverse* it equals `q(I)↓`.
+///
+/// Both chases run under `options.hom`: a budget that cuts either one
+/// short returns an error, never a partial answer set.
 pub fn reverse_certain_answers(
     q: &ConjunctiveQuery,
     source: &Instance,
@@ -51,7 +54,8 @@ pub fn reverse_certain_answers(
     vocab: &mut Vocabulary,
     options: &DisjunctiveChaseOptions,
 ) -> Result<AnswerSet, ChaseError> {
-    let u = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
+    let forward = ChaseOptions { hom: options.hom.clone(), ..ChaseOptions::default() };
+    let u = chase_mapping(source, mapping, vocab, &forward)?;
     reverse_certain_answers_from_target(q, &u, mapping, recovery, vocab, options)
 }
 
@@ -127,6 +131,30 @@ mod tests {
             reverse_certain_answers(&qp, &i, &m, &rec, &mut v, &DisjunctiveChaseOptions::default())
                 .unwrap();
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn both_chases_run_under_the_callers_budget() {
+        // The forward chase joins P with itself; the reverse chase only
+        // scans T, so a budget can stop the first and not the second.
+        let mut v = Vocabulary::new();
+        let m = parse_mapping(&mut v, "source: P/2\ntarget: T/2\nP(x, y) & P(y, z) -> T(x, z)")
+            .unwrap();
+        let rec = parse_mapping(
+            &mut v,
+            "source: T/2\ntarget: P/2\nT(x, z) -> exists y . P(x, y) & P(y, z)",
+        )
+        .unwrap();
+        let i = parse_instance(&mut v, "P(a, b)\nP(b, c)\nP(c, d)").unwrap();
+        let q = ConjunctiveQuery::parse(&mut v, "q(x) :- P(x, y)").unwrap();
+        let u = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
+        let hom = rde_hom::HomConfig { node_budget: Some(2), ..Default::default() };
+        let options = DisjunctiveChaseOptions { hom, ..DisjunctiveChaseOptions::default() };
+        let from_u = reverse_certain_answers_from_target(&q, &u, &m, &rec, &mut v, &options);
+        let (a, b) = (v.const_value("a"), v.const_value("b"));
+        assert_eq!(from_u.unwrap().into_iter().collect::<Vec<_>>(), vec![vec![a], vec![b]]);
+        let from_i = reverse_certain_answers(&q, &i, &m, &rec, &mut v, &options);
+        assert!(matches!(from_i, Err(ChaseError::MatchBudgetExhausted { .. })), "{from_i:?}");
     }
 
     #[test]

@@ -918,8 +918,7 @@ fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Repl
         Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
-    let mut options =
-        ChaseOptions { hom: config.clone(), ctx: config.ctx.clone(), ..ChaseOptions::default() };
+    let mut options = ChaseOptions { hom: config.clone(), ..ChaseOptions::default() };
     if let Some(text) = request.get_header("variant") {
         match text.parse::<rde_chase::ChaseVariant>() {
             Ok(variant) => options.variant = variant,
@@ -1027,7 +1026,7 @@ fn op_certain(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Re
         Err(e) => return Reply::Err(format!("query: {e}")),
     };
     let options =
-        DisjunctiveChaseOptions { ctx: config.ctx.clone(), ..DisjunctiveChaseOptions::default() };
+        DisjunctiveChaseOptions { hom: config.clone(), ..DisjunctiveChaseOptions::default() };
     match rde_query::reverse_certain_answers(
         &q,
         &instance,

@@ -197,6 +197,15 @@ fn request_budgets_surface_as_unknown_not_errors() {
         panic!("INVERTIBLE failed after budgeted attempts")
     };
     assert_eq!(lines[0], "FAILS");
+    // CERTAIN's forward and reverse chases run under the same budgets.
+    let certain = || {
+        Request::on("CERTAIN", "merge").header("query", "q(x) :- A(x)").body_text("A(a)\nB(b)\n")
+    };
+    let reply = client.request(&certain().header("node-budget", 0)).unwrap();
+    assert!(matches!(reply, Reply::Unknown(_)), "{reply:?}");
+    let reply = client.request(&certain().header("deadline-ms", 0)).unwrap();
+    assert!(matches!(reply, Reply::Shed { .. }), "{reply:?}");
+    assert_eq!(client.request(&certain()).unwrap(), Reply::Ok(Vec::new()));
     shutdown.cancel();
     handle.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
