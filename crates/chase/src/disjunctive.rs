@@ -9,12 +9,15 @@
 //! universal-faithfulness (Definition 6.1) and reverse certain answers
 //! (Theorem 6.5) are stated about.
 
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
+
 use rde_deps::Dependency;
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
-use rde_model::fx::FxHashSet;
-use rde_model::{Instance, Substitution, Value, Vocabulary};
+use rde_model::fx::{FxHashMap, FxHashSet, FxHasher};
+use rde_model::{Fact, Instance, RelId, Substitution, Value, Vocabulary};
 
-use crate::plan::DependencyPlan;
+use crate::plan::{DependencyPlan, FiringTemplate};
 use crate::ChaseError;
 
 /// Budgets and pruning switches for the disjunctive chase.
@@ -73,9 +76,144 @@ pub struct DisjunctiveChaseResult {
     pub pruned: usize,
 }
 
+/// One dependency's premise matches in a branch, in enumeration
+/// order, minus the triggers already fired there. Shared (behind an
+/// `Rc`) by every descendant branch until a firing adds a fact to one
+/// of the dependency's premise relations.
+struct Matches {
+    /// Slot assignments, `width` values each, back to back.
+    vals: Vec<Value>,
+    width: usize,
+    len: usize,
+    /// The budget that cut the enumeration after the listed matches:
+    /// the list is a valid but incomplete prefix.
+    cut: Option<Exhausted>,
+}
+
+impl Matches {
+    /// Enumerate `plan`'s premise matches in `instance`, skipping the
+    /// triggers in `fired`.
+    fn enumerate(
+        plan: &DependencyPlan,
+        instance: &Instance,
+        fired: &FxHashSet<Vec<Value>>,
+        config: &HomConfig,
+    ) -> Self {
+        let mut vals = Vec::new();
+        let mut len = 0;
+        let report = plan.premise().for_each_match(instance, config, |m| {
+            if !fired.contains(m) {
+                vals.extend_from_slice(m);
+                len += 1;
+            }
+            true
+        });
+        Matches { vals, width: plan.premise().num_vars(), len, cut: report.exhausted }
+    }
+
+    fn get(&self, i: usize) -> &[Value] {
+        &self.vals[i * self.width..(i + 1) * self.width]
+    }
+}
+
+/// A dependency's trigger state in one branch: its matches (`None`
+/// until enumerated, and again once a firing adds a fact to a premise
+/// relation) and a cursor. Every match before the cursor is fired or
+/// witnessed in the branch; both are monotone as the branch grows, so
+/// the cursor never moves back.
+#[derive(Clone, Default)]
+struct TriggerCursor {
+    matches: Option<Rc<Matches>>,
+    next: usize,
+}
+
+#[derive(Clone)]
 struct Branch {
     instance: Instance,
-    fired: FxHashSet<(usize, Vec<Value>)>,
+    /// Fired triggers per dependency, keyed by premise slot assignment.
+    fired: Vec<FxHashSet<Vec<Value>>>,
+    cursors: Vec<TriggerCursor>,
+}
+
+impl Branch {
+    /// First unfired, unwitnessed trigger of dependency `di`, or the
+    /// budget that cut a search before the answer was known. The same
+    /// trigger a fresh enumeration of the branch would find: premise
+    /// enumeration order depends only on the premise relations' data,
+    /// and the matches are re-enumerated whenever that data grows.
+    fn first_trigger(
+        &mut self,
+        di: usize,
+        plan: &DependencyPlan,
+        config: &HomConfig,
+    ) -> Result<Option<Vec<Value>>, Exhausted> {
+        let cursor = &mut self.cursors[di];
+        let matches = match &cursor.matches {
+            Some(m) => Rc::clone(m),
+            None => {
+                let m = Rc::new(Matches::enumerate(plan, &self.instance, &self.fired[di], config));
+                *cursor = TriggerCursor { matches: Some(Rc::clone(&m)), next: 0 };
+                m
+            }
+        };
+        let mut stats = HomStats::default();
+        // Node budgets are per search, and a witness search over a grown
+        // branch may need more nodes than the one that first found the
+        // witness. The rescanning chase re-ran those searches at every
+        // step, so under a node budget they are re-run here too: a cut
+        // re-check stays the error it always was.
+        if config.node_budget.is_some() {
+            let fired = &self.fired[di];
+            for vals in (0..cursor.next).map(|i| matches.get(i)).filter(|v| !fired.contains(*v)) {
+                if let Verdict::Unknown { budget } =
+                    plan.witnessed(&self.instance, vals, config, &mut stats)
+                {
+                    return Err(budget);
+                }
+            }
+        }
+        // Matches at or past the cursor are unfired: the list was
+        // filtered when enumerated, and this dependency fires only the
+        // match at its cursor.
+        while cursor.next < matches.len {
+            let vals = matches.get(cursor.next);
+            match plan.witnessed(&self.instance, vals, config, &mut stats) {
+                Verdict::Holds => cursor.next += 1,
+                Verdict::Fails => return Ok(Some(vals.to_vec())),
+                Verdict::Unknown { budget } => return Err(budget),
+            }
+        }
+        match matches.cut {
+            Some(budget) => Err(budget),
+            None => Ok(None),
+        }
+    }
+
+    /// Find the first unfired, unwitnessed trigger in the branch:
+    /// lowest dependency index, then premise-match order.
+    fn next_trigger(
+        &mut self,
+        plans: &[DependencyPlan],
+        config: &HomConfig,
+    ) -> Result<Option<(usize, Vec<Value>)>, Exhausted> {
+        for (di, plan) in plans.iter().enumerate() {
+            if let Some(vals) = self.first_trigger(di, plan, config)? {
+                return Ok(Some((di, vals)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Insert a fact; a new one stales the matches of every dependency
+    /// whose premise reads its relation.
+    fn insert(&mut self, fact: Fact, readers: &FxHashMap<RelId, Vec<usize>>) {
+        let rel = fact.relation();
+        if self.instance.insert(fact) {
+            for &di in readers.get(&rel).into_iter().flatten() {
+                self.cursors[di].matches = None;
+            }
+        }
+    }
 }
 
 /// Run the disjunctive chase of `instance` with `dependencies`.
@@ -85,6 +223,11 @@ struct Branch {
 /// witnessed there; firing replaces the branch by one child per
 /// disjunct. Deterministic: triggers are processed in dependency order,
 /// then premise-match order.
+///
+/// Each branch keeps one trigger cursor per dependency, so a step
+/// resumes where the previous one stopped instead of re-enumerating
+/// every premise; the last child of a step takes the parent branch by
+/// move, so a single-disjunct step copies nothing.
 pub fn disjunctive_chase(
     instance: &Instance,
     dependencies: &[Dependency],
@@ -93,11 +236,24 @@ pub fn disjunctive_chase(
 ) -> Result<DisjunctiveChaseResult, ChaseError> {
     // Compiled once and shared by every branch.
     let plans: Vec<DependencyPlan> = dependencies.iter().map(DependencyPlan::compile).collect();
+    // The dependencies whose premise reads each relation: a new fact
+    // there stales their matches.
+    let mut readers: FxHashMap<RelId, Vec<usize>> = FxHashMap::default();
+    for (di, plan) in plans.iter().enumerate() {
+        let premise = plan.premise();
+        for i in 0..premise.num_atoms() {
+            readers.entry(premise.atom_rel(i)).or_default().push(di);
+        }
+    }
     let mut steps: u64 = 0;
-    let mut work = vec![Branch { instance: instance.clone(), fired: FxHashSet::default() }];
+    let mut work = vec![Branch {
+        instance: instance.clone(),
+        fired: vec![FxHashSet::default(); plans.len()],
+        cursors: vec![TriggerCursor::default(); plans.len()],
+    }];
     let mut leaves: Vec<Instance> = Vec::new();
 
-    while let Some(branch) = work.pop() {
+    while let Some(mut branch) = work.pop() {
         // Per-branch cancellation and fault injection: the branching
         // loop is the disjunctive chase's hot loop, mirroring the
         // standard chase's per-round check.
@@ -105,43 +261,53 @@ pub fn disjunctive_chase(
         if ctx.should_inject("chase.disj.branch") || ctx.is_cancelled() {
             return Err(cut(Exhausted::Cancelled, steps));
         }
-        match next_trigger(&branch, &plans, &options.hom).map_err(|b| cut(b, steps))? {
-            None => leaves.push(branch.instance),
-            Some((di, vals)) => {
-                steps += 1;
-                if steps > options.max_steps {
-                    return Err(ChaseError::RoundBudgetExhausted { rounds: options.max_steps });
-                }
-                let key = (di, vals.clone());
-                for template in plans[di].templates() {
-                    let fresh: Vec<Value> = (0..template.num_existentials())
-                        .map(|_| Value::Null(vocab.fresh_null()))
-                        .collect();
-                    let mut child_instance = branch.instance.clone();
-                    template.instantiate(&vals, &fresh, |fact| {
-                        child_instance.insert(fact);
-                    });
-                    if child_instance.len() > options.max_facts {
-                        return Err(ChaseError::FactBudgetExhausted { facts: options.max_facts });
-                    }
-                    let mut child_fired = branch.fired.clone();
-                    child_fired.insert(key.clone());
-                    work.push(Branch { instance: child_instance, fired: child_fired });
-                    if work.len() + leaves.len() > options.max_branches {
-                        return Err(ChaseError::BranchBudgetExhausted {
-                            branches: options.max_branches,
-                        });
-                    }
-                }
+        let Some((di, vals)) =
+            branch.next_trigger(&plans, &options.hom).map_err(|b| cut(b, steps))?
+        else {
+            leaves.push(branch.instance);
+            continue;
+        };
+        steps += 1;
+        if steps > options.max_steps {
+            return Err(ChaseError::RoundBudgetExhausted { rounds: options.max_steps });
+        }
+        // Every child fires the trigger, so record it before they split.
+        branch.cursors[di].next += 1;
+        branch.fired[di].insert(vals.clone());
+        // One child per disjunct, pushed (and allocating fresh nulls) in
+        // disjunct order; the last takes the parent instead of a copy.
+        let mut spawn = |mut child: Branch, template: &FiringTemplate| {
+            let fresh: Vec<Value> =
+                (0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())).collect();
+            template.instantiate(&vals, &fresh, |fact| child.insert(fact, &readers));
+            if child.instance.len() > options.max_facts {
+                return Err(ChaseError::FactBudgetExhausted { facts: options.max_facts });
             }
+            work.push(child);
+            if work.len() + leaves.len() > options.max_branches {
+                return Err(ChaseError::BranchBudgetExhausted { branches: options.max_branches });
+            }
+            Ok(())
+        };
+        if let Some((last, rest)) = plans[di].templates().split_last() {
+            for template in rest {
+                spawn(branch.clone(), template)?;
+            }
+            spawn(branch, last)?;
         }
     }
 
-    // Exact-duplicate removal (set semantics of the leaf set).
-    let mut seen: FxHashSet<Instance> = FxHashSet::default();
-    let mut unique: Vec<Instance> = Vec::new();
+    // Exact-duplicate removal (set semantics of the leaf set), keeping
+    // first occurrences: leaves sharing a fingerprint are compared on
+    // their indexes.
+    let mut by_fingerprint: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+    let mut unique: Vec<Instance> = Vec::with_capacity(leaves.len());
     for leaf in leaves {
-        if seen.insert(leaf.clone()) {
+        let mut h = FxHasher::default();
+        leaf.hash(&mut h);
+        let same = by_fingerprint.entry(h.finish()).or_default();
+        if !same.iter().any(|&i| unique[i] == leaf) {
+            same.push(unique.len());
             unique.push(leaf);
         }
     }
@@ -187,55 +353,6 @@ fn cut(budget: Exhausted, steps: u64) -> ChaseError {
         }
         budget => ChaseError::MatchBudgetExhausted { budget },
     }
-}
-
-/// First unfired, unsatisfied trigger of one dependency in a branch,
-/// or the budget that cut a search before the answer was known.
-fn first_trigger(
-    di: usize,
-    plan: &DependencyPlan,
-    branch: &Branch,
-    config: &HomConfig,
-) -> Result<Option<Vec<Value>>, Exhausted> {
-    let mut found: Option<Vec<Value>> = None;
-    let mut undecided: Option<Exhausted> = None;
-    let mut stats = HomStats::default();
-    let report = plan.premise().for_each_match(&branch.instance, config, |vals| {
-        if branch.fired.contains(&(di, vals.to_vec())) {
-            return true;
-        }
-        // Satisfaction check: skip if some disjunct already holds.
-        match plan.witnessed(&branch.instance, vals, config, &mut stats) {
-            Verdict::Holds => true,
-            Verdict::Fails => {
-                found = Some(vals.to_vec());
-                false
-            }
-            Verdict::Unknown { budget } => {
-                undecided = Some(budget);
-                false
-            }
-        }
-    });
-    match undecided.or(report.exhausted) {
-        Some(budget) => Err(budget),
-        None => Ok(found),
-    }
-}
-
-/// Find the first unfired, unsatisfied trigger in a branch:
-/// lowest dependency index, then premise-match order.
-fn next_trigger(
-    branch: &Branch,
-    plans: &[DependencyPlan],
-    config: &HomConfig,
-) -> Result<Option<(usize, Vec<Value>)>, Exhausted> {
-    for (di, plan) in plans.iter().enumerate() {
-        if let Some(vals) = first_trigger(di, plan, branch, config)? {
-            return Ok(Some((di, vals)));
-        }
-    }
-    Ok(None)
 }
 
 #[cfg(test)]

@@ -328,12 +328,21 @@ fn hom_config(opts: &Options) -> HomConfig {
 /// `--variant` chase (the default variant when the flag is absent).
 fn chase_options(opts: &Options) -> ChaseOptions {
     ChaseOptions {
-        hom: hom_config(opts),
         checkpoint: opts
             .checkpoint
             .as_deref()
             .map(|path| CheckpointPolicy::new(path, opts.checkpoint_every)),
         resume_from: opts.resume.as_deref().map(Into::into),
+        ..forward_chase_options(opts)
+    }
+}
+
+/// Options for a forward chase that keeps no checkpoint (the one in
+/// front of `reverse` and `certain`): the command's budgets and context
+/// on the `--variant` chase.
+fn forward_chase_options(opts: &Options) -> ChaseOptions {
+    ChaseOptions {
+        hom: hom_config(opts),
         ..ChaseOptions::for_variant(opts.variant.unwrap_or_default())
     }
 }
@@ -375,10 +384,10 @@ fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
     let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
-    let hom = hom_config(opts);
-    let forward = ChaseOptions { hom: hom.clone(), ..ChaseOptions::default() };
+    let forward = forward_chase_options(opts);
     let u = chase_mapping(&instance, &mapping, &mut vocab, &forward).map_err(chase_err)?;
-    let options = DisjunctiveChaseOptions { hom, ..DisjunctiveChaseOptions::default() };
+    let options =
+        DisjunctiveChaseOptions { hom: forward.hom, ..DisjunctiveChaseOptions::default() };
     let result =
         disjunctive_chase(&u, &reverse.dependencies, &mut vocab, &options).map_err(chase_err)?;
     println!("# {} leaf instance(s)", result.leaves.len());
@@ -392,9 +401,9 @@ fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
 fn cmd_invert(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
+    let options = QuasiInverseOptions { ctx: exec_context(opts), ..QuasiInverseOptions::default() };
     let recovery =
-        maximum_extended_recovery_full(&mapping, &mut vocab, &QuasiInverseOptions::default())
-            .map_err(|e| e.to_string())?;
+        maximum_extended_recovery_full(&mapping, &mut vocab, &options).map_err(core_err)?;
     print!("{}", printer::mapping(&vocab, &recovery));
     Ok(())
 }
@@ -615,13 +624,15 @@ fn cmd_certain(opts: &Options) -> Result<(), CliError> {
     let instance = load_instance(&mut vocab, opts.positional(2, "instance file")?)?;
     let query_text = opts.positional(3, "query")?;
     let q = ConjunctiveQuery::parse(&mut vocab, query_text).map_err(|e| e.to_string())?;
-    let answers = rde_query::reverse_certain_answers(
+    let forward = forward_chase_options(opts);
+    let u = chase_mapping(&instance, &mapping, &mut vocab, &forward).map_err(chase_err)?;
+    let answers = rde_query::reverse_certain_answers_from_target(
         &q,
-        &instance,
+        &u,
         &mapping,
         &reverse,
         &mut vocab,
-        &DisjunctiveChaseOptions { hom: hom_config(opts), ..DisjunctiveChaseOptions::default() },
+        &DisjunctiveChaseOptions { hom: forward.hom, ..DisjunctiveChaseOptions::default() },
     )
     .map_err(chase_err)?;
     println!("# {} certain answer(s)", answers.len());

@@ -62,6 +62,21 @@ fn expired_deadline_cancels_the_checkers_and_the_census() {
 }
 
 #[test]
+fn expired_deadline_cancels_the_recovery_construction() {
+    let output = rde()
+        .args(["invert", &example("decomposition.map"), "--deadline-ms", "0"])
+        .output()
+        .expect("spawn rde");
+    assert_eq!(output.status.code(), Some(EXIT_CANCELLED), "status: {:?}", output.status);
+    assert!(output.stdout.is_empty(), "no partial recovery: {:?}", output.stdout);
+
+    // Control: without a deadline the recovery is printed.
+    let output = rde().args(["invert", &example("decomposition.map")]).output().expect("spawn rde");
+    assert_eq!(output.status.code(), Some(0), "{:?}", output.status);
+    assert!(String::from_utf8_lossy(&output.stdout).contains("->"));
+}
+
+#[test]
 fn generous_deadline_does_not_disturb_a_fast_run() {
     let output = rde()
         .args(["chase", &example("two_step.map"), &example("flights.inst")])

@@ -104,3 +104,33 @@ fn loss_report_data() {
     assert!(out.contains("lost pairs:"), "{out}");
     assert!(!out.contains("lost pairs:       0 "), "the union mapping must lose pairs: {out}");
 }
+
+#[test]
+fn reverse_and_certain_chase_forward_with_the_chosen_variant() {
+    let dir = std::env::temp_dir().join(format!("rde-cli-variant-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_string_lossy().into_owned()
+    };
+    let map = write("m.map", "source: P/2\ntarget: Q/2\nP(x, y) -> exists z . Q(x, z)\n");
+    let rev = write("m.rev", "source: Q/2\ntarget: P/2\nQ(x, z) -> exists y . P(x, y)\n");
+    let inst = write("i.inst", "P(a, b)\nP(a, c)\n");
+    // The oblivious forward chase invents Q(a, ?n0) and Q(a, ?n1), so
+    // the reverse chase's one firing mints ?n2; the restricted chase
+    // stops at Q(a, ?n0), so it mints ?n1.
+    for (variant, leaf) in [(None, "P(a, ?n2)"), (Some("restricted"), "P(a, ?n1)")] {
+        let mut args = vec!["reverse", &map, &rev, &inst];
+        args.extend(variant.iter().flat_map(|v| ["--variant", v]));
+        let (ok, out) = rde(&args);
+        assert!(ok, "{out}");
+        assert!(out.contains("# 1 leaf instance(s)"), "{out}");
+        assert!(out.contains(leaf), "--variant {variant:?}: expected {leaf}\n{out}");
+    }
+    let (ok, out) =
+        rde(&["certain", &map, &rev, &inst, "q(x) :- P(x, y)", "--variant", "restricted"]);
+    assert!(ok, "{out}");
+    assert!(out.contains("# 1 certain answer(s)\n(a)"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}

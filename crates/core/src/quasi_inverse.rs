@@ -47,6 +47,7 @@
 use rde_chase::{chase, ChaseOptions};
 use rde_deps::{Atom, Conjunct, Dependency, Premise, SchemaMapping, Term, VarId};
 use rde_faults::ExecContext;
+use rde_hom::HomConfig;
 use rde_model::fx::{FxHashMap, FxHashSet};
 use rde_model::{Instance, Value, Vocabulary};
 
@@ -65,8 +66,10 @@ pub struct QuasiInverseOptions {
     /// alternative explanations).
     pub max_cover_size: usize,
     /// Execution context: the cancel token is polled once per
-    /// `(tgd, equality type)` unit of work, and the fault injector
-    /// drives the `core.quasi.construct` point.
+    /// `(tgd, equality type)` unit of work and by every search of the
+    /// construction's chases, and the fault injector drives the
+    /// `core.quasi.construct` point (and `hom.search.exhaust` in those
+    /// searches).
     pub ctx: ExecContext,
 }
 
@@ -216,12 +219,19 @@ fn freeze_dep_atoms(
     atoms.iter().map(|a| a.instantiate(&|v: VarId| frozen.value(var_to_class[&v]))).collect()
 }
 
+/// Chase a block or cover into the target under the construction's
+/// context, so a cancellation also stops the chase's searches.
 fn chase_to_target(
     instance: &Instance,
     mapping: &SchemaMapping,
     vocab: &mut Vocabulary,
+    ctx: &ExecContext,
 ) -> Result<Instance, CoreError> {
-    let result = chase(instance, &mapping.dependencies, vocab, &ChaseOptions::default())?;
+    let options = ChaseOptions {
+        hom: HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
+        ..ChaseOptions::default()
+    };
+    let result = chase(instance, &mapping.dependencies, vocab, &options)?;
     Ok(result.instance.restrict_to(&mapping.target))
 }
 
@@ -285,7 +295,7 @@ fn enumerate_blocks(
                 .map(|a| a.instantiate(&|v: VarId| assignment[&v]))
                 .collect();
             if seen.insert(atoms.clone()) {
-                let export = chase_to_target(&atoms, mapping, vocab)?;
+                let export = chase_to_target(&atoms, mapping, vocab, &options.ctx)?;
                 let visible = frozen.class_only(&export);
                 let contributes = visible.facts().any(|f| c_e.contains(&f));
                 if contributes {
@@ -364,7 +374,7 @@ fn minimal_covers(
                 for &b in &combo {
                     union = union.union(&renamed[b]);
                 }
-                let export = chase_to_target(&union, mapping, vocab)?;
+                let export = chase_to_target(&union, mapping, vocab, &options.ctx)?;
                 if c_e.is_subset_of(&frozen.class_only(&export)) {
                     cover_indices.push(combo.clone());
                     covers.push(union);

@@ -80,6 +80,22 @@ impl RelationData {
         self.dedup.contains_key(tuple)
     }
 
+    /// Set equality of the tuples (insertion order ignored).
+    fn same_tuples(&self, other: &RelationData) -> bool {
+        self.len() == other.len() && self.tuples().all(|t| other.contains(t))
+    }
+
+    /// Order-independent hash of the facts `rel(t)`: the wrapping sum of
+    /// each fact's own hash, as [`Fact`]'s `Hash` computes it.
+    fn fact_hash_sum(&self, rel: RelId) -> u64 {
+        self.tuples().fold(0u64, |acc, t| {
+            let mut h = FxHasher::default();
+            rel.hash(&mut h);
+            t.hash(&mut h);
+            acc.wrapping_add(h.finish())
+        })
+    }
+
     /// Insert a tuple; `true` if it was new.
     fn insert(&mut self, tuple: &[Value]) -> bool {
         if self.dedup.contains_key(tuple) {
@@ -345,6 +361,26 @@ impl Instance {
         self.facts().all(|f| other.contains(&f))
     }
 
+    /// An order-independent hash of the facts over `rels`, consistent
+    /// with [`Instance::same_facts_over`]: instances that agree on those
+    /// relations get equal fingerprints. Used to group instances that a
+    /// query reading only `rels` cannot tell apart.
+    pub fn fingerprint_over(&self, rels: &[RelId]) -> u64 {
+        rels.iter()
+            .filter_map(|&r| self.relation(r).map(|d| d.fact_hash_sum(r)))
+            .fold(0u64, u64::wrapping_add)
+    }
+
+    /// Do `self` and `other` hold the same facts over `rels`? Compared
+    /// relation by relation on the dedup indexes, without copying facts.
+    pub fn same_facts_over(&self, other: &Instance, rels: &[RelId]) -> bool {
+        rels.iter().all(|&r| match (self.relation(r), other.relation(r)) {
+            (None, None) => true,
+            (Some(a), Some(b)) => a.same_tuples(b),
+            _ => false,
+        })
+    }
+
     /// Remove one fact in place, if present; returns `true` when removed.
     ///
     /// The mutating complement of [`Instance::without_fact`]: O(arity)
@@ -395,7 +431,10 @@ impl Instance {
 impl PartialEq for Instance {
     /// Set equality of facts.
     fn eq(&self, other: &Self) -> bool {
-        self.fact_count == other.fact_count && self.is_subset_of(other)
+        // Equal counts and every non-empty relation of `self` equal in
+        // `other` leave `other` no room for further facts.
+        self.fact_count == other.fact_count
+            && self.relations().all(|(r, d)| other.relation(r).is_some_and(|o| d.same_tuples(o)))
     }
 }
 
@@ -405,12 +444,7 @@ impl Hash for Instance {
     /// Order-independent hash (sum of per-fact hashes), consistent with
     /// the set-equality `PartialEq`.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut acc: u64 = 0;
-        for f in self.facts() {
-            let mut h = FxHasher::default();
-            f.hash(&mut h);
-            acc = acc.wrapping_add(h.finish());
-        }
+        let acc = self.relations().fold(0u64, |acc, (r, d)| acc.wrapping_add(d.fact_hash_sum(r)));
         state.write_u64(acc);
         state.write_usize(self.fact_count);
     }
@@ -506,6 +540,42 @@ mod tests {
         assert_eq!(h(&a), h(&b));
         b.insert(fact(0, &[c(2)]));
         assert_ne!(a, b);
+        // A relation emptied by removal is no relation at all.
+        b.remove_fact(&fact(0, &[c(2)]));
+        b.insert(fact(1, &[c(0)]));
+        b.remove_fact(&fact(1, &[c(0)]));
+        assert_eq!(a, b);
+        assert_eq!(h(&a), h(&b));
+    }
+
+    #[test]
+    fn facts_over_a_relation_subset_compare_and_fingerprint_alike() {
+        let mut a = Instance::new();
+        a.insert(fact(0, &[c(0), n(0)]));
+        a.insert(fact(0, &[c(1), c(1)]));
+        a.insert(fact(1, &[c(5)]));
+        let mut b = Instance::new();
+        b.insert(fact(0, &[c(1), c(1)]));
+        b.insert(fact(0, &[c(0), n(0)]));
+        b.insert(fact(2, &[c(7)]));
+        let r0 = [RelId(0)];
+        assert!(a.same_facts_over(&b, &r0));
+        assert_eq!(a.fingerprint_over(&r0), b.fingerprint_over(&r0));
+        let r01 = [RelId(0), RelId(1)];
+        assert!(!a.same_facts_over(&b, &r01), "R1 is empty in b");
+        assert!(a.same_facts_over(&b, &[RelId(3)]), "both empty");
+        assert!(a.same_facts_over(&b, &[]));
+        b.insert(fact(0, &[c(2), c(2)]));
+        assert!(!a.same_facts_over(&b, &r0));
+        // Over every relation, the fingerprint is the instance hash's
+        // fact sum, so `Hash` and the subset fingerprint agree.
+        let all = [RelId(0), RelId(1), RelId(2)];
+        let sum = a.facts().fold(0u64, |acc, f| {
+            let mut h = FxHasher::default();
+            f.hash(&mut h);
+            acc.wrapping_add(h.finish())
+        });
+        assert_eq!(a.fingerprint_over(&all), sum);
     }
 
     #[test]

@@ -14,11 +14,12 @@ pub fn drop_nulls(answers: &AnswerSet) -> AnswerSet {
     answers.iter().filter(|t| t.iter().all(|v| v.is_const())).cloned().collect()
 }
 
-/// Intersection of a family of answer sets. An empty family is the
-/// identity for intersection only with a universe, which we do not have;
-/// we follow the convention of the paper's usage sites (the family is
-/// never empty there — the disjunctive chase of any instance has at
-/// least one leaf) and return the empty set for an empty family.
+/// Intersection of a family of answer sets, shrinking the first in
+/// place. An empty family is the identity for intersection only with a
+/// universe, which we do not have; we follow the convention of the
+/// paper's usage sites (the family is never empty there — the
+/// disjunctive chase of any instance has at least one leaf) and return
+/// the empty set for an empty family.
 pub fn intersect_all<I>(sets: I) -> AnswerSet
 where
     I: IntoIterator<Item = AnswerSet>,
@@ -27,7 +28,16 @@ where
     let Some(first) = iter.next() else {
         return AnswerSet::new();
     };
-    iter.fold(first, |acc, s| acc.intersection(&s).cloned().collect())
+    iter.fold(first, |mut acc, s| {
+        // `retain` visits `acc` in ascending order: merge-walk `s`
+        // alongside it instead of building a new set per member.
+        let mut other = s.iter().peekable();
+        acc.retain(|t| {
+            while other.next_if(|o| *o < t).is_some() {}
+            other.next_if_eq(&t).is_some()
+        });
+        acc
+    })
 }
 
 #[cfg(test)]

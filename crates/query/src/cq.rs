@@ -104,21 +104,32 @@ impl ConjunctiveQuery {
 /// body into `I`. Answers may contain nulls; use [`evaluate_null_free`]
 /// for `q(I)↓`.
 pub fn evaluate(q: &ConjunctiveQuery, instance: &Instance) -> AnswerSet {
-    let plan = DependencyPlan::compile(&q.dep);
-    let mut out = AnswerSet::new();
-    plan.premise().for_each_match(instance, &HomConfig::default(), |vals| {
-        // The head has no existentials: its one "firing" is the answer.
-        plan.templates()[0].instantiate(vals, &[], |head| {
-            out.insert(head.args().to_vec());
-        });
-        true
-    });
-    out
+    evaluate_plan(&DependencyPlan::compile(&q.dep), instance, false)
 }
 
 /// Evaluate `q(I)↓`: the null-free answers.
 pub fn evaluate_null_free(q: &ConjunctiveQuery, instance: &Instance) -> AnswerSet {
-    crate::answers::drop_nulls(&evaluate(q, instance))
+    evaluate_plan(&DependencyPlan::compile(&q.dep), instance, true)
+}
+
+/// `q(I)` through a plan compiled from `q`'s dependency, keeping only
+/// the null-free answers when `null_free` is set (`q(I)↓`).
+pub(crate) fn evaluate_plan(
+    plan: &DependencyPlan,
+    instance: &Instance,
+    null_free: bool,
+) -> AnswerSet {
+    let mut out = AnswerSet::new();
+    plan.premise().for_each_match(instance, &HomConfig::default(), |vals| {
+        // The head has no existentials: its one "firing" is the answer.
+        plan.templates()[0].instantiate(vals, &[], |head| {
+            if !null_free || head.args().iter().all(|v| v.is_const()) {
+                out.insert(head.args().to_vec());
+            }
+        });
+        true
+    });
+    out
 }
 
 #[cfg(test)]

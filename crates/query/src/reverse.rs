@@ -1,21 +1,58 @@
 //! Certain answers and reverse query answering (Section 6.2).
 
 use rde_chase::{
-    chase_mapping, disjunctive_chase, ChaseError, ChaseOptions, DisjunctiveChaseOptions,
+    chase_mapping, disjunctive_chase, ChaseError, ChaseOptions, DependencyPlan,
+    DisjunctiveChaseOptions,
 };
 use rde_deps::SchemaMapping;
-use rde_model::{Instance, Vocabulary};
+use rde_model::fx::FxHashMap;
+use rde_model::{Instance, RelId, Vocabulary};
 
-use crate::answers::{drop_nulls, intersect_all, AnswerSet};
-use crate::cq::{evaluate, ConjunctiveQuery};
+use crate::answers::AnswerSet;
+use crate::cq::{evaluate_plan, ConjunctiveQuery};
 
 /// `(⋂_K q(K))↓` over a family of instances — the right-hand side of
-/// Theorem 6.5.
+/// Theorem 6.5. Empty for an empty family.
+///
+/// `q(K)` reads only the query's body relations, so instances that
+/// agree on them (the leaves of a disjunctive chase typically differ
+/// only in the relations a disjunction chose between) are evaluated
+/// once: they are grouped by a fingerprint of those facts, confirmed by
+/// set equality. The intersection shrinks in place and stops at the
+/// first empty one.
 pub fn certain_answers_over<'a>(
     q: &ConjunctiveQuery,
     instances: impl IntoIterator<Item = &'a Instance>,
 ) -> AnswerSet {
-    drop_nulls(&intersect_all(instances.into_iter().map(|k| evaluate(q, k))))
+    let plan = DependencyPlan::compile(q.as_dependency());
+    let body = body_relations(q);
+    let mut evaluated: FxHashMap<u64, Vec<&Instance>> = FxHashMap::default();
+    let mut certain: Option<AnswerSet> = None;
+    for k in instances {
+        let group = evaluated.entry(k.fingerprint_over(&body)).or_default();
+        if group.iter().any(|seen| seen.same_facts_over(k, &body)) {
+            continue;
+        }
+        group.push(k);
+        let answers = evaluate_plan(&plan, k, true);
+        if let Some(acc) = certain.as_mut() {
+            acc.retain(|t| answers.contains(t));
+        } else {
+            certain = Some(answers);
+        }
+        if certain.as_ref().is_some_and(AnswerSet::is_empty) {
+            break;
+        }
+    }
+    certain.unwrap_or_default()
+}
+
+/// The relations the query's body reads, sorted and deduplicated.
+fn body_relations(q: &ConjunctiveQuery) -> Vec<RelId> {
+    let mut rels: Vec<RelId> = q.as_dependency().premise.atoms.iter().map(|a| a.rel).collect();
+    rels.sort_unstable();
+    rels.dedup();
+    rels
 }
 
 /// Classic ("direct") certain answers of a conjunctive query over the
@@ -39,7 +76,9 @@ pub fn forward_certain_answers(
 /// query `q`, and the original source instance `I` (used only to compute
 /// `U = chase_M(I)`, which is what survives after the exchange):
 /// compute `K = chase_{M′}(U)` by the disjunctive chase, restrict every
-/// leaf to the source schema, and return `(⋂_{K} q(K))↓`.
+/// leaf to the source schema, and return `(⋂_{K} q(K))↓` (computed on
+/// the leaves themselves, which agree with their restrictions on every
+/// relation a source query reads).
 ///
 /// By Theorem 6.5 this equals `certain_{e(M) ∘ e(M′)}(q, I)`; by
 /// Theorem 6.4, when `M′` is an extended *inverse* it equals `q(I)↓`.
@@ -70,9 +109,15 @@ pub fn reverse_certain_answers_from_target(
     options: &DisjunctiveChaseOptions,
 ) -> Result<AnswerSet, ChaseError> {
     let result = disjunctive_chase(target, &recovery.dependencies, vocab, options)?;
-    let leaves: Vec<Instance> =
-        result.leaves.iter().map(|l| l.restrict_to(&mapping.source)).collect();
-    Ok(certain_answers_over(q, leaves.iter()))
+    // The query reads only its body relations, and on the source
+    // schema's relations every leaf agrees with its source restriction:
+    // the leaves are evaluated as they are. A body relation outside the
+    // source schema is empty in every restriction, so nothing is
+    // certain.
+    if body_relations(q).iter().any(|&r| !mapping.source.contains(r)) {
+        return Ok(AnswerSet::new());
+    }
+    Ok(certain_answers_over(q, &result.leaves))
 }
 
 #[cfg(test)]

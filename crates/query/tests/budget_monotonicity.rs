@@ -2,7 +2,9 @@
 //! may stop the forward or the disjunctive chase, but it never yields a
 //! wrong answer set. Along `0, 1, 2, 4, …` every run either reports
 //! `MatchBudgetExhausted` or returns exactly the unbounded answers, and
-//! once a budget answers, every larger one does too.
+//! once a budget answers, every larger one does too. The recoveries
+//! cover a union (disjunction), a decomposition (existentials) and a
+//! recursive disjunctive set.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -37,6 +39,17 @@ const DECOMPOSITION: Workload = Workload {
         "xz(x, z) :- P(x, y, z)",
         "chain(x) :- P(x, y, z) & P(y, u, w)",
     ],
+};
+
+/// A recursive disjunctive recovery: its last rule reads `A` and `E`,
+/// which it and the rule before it write, so a firing re-opens premise
+/// matches of earlier dependencies.
+const RECURSIVE: Workload = Workload {
+    mapping: "source: A/1, E/2\ntarget: R/1, G/2\nA(x) -> R(x)\nE(x, y) -> G(x, y)",
+    recovery: "source: R/1, G/2, A/1, E/2\ntarget: A/1, E/2\n\
+               G(x, y) -> E(x, y)\nR(x) -> A(x) | E(x, x)\n\
+               A(x) & E(x, y) -> A(y) | E(y, y)",
+    queries: &["qa(x) :- A(x)", "loop(x) :- E(x, x)", "reach(y) :- A(x) & E(x, y)"],
 };
 
 /// A generated source fact: which relation (for the union), then three
@@ -144,6 +157,11 @@ proptest! {
     #[test]
     fn decomposition_answers_are_exact_or_cut(facts in facts()) {
         check(&DECOMPOSITION, &facts)?;
+    }
+
+    #[test]
+    fn recursive_disjunctive_answers_are_exact_or_cut(facts in facts()) {
+        check(&RECURSIVE, &facts)?;
     }
 }
 
