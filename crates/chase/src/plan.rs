@@ -331,9 +331,22 @@ impl SatisfactionPlan {
         stats: &mut HomStats,
     ) -> Verdict {
         debug_assert_eq!(premise_vals.len(), self.n_premise);
-        let seed: Vec<Option<Value>> = premise_vals.iter().map(|&v| Some(v)).collect();
+        // The seed lives on the stack: this check runs once or twice per
+        // restricted-chase trigger, and for a full tgd it is a single
+        // membership probe that allocates nothing else.
+        let mut stack = [None; SEED_STACK_SLOTS];
+        let heap: Vec<Option<Value>>;
+        let seed: &[Option<Value>] = if premise_vals.len() <= SEED_STACK_SLOTS {
+            for (slot, &v) in stack.iter_mut().zip(premise_vals) {
+                *slot = Some(v);
+            }
+            &stack[..premise_vals.len()]
+        } else {
+            heap = premise_vals.iter().map(|&v| Some(v)).collect();
+            &heap
+        };
         let mut found = false;
-        let report = self.pattern.for_each_match(instance, &seed, config, |_| {
+        let report = self.pattern.for_each_match(instance, seed, config, |_| {
             found = true;
             false
         });
@@ -345,6 +358,10 @@ impl SatisfactionPlan {
         }
     }
 }
+
+/// Premise slot count up to which a satisfaction check seeds its search
+/// from a stack array instead of a heap vector.
+const SEED_STACK_SLOTS: usize = 16;
 
 /// One argument of a conclusion atom, resolved for direct instantiation.
 #[derive(Debug, Clone, Copy)]

@@ -214,9 +214,11 @@ pub struct ChaseResult {
 /// Candidate triggers of one dependency collected in one round.
 #[derive(Default)]
 struct DepCandidates {
-    /// `(assignment, satisfied)`: slot-ordered values, and whether the
-    /// restricted pre-check found the conclusion already witnessed.
-    list: Vec<(Vec<Value>, bool)>,
+    /// New triggers to fire, as slot-ordered values, in enumeration
+    /// order.
+    pending: Vec<Vec<Value>>,
+    /// New triggers the restricted pre-check found already witnessed.
+    satisfied: u64,
     matches: u64,
     duplicates: u64,
     hom: HomStats,
@@ -248,25 +250,27 @@ impl<'a> DeltaBuckets<'a> {
     }
 }
 
-/// Enumerate one dependency's new triggers against `current`,
-/// read-only. `delta` is `None` for a full enumeration (round 0 /
-/// naive) and `Some(buckets)` for a delta round; `restricted` runs the
+/// Enumerate one dependency's new triggers against `current`, which it
+/// only reads. Each new trigger key goes straight into `fired`, the
+/// dependency's set of recorded keys, so a key met again later in the
+/// same round counts as a duplicate; collection is sequential
+/// (DESIGN.md §13.2), so nothing else reads `fired` meanwhile. `delta`
+/// is `None` for a full enumeration (round 0 / naive) and
+/// `Some(buckets)` for a delta round; `restricted` runs the
 /// satisfaction pre-check on each new trigger. Fails with
 /// [`ChaseError::MatchBudgetExhausted`] when a search hits `hom`'s
 /// budget: a truncated enumeration could silently miss triggers, so the
-/// chase refuses to continue from it.
+/// chase refuses to continue from it (and drops `fired` with the rest
+/// of the run's state).
 fn collect_dep(
-    di: usize,
     plan: &DependencyPlan,
     current: &Instance,
-    fired_keys: &[FxHashSet<Vec<Value>>],
+    fired: &mut FxHashSet<Vec<Value>>,
     delta: Option<&DeltaBuckets<'_>>,
     restricted: bool,
     hom: &HomConfig,
 ) -> Result<DepCandidates, ChaseError> {
     let mut out = DepCandidates::default();
-    let mut local: FxHashSet<Vec<Value>> = FxHashSet::default();
-    let fired = &fired_keys[di];
     // Shared with the match callback (which stops the enumeration when a
     // satisfaction check runs out of budget) — hence a `Cell`, not a
     // mutable borrow the callback would hold across calls.
@@ -274,10 +278,14 @@ fn collect_dep(
     {
         let mut stats = HomStats::default();
         let mut on_match = |vals: &[Value]| {
-            if fired.contains(vals) || !local.insert(vals.to_vec()) {
+            // Probe before copying: under the naive variant almost every
+            // match is a duplicate, and a key copy per duplicate costs
+            // more than the second hash a new key pays.
+            if fired.contains(vals) {
                 out.duplicates += 1;
                 return true;
             }
+            fired.insert(vals.to_vec());
             // Deterministic chaos: a campaign firing here models the
             // restricted-chase satisfaction check dying mid-search (a
             // torn index, a poisoned backend). It must surface exactly
@@ -297,7 +305,11 @@ fn collect_dep(
                         return false;
                     }
                 };
-            out.list.push((vals.to_vec(), satisfied));
+            if satisfied {
+                out.satisfied += 1;
+            } else {
+                out.pending.push(vals.to_vec());
+            }
             true
         };
         match delta {
@@ -454,17 +466,9 @@ pub fn chase(
         let delta_buckets = delta_slice.map(DeltaBuckets::new);
         let collected: Result<Vec<DepCandidates>, ChaseError> = plans
             .iter()
-            .enumerate()
-            .map(|(di, p)| {
-                collect_dep(
-                    di,
-                    p,
-                    &current,
-                    &fired_keys,
-                    delta_buckets.as_ref(),
-                    restricted,
-                    &options.hom,
-                )
+            .zip(&mut fired_keys)
+            .map(|(p, fired)| {
+                collect_dep(p, &current, fired, delta_buckets.as_ref(), restricted, &options.hom)
             })
             .collect();
         let per_dep = match collected {
@@ -484,7 +488,7 @@ pub fn chase(
             }
         };
 
-        // Record every enumerated key and queue the unsatisfied ones.
+        // Queue the unsatisfied triggers (collection recorded every key).
         let mut stats = RoundStats {
             delta: delta_slice.map_or(current.len(), <[Fact]>::len),
             ..RoundStats::default()
@@ -495,7 +499,8 @@ pub fn chase(
             stats.matches += cands.matches;
             stats.duplicates += cands.duplicates;
             stats.hom += cands.hom;
-            if journal_on && (cands.matches > 0 || !cands.list.is_empty()) {
+            let triggers = cands.pending.len() + cands.satisfied as usize;
+            if journal_on && (cands.matches > 0 || triggers > 0) {
                 // Per-dependency attribution: which dependency produced
                 // how many triggers.
                 rde_obs::event(
@@ -504,19 +509,12 @@ pub fn chase(
                         ("round", rounds.into()),
                         ("dep", di.into()),
                         ("matches", cands.matches.into()),
-                        ("triggers", cands.list.len().into()),
+                        ("triggers", triggers.into()),
                     ],
                 );
             }
-            for (vals, satisfied) in cands.list {
-                if satisfied {
-                    stats.satisfied += 1;
-                    fired_keys[di].insert(vals);
-                } else {
-                    fired_keys[di].insert(vals.clone());
-                    pending.push((di, vals));
-                }
-            }
+            stats.satisfied += cands.satisfied;
+            pending.extend(cands.pending.into_iter().map(|vals| (di, vals)));
         }
         if pending.is_empty() {
             // The quiescence check's search work still counts toward the

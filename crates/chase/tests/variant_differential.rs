@@ -13,9 +13,9 @@
 //! the static analyzer before any chase runs.
 
 use proptest::prelude::*;
-use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseVariant};
+use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseVariant, RoundStats};
 use rde_deps::{analyze_dependencies, parse_dependency, Dependency, TerminationVerdict};
-use rde_hom::{core_of, hom_equivalent, is_isomorphic};
+use rde_hom::{core_of, hom_equivalent, is_isomorphic, HomStats};
 use rde_model::{Fact, Instance, Vocabulary};
 
 /// A generated mapping family: a dependency pool (the first rule is
@@ -201,5 +201,113 @@ proptest! {
         facts in abstract_facts(6),
     ) {
         check_family(&PAINT, &picks, &facts);
+    }
+}
+
+/// The benchmark's `triangle_deps(extra = 2)`: copy `E` into `T`,
+/// close `T` along `E`, copy `T` twice, and list triangles whose third
+/// premise atom arrives fully bound.
+const TRIANGLE: &[&str] = &[
+    "E(x, y) -> T(x, y)",
+    "T(x, y) & E(y, z) -> T(x, z)",
+    "T(x, y) -> A0(x, y)",
+    "T(x, y) -> A1(x, y)",
+    "T(x, y) & E(y, z) & T(x, z) -> W(x, y, z)",
+];
+
+/// A 6-cycle over constants plus three chords to labeled nulls and one
+/// constant chord, so the closure meets some pairs along two paths.
+fn null_chord_graph() -> (Vocabulary, Vec<Dependency>, Instance) {
+    let mut vocab = Vocabulary::new();
+    let deps: Vec<Dependency> =
+        TRIANGLE.iter().map(|d| parse_dependency(&mut vocab, d).unwrap()).collect();
+    let e = vocab.find_relation("E").unwrap();
+    let mut edges: Vec<(String, String)> =
+        (0..6).map(|i| (format!("v{i}"), format!("v{}", (i + 1) % 6))).collect();
+    edges.extend(
+        [("v1", "?u0"), ("?u1", "v3"), ("v4", "?u2"), ("v0", "v2")]
+            .map(|(a, b)| (a.to_owned(), b.to_owned())),
+    );
+    let instance = edges
+        .iter()
+        .map(|(a, b)| {
+            let mut value = |name: &str| match name.strip_prefix('?') {
+                Some(null) => vocab.null_value(null),
+                None => vocab.const_value(name),
+            };
+            let args = vec![value(a), value(b)];
+            Fact::new(e, args)
+        })
+        .collect();
+    (vocab, deps, instance)
+}
+
+/// The restricted chase records each trigger key as it collects it, so
+/// a key met twice in one round (two delta facts in one triangle) is a
+/// duplicate and a key fired in an earlier round is never collected
+/// again. Every counter of every round is pinned.
+#[test]
+fn restricted_triangle_round_stats_are_pinned() {
+    let (mut vocab, deps, instance) = null_chord_graph();
+    let options = ChaseOptions::for_variant(ChaseVariant::Restricted);
+    let result = chase(&instance, &deps, &mut vocab, &options).unwrap();
+    // [delta, matches, duplicates, satisfied, triggers, fired, inserted,
+    //  hom nodes, hom backtracks, hom found] per round.
+    let expected: Vec<RoundStats> = [
+        [10, 10, 0, 0, 10, 10, 10, 10, 0, 10],
+        [10, 33, 1, 1, 31, 31, 31, 35, 0, 34],
+        [31, 44, 1, 1, 42, 42, 42, 50, 0, 45],
+        [42, 47, 1, 1, 45, 45, 45, 51, 0, 48],
+        [45, 47, 1, 1, 45, 45, 45, 51, 0, 48],
+        [45, 60, 2, 11, 47, 47, 47, 77, 0, 71],
+        [47, 13, 0, 2, 11, 11, 11, 14, 0, 15],
+    ]
+    .map(|[delta, matches, duplicates, satisfied, triggers, fired, inserted, nodes, backtracks, found]| {
+        RoundStats {
+            delta: delta as usize,
+            matches,
+            duplicates,
+            satisfied,
+            triggers: triggers as usize,
+            fired,
+            inserted: inserted as usize,
+            hom: HomStats { nodes, backtracks, found },
+        }
+    })
+    .to_vec();
+    assert_eq!(result.round_stats, expected);
+    assert_eq!((result.fired, result.instance.len()), (231, 241));
+    assert_eq!(result.hom, HomStats { nodes: 288, backtracks: 0, found: 271 });
+}
+
+/// A budget cut mid-collection, after some keys were recorded, leaves
+/// nothing behind: every budget below the run's largest search fails
+/// with `MatchBudgetExhausted`, and every budget from there on returns
+/// the unbounded run's facts, null ids and counters.
+#[test]
+fn budget_cut_restricted_runs_leak_no_recorded_keys() {
+    let run = |node_budget: Option<u64>| {
+        let (mut vocab, deps, instance) = null_chord_graph();
+        let mut options = ChaseOptions::for_variant(ChaseVariant::Restricted);
+        options.hom.node_budget = node_budget;
+        chase(&instance, &deps, &mut vocab, &options)
+    };
+    let unbounded = run(None).unwrap();
+    let mut budget = 0;
+    let bounded = loop {
+        match run(Some(budget)) {
+            Ok(result) => break result,
+            Err(rde_chase::ChaseError::MatchBudgetExhausted { .. }) => budget += 1,
+            Err(e) => panic!("budget {budget}: unexpected error {e}"),
+        }
+    };
+    // Round 0 enumerates `E`'s 10 facts in one search, so a budget of
+    // 9 cuts it after recording 9 keys.
+    assert_eq!(budget, 10);
+    for result in [bounded, run(Some(budget + 1)).unwrap()] {
+        assert_eq!(fact_seq(&result.instance), fact_seq(&unbounded.instance));
+        assert_eq!(result.fired, unbounded.fired);
+        assert_eq!(result.round_stats, unbounded.round_stats);
+        assert_eq!(result.hom, unbounded.hom);
     }
 }

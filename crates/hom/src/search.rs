@@ -210,6 +210,12 @@ impl CompiledPattern {
     /// this is the semi-naive chase's delta seeding, where one atom is
     /// unified with a delta fact and the rest are matched against the
     /// full instance.
+    ///
+    /// A search with nothing left to choose — every remaining atom fully
+    /// bound by constants and the seed, or no atom left at all — is
+    /// answered by direct membership probes without building the
+    /// backtracking searcher; its report, callback and metrics are the
+    /// searcher's (DESIGN.md §8).
     pub fn for_each_match_excluding(
         &self,
         skip: Option<usize>,
@@ -218,6 +224,125 @@ impl CompiledPattern {
         config: &HomConfig,
         on_found: impl FnMut(&[Option<Value>]) -> bool,
     ) -> SearchReport {
+        self.run(skip, target, seed, config, true, on_found)
+    }
+
+    /// [`Self::for_each_match_excluding`] with the probe-only answer
+    /// turned off: every search builds the backtracking searcher. The
+    /// reference the probe-only path is tested against; not for
+    /// production use.
+    #[doc(hidden)]
+    pub fn for_each_match_excluding_via_searcher(
+        &self,
+        skip: Option<usize>,
+        target: &Instance,
+        seed: &[Option<Value>],
+        config: &HomConfig,
+        on_found: impl FnMut(&[Option<Value>]) -> bool,
+    ) -> SearchReport {
+        self.run(skip, target, seed, config, false, on_found)
+    }
+
+    fn run(
+        &self,
+        skip: Option<usize>,
+        target: &Instance,
+        seed: &[Option<Value>],
+        config: &HomConfig,
+        allow_probe_only: bool,
+        on_found: impl FnMut(&[Option<Value>]) -> bool,
+    ) -> SearchReport {
+        let mut meter = Meter::new(config);
+        // Entry checks give cancellation a per-*search* granularity even
+        // when every individual search is far shorter than one node
+        // stride (the chase fires thousands of tiny premise matches).
+        // The injection point simulates spurious budget exhaustion for
+        // the resilience suite; both paths still flush metrics below.
+        if config.ctx.should_inject("hom.search.exhaust") {
+            meter.exhausted = Some(Exhausted::Nodes(0));
+        } else if config.ctx.is_cancelled() {
+            meter.exhausted = Some(Exhausted::Cancelled);
+        } else if allow_probe_only && self.fully_bound(skip, seed, config) {
+            self.probe_only(skip, target, &seed[..self.n_vars as usize], &mut meter, on_found);
+        } else {
+            meter = self.search(skip, target, seed, meter, on_found);
+        }
+        meter.finish()
+    }
+
+    /// Is every remaining atom fully bound by `Fixed` args and the seed
+    /// (vacuously so when no atom remains)? Only then does the search
+    /// have nothing to choose. The seed must cover every slot, so the
+    /// callback can be handed the seed itself, and each atom must fit
+    /// the stack probe tuple.
+    fn fully_bound(&self, skip: Option<usize>, seed: &[Option<Value>], config: &HomConfig) -> bool {
+        config.use_index
+            && seed.len() >= self.n_vars as usize
+            && self.atoms.iter().enumerate().filter(|&(i, _)| Some(i) != skip).all(|(_, a)| {
+                a.args.len() <= PROBE_ARITY
+                    && a.args.iter().all(|&arg| match arg {
+                        PatArg::Fixed(_) => true,
+                        PatArg::Var(x) => seed[x as usize].is_some(),
+                    })
+            })
+    }
+
+    /// Answer a fully bound search with one membership probe per
+    /// remaining atom, in the order the searcher's `pick` visits them:
+    /// under dynamic ordering an atom over an empty relation first (a
+    /// forward-check prune), else the first atom and then the rest from
+    /// the back; under fixed ordering from the back. A hit charges one
+    /// node, a miss ends the search at no cost, and the match is
+    /// reported once every probe hit. `vals` is the seed, one entry per
+    /// slot.
+    fn probe_only(
+        &self,
+        skip: Option<usize>,
+        target: &Instance,
+        vals: &[Option<Value>],
+        meter: &mut Meter<'_>,
+        mut on_found: impl FnMut(&[Option<Value>]) -> bool,
+    ) {
+        let probe = |atom: &PatternAtom| -> Option<bool> {
+            let mut tuple = [Value::Const(rde_model::ConstId(0)); PROBE_ARITY];
+            for (slot, &arg) in tuple.iter_mut().zip(&atom.args) {
+                *slot = match arg {
+                    PatArg::Fixed(v) => v,
+                    PatArg::Var(x) => vals[x as usize]?,
+                };
+            }
+            let data = target.relation(atom.rel)?;
+            Some(data.contains(&tuple[..atom.args.len()]))
+        };
+        let mut remaining =
+            self.atoms.iter().enumerate().filter(|&(i, _)| Some(i) != skip).map(|(_, a)| a);
+        let dynamic = meter.config.dynamic_order;
+        if dynamic && remaining.clone().any(|a| target.relation(a.rel).is_none()) {
+            meter.prunes += 1;
+            rde_obs::histogram!("chase.match.candidates").record(0);
+            return;
+        }
+        let first = if dynamic { remaining.next() } else { None };
+        let all_hit = first.into_iter().chain(remaining.rev()).all(|atom| {
+            let hit = probe(atom) == Some(true);
+            rde_obs::histogram!("chase.match.candidates").record(u64::from(hit));
+            hit && !meter.charge_node()
+        });
+        if all_hit {
+            meter.stats.found += 1;
+            on_found(vals);
+        }
+    }
+
+    /// Run the backtracking searcher, charging `meter`.
+    fn search<'a>(
+        &'a self,
+        skip: Option<usize>,
+        target: &'a Instance,
+        seed: &[Option<Value>],
+        meter: Meter<'a>,
+        on_found: impl FnMut(&[Option<Value>]) -> bool,
+    ) -> Meter<'a> {
         static EMPTY: std::sync::OnceLock<RelationData> = std::sync::OnceLock::new();
         let empty = EMPTY.get_or_init(RelationData::default);
         let facts: Vec<PatternFact<'_>> = self
@@ -234,73 +359,25 @@ impl CompiledPattern {
         for (slot, &v) in seed.iter().enumerate().take(vals.len()) {
             vals[slot] = v;
         }
-        let mut searcher = Searcher {
-            facts,
-            vals,
-            config,
-            deadline: config.time_budget.map(|d| Instant::now() + d),
-            stats: HomStats::default(),
-            trail: Vec::new(),
-            probe_tuple: Vec::new(),
-            prunes: 0,
-            exhausted: None,
-            on_found,
-        };
-        // Entry checks give cancellation a per-*search* granularity even
-        // when every individual search is far shorter than one node
-        // stride (the chase fires thousands of tiny premise matches).
-        // The injection point simulates spurious budget exhaustion for
-        // the resilience suite; both paths still flush metrics below.
-        if config.ctx.should_inject("hom.search.exhaust") {
-            searcher.exhausted = Some(Exhausted::Nodes(0));
-        } else if config.ctx.is_cancelled() {
-            searcher.exhausted = Some(Exhausted::Cancelled);
-        } else {
-            let mut remaining: Vec<usize> = (0..searcher.facts.len()).collect();
-            searcher.solve(&mut remaining);
-        }
-        // Every homomorphism search in the system (chase premise
-        // matching, hom deciders, core minimization) funnels through
-        // here, so this is the single metrics flush point for the
-        // engine. One relaxed atomic add per *non-zero* counter per
-        // search, not per node: most searches are a handful of probes,
-        // so the zero counters would otherwise dominate the flush.
-        rde_obs::counter!("hom.search.searches").inc();
-        for (n, counter) in [
-            (searcher.stats.nodes, rde_obs::counter!("hom.search.nodes")),
-            (searcher.stats.backtracks, rde_obs::counter!("hom.search.backtracks")),
-            (searcher.stats.found, rde_obs::counter!("hom.search.found")),
-            (searcher.prunes, rde_obs::counter!("hom.search.prunes")),
-            (u64::from(searcher.exhausted.is_some()), rde_obs::counter!("hom.search.exhausted")),
-        ] {
-            if n != 0 {
-                counter.add(n);
-            }
-        }
-        SearchReport { stats: searcher.stats, exhausted: searcher.exhausted }
+        let mut searcher =
+            Searcher { facts, vals, meter, trail: Vec::new(), probe_tuple: Vec::new(), on_found };
+        let mut remaining: Vec<usize> = (0..searcher.facts.len()).collect();
+        searcher.solve(&mut remaining);
+        searcher.meter
     }
 }
 
-struct PatternFact<'a> {
-    rel_data: &'a RelationData,
-    args: &'a [PatArg],
-}
+/// Widest atom the probe-only path assembles on the stack; wider fully
+/// bound atoms go through the searcher, whose probe tuple is a `Vec`.
+const PROBE_ARITY: usize = 16;
 
-struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
-    facts: Vec<PatternFact<'a>>,
-    /// Variable assignment: `vals[v]` is the image of slot `v`.
-    vals: Vec<Option<Value>>,
+/// One search's budget accounting, shared by the searcher and the
+/// probe-only path so both charge nodes and flush metrics alike.
+struct Meter<'a> {
     config: &'a HomConfig,
     /// Wall-clock cutoff derived from [`HomConfig::time_budget`].
     deadline: Option<Instant>,
     stats: HomStats,
-    /// Scratch undo stack of bound slots, shared across the whole
-    /// search: each node records a mark and truncates back to it,
-    /// instead of allocating a fresh trail per candidate row.
-    trail: Vec<u32>,
-    /// Scratch tuple for membership probes of fully bound atoms, reused
-    /// across the whole search.
-    probe_tuple: Vec<Value>,
     /// Forward-check prunes: picks where some remaining fact already
     /// had zero candidate rows, cutting the branch without expanding
     /// it. Flushed to the `hom.search.prunes` metric (deliberately not
@@ -308,66 +385,16 @@ struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
     prunes: u64,
     /// Set when a budget cut the search short.
     exhausted: Option<Exhausted>,
-    /// Callback; returns `false` to stop enumerating.
-    on_found: F,
 }
 
-impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
-    /// Returns `true` if enumeration should stop (callback said stop,
-    /// or a budget was exhausted — see [`Self::exhausted`]).
-    fn solve(&mut self, remaining: &mut Vec<usize>) -> bool {
-        let Some(slot) = self.pick(remaining) else {
-            // All facts covered: report the match.
-            self.stats.found += 1;
-            return !(self.on_found)(&self.vals);
-        };
-        let fact_idx = remaining.swap_remove(slot);
-        let rows = self.candidate_rows(fact_idx);
-        let stopped = self.try_rows(fact_idx, rows, remaining);
-        remaining.push(fact_idx);
-        let last = remaining.len() - 1;
-        remaining.swap(slot, last);
-        stopped
-    }
-
-    fn try_rows(&mut self, fact_idx: usize, rows: Rows<'a>, remaining: &mut Vec<usize>) -> bool {
-        let rows: &[u32] = match rows {
-            Rows::All(n) => {
-                rde_obs::histogram!("chase.match.candidates").record(n as u64);
-                for row in 0..n as u32 {
-                    if self.try_row(fact_idx, row, remaining) {
-                        return true;
-                    }
-                }
-                return false;
-            }
-            // A fully bound atom binds nothing, so a hit is one node with
-            // nothing to unify and a miss is no node at all.
-            Rows::Probe(hit) => {
-                rde_obs::histogram!("chase.match.candidates").record(u64::from(hit));
-                return hit && (self.charge_node() || self.solve(remaining));
-            }
-            Rows::List(rows) => rows,
-        };
-        rde_obs::histogram!("chase.match.candidates").record(rows.len() as u64);
-        rows.iter().any(|&row| self.try_row(fact_idx, row, remaining))
-    }
-
-    /// One node: unify fact `fact_idx` with target row `row` and
-    /// recurse. Returns `true` if enumeration should stop.
-    fn try_row(&mut self, fact_idx: usize, row: u32, remaining: &mut Vec<usize>) -> bool {
-        if self.charge_node() {
-            return true;
-        }
-        let mark = self.trail.len();
-        if self.unify(fact_idx, row) {
-            let stopped = self.solve(remaining);
-            self.undo_to(mark);
-            stopped
-        } else {
-            self.stats.backtracks += 1;
-            self.undo_to(mark);
-            false
+impl<'a> Meter<'a> {
+    fn new(config: &'a HomConfig) -> Self {
+        Meter {
+            config,
+            deadline: config.time_budget.map(|d| Instant::now() + d),
+            stats: HomStats::default(),
+            prunes: 0,
+            exhausted: None,
         }
     }
 
@@ -399,6 +426,111 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
         false
     }
 
+    /// Flush the search's counters to the metrics and report it.
+    fn finish(self) -> SearchReport {
+        // Every homomorphism search in the system (chase premise
+        // matching, hom deciders, core minimization) funnels through
+        // here, so this is the single metrics flush point for the
+        // engine. One relaxed atomic add per *non-zero* counter per
+        // search, not per node: most searches are a handful of probes,
+        // so the zero counters would otherwise dominate the flush.
+        rde_obs::counter!("hom.search.searches").inc();
+        for (n, counter) in [
+            (self.stats.nodes, rde_obs::counter!("hom.search.nodes")),
+            (self.stats.backtracks, rde_obs::counter!("hom.search.backtracks")),
+            (self.stats.found, rde_obs::counter!("hom.search.found")),
+            (self.prunes, rde_obs::counter!("hom.search.prunes")),
+            (u64::from(self.exhausted.is_some()), rde_obs::counter!("hom.search.exhausted")),
+        ] {
+            if n != 0 {
+                counter.add(n);
+            }
+        }
+        SearchReport { stats: self.stats, exhausted: self.exhausted }
+    }
+}
+
+struct PatternFact<'a> {
+    rel_data: &'a RelationData,
+    args: &'a [PatArg],
+}
+
+struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
+    facts: Vec<PatternFact<'a>>,
+    /// Variable assignment: `vals[v]` is the image of slot `v`.
+    vals: Vec<Option<Value>>,
+    /// Budgets, counters and completion status.
+    meter: Meter<'a>,
+    /// Scratch undo stack of bound slots, shared across the whole
+    /// search: each node records a mark and truncates back to it,
+    /// instead of allocating a fresh trail per candidate row.
+    trail: Vec<u32>,
+    /// Scratch tuple for membership probes of fully bound atoms, reused
+    /// across the whole search.
+    probe_tuple: Vec<Value>,
+    /// Callback; returns `false` to stop enumerating.
+    on_found: F,
+}
+
+impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
+    /// Returns `true` if enumeration should stop (callback said stop,
+    /// or a budget was exhausted — see [`Meter::exhausted`]).
+    fn solve(&mut self, remaining: &mut Vec<usize>) -> bool {
+        let Some(slot) = self.pick(remaining) else {
+            // All facts covered: report the match.
+            self.meter.stats.found += 1;
+            return !(self.on_found)(&self.vals);
+        };
+        let fact_idx = remaining.swap_remove(slot);
+        let rows = self.candidate_rows(fact_idx);
+        let stopped = self.try_rows(fact_idx, rows, remaining);
+        remaining.push(fact_idx);
+        let last = remaining.len() - 1;
+        remaining.swap(slot, last);
+        stopped
+    }
+
+    fn try_rows(&mut self, fact_idx: usize, rows: Rows<'a>, remaining: &mut Vec<usize>) -> bool {
+        let rows: &[u32] = match rows {
+            Rows::All(n) => {
+                rde_obs::histogram!("chase.match.candidates").record(n as u64);
+                for row in 0..n as u32 {
+                    if self.try_row(fact_idx, row, remaining) {
+                        return true;
+                    }
+                }
+                return false;
+            }
+            // A fully bound atom binds nothing, so a hit is one node with
+            // nothing to unify and a miss is no node at all.
+            Rows::Probe(hit) => {
+                rde_obs::histogram!("chase.match.candidates").record(u64::from(hit));
+                return hit && (self.meter.charge_node() || self.solve(remaining));
+            }
+            Rows::List(rows) => rows,
+        };
+        rde_obs::histogram!("chase.match.candidates").record(rows.len() as u64);
+        rows.iter().any(|&row| self.try_row(fact_idx, row, remaining))
+    }
+
+    /// One node: unify fact `fact_idx` with target row `row` and
+    /// recurse. Returns `true` if enumeration should stop.
+    fn try_row(&mut self, fact_idx: usize, row: u32, remaining: &mut Vec<usize>) -> bool {
+        if self.meter.charge_node() {
+            return true;
+        }
+        let mark = self.trail.len();
+        if self.unify(fact_idx, row) {
+            let stopped = self.solve(remaining);
+            self.undo_to(mark);
+            stopped
+        } else {
+            self.meter.stats.backtracks += 1;
+            self.undo_to(mark);
+            false
+        }
+    }
+
     /// Unbind every slot recorded past `mark` and truncate the trail.
     fn undo_to(&mut self, mark: usize) {
         for &v in &self.trail[mark..] {
@@ -412,7 +544,7 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
         if remaining.is_empty() {
             return None;
         }
-        if !self.config.dynamic_order {
+        if !self.meter.config.dynamic_order {
             return Some(remaining.len() - 1);
         }
         let mut best_slot = 0;
@@ -431,7 +563,7 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
             // Forward check: a remaining fact has no candidates, so
             // picking it fails every row immediately and cuts the
             // branch here rather than after expanding siblings.
-            self.prunes += 1;
+            self.meter.prunes += 1;
         }
         Some(best_slot)
     }
@@ -442,7 +574,7 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
     fn estimate(&self, fact_idx: usize) -> u64 {
         let f = &self.facts[fact_idx];
         let mut best = f.rel_data.len() as u64;
-        if self.config.use_index && f.args.iter().all(|&arg| self.arg_value(arg).is_some()) {
+        if self.meter.config.use_index && f.args.iter().all(|&arg| self.arg_value(arg).is_some()) {
             return best.min(1);
         }
         for (col, arg) in f.args.iter().enumerate() {
@@ -470,7 +602,7 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
     fn candidate_rows(&mut self, fact_idx: usize) -> Rows<'a> {
         let f = &self.facts[fact_idx];
         let (data, args) = (f.rel_data, f.args);
-        if self.config.use_index {
+        if self.meter.config.use_index {
             if let Some(hit) = self.probe(data, args) {
                 return Rows::Probe(hit);
             }
@@ -1051,6 +1183,151 @@ mod tests {
         };
         assert_eq!(seeded(c(0), c(1)), HomStats { nodes: 1, backtracks: 0, found: 1 });
         assert_eq!(seeded(c(3), c(2)), HomStats { nodes: 0, backtracks: 0, found: 0 });
+    }
+
+    /// `E(x, c1)` and `F(c2, y)` over seeded slots `x` and `y`.
+    fn seeded_pair() -> CompiledPattern {
+        CompiledPattern::new(vec![
+            PatternAtom { rel: RelId(0), args: vec![PatArg::Var(0), PatArg::Fixed(c(1))] },
+            PatternAtom { rel: RelId(1), args: vec![PatArg::Fixed(c(2)), PatArg::Var(1)] },
+        ])
+    }
+
+    /// The report of a search through the probe-only path, checked
+    /// against the searcher's report of the same search.
+    fn probe_only(
+        pattern: &CompiledPattern,
+        skip: Option<usize>,
+        target: &Instance,
+        seed: &[Option<Value>],
+        cfg: &HomConfig,
+    ) -> SearchReport {
+        let mut seen = Vec::new();
+        let report = pattern.for_each_match_excluding(skip, target, seed, cfg, |vals| {
+            seen.push(vals.to_vec());
+            true
+        });
+        let mut expected = Vec::new();
+        let reference =
+            pattern.for_each_match_excluding_via_searcher(skip, target, seed, cfg, |vals| {
+                expected.push(vals.to_vec());
+                true
+            });
+        assert_eq!(report, reference);
+        assert_eq!(seen, expected);
+        report
+    }
+
+    #[test]
+    fn probe_only_single_atom_hit_and_miss() {
+        let pattern = CompiledPattern::new(vec![PatternAtom {
+            rel: RelId(0),
+            args: vec![PatArg::Var(0), PatArg::Fixed(c(1))],
+        }]);
+        let target = inst(&[(0, &[c(0), c(1)]), (0, &[c(0), c(2)]), (0, &[c(3), c(1)])]);
+        let cfg = HomConfig::default();
+        let hit = probe_only(&pattern, None, &target, &[Some(c(0))], &cfg);
+        assert_eq!(hit.stats, HomStats { nodes: 1, backtracks: 0, found: 1 });
+        assert!(hit.complete());
+        let miss = probe_only(&pattern, None, &target, &[Some(c(2))], &cfg);
+        assert_eq!(miss.stats, HomStats { nodes: 0, backtracks: 0, found: 0 });
+        assert!(miss.complete());
+    }
+
+    #[test]
+    fn probe_only_stops_at_the_first_miss_in_pick_order() {
+        // Two ground atoms; only the first is in the target. Dynamic
+        // order probes atom 0 (a hit, one node) and then misses on
+        // atom 1; fixed order starts from the back and misses at once.
+        let pattern = seeded_pair();
+        let target = inst(&[(0, &[c(0), c(1)]), (1, &[c(2), c(5)])]);
+        let seed = [Some(c(0)), Some(c(6))];
+        let dynamic = probe_only(&pattern, None, &target, &seed, &HomConfig::default());
+        assert_eq!(dynamic.stats, HomStats { nodes: 1, backtracks: 0, found: 0 });
+        let fixed = HomConfig { dynamic_order: false, ..HomConfig::default() };
+        let fixed = probe_only(&pattern, None, &target, &seed, &fixed);
+        assert_eq!(fixed.stats, HomStats { nodes: 0, backtracks: 0, found: 0 });
+        // Both hit: two nodes, one match.
+        let both =
+            probe_only(&pattern, None, &target, &[Some(c(0)), Some(c(5))], &HomConfig::default());
+        assert_eq!(both.stats, HomStats { nodes: 2, backtracks: 0, found: 1 });
+        // An atom over an absent relation is a forward-check prune: no
+        // node even though the other atom would hit.
+        let no_f = inst(&[(0, &[c(0), c(1)])]);
+        let pruned = probe_only(&pattern, None, &no_f, &seed, &HomConfig::default());
+        assert_eq!(pruned.stats, HomStats::default());
+    }
+
+    #[test]
+    fn probe_only_zero_atom_remainder_is_one_match() {
+        // The delta-seeded premise `T(x, y)` with its only atom skipped.
+        let pattern = CompiledPattern::new(vec![PatternAtom {
+            rel: RelId(0),
+            args: vec![PatArg::Var(0), PatArg::Var(1)],
+        }]);
+        let seed = [Some(c(0)), Some(c(1))];
+        let report = probe_only(&pattern, Some(0), &Instance::new(), &seed, &HomConfig::default());
+        assert_eq!(report.stats, HomStats { nodes: 0, backtracks: 0, found: 1 });
+        let mut got = Vec::new();
+        pattern.for_each_match_excluding(
+            Some(0),
+            &Instance::new(),
+            &seed,
+            &HomConfig::default(),
+            |v| {
+                got.push(v.to_vec());
+                true
+            },
+        );
+        assert_eq!(got, vec![seed.to_vec()], "the callback sees the seed");
+        // A zero-atom budget never runs out: nothing is charged.
+        let cfg0 = HomConfig { node_budget: Some(0), ..HomConfig::default() };
+        let report = probe_only(&pattern, Some(0), &Instance::new(), &seed, &cfg0);
+        assert!(report.complete());
+        assert_eq!(report.stats.found, 1);
+    }
+
+    #[test]
+    fn probe_only_hits_obey_the_node_budget() {
+        let pattern = seeded_pair();
+        let target = inst(&[(0, &[c(0), c(1)]), (1, &[c(2), c(5)])]);
+        let seed = [Some(c(0)), Some(c(5))];
+        let run = |budget: u64| {
+            let cfg = HomConfig { node_budget: Some(budget), ..HomConfig::default() };
+            probe_only(&pattern, None, &target, &seed, &cfg)
+        };
+        let cut = run(0);
+        assert_eq!(cut.exhausted, Some(Exhausted::Nodes(0)));
+        assert_eq!(cut.stats, HomStats { nodes: 1, backtracks: 0, found: 0 });
+        let cut = run(1);
+        assert_eq!(cut.exhausted, Some(Exhausted::Nodes(1)));
+        assert_eq!(cut.stats, HomStats { nodes: 2, backtracks: 0, found: 0 });
+        let done = run(2);
+        assert!(done.complete());
+        assert_eq!(done.stats, HomStats { nodes: 2, backtracks: 0, found: 1 });
+        // One atom: `Some(0)` is `Unknown { Nodes(0) }`, `Some(1)` completes.
+        let (source, target) = ground_probe(true);
+        let mut stats = HomStats::default();
+        let cfg0 = HomConfig { node_budget: Some(0), ..HomConfig::default() };
+        assert_eq!(
+            exists_hom_budgeted(&source, &target, &cfg0, &mut stats),
+            Verdict::Unknown { budget: Exhausted::Nodes(0) }
+        );
+        let cfg1 = HomConfig { node_budget: Some(1), ..HomConfig::default() };
+        assert_eq!(exists_hom_budgeted(&source, &target, &cfg1, &mut stats), Verdict::Holds);
+    }
+
+    #[test]
+    fn probe_only_pre_cancelled_search_reports_cancelled() {
+        let pattern = seeded_pair();
+        let target = inst(&[(0, &[c(0), c(1)]), (1, &[c(2), c(5)])]);
+        let token = rde_faults::CancelToken::new();
+        token.cancel();
+        let cfg =
+            HomConfig { ctx: ExecContext::default().with_cancel(token), ..HomConfig::default() };
+        let report = probe_only(&pattern, None, &target, &[Some(c(0)), Some(c(5))], &cfg);
+        assert_eq!(report.exhausted, Some(Exhausted::Cancelled));
+        assert_eq!(report.stats, HomStats::default());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rde_hom::{
     core_of, exists_hom, find_hom, hom_equivalent, is_core, is_isomorphic, CompiledPattern,
-    HomConfig, PatArg, PatternAtom,
+    HomConfig, PatArg, PatternAtom, SearchReport,
 };
 use rde_model::{Fact, Instance, Substitution, Value, Vocabulary};
 
@@ -154,6 +154,99 @@ proptest! {
         let mut reference = reference;
         reference.sort();
         prop_assert_eq!(set, reference);
+    }
+}
+
+/// Abstract fully bound atoms: relation choice and per argument a
+/// (`Fixed`?, index) pair — a `Fixed` pool value, or seeded slot
+/// `index % 3`.
+fn bound_pattern(max: usize) -> impl Strategy<Value = Vec<(bool, Vec<(bool, u8)>)>> {
+    prop::collection::vec(
+        (any::<bool>(), prop::collection::vec((any::<bool>(), 0u8..7), 3)),
+        0..=max,
+    )
+}
+
+/// Every match in emission order plus the report, through the
+/// probe-only path when it applies or through the searcher alone.
+fn run_excluding(
+    pattern: &CompiledPattern,
+    skip: Option<usize>,
+    target: &Instance,
+    seed: &[Option<Value>],
+    config: &HomConfig,
+    via_searcher: bool,
+) -> (Vec<Vec<Option<Value>>>, SearchReport) {
+    let mut seq = Vec::new();
+    let on_found = |vals: &[Option<Value>]| {
+        seq.push(vals.to_vec());
+        true
+    };
+    let report = if via_searcher {
+        pattern.for_each_match_excluding_via_searcher(skip, target, seed, config, on_found)
+    } else {
+        pattern.for_each_match_excluding(skip, target, seed, config, on_found)
+    };
+    (seq, report)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A search with nothing left to choose is answered without the
+    /// searcher: every remaining atom is ground under the seed (or none
+    /// remains), so it is a chain of membership probes. Its matches,
+    /// `HomStats` and completion status equal the searcher's under
+    /// either atom order and any node budget, and its match set equals
+    /// the full-scan reference's.
+    #[test]
+    fn probe_only_searches_match_the_searcher(
+        target in abstract_target(10),
+        atoms in bound_pattern(4),
+        seed in prop::collection::vec(0u8..7, 3),
+        skip in 0usize..6,
+        dynamic_order in any::<bool>(),
+        budget in 0u64..6,
+    ) {
+        let mut vocab = Vocabulary::new();
+        let pool = value_pool(&mut vocab);
+        let rels = [vocab.relation("E", 2).unwrap(), vocab.relation("F", 3).unwrap()];
+        let atoms: Vec<PatternAtom> = atoms
+            .iter()
+            .map(|(is_f, args)| {
+                let arity = if *is_f { 3 } else { 2 };
+                let args = args[..arity]
+                    .iter()
+                    .map(|&(fixed, i)| {
+                        if fixed {
+                            PatArg::Fixed(pool[usize::from(i)])
+                        } else {
+                            PatArg::Var(u32::from(i % 3))
+                        }
+                    })
+                    .collect();
+                PatternAtom { rel: rels[usize::from(*is_f)], args }
+            })
+            .collect();
+        // Skip an atom (as the delta-seeded chase does) on some cases.
+        let skip = (skip < atoms.len()).then_some(skip);
+        let pattern = CompiledPattern::new(atoms);
+        let seed: Vec<Option<Value>> = seed.iter().map(|&i| Some(pool[usize::from(i)])).collect();
+        let target = materialize_target(&mut vocab, &target);
+        // Budgets 0..=3 cut some chains of probe hits; 4 and 5 are none.
+        let node_budget = (budget < 4).then_some(budget);
+        let config = HomConfig { node_budget, dynamic_order, ..HomConfig::default() };
+        let (seq, report) = run_excluding(&pattern, skip, &target, &seed, &config, false);
+        let (reference, ref_report) = run_excluding(&pattern, skip, &target, &seed, &config, true);
+        prop_assert_eq!(&seq, &reference);
+        prop_assert_eq!(report, ref_report);
+        let scan = HomConfig { use_index: false, ..config };
+        let (scanned, scan_report) = run_excluding(&pattern, skip, &target, &seed, &scan, false);
+        if node_budget.is_none() {
+            prop_assert!(scan_report.complete());
+            prop_assert_eq!(&seq, &scanned, "at most one match, so sets equal sequences");
+            prop_assert_eq!(report.stats.found, scan_report.stats.found);
+        }
     }
 }
 

@@ -918,13 +918,10 @@ fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Repl
         Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
-    let mut options = ChaseOptions { hom: config.clone(), ..ChaseOptions::default() };
-    if let Some(text) = request.get_header("variant") {
-        match text.parse::<rde_chase::ChaseVariant>() {
-            Ok(variant) => options.variant = variant,
-            Err(e) => return Reply::Err(format!("variant: {e}")),
-        }
-    }
+    let options = match chase_options(request, config) {
+        Ok(options) => options,
+        Err(reply) => return reply,
+    };
     match rde_chase::chase(&instance, &entry.mapping.dependencies, &mut vocab, &options) {
         Ok(result) => {
             let rendered =
@@ -934,6 +931,20 @@ fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Repl
         }
         Err(e) => chase_reply(e),
     }
+}
+
+/// The forward chase's options for a request: its budgets and context,
+/// and the variant its `variant` header names (the default without
+/// one; garbage is a typed `variant:` error).
+fn chase_options(request: &Request, config: &HomConfig) -> Result<ChaseOptions, Reply> {
+    let mut options = ChaseOptions { hom: config.clone(), ..ChaseOptions::default() };
+    if let Some(text) = request.get_header("variant") {
+        match text.parse::<rde_chase::ChaseVariant>() {
+            Ok(variant) => options.variant = variant,
+            Err(e) => return Err(Reply::Err(format!("variant: {e}"))),
+        }
+    }
+    Ok(options)
 }
 
 /// `INVERTIBLE m` — the homomorphism-property check (Thm 3.13) against
@@ -1008,7 +1019,9 @@ fn op_arrow(
 
 /// `CERTAIN m` — reverse certain answers (Thm 6.5) of the `query=`
 /// header over the body instance, using the catalog's `NAME.rev`
-/// reverse mapping.
+/// reverse mapping. The forward chase runs the variant the `variant`
+/// header names, as `CHASE` does; every variant yields a universal
+/// solution, so the answers do not depend on it.
 fn op_certain(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Reply {
     let Some(reverse) = &entry.reverse else {
         return Reply::Err(format!("mapping `{}` has no reverse (.rev) mapping", entry.name));
@@ -1025,11 +1038,19 @@ fn op_certain(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Re
         Ok(q) => q,
         Err(e) => return Reply::Err(format!("query: {e}")),
     };
+    let forward = match chase_options(request, config) {
+        Ok(options) => options,
+        Err(reply) => return reply,
+    };
+    let target = match rde_chase::chase_mapping(&instance, &entry.mapping, &mut vocab, &forward) {
+        Ok(target) => target,
+        Err(e) => return chase_reply(e),
+    };
     let options =
         DisjunctiveChaseOptions { hom: config.clone(), ..DisjunctiveChaseOptions::default() };
-    match rde_query::reverse_certain_answers(
+    match rde_query::reverse_certain_answers_from_target(
         &q,
-        &instance,
+        &target,
         &entry.mapping,
         reverse,
         &mut vocab,

@@ -3,7 +3,8 @@
 //! time with a typed error, reject them at reload time while keeping
 //! the old generation serving, and keep admitting weakly-acyclic
 //! catalogs — and a `variant` request header must select the chase
-//! variant (or fail typed on garbage) without changing any answer.
+//! variant of `CHASE` and of `CERTAIN`'s forward chase (or fail typed
+//! on garbage) without changing any answer.
 
 use std::path::{Path, PathBuf};
 
@@ -64,6 +65,41 @@ fn weakly_acyclic_catalog_serves_under_every_variant() {
             &Request::on("CHASE", "split").header("variant", "oblivious").body_text("P(a, b)\n"),
         )
         .unwrap();
+    assert!(
+        matches!(reply, Reply::Err(ref m) if m.starts_with("variant:") && m.contains("oblivious")),
+        "bad variant must fail typed: {reply:?}"
+    );
+
+    shutdown.cancel();
+    handle.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Projects `P` onto its first column: the oblivious chase of
+/// `P(a, b), P(a, c)` mints a null per fact, the restricted one only one.
+const PROJECT: &str = "source: P/2\ntarget: Q/2\nP(x,y) -> exists z . Q(x,z)\n";
+const PROJECT_REV: &str = "source: Q/2\ntarget: P/2\nQ(x,z) -> exists y . P(x,y)\n";
+
+/// `CERTAIN` honours the `variant` header for its forward chase: every
+/// variant gives the same answers, and garbage fails typed.
+#[test]
+fn certain_runs_the_requested_variant() {
+    let dir = catalog("certain", &[("project", PROJECT)]);
+    std::fs::write(dir.join("project.rev"), PROJECT_REV).unwrap();
+    let (addr, shutdown, handle) = spawn(options(&dir)).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    let certain = || {
+        Request::on("CERTAIN", "project")
+            .header("query", "q(x) :- P(x, y)")
+            .body_text("P(a, b)\nP(a, c)\n")
+    };
+    let expected = Reply::Ok(vec!["(a)".into()]);
+    assert_eq!(client.request(&certain()).unwrap(), expected, "default variant");
+    for variant in ["naive", "semi-naive", "restricted"] {
+        let reply = client.request(&certain().header("variant", variant)).unwrap();
+        assert_eq!(reply, expected, "variant {variant} must not change the answers");
+    }
+    let reply = client.request(&certain().header("variant", "oblivious")).unwrap();
     assert!(
         matches!(reply, Reply::Err(ref m) if m.starts_with("variant:") && m.contains("oblivious")),
         "bad variant must fail typed: {reply:?}"
