@@ -89,9 +89,9 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
     );
     for &(consts, nulls, facts) in universes {
         let mut v = Vocabulary::new();
-        let w = workloads::two_step(&mut v);
+        let mapping = workloads::two_step(&mut v);
         let u = Universe::new(&mut v, consts, nulls, facts);
-        let family = u.collect_instances(&v, &w.mapping.source).unwrap();
+        let family = u.collect_instances(&v, &mapping.source).unwrap();
         // The checkers (invertibility, lossiness comparison, loss
         // census) each sweep the pair grid; model that repetition.
         let sweeps = 3u64;
@@ -101,7 +101,7 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
             let chased: Vec<Instance> = family
                 .iter()
                 .map(|i| {
-                    chase_mapping(i, &w.mapping, &mut v.clone(), &ChaseOptions::default()).unwrap()
+                    chase_mapping(i, &mapping, &mut v.clone(), &ChaseOptions::default()).unwrap()
                 })
                 .collect();
             let mut hits = 0u64;
@@ -121,7 +121,7 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
         // pure memo hits.
         let (t_cached, (hits_cached, classes)) = time(1, || {
             let mut vc = v.clone();
-            let cache = ArrowMCache::new(&w.mapping, &family, &mut vc).unwrap();
+            let cache = ArrowMCache::new(&mapping, &family, &mut vc).unwrap();
             let mut hits = 0u64;
             for _ in 0..sweeps {
                 for a in 0..family.len() {

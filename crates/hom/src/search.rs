@@ -57,10 +57,17 @@ pub struct HomConfig {
     /// Use per-column posting lists to enumerate candidate tuples, and
     /// match a fully bound atom with one membership probe instead of a
     /// row enumeration (`false` = scan the whole target relation per
-    /// fact, probe included).
+    /// fact, probe included). Not a tuning knob: no caller outside the
+    /// tests turns it off. `false` is the full-scan reference that the
+    /// differential tests (`bound_atom_probes_match_the_scan_reference`,
+    /// `probe_only_searches_match_the_searcher`) hold the indexed
+    /// search to.
     pub use_index: bool,
     /// Dynamically pick the next source fact with the fewest candidates
-    /// (`false` = fixed left-to-right order).
+    /// (`false` = fixed left-to-right order). Not a tuning knob either:
+    /// `false` is the fixed-order reference of the same differential
+    /// tests, under which the indexed search must emit the scan's exact
+    /// match sequence.
     pub dynamic_order: bool,
     /// Scoped execution context: its cancel token is polled at search
     /// entry and then every [`TIME_CHECK_STRIDE`] nodes alongside the

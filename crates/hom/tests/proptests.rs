@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use rde_hom::{
-    core_of, exists_hom, find_hom, hom_equivalent, is_core, is_isomorphic, CompiledPattern,
-    HomConfig, PatArg, PatternAtom, SearchReport,
+    core_of, core_of_budgeted, exists_hom, find_hom, hom_equivalent, is_core, is_isomorphic,
+    CompiledPattern, HomConfig, PatArg, PatternAtom, SearchReport,
 };
 use rde_model::{Fact, Instance, Substitution, Value, Vocabulary};
 
@@ -351,6 +351,33 @@ proptest! {
         // Idempotence as a substitution law, not just on this instance.
         let twice = r.retraction.then(&r.retraction);
         prop_assert_eq!(twice.apply_instance(&i), r.core);
+    }
+
+    /// Budgeted minimization is sound at every node budget: the outcome
+    /// is a hom-equivalent sub-instance that its retraction maps the
+    /// input onto, a `complete` outcome is the core (up to isomorphism),
+    /// and the unbounded run is always complete.
+    #[test]
+    fn budgeted_core_is_a_sound_retract_at_every_budget(facts in abstract_facts(8)) {
+        let mut vocab = Vocabulary::new();
+        let i = materialize(&mut vocab, &facts);
+        let core = core_of(&i).core;
+        // Budgets 0, 1, 2, 4, …, 4096, then unbounded.
+        let budgets = std::iter::once(0).chain((0..=12).map(|k| 1u64 << k)).map(Some);
+        for node_budget in budgets.chain([None]) {
+            let config = HomConfig { node_budget, ..HomConfig::default() };
+            let out = core_of_budgeted(&i, &config);
+            let r = &out.result;
+            prop_assert!(r.core.is_subset_of(&i), "budget {node_budget:?}");
+            prop_assert!(hom_equivalent(&i, &r.core), "budget {node_budget:?}");
+            prop_assert_eq!(&r.retraction.apply_instance(&i), &r.core, "budget {node_budget:?}");
+            if out.complete {
+                prop_assert!(is_isomorphic(&r.core, &core), "budget {node_budget:?}");
+            }
+            if node_budget.is_none() {
+                prop_assert!(out.complete, "an unbounded run is never cut");
+            }
+        }
     }
 
     /// Adding facts can only help the target side and hurt the source
