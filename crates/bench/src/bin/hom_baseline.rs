@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use rde_bench::workloads;
 use rde_chase::{chase_mapping, ChaseOptions};
-use rde_core::arrow::ArrowMCache;
+use rde_core::arrow::{ArrowMCache, CachePolicy};
 use rde_core::Universe;
-use rde_hom::{core_of, core_of_quadratic, exists_hom, hom_equivalent};
+use rde_hom::{core_of, core_of_quadratic, exists_hom, hom_equivalent, HomConfig};
 use rde_model::parse::parse_instance;
 use rde_model::{Instance, Vocabulary};
 
@@ -95,6 +95,7 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
         // The checkers (invertibility, lossiness comparison, loss
         // census) each sweep the pair grid; model that repetition.
         let sweeps = 3u64;
+        let unbounded = HomConfig::default();
         // Uncached baseline: chase once per instance (that much any
         // implementation shares), then decide every pair directly.
         let (t_plain, hits_plain) = time(1, || {
@@ -121,12 +122,14 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
         // pure memo hits.
         let (t_cached, (hits_cached, classes)) = time(1, || {
             let mut vc = v.clone();
-            let cache = ArrowMCache::new(&mapping, &family, &mut vc).unwrap();
+            let policy = CachePolicy::default();
+            let cache =
+                ArrowMCache::with_policy(&mapping, &family, &mut vc, &unbounded, policy).unwrap();
             let mut hits = 0u64;
             for _ in 0..sweeps {
                 for a in 0..family.len() {
                     for b in 0..family.len() {
-                        if cache.arrow(a, b) {
+                        if cache.arrow(a, b, &unbounded).holds() {
                             hits += 1;
                         }
                     }

@@ -15,6 +15,7 @@
 use rde_core::loss::information_loss;
 use rde_core::Universe;
 use rde_deps::parse_mapping;
+use rde_hom::{HomConfig, HomStats};
 use rde_model::Vocabulary;
 
 struct FamilySpec {
@@ -55,7 +56,8 @@ fn main() {
             let mut vocab = Vocabulary::new();
             let mapping = parse_mapping(&mut vocab, family.text).expect("valid family mapping");
             let universe = Universe::new(&mut vocab, consts, nulls, facts);
-            let report = match information_loss(&mapping, &universe, &mut vocab, 0) {
+            let (cfg, mut st) = (HomConfig::default(), HomStats::default());
+            let report = match information_loss(&mapping, &universe, &mut vocab, 0, &cfg, &mut st) {
                 Ok(r) => r,
                 Err(e) => {
                     println!(

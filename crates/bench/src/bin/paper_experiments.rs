@@ -9,13 +9,19 @@
 //! Usage: `cargo run -p rde-bench --bin paper_experiments [e1 e2 …]`
 
 use rde_chase::{chase_mapping, disjunctive_chase, ChaseOptions, DisjunctiveChaseOptions};
-use rde_core::compose::ComposeOptions;
+use rde_core::chase_inverse::{find_chase_inverse_counterexample, roundtrip_recovers};
+use rde_core::compare::{check_less_lossy_via_recoveries, compare_lossiness};
+use rde_core::compose::in_composition;
+use rde_core::extended::{is_extended_solution, is_extended_universal_solution};
+use rde_core::faithful::check_universal_faithful;
+use rde_core::ground::check_inverse;
 use rde_core::invertibility::BoundedVerdict;
-use rde_core::quasi_inverse::{maximum_extended_recovery_full, QuasiInverseOptions};
-use rde_core::recovery::MaxRecoveryVerdict;
+use rde_core::loss::information_loss;
+use rde_core::quasi_inverse::maximum_extended_recovery_full;
+use rde_core::recovery::{check_maximum_extended_recovery, MaxRecoveryVerdict};
 use rde_core::Universe;
 use rde_deps::{parse_mapping, Conjunct, Dependency, SchemaMapping};
-use rde_hom::hom_equivalent;
+use rde_hom::{hom_equivalent, HomConfig, HomStats};
 use rde_model::parse::parse_instance;
 use rde_model::{display, Instance, Vocabulary};
 use rde_query::{evaluate_null_free, reverse_certain_answers, ConjunctiveQuery};
@@ -95,6 +101,11 @@ fn union(v: &mut Vocabulary) -> SchemaMapping {
 }
 
 /// E1 — Example 1.1: the canonical reverse exchange is non-ground.
+/// No budget: every experiment runs its checks to completion.
+fn unbounded() -> (HomConfig, HomStats) {
+    (HomConfig::default(), HomStats::default())
+}
+
 fn e1() -> Outcome {
     let mut v = Vocabulary::new();
     let m = decomposition(&mut v);
@@ -116,18 +127,19 @@ fn e1() -> Outcome {
 /// E2 — Example 3.3 / Prop 3.4: extended vs plain solutions.
 fn e2() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m = decomposition(&mut v);
     let vi = parse_instance(&mut v, "P(a,b,?z)\nP(?x,b,c)").unwrap();
     let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
     let not_sol = !rde_core::semantics::is_solution(&vi, &u, &m);
-    let is_esol = rde_core::extended::is_extended_solution(&vi, &u, &m, &mut v).unwrap();
+    let is_esol = is_extended_solution(&vi, &u, &m, &mut v, &cfg, &mut st).unwrap().holds();
     // Prop 3.4: ground sources have eSol = Sol on a bounded target universe.
     let i = parse_instance(&mut v, "P(a,b,c)").unwrap();
     let universe = Universe::new(&mut v, 3, 1, 2);
     let mut prop34 = true;
     for j in universe.instances(&v, &m.target).unwrap() {
         if rde_core::semantics::is_solution(&i, &j, &m)
-            != rde_core::extended::is_extended_solution(&i, &j, &m, &mut v).unwrap()
+            != is_extended_solution(&i, &j, &m, &mut v, &cfg, &mut st).unwrap().holds()
         {
             prop34 = false;
             break;
@@ -144,13 +156,14 @@ fn e2() -> Outcome {
 /// E3 — Prop 3.11: chase_M(I) is an extended universal solution.
 fn e3() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m = two_step(&mut v);
     let universe = Universe::new(&mut v, 2, 2, 2);
     let family = universe.collect_instances(&v, &m.source).unwrap();
     let mut pass = true;
     for i in &family {
         let u = chase_mapping(i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        if !rde_core::extended::is_extended_universal_solution(i, &u, &m, &mut v).unwrap() {
+        if !is_extended_universal_solution(i, &u, &m, &mut v, &cfg, &mut st).unwrap().holds() {
             pass = false;
             break;
         }
@@ -194,6 +207,7 @@ fn e4() -> Outcome {
 /// E5 — Thm 3.15(2): invertible but not extended-invertible.
 fn e5() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m = parse_mapping(
         &mut v,
         "source: P/1, Q/1\ntarget: R/2\nP(x) -> exists y . R(x, y)\nQ(y) -> exists x . R(x, y)",
@@ -205,11 +219,8 @@ fn e5() -> Outcome {
     )
     .unwrap();
     let universe = Universe::new(&mut v, 2, 1, 1);
-    let inverse_ok =
-        rde_core::ground::check_inverse(&m, &minv, &universe, &mut v, &ComposeOptions::default())
-            .unwrap()
-            .holds();
-    let ext = rde_core::invertibility::check_extended_invertibility(&m, &universe, &mut v).unwrap();
+    let inverse_ok = check_inverse(&m, &minv, &universe, &mut v, &cfg, &mut st).unwrap().holds();
+    let ext = rde_core::invertibility::check_homomorphism_property(&m, &universe, &mut v).unwrap();
     let needs_nulls = match &ext {
         BoundedVerdict::Counterexample { i1, i2 } => !i1.is_ground() || !i2.is_ground(),
         BoundedVerdict::HoldsWithinBound | BoundedVerdict::Unknown { .. } => false,
@@ -225,6 +236,7 @@ fn e5() -> Outcome {
 /// E6 — Thm 3.15(3) / Ex 3.18 / Ex 3.19: extended inverse ≠ inverse.
 fn e6() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m = two_step(&mut v);
     let m1 = parse_mapping(&mut v, "source: Q/2\ntarget: P/2\nQ(x,z) & Q(z,y) -> P(x,y)").unwrap();
     let m2 = parse_mapping(
@@ -235,16 +247,11 @@ fn e6() -> Outcome {
     let universe = Universe::new(&mut v, 2, 1, 2);
     let family = universe.collect_instances(&v, &m.source).unwrap();
     let m1_chase_inverse =
-        rde_core::chase_inverse::find_chase_inverse_counterexample(&m, &m1, family.iter(), &mut v)
-            .unwrap()
-            .is_none();
+        find_chase_inverse_counterexample(&m, &m1, &family, &mut v, &cfg, &mut st).unwrap().holds();
     let null_i = parse_instance(&mut v, "P(?w, ?z)").unwrap();
-    let m2_fails = !rde_core::chase_inverse::roundtrip_recovers(&m, &m2, &null_i, &mut v).unwrap();
+    let m2_fails = !roundtrip_recovers(&m, &m2, &null_i, &mut v, &cfg, &mut st).unwrap().holds();
     let small = Universe::new(&mut v, 2, 0, 1);
-    let m2_is_inverse =
-        rde_core::ground::check_inverse(&m, &m2, &small, &mut v, &ComposeOptions::default())
-            .unwrap()
-            .holds();
+    let m2_is_inverse = check_inverse(&m, &m2, &small, &mut v, &cfg, &mut st).unwrap().holds();
     Outcome {
         id: "E6",
         claim: "Ex 3.18/3.19: chase-inverse vs inverse",
@@ -315,17 +322,12 @@ fn e7() -> Outcome {
 /// maximum extended recovery.
 fn e8() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m = decomposition(&mut v);
     let rev = decomposition_reverse(&mut v);
     let universe = Universe::new(&mut v, 2, 1, 1);
-    let verdict = rde_core::recovery::check_maximum_extended_recovery(
-        &m,
-        &rev,
-        &universe,
-        &mut v,
-        &ComposeOptions::default(),
-    )
-    .unwrap();
+    let verdict =
+        check_maximum_extended_recovery(&m, &rev, &universe, &mut v, &cfg, &mut st).unwrap();
     let n = universe.size(&v, &m.source).unwrap();
     Outcome {
         id: "E8",
@@ -348,9 +350,10 @@ fn e9() -> Outcome {
         ("projection", "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)", false),
     ] {
         let mut v = Vocabulary::new();
+        let (cfg, mut st) = unbounded();
         let m = parse_mapping(&mut v, text).unwrap();
         let universe = Universe::new(&mut v, 2, 1, 1);
-        let report = rde_core::loss::information_loss(&m, &universe, &mut v, 0).unwrap();
+        let report = information_loss(&m, &universe, &mut v, 0, &cfg, &mut st).unwrap();
         let hp = rde_core::invertibility::check_homomorphism_property(&m, &universe, &mut v)
             .unwrap()
             .holds();
@@ -373,16 +376,15 @@ fn e9() -> Outcome {
 /// necessity of disjunction and inequalities.
 fn e10() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m =
         parse_mapping(&mut v, "source: P/2, T/1\ntarget: Pp/2\nP(x,y) -> Pp(x,y)\nT(x) -> Pp(x,x)")
             .unwrap();
-    let rec = maximum_extended_recovery_full(&m, &mut v, &QuasiInverseOptions::default()).unwrap();
+    let rec = maximum_extended_recovery_full(&m, &mut v, &cfg).unwrap();
     let universe = Universe::new(&mut v, 2, 1, 1);
-    let opts = ComposeOptions::default();
-    let good =
-        rde_core::recovery::check_maximum_extended_recovery(&m, &rec, &universe, &mut v, &opts)
-            .unwrap()
-            .holds();
+    let good = check_maximum_extended_recovery(&m, &rec, &universe, &mut v, &cfg, &mut st)
+        .unwrap()
+        .holds();
 
     // Necessity of inequalities: strip them and the check must fail.
     let stripped: Vec<Dependency> = rec
@@ -401,11 +403,10 @@ fn e10() -> Outcome {
         })
         .collect();
     let no_ineq = SchemaMapping::new(rec.source.clone(), rec.target.clone(), stripped);
-    let ineq_needed = !rde_core::recovery::check_maximum_extended_recovery(
-        &m, &no_ineq, &universe, &mut v, &opts,
-    )
-    .unwrap()
-    .holds();
+    let ineq_needed =
+        !check_maximum_extended_recovery(&m, &no_ineq, &universe, &mut v, &cfg, &mut st)
+            .unwrap()
+            .holds();
 
     // Necessity of disjunction: keep only the first disjunct per rule.
     let truncated: Vec<Dependency> = rec
@@ -423,11 +424,10 @@ fn e10() -> Outcome {
         })
         .collect();
     let no_disj = SchemaMapping::new(rec.source.clone(), rec.target.clone(), truncated);
-    let disj_needed = !rde_core::recovery::check_maximum_extended_recovery(
-        &m, &no_disj, &universe, &mut v, &opts,
-    )
-    .unwrap()
-    .holds();
+    let disj_needed =
+        !check_maximum_extended_recovery(&m, &no_disj, &universe, &mut v, &cfg, &mut st)
+            .unwrap()
+            .holds();
 
     Outcome {
         id: "E10",
@@ -462,11 +462,11 @@ fn e11() -> Outcome {
         ),
     ] {
         let mut v = Vocabulary::new();
+        let (cfg, mut st) = unbounded();
         let m = parse_mapping(&mut v, text).unwrap();
         let rec = parse_mapping(&mut v, rec_text).unwrap();
         let universe = Universe::new(&mut v, 1, 1, 2);
-        let failure =
-            rde_core::faithful::check_universal_faithful(&m, &rec, &universe, &mut v).unwrap();
+        let failure = check_universal_faithful(&m, &rec, &universe, &mut v, &cfg, &mut st).unwrap();
         if failure.is_some() {
             pass = false;
             notes.push("unexpected faithfulness failure".to_string());
@@ -474,26 +474,26 @@ fn e11() -> Outcome {
     }
     // Negative control: the A-only reverse of the union mapping.
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m = union(&mut v);
     let bad = parse_mapping(&mut v, "source: R/1\ntarget: A/1, B/1\nR(x) -> A(x)").unwrap();
     let universe = Universe::new(&mut v, 1, 0, 1);
-    let bad_fails = rde_core::faithful::check_universal_faithful(&m, &bad, &universe, &mut v)
-        .unwrap()
-        .is_some();
+    let bad_fails =
+        check_universal_faithful(&m, &bad, &universe, &mut v, &cfg, &mut st).unwrap().is_some();
     if !bad_fails {
         pass = false;
     }
     // Boundary of Def 6.1: Thm 5.2's inequality recovery is a maximum
     // extended recovery (E10) but fails the raw leaf conditions.
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m =
         parse_mapping(&mut v, "source: P/2, T/1\ntarget: Pp/2\nP(x,y) -> Pp(x,y)\nT(x) -> Pp(x,x)")
             .unwrap();
-    let rec = maximum_extended_recovery_full(&m, &mut v, &QuasiInverseOptions::default()).unwrap();
+    let rec = maximum_extended_recovery_full(&m, &mut v, &cfg).unwrap();
     let universe = Universe::new(&mut v, 1, 1, 2);
-    let ineq_boundary = rde_core::faithful::check_universal_faithful(&m, &rec, &universe, &mut v)
-        .unwrap()
-        .is_some();
+    let ineq_boundary =
+        check_universal_faithful(&m, &rec, &universe, &mut v, &cfg, &mut st).unwrap().is_some();
     Outcome {
         id: "E11",
         claim: "Thm 6.2: max recoveries are universal-faithful",
@@ -549,6 +549,7 @@ fn e12() -> Outcome {
 /// E13 — Example 6.7 / Thm 6.8: comparing schema mappings.
 fn e13() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m1 = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
     let m2 = parse_mapping(
         &mut v,
@@ -556,31 +557,19 @@ fn e13() -> Outcome {
     )
     .unwrap();
     let universe = Universe::new(&mut v, 2, 1, 2);
-    let cmp = rde_core::compare::compare_lossiness(&m1, &m2, &universe, &mut v).unwrap();
+    let cmp = compare_lossiness(&m1, &m2, &universe, &mut v, &cfg, &mut st).unwrap();
     let strictly = cmp == rde_core::compare::Comparison::StrictlyLessLossy;
     // Thm 6.8's procedural criterion with the shared recovery.
     let rec = parse_mapping(&mut v, "source: Pp/2\ntarget: P/2\nPp(x,y) -> P(x,y)").unwrap();
     let family = universe.collect_instances(&v, &m1.source).unwrap();
-    let fwd_ok = rde_core::compare::check_less_lossy_via_recoveries(
-        &m1,
-        &rec,
-        &m2,
-        &rec,
-        family.iter(),
-        &mut v,
-    )
-    .unwrap()
-    .is_none();
-    let bwd_fails = rde_core::compare::check_less_lossy_via_recoveries(
-        &m2,
-        &rec,
-        &m1,
-        &rec,
-        family.iter(),
-        &mut v,
-    )
-    .unwrap()
-    .is_some();
+    let fwd_ok =
+        check_less_lossy_via_recoveries(&m1, &rec, &m2, &rec, &family, &mut v, &cfg, &mut st)
+            .unwrap()
+            .holds();
+    let bwd_fails =
+        !check_less_lossy_via_recoveries(&m2, &rec, &m1, &rec, &family, &mut v, &cfg, &mut st)
+            .unwrap()
+            .holds();
     Outcome {
         id: "E13",
         claim: "Ex 6.7/Thm 6.8: M1 strictly less lossy",
@@ -596,6 +585,7 @@ fn e13() -> Outcome {
 /// the composed mapping.
 fn e14() -> Outcome {
     let mut v = Vocabulary::new();
+    let (cfg, mut st) = unbounded();
     let m12 = parse_mapping(
         &mut v,
         "source: Emp/2\ntarget: Staff/1, InDept/2\nEmp(n, d) -> Staff(n) & InDept(n, d)",
@@ -606,23 +596,15 @@ fn e14() -> Outcome {
         "source: Staff/1, InDept/2\ntarget: Person/1, Unit/1\nStaff(n) -> Person(n)\nInDept(n, d) -> Unit(d)",
     )
     .unwrap();
-    let composed = rde_core::unfold::compose_mappings(
-        &m12,
-        &m23,
-        &v,
-        &rde_core::unfold::UnfoldOptions::default(),
-    )
-    .unwrap();
+    let composed = rde_core::unfold::compose_mappings(&m12, &m23, &v).unwrap();
     // Semantic cross-check of the unfolding on all bounded pairs.
     let universe = Universe::new(&mut v, 2, 1, 1);
     let sources = universe.collect_instances(&v, &m12.source).unwrap();
     let targets = universe.collect_instances(&v, &m23.target).unwrap();
-    let opts = ComposeOptions::default();
     let mut agree = true;
     'outer: for i in &sources {
         for k in &targets {
-            let semantic =
-                rde_core::compose::in_composition(&m12, &m23, i, k, &mut v, &opts).unwrap();
+            let semantic = in_composition(&m12, &m23, i, k, &mut v, &cfg, &mut st).unwrap().holds();
             let syntactic = rde_core::semantics::satisfies(i, k, &composed);
             if semantic != syntactic {
                 agree = false;
@@ -631,12 +613,9 @@ fn e14() -> Outcome {
         }
     }
     // The composed mapping is full: synthesize + verify its recovery.
-    let rec =
-        maximum_extended_recovery_full(&composed, &mut v, &QuasiInverseOptions::default()).unwrap();
-    let verdict = rde_core::recovery::check_maximum_extended_recovery(
-        &composed, &rec, &universe, &mut v, &opts,
-    )
-    .unwrap();
+    let rec = maximum_extended_recovery_full(&composed, &mut v, &cfg).unwrap();
+    let verdict =
+        check_maximum_extended_recovery(&composed, &rec, &universe, &mut v, &cfg, &mut st).unwrap();
     Outcome {
         id: "E14",
         claim: "§1: composition + inverse (evolution)",

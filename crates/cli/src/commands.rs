@@ -6,13 +6,20 @@ use std::time::Duration;
 use rde_chase::{
     chase_mapping, disjunctive_chase, ChaseOptions, CheckpointPolicy, DisjunctiveChaseOptions,
 };
-use rde_core::compose::ComposeOptions;
-use rde_core::quasi_inverse::{maximum_extended_recovery_full, QuasiInverseOptions};
+use rde_core::chase_inverse::find_chase_inverse_counterexample;
+use rde_core::compare::{compare_lossiness, Comparison};
+use rde_core::faithful::check_universal_faithful;
+use rde_core::invertibility::{check_homomorphism_property_budgeted, BoundedVerdict};
+use rde_core::loss::information_loss;
+use rde_core::quasi_inverse::maximum_extended_recovery_full;
+use rde_core::recovery::{
+    check_maximum_extended_recovery, find_extended_recovery_counterexample, MaxRecoveryVerdict,
+};
 use rde_core::retry::{retry_budgeted, RetryPolicy};
 use rde_core::{CoreError, Universe};
 use rde_deps::{parse_mapping, printer, SchemaMapping};
 use rde_faults::{CancelToken, ExecContext};
-use rde_hom::{Exhausted, HomConfig, HomStats};
+use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{display, parse::parse_instance, Instance, Vocabulary};
 use rde_obs::{journal, Record, Sink};
 use rde_query::ConjunctiveQuery;
@@ -151,13 +158,13 @@ checking commands (defaults: 2/1/2). Counterexamples found are genuine;
 a pass is exact within the bound.
 
 --node-budget N caps every homomorphism search at N nodes, and
---time-budget-ms N caps it in wall-clock time: checks then answer
-UNKNOWN instead of searching without bound (counterexamples reported
-under a budget are still genuine); chase, core, reverse and certain stop
-with an error instead. --retries N reruns an UNKNOWN check
+--time-budget-ms N caps it in wall-clock time: the checkers (invertible,
+compare, check-recovery, check-chase-inverse, loss, faithful, hom) then
+answer UNKNOWN instead of searching without bound (counterexamples
+reported under a budget are still genuine); chase, core, reverse and
+certain stop with an error instead. --retries N reruns an UNKNOWN check
 up to N more times with exponentially escalated budgets. --stats prints
-search-work counters after the answer (chase, invertible, compare,
-check-recovery).
+search-work counters after the answer (chase and the checkers).
 
 --deadline-ms N caps the whole command in wall-clock time: the engines
 cancel cooperatively at the next round/search boundary and the process
@@ -347,21 +354,80 @@ fn forward_chase_options(opts: &Options) -> ChaseOptions {
     }
 }
 
-fn retry_policy(opts: &Options) -> RetryPolicy {
-    RetryPolicy::with_retries(opts.retries)
-}
-
-fn print_retry_note(attempts: u32) {
-    if attempts > 1 {
-        println!("# retried with escalated budgets: {attempts} attempt(s)");
-    }
-}
-
 fn print_hom_stats(stats: &HomStats) {
     println!(
         "# hom search: {} node(s), {} backtrack(s), {} hom(s) found",
         stats.nodes, stats.backtracks, stats.found
     );
+}
+
+/// One checker command's budgets, context and search counters. Every
+/// checker command runs its checks through [`Checker::run`] under one
+/// config, so `--deadline-ms` caps the whole command.
+struct Checker<'a> {
+    opts: &'a Options,
+    config: HomConfig,
+    stats: HomStats,
+}
+
+impl<'a> Checker<'a> {
+    fn new(opts: &'a Options) -> Self {
+        Checker { opts, config: hom_config(opts), stats: HomStats::default() }
+    }
+
+    /// Run one check: rerun it with escalated budgets while `unknown`
+    /// reports a cut search (`--retries`), exit 3 when the context was
+    /// cancelled, and print `LABEL: UNKNOWN (…)` when the budgets never
+    /// sufficed. Returns the settled outcome, or `None` once UNKNOWN is
+    /// printed.
+    fn run<T>(
+        &mut self,
+        label: &str,
+        mut check: impl FnMut(&HomConfig, &mut HomStats) -> Result<T, CoreError>,
+        unknown: impl Fn(&T) -> Option<Exhausted>,
+    ) -> Result<Option<T>, CliError> {
+        let stats = &mut self.stats;
+        let (outcome, attempts) = retry_budgeted(
+            &self.config,
+            &RetryPolicy::with_retries(self.opts.retries),
+            |cfg| check(cfg, stats),
+            |outcome| outcome.as_ref().is_ok_and(|v| unknown(v).is_some()),
+        );
+        if attempts > 1 {
+            println!("# retried with escalated budgets: {attempts} attempt(s)");
+        }
+        let outcome = outcome.map_err(core_err)?;
+        match unknown(&outcome) {
+            None => Ok(Some(outcome)),
+            Some(Exhausted::Cancelled) => Err(CliError::Cancelled),
+            Some(budget) => {
+                println!("{label}: UNKNOWN ({budget}); raise --node-budget or --retries");
+                Ok(None)
+            }
+        }
+    }
+
+    /// End the command: print the `--stats` counters after the answer.
+    fn finish(self) -> Result<(), CliError> {
+        if self.opts.stats {
+            print_hom_stats(&self.stats);
+        }
+        Ok(())
+    }
+}
+
+fn verdict_unknown(verdict: &Verdict) -> Option<Exhausted> {
+    match verdict {
+        Verdict::Unknown { budget } => Some(*budget),
+        _ => None,
+    }
+}
+
+fn bounded_unknown(verdict: &BoundedVerdict) -> Option<Exhausted> {
+    match verdict {
+        BoundedVerdict::Unknown { budget } => Some(*budget),
+        _ => None,
+    }
 }
 
 fn cmd_chase(opts: &Options) -> Result<(), CliError> {
@@ -401,9 +467,8 @@ fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
 fn cmd_invert(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
-    let options = QuasiInverseOptions { ctx: exec_context(opts), ..QuasiInverseOptions::default() };
-    let recovery =
-        maximum_extended_recovery_full(&mapping, &mut vocab, &options).map_err(core_err)?;
+    let recovery = maximum_extended_recovery_full(&mapping, &mut vocab, &hom_config(opts))
+        .map_err(core_err)?;
     print!("{}", printer::mapping(&vocab, &recovery));
     Ok(())
 }
@@ -415,21 +480,25 @@ fn cmd_check_chase_inverse(opts: &Options) -> Result<(), CliError> {
     let u = universe(&mut vocab, opts);
     let family = u.collect_instances(&vocab, &mapping.source).map_err(|e| e.to_string())?;
     println!("# checking {} source instance(s)", family.len());
-    match rde_core::chase_inverse::find_chase_inverse_counterexample(
-        &mapping,
-        &reverse,
-        family.iter(),
-        &mut vocab,
-    )
-    .map_err(|e| e.to_string())?
-    {
-        None => println!("chase-inverse: HOLDS within bound (extended inverse by Thm 3.17)"),
-        Some(cex) => {
-            println!("chase-inverse: FAILS at source instance:");
-            print!("{}", display::instance(&vocab, &cex));
+    let mut checker = Checker::new(opts);
+    let verdict = checker.run(
+        "chase-inverse",
+        |cfg, st| {
+            find_chase_inverse_counterexample(&mapping, &reverse, &family, &mut vocab, cfg, st)
+        },
+        bounded_unknown,
+    )?;
+    match verdict {
+        Some(BoundedVerdict::HoldsWithinBound) => {
+            println!("chase-inverse: HOLDS within bound (extended inverse by Thm 3.17)");
         }
+        Some(BoundedVerdict::Counterexample { i1, .. }) => {
+            println!("chase-inverse: FAILS at source instance:");
+            print!("{}", display::instance(&vocab, &i1));
+        }
+        Some(BoundedVerdict::Unknown { .. }) | None => {}
     }
-    Ok(())
+    checker.finish()
 }
 
 fn cmd_check_recovery(opts: &Options) -> Result<(), CliError> {
@@ -438,134 +507,106 @@ fn cmd_check_recovery(opts: &Options) -> Result<(), CliError> {
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
     let u = universe(&mut vocab, opts);
     let family = u.collect_instances(&vocab, &mapping.source).map_err(|e| e.to_string())?;
-    let copts = ComposeOptions::default();
     println!("# checking {} source instance(s)", family.len());
-    match rde_core::recovery::find_extended_recovery_counterexample(
-        &mapping,
-        &reverse,
-        family.iter(),
-        &mut vocab,
-        &copts,
-    )
-    .map_err(|e| e.to_string())?
-    {
-        Some(cex) => {
-            println!("extended recovery: FAILS at source instance:");
-            print!("{}", display::instance(&vocab, &cex));
-            return Ok(());
-        }
-        None => println!("extended recovery: HOLDS within bound"),
-    }
-    let mut stats = HomStats::default();
-    let (verdict, attempts) = retry_budgeted(
-        &hom_config(opts),
-        &retry_policy(opts),
-        |cfg| {
-            rde_core::recovery::check_maximum_extended_recovery_budgeted(
-                &mapping, &reverse, &u, &mut vocab, &copts, cfg, &mut stats,
-            )
+    let mut checker = Checker::new(opts);
+    let recovery = checker.run(
+        "extended recovery",
+        |cfg, st| {
+            find_extended_recovery_counterexample(&mapping, &reverse, &family, &mut vocab, cfg, st)
         },
-        |outcome| matches!(outcome, Ok(rde_core::recovery::MaxRecoveryVerdict::Unknown { .. })),
-    );
-    print_retry_note(attempts);
-    match verdict.map_err(core_err)? {
-        rde_core::recovery::MaxRecoveryVerdict::HoldsWithinBound => {
+        bounded_unknown,
+    )?;
+    match recovery {
+        Some(BoundedVerdict::Counterexample { i1, .. }) => {
+            println!("extended recovery: FAILS at source instance:");
+            print!("{}", display::instance(&vocab, &i1));
+            return checker.finish();
+        }
+        Some(_) => println!("extended recovery: HOLDS within bound"),
+        None => {}
+    }
+    let verdict = checker.run(
+        "maximum extended recovery",
+        |cfg, st| check_maximum_extended_recovery(&mapping, &reverse, &u, &mut vocab, cfg, st),
+        |v| match v {
+            MaxRecoveryVerdict::Unknown { budget } => Some(*budget),
+            _ => None,
+        },
+    )?;
+    match verdict {
+        Some(MaxRecoveryVerdict::HoldsWithinBound) => {
             println!("maximum extended recovery (e(M)∘e(M') = →_M): HOLDS within bound");
         }
-        rde_core::recovery::MaxRecoveryVerdict::NotContainedInArrowM { i1, i2 } => {
+        Some(MaxRecoveryVerdict::NotContainedInArrowM { i1, i2 }) => {
             println!("maximum extended recovery: FAILS (composition exceeds →_M) at pair:");
             print!("{}", display::instance(&vocab, &i1));
             println!("--");
             print!("{}", display::instance(&vocab, &i2));
         }
-        rde_core::recovery::MaxRecoveryVerdict::MissesArrowMPair { i1, i2 } => {
+        Some(MaxRecoveryVerdict::MissesArrowMPair { i1, i2 }) => {
             println!("maximum extended recovery: FAILS (misses a →_M pair):");
             print!("{}", display::instance(&vocab, &i1));
             println!("--");
             print!("{}", display::instance(&vocab, &i2));
         }
-        rde_core::recovery::MaxRecoveryVerdict::Unknown { budget: Exhausted::Cancelled } => {
-            return Err(CliError::Cancelled);
-        }
-        rde_core::recovery::MaxRecoveryVerdict::Unknown { budget } => {
-            println!(
-                "maximum extended recovery: UNKNOWN ({budget}); raise --node-budget or --retries"
-            );
-        }
+        Some(MaxRecoveryVerdict::Unknown { .. }) | None => {}
     }
-    if opts.stats {
-        print_hom_stats(&stats);
-    }
-    Ok(())
+    checker.finish()
 }
 
 fn cmd_invertible(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let u = universe(&mut vocab, opts);
-    let mut stats = HomStats::default();
-    let (verdict, attempts) = retry_budgeted(
-        &hom_config(opts),
-        &retry_policy(opts),
-        |cfg| {
-            rde_core::invertibility::check_homomorphism_property_budgeted(
-                &mapping, &u, &mut vocab, cfg, &mut stats,
-            )
-        },
-        |outcome| matches!(outcome, Ok(rde_core::invertibility::BoundedVerdict::Unknown { .. })),
-    );
-    print_retry_note(attempts);
-    match verdict.map_err(core_err)? {
-        rde_core::invertibility::BoundedVerdict::HoldsWithinBound => {
+    let mut checker = Checker::new(opts);
+    let verdict = checker.run(
+        "homomorphism property",
+        |cfg, st| check_homomorphism_property_budgeted(&mapping, &u, &mut vocab, cfg, st),
+        bounded_unknown,
+    )?;
+    match verdict {
+        Some(BoundedVerdict::HoldsWithinBound) => {
             println!("homomorphism property: HOLDS within bound (extended-invertible evidence)");
         }
-        rde_core::invertibility::BoundedVerdict::Counterexample { i1, i2 } => {
+        Some(BoundedVerdict::Counterexample { i1, i2 }) => {
             println!("NOT extended-invertible; counterexample (I1 →_M I2 but I1 ↛ I2):");
             print!("{}", display::instance(&vocab, &i1));
             println!("--");
             print!("{}", display::instance(&vocab, &i2));
         }
-        rde_core::invertibility::BoundedVerdict::Unknown { budget: Exhausted::Cancelled } => {
-            return Err(CliError::Cancelled);
-        }
-        rde_core::invertibility::BoundedVerdict::Unknown { budget } => {
-            println!("homomorphism property: UNKNOWN ({budget}); raise --node-budget or --retries");
-        }
+        Some(BoundedVerdict::Unknown { .. }) | None => {}
     }
-    if opts.stats {
-        print_hom_stats(&stats);
-    }
-    Ok(())
+    checker.finish()
 }
 
 fn cmd_loss(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let u = universe(&mut vocab, opts);
-    let report = rde_core::loss::information_loss_scoped(
-        &mapping,
-        &u,
-        &mut vocab,
-        opts.examples,
-        &exec_context(opts),
-    )
-    .map_err(core_err)?;
-    println!("universe size:    {}", report.universe_size);
-    println!("pairs in →_M:     {}", report.arrow_m_pairs);
-    println!("pairs in →:       {}", report.hom_pairs);
-    println!(
-        "lost pairs:       {} ({:.2}% of all pairs)",
-        report.lost_pairs,
-        100.0 * report.loss_fraction()
-    );
-    for (i1, i2) in &report.examples {
+    let mut checker = Checker::new(opts);
+    let report = checker.run(
+        "information loss",
+        |cfg, st| information_loss(&mapping, &u, &mut vocab, opts.examples, cfg, st),
+        |report| report.unsettled,
+    )?;
+    if let Some(report) = report {
+        println!("universe size:    {}", report.universe_size);
+        println!("pairs in →_M:     {}", report.arrow_m_pairs);
+        println!("pairs in →:       {}", report.hom_pairs);
         println!(
-            "lost: {} →_M {} (no homomorphism)",
-            display::instance_inline(&vocab, i1),
-            display::instance_inline(&vocab, i2)
+            "lost pairs:       {} ({:.2}% of all pairs)",
+            report.lost_pairs,
+            100.0 * report.loss_fraction()
         );
+        for (i1, i2) in &report.examples {
+            println!(
+                "lost: {} →_M {} (no homomorphism)",
+                display::instance_inline(&vocab, i1),
+                display::instance_inline(&vocab, i2)
+            );
+        }
     }
-    Ok(())
+    checker.finish()
 }
 
 fn cmd_compare(opts: &Options) -> Result<(), CliError> {
@@ -573,25 +614,24 @@ fn cmd_compare(opts: &Options) -> Result<(), CliError> {
     let m1 = load_mapping(&mut vocab, opts.positional(0, "first mapping file")?)?;
     let m2 = load_mapping(&mut vocab, opts.positional(1, "second mapping file")?)?;
     let u = universe(&mut vocab, opts);
-    let mut stats = HomStats::default();
-    let (cmp, attempts) = retry_budgeted(
-        &hom_config(opts),
-        &retry_policy(opts),
-        |cfg| {
-            rde_core::compare::compare_lossiness_budgeted(&m1, &m2, &u, &mut vocab, cfg, &mut stats)
+    let mut checker = Checker::new(opts);
+    let cmp = checker.run(
+        "comparison",
+        |cfg, st| compare_lossiness(&m1, &m2, &u, &mut vocab, cfg, st),
+        |cmp| match cmp {
+            Comparison::Unknown { budget } => Some(*budget),
+            _ => None,
         },
-        |outcome| matches!(outcome, Ok(rde_core::compare::Comparison::Unknown { .. })),
-    );
-    print_retry_note(attempts);
-    match cmp.map_err(core_err)? {
-        rde_core::compare::Comparison::EquallyLossy => println!("equally lossy (within bound)"),
-        rde_core::compare::Comparison::StrictlyLessLossy => {
+    )?;
+    match cmp {
+        Some(Comparison::EquallyLossy) => println!("equally lossy (within bound)"),
+        Some(Comparison::StrictlyLessLossy) => {
             println!("mapping 1 is strictly less lossy than mapping 2");
         }
-        rde_core::compare::Comparison::StrictlyMoreLossy => {
+        Some(Comparison::StrictlyMoreLossy) => {
             println!("mapping 2 is strictly less lossy than mapping 1");
         }
-        rde_core::compare::Comparison::Incomparable { only_in_m1, only_in_m2 } => {
+        Some(Comparison::Incomparable { only_in_m1, only_in_m2 }) => {
             println!("incomparable:");
             println!(
                 "  pair only in →_M1: {} / {}",
@@ -604,17 +644,9 @@ fn cmd_compare(opts: &Options) -> Result<(), CliError> {
                 display::instance_inline(&vocab, &only_in_m2.1)
             );
         }
-        rde_core::compare::Comparison::Unknown { budget: Exhausted::Cancelled } => {
-            return Err(CliError::Cancelled);
-        }
-        rde_core::compare::Comparison::Unknown { budget } => {
-            println!("comparison: UNKNOWN ({budget}); raise --node-budget or --retries");
-        }
+        Some(Comparison::Unknown { .. }) | None => {}
     }
-    if opts.stats {
-        print_hom_stats(&stats);
-    }
-    Ok(())
+    checker.finish()
 }
 
 fn cmd_certain(opts: &Options) -> Result<(), CliError> {
@@ -660,8 +692,14 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let i1 = load_instance(&mut vocab, opts.positional(0, "first instance file")?)?;
     let i2 = load_instance(&mut vocab, opts.positional(1, "second instance file")?)?;
-    match rde_hom::find_hom(&i1, &i2) {
-        Some(h) => {
+    let mut checker = Checker::new(opts);
+    let fwd = checker.run(
+        "I1 -> I2",
+        |cfg, st| Ok(rde_hom::find_hom_budgeted(&i1, &i2, &Default::default(), cfg, st)),
+        |found| found.as_ref().err().copied(),
+    )?;
+    match fwd {
+        Some(Ok(Some(h))) => {
             println!("I1 -> I2: YES");
             let mut bindings: Vec<(rde_model::NullId, rde_model::Value)> = h.iter().collect();
             bindings.sort();
@@ -669,15 +707,29 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
                 println!("  {} |-> {}", vocab.null_name(n), vocab.value_name(img));
             }
         }
-        None => println!("I1 -> I2: NO"),
+        Some(_) => println!("I1 -> I2: NO"),
+        None => {}
     }
-    println!("I2 -> I1: {}", if rde_hom::exists_hom(&i2, &i1) { "YES" } else { "NO" });
-    println!(
-        "hom-equivalent: {}; isomorphic: {}",
-        rde_hom::hom_equivalent(&i1, &i2),
-        rde_hom::is_isomorphic(&i1, &i2)
-    );
-    Ok(())
+    let bwd = checker.run(
+        "I2 -> I1",
+        |cfg, st| Ok(rde_hom::exists_hom_budgeted(&i2, &i1, cfg, st)),
+        verdict_unknown,
+    )?;
+    if let Some(bwd) = bwd {
+        println!("I2 -> I1: {}", if bwd.holds() { "YES" } else { "NO" });
+    }
+    let equivalent = checker.run(
+        "hom-equivalent",
+        |cfg, st| Ok(rde_hom::hom_equivalent_budgeted(&i1, &i2, cfg, st)),
+        verdict_unknown,
+    )?;
+    if let Some(equivalent) = equivalent {
+        // Isomorphic instances are hom-equivalent, so only an
+        // equivalent pair needs the isomorphism search.
+        let isomorphic = equivalent.holds() && rde_hom::is_isomorphic(&i1, &i2);
+        println!("hom-equivalent: {}; isomorphic: {isomorphic}", equivalent.holds());
+    }
+    checker.finish()
 }
 
 fn cmd_eval(opts: &Options) -> Result<(), CliError> {
@@ -727,13 +779,8 @@ fn cmd_compose(opts: &Options) -> Result<(), CliError> {
     let mut vocab = Vocabulary::new();
     let m12 = load_mapping(&mut vocab, opts.positional(0, "first mapping file")?)?;
     let m23 = load_mapping(&mut vocab, opts.positional(1, "second mapping file")?)?;
-    let composed = rde_core::unfold::compose_mappings(
-        &m12,
-        &m23,
-        &vocab,
-        &rde_core::unfold::UnfoldOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    let composed =
+        rde_core::unfold::compose_mappings(&m12, &m23, &vocab).map_err(|e| e.to_string())?;
     print!("{}", printer::mapping(&vocab, &composed));
     Ok(())
 }
@@ -743,32 +790,42 @@ fn cmd_faithful(opts: &Options) -> Result<(), CliError> {
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let reverse = load_mapping(&mut vocab, opts.positional(1, "reverse mapping file")?)?;
     let u = universe(&mut vocab, opts);
-    match rde_core::faithful::check_universal_faithful(&mapping, &reverse, &u, &mut vocab)
-        .map_err(|e| e.to_string())?
-    {
-        None => println!("universal-faithful: HOLDS within bound (Def 6.1)"),
-        Some((source, report)) => {
+    let mut checker = Checker::new(opts);
+    let failure = checker.run(
+        "universal-faithful",
+        |cfg, st| check_universal_faithful(&mapping, &reverse, &u, &mut vocab, cfg, st),
+        |failure| failure.as_ref().and_then(|(_, report)| verdict_unknown(&report.verdict())),
+    )?;
+    let truth = |v: Verdict| match v {
+        Verdict::Holds => "true".to_string(),
+        Verdict::Fails => "false".to_string(),
+        Verdict::Unknown { budget } => format!("UNKNOWN ({budget})"),
+    };
+    match failure {
+        Some(None) => println!("universal-faithful: HOLDS within bound (Def 6.1)"),
+        Some(Some((source, report))) => {
             println!("universal-faithful: FAILS at source instance:");
             print!("{}", display::instance(&vocab, &source));
             println!(
                 "condition (1) every-leaf-exports-at-least: {}",
-                report.every_leaf_exports_at_least
+                truth(report.every_leaf_exports_at_least)
             );
             println!(
                 "condition (2) some-leaf-exports-at-most:   {}",
-                report.some_leaf_exports_at_most
+                truth(report.some_leaf_exports_at_most)
             );
             println!(
                 "condition (3) universality:                {}",
-                report.universality_within_bound
+                truth(report.universality_within_bound)
             );
             if let Some(cex) = report.universality_counterexample {
                 println!("unreachable I':");
                 print!("{}", display::instance(&vocab, &cex));
             }
         }
+        None => {}
     }
-    Ok(())
+    checker.finish()
 }
 
 /// Rotating access-log sink bounds: 64 MiB per file, 4 rotated files
@@ -1266,6 +1323,44 @@ mod tests {
         let mut args = strings(&["compare", &m, &m, "--node-budget", "1"]);
         args.extend(strings(&common));
         run(&args).unwrap();
+    }
+
+    /// Every checker command on the bundled examples, over a small
+    /// universe.
+    fn checker_matrix() -> Vec<Vec<String>> {
+        let data = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/data/");
+        let ex = |name: &str| format!("{data}{name}");
+        let (dec, dec_rev) = (ex("decomposition.map"), ex("decomposition_reverse.map"));
+        [
+            vec!["faithful".into(), dec.clone(), dec_rev.clone()],
+            vec!["check-chase-inverse".into(), ex("two_step.map"), ex("two_step_inverse.map")],
+            vec!["check-recovery".into(), dec.clone(), dec_rev],
+            vec!["invertible".into(), dec.clone()],
+            vec!["loss".into(), dec],
+            vec!["compare".into(), ex("union.map"), ex("union.map")],
+            vec!["hom".into(), ex("flights.inst"), ex("flights.inst")],
+        ]
+        .into_iter()
+        .map(|mut args| {
+            args.extend(strings(&["--consts", "1", "--nulls", "1", "--facts", "1"]));
+            args
+        })
+        .collect()
+    }
+
+    /// The budget contract of every checker: an expired deadline is a
+    /// cancellation (exit 3), and a zero node budget is an answer
+    /// (UNKNOWN), not an error.
+    #[test]
+    fn every_checker_honours_the_deadline_and_the_node_budget() {
+        for args in checker_matrix() {
+            let mut cancelled = args.clone();
+            cancelled.extend(strings(&["--deadline-ms", "0"]));
+            assert_eq!(run(&cancelled), Err(CliError::Cancelled), "{}", args.join(" "));
+            let mut starved = args.clone();
+            starved.extend(strings(&["--node-budget", "0"]));
+            assert_eq!(run(&starved), Ok(()), "{}", args.join(" "));
+        }
     }
 
     #[test]

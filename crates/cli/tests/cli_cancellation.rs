@@ -76,6 +76,40 @@ fn expired_deadline_cancels_the_recovery_construction() {
     assert!(String::from_utf8_lossy(&output.stdout).contains("->"));
 }
 
+/// The checker budget contract on stdout: under an expired deadline no
+/// checker prints a verdict line (only `#` comments) before exiting 3,
+/// and under a zero node budget every line it prints is UNKNOWN.
+#[test]
+fn checkers_print_no_verdict_they_did_not_reach() {
+    let (dec, dec_rev) = (example("decomposition.map"), example("decomposition_reverse.map"));
+    let matrix = [
+        vec!["faithful", &dec, &dec_rev],
+        vec!["check-chase-inverse", &example("two_step.map"), &example("two_step_inverse.map")],
+        vec!["check-recovery", &dec, &dec_rev],
+        vec!["invertible", &dec],
+        vec!["loss", &dec],
+        vec!["compare", &example("union.map"), &example("union.map")],
+        vec!["hom", &example("flights.inst"), &example("flights.inst")],
+    ]
+    .map(|cmd| cmd.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    let bound = ["--consts", "1", "--nulls", "1", "--facts", "1"];
+    for cmd in &matrix {
+        let output =
+            rde().args(cmd).args(bound).args(["--deadline-ms", "0"]).output().expect("spawn rde");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(EXIT_CANCELLED), "{}: {stdout}", cmd.join(" "));
+        assert!(stdout.lines().all(|l| l.starts_with('#')), "{}: {stdout}", cmd.join(" "));
+
+        let output =
+            rde().args(cmd).args(bound).args(["--node-budget", "0"]).output().expect("spawn rde");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{}: {stdout}", cmd.join(" "));
+        let verdicts: Vec<&str> = stdout.lines().filter(|l| !l.starts_with('#')).collect();
+        assert!(!verdicts.is_empty(), "{}: no answer at all", cmd.join(" "));
+        assert!(verdicts.iter().all(|l| l.contains("UNKNOWN")), "{}: {stdout}", cmd.join(" "));
+    }
+}
+
 #[test]
 fn generous_deadline_does_not_disturb_a_fast_run() {
     let output = rde()

@@ -6,16 +6,20 @@ use std::sync::Mutex;
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_faults::ExecContext;
 use rde_hom::{core_of_budgeted, exists_hom, exists_hom_budgeted, HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, NullId, Value, Vocabulary};
 
-use crate::CoreError;
+use crate::{chase_options, CoreError};
 
 /// `I₁ →_M I₂` for a tgd-specified mapping: by Proposition 4.7 this is
 /// `chase_M(I₁) → chase_M(I₂)` (equivalently, `eSol_M(I₂) ⊆
 /// eSol_M(I₁)` — `I₂` exports at least as much information as `I₁`).
+/// On ground instances this is also `→_{M,g}` (Definition 4.18).
+///
+/// Unbudgeted: the benchmark (`perfbench`) uses it as its reference
+/// answer. The budgeted `→_M` is [`ArrowMCache::arrow`] and
+/// [`ArrowMCache::arrow_classes`].
 pub fn arrow_m(
     mapping: &SchemaMapping,
     i1: &Instance,
@@ -25,21 +29,6 @@ pub fn arrow_m(
     let c1 = chase_mapping(i1, mapping, vocab, &ChaseOptions::default())?;
     let c2 = chase_mapping(i2, mapping, vocab, &ChaseOptions::default())?;
     Ok(exists_hom(&c1, &c2))
-}
-
-/// `I₁ →_{M,g} I₂` for **ground** `I₁`, `I₂` (Definition 4.18):
-/// `Sol_M(I₂) ⊆ Sol_M(I₁)`. For tgd mappings `Sol_M(I) = {J :
-/// chase_M(I) → J}`, so the containment is again
-/// `chase_M(I₁) → chase_M(I₂)`; the difference from [`arrow_m`] is only
-/// the ground domain of applicability.
-pub fn arrow_m_ground(
-    mapping: &SchemaMapping,
-    i1: &Instance,
-    i2: &Instance,
-    vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    debug_assert!(i1.is_ground() && i2.is_ground(), "→_{{M,g}} is defined on ground instances");
-    arrow_m(mapping, i1, i2, vocab)
 }
 
 /// Work counters of an [`ArrowMCache`]: how far canonicalization
@@ -208,47 +197,24 @@ pub struct ArrowMCache {
     memo: Mutex<MemoTable>,
     stats: Mutex<CacheStats>,
     policy: CachePolicy,
-    /// The execution context the cache was built under. Unbudgeted
-    /// arrow queries take no config, so the construction-time context
-    /// also scopes their fault-injection decisions
-    /// (`core.arrow.poison`).
-    ctx: ExecContext,
 }
 
 impl ArrowMCache {
     /// Chase every instance of the family once and canonicalize the
-    /// results into hom-equivalence classes.
-    pub fn new(
-        mapping: &SchemaMapping,
-        family: &[Instance],
-        vocab: &mut Vocabulary,
-    ) -> Result<Self, CoreError> {
-        Self::new_budgeted(mapping, family, vocab, &HomConfig::default())
-    }
-
-    /// Like [`Self::new`], but construction runs under `config`'s
-    /// budgets, threaded differently into the two construction phases
-    /// to match their failure modes:
+    /// results into hom-equivalence classes, under `config` and with
+    /// the size caps of `policy` (a long-lived cache must bound both
+    /// stores; see [`CachePolicy`]). The two construction phases take
+    /// `config` differently, to match their failure modes:
     ///
-    /// * the **chase** gets `config`'s *time* budget only — premise
-    ///   matching is strict (a truncated enumeration is a
-    ///   [`CoreError`], not a degraded result), and these searches are
-    ///   tiny, so a node budget meant for the checker's hom decisions
-    ///   would only inject spurious hard failures;
+    /// * the **chase** gets `config`'s time budget and context but not
+    ///   its node budget — premise matching is strict (a truncated
+    ///   enumeration is a [`CoreError`], not a degraded result), and
+    ///   these searches are tiny, so a node budget meant for the
+    ///   checker's hom decisions would only inject spurious hard
+    ///   failures;
     /// * **core minimization** gets the full `config` — it degrades
     ///   gracefully (a budget-cut fold test leaves a sound, possibly
     ///   non-minimal representative, never a wrong class).
-    pub fn new_budgeted(
-        mapping: &SchemaMapping,
-        family: &[Instance],
-        vocab: &mut Vocabulary,
-        config: &HomConfig,
-    ) -> Result<Self, CoreError> {
-        Self::with_policy(mapping, family, vocab, config, CachePolicy::default())
-    }
-
-    /// Like [`Self::new_budgeted`], with explicit size caps. A
-    /// long-lived cache must bound both stores; see [`CachePolicy`].
     pub fn with_policy(
         mapping: &SchemaMapping,
         family: &[Instance],
@@ -257,10 +223,7 @@ impl ArrowMCache {
         policy: CachePolicy,
     ) -> Result<Self, CoreError> {
         let span = rde_obs::span("core.arrow.build", &[("instances", family.len().into())]);
-        let chase_options = ChaseOptions {
-            hom: HomConfig { node_budget: None, ..config.clone() },
-            ..ChaseOptions::default()
-        };
+        let chase_options = chase_options(config);
         let mut chased = Vec::with_capacity(family.len());
         let mut class = Vec::with_capacity(family.len());
         let mut reps: Vec<Instance> = Vec::new();
@@ -307,22 +270,16 @@ impl ArrowMCache {
             memo: Mutex::new(MemoTable::default()),
             stats: Mutex::new(stats),
             policy,
-            ctx: config.ctx.clone(),
         };
         cache.publish_occupancy();
         Ok(cache)
     }
 
-    /// `family[a] →_M family[b]`: `chase_M(a) → chase_M(b)`, answered on
-    /// the core representatives and memoized per class pair.
-    pub fn arrow(&self, a: usize, b: usize) -> bool {
-        self.arrow_budgeted(a, b, &HomConfig::default()).holds()
-    }
-
-    /// Budgeted form of [`Self::arrow`]: decides on the core
-    /// representatives under `config`, memoizing definite verdicts only
-    /// (an `Unknown` must stay retryable with a larger budget).
-    pub fn arrow_budgeted(&self, a: usize, b: usize, config: &HomConfig) -> Verdict {
+    /// `family[a] →_M family[b]`: `chase_M(a) → chase_M(b)`, decided on
+    /// the core representatives under `config` and memoized per class
+    /// pair. Only definite verdicts are memoized: an `Unknown` must stay
+    /// retryable with a larger budget.
+    pub fn arrow(&self, a: usize, b: usize, config: &HomConfig) -> Verdict {
         let (ka, kb) = (ClassKey(self.class[a] as u64), ClassKey(self.class[b] as u64));
         self.decide(ka, &self.reps[self.class[a]], kb, &self.reps[self.class[b]], config).0
     }
@@ -340,11 +297,7 @@ impl ArrowMCache {
         vocab: &mut Vocabulary,
         config: &HomConfig,
     ) -> Result<ClassHandle, CoreError> {
-        let chase_options = ChaseOptions {
-            hom: HomConfig { node_budget: None, ..config.clone() },
-            ..ChaseOptions::default()
-        };
-        let c = chase_mapping(instance, mapping, vocab, &chase_options)?;
+        let c = chase_mapping(instance, mapping, vocab, &chase_options(config))?;
         let outcome = core_of_budgeted(&c, config);
         self.lock_stats().hom += outcome.stats;
         let core = outcome.result.core;
@@ -425,7 +378,7 @@ impl ArrowMCache {
         // Resilience-suite injection: a worker that panicked while
         // holding these locks must not wedge every later query —
         // `lock_memo`/`lock_stats` recover from the poison.
-        if self.ctx.should_inject("core.arrow.poison") {
+        if config.ctx.should_inject("core.arrow.poison") {
             rde_faults::poison_mutex(&self.memo);
             rde_faults::poison_mutex(&self.stats);
         }
@@ -590,14 +543,26 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cache = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let cache = ArrowMCache::with_policy(
+            &m,
+            &family,
+            &mut v,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
         let n = cache.len();
         for a in 0..n {
-            assert!(cache.arrow(a, a));
+            assert!(cache.arrow(a, a, &HomConfig::default()).holds());
             for b in 0..n {
                 for c in 0..n {
-                    if cache.arrow(a, b) && cache.arrow(b, c) {
-                        assert!(cache.arrow(a, c), "transitivity violated");
+                    if cache.arrow(a, b, &HomConfig::default()).holds()
+                        && cache.arrow(b, c, &HomConfig::default()).holds()
+                    {
+                        assert!(
+                            cache.arrow(a, c, &HomConfig::default()).holds(),
+                            "transitivity violated"
+                        );
                     }
                 }
             }
@@ -612,12 +577,19 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cache = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let cache = ArrowMCache::with_policy(
+            &m,
+            &family,
+            &mut v,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
         let n = family.len();
         for a in 0..n {
             for b in 0..n {
                 assert_eq!(
-                    cache.arrow(a, b),
+                    cache.arrow(a, b, &HomConfig::default()).holds(),
                     arrow_m(&m, &family[a], &family[b], &mut v).unwrap(),
                     "cache disagrees on ({a}, {b})"
                 );
@@ -630,7 +602,7 @@ mod tests {
         // A second sweep is answered entirely from the memo.
         for a in 0..n {
             for b in 0..n {
-                cache.arrow(a, b);
+                cache.arrow(a, b, &HomConfig::default()).holds();
             }
         }
         assert_eq!(cache.stats().misses, s.misses);
@@ -644,15 +616,32 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let reference = ArrowMCache::new(&m, &family, &mut v).unwrap();
-        let budgeted = ArrowMCache::new(&m, &family, &mut v).unwrap();
-        let tight = rde_hom::HomConfig { node_budget: Some(1), ..rde_hom::HomConfig::default() };
+        let reference = ArrowMCache::with_policy(
+            &m,
+            &family,
+            &mut v,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
+        let budgeted = ArrowMCache::with_policy(
+            &m,
+            &family,
+            &mut v,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
+        let tight = HomConfig { node_budget: Some(1), ..HomConfig::default() };
         let mut unknowns = 0;
         for a in 0..family.len() {
             for b in 0..family.len() {
-                match budgeted.arrow_budgeted(a, b, &tight) {
+                match budgeted.arrow(a, b, &tight) {
                     Verdict::Unknown { .. } => unknowns += 1,
-                    definite => assert_eq!(definite.holds(), reference.arrow(a, b)),
+                    definite => assert_eq!(
+                        definite.holds(),
+                        reference.arrow(a, b, &HomConfig::default()).holds()
+                    ),
                 }
             }
         }
@@ -660,7 +649,10 @@ mod tests {
         // Unknowns are not memoized: an unbounded retry settles them.
         for a in 0..family.len() {
             for b in 0..family.len() {
-                assert_eq!(budgeted.arrow(a, b), reference.arrow(a, b));
+                assert_eq!(
+                    budgeted.arrow(a, b, &HomConfig::default()).holds(),
+                    reference.arrow(a, b, &HomConfig::default()).holds()
+                );
             }
         }
     }
@@ -673,7 +665,14 @@ mod tests {
                 .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let reference = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let reference = ArrowMCache::with_policy(
+            &m,
+            &family,
+            &mut v,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
         let capped = ArrowMCache::with_policy(
             &m,
             &family,
@@ -687,8 +686,8 @@ mod tests {
             for a in 0..n {
                 for b in 0..n {
                     assert_eq!(
-                        capped.arrow(a, b),
-                        reference.arrow(a, b),
+                        capped.arrow(a, b, &HomConfig::default()).holds(),
+                        reference.arrow(a, b, &HomConfig::default()).holds(),
                         "sweep {sweep}: capped cache disagrees on ({a}, {b})"
                     );
                 }
@@ -709,7 +708,14 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let reference = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let reference = ArrowMCache::with_policy(
+            &m,
+            &family,
+            &mut v,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
         let uncached = ArrowMCache::with_policy(
             &m,
             &family,
@@ -720,7 +726,10 @@ mod tests {
         .unwrap();
         for a in 0..family.len() {
             for b in 0..family.len() {
-                assert_eq!(uncached.arrow(a, b), reference.arrow(a, b));
+                assert_eq!(
+                    uncached.arrow(a, b, &HomConfig::default()).holds(),
+                    reference.arrow(a, b, &HomConfig::default()).holds()
+                );
             }
         }
         let s = uncached.stats();
@@ -803,7 +812,7 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/1\ntarget: Q/1\nP(x) -> Q(x)").unwrap();
         let i1 = parse_instance(&mut v, "P(a)").unwrap();
         let i2 = parse_instance(&mut v, "P(a)\nP(b)").unwrap();
-        assert!(arrow_m_ground(&m, &i1, &i2, &mut v).unwrap());
-        assert!(!arrow_m_ground(&m, &i2, &i1, &mut v).unwrap());
+        assert!(arrow_m(&m, &i1, &i2, &mut v).unwrap());
+        assert!(!arrow_m(&m, &i2, &i1, &mut v).unwrap());
     }
 }

@@ -1,15 +1,17 @@
 //! Chase-inverses (Definition 3.16) and their equivalence with extended
 //! inverses for tgd-specified reverse mappings (Theorem 3.17).
 
-use rde_chase::{chase, ChaseOptions};
+use rde_chase::chase;
 use rde_deps::SchemaMapping;
-use rde_hom::hom_equivalent;
+use rde_hom::{hom_equivalent_budgeted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::CoreError;
+use crate::invertibility::BoundedVerdict;
+use crate::{chase_options, CoreError};
 
 /// One round trip of reverse data exchange:
-/// `chase_{M′}(chase_M(I))`, restricted to the source schema.
+/// `chase_{M′}(chase_M(I))`, restricted to the source schema. Both
+/// chases run under `config`'s time budget and context.
 ///
 /// `M′` may be specified by tgds or tgds with constants/inequalities
 /// (the extension discussed after Theorem 3.17); it must not be
@@ -19,8 +21,9 @@ pub fn roundtrip(
     reverse: &SchemaMapping,
     source: &Instance,
     vocab: &mut Vocabulary,
+    config: &HomConfig,
 ) -> Result<Instance, CoreError> {
-    let opts = ChaseOptions::default();
+    let opts = chase_options(config);
     let u = rde_chase::chase_mapping(source, mapping, vocab, &opts)?;
     let back = chase(&u, &reverse.dependencies, vocab, &opts)?;
     Ok(back.instance.restrict_to(&mapping.source))
@@ -33,15 +36,18 @@ pub fn roundtrip_recovers(
     reverse: &SchemaMapping,
     source: &Instance,
     vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let recovered = roundtrip(mapping, reverse, source, vocab)?;
-    Ok(hom_equivalent(source, &recovered))
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let recovered = roundtrip(mapping, reverse, source, vocab, config)?;
+    Ok(hom_equivalent_budgeted(source, &recovered, config, stats))
 }
 
 /// Is `M′` a chase-inverse of `M` over the given family of source
 /// instances (Definition 3.16 quantifies over *all* sources; a
 /// counterexample refutes unconditionally, passing the family is
-/// bounded evidence)? Returns the first failing source, if any.
+/// bounded evidence)? A counterexample is the first failing source
+/// paired with what its round trip recovered.
 ///
 /// By Theorem 3.17, for `M` and `M′` specified by s-t tgds this is
 /// exactly the extended-inverse condition; the extension to `M′` with
@@ -51,13 +57,17 @@ pub fn find_chase_inverse_counterexample<'a>(
     reverse: &SchemaMapping,
     sources: impl IntoIterator<Item = &'a Instance>,
     vocab: &mut Vocabulary,
-) -> Result<Option<Instance>, CoreError> {
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<BoundedVerdict, CoreError> {
+    let mut verdict = BoundedVerdict::HoldsWithinBound;
     for i in sources {
-        if !roundtrip_recovers(mapping, reverse, i, vocab)? {
-            return Ok(Some(i.clone()));
+        let recovered = roundtrip(mapping, reverse, i, vocab, config)?;
+        if verdict.absorb(hom_equivalent_budgeted(i, &recovered, config, stats)) {
+            return Ok(BoundedVerdict::Counterexample { i1: i.clone(), i2: recovered });
         }
     }
-    Ok(None)
+    Ok(verdict)
 }
 
 #[cfg(test)]
@@ -66,6 +76,21 @@ mod tests {
     use crate::Universe;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
+
+    fn recovers(m: &SchemaMapping, rev: &SchemaMapping, i: &Instance, v: &mut Vocabulary) -> bool {
+        let (config, mut stats) = (HomConfig::default(), HomStats::default());
+        roundtrip_recovers(m, rev, i, v, &config, &mut stats).unwrap().holds()
+    }
+
+    fn counterexample<'a>(
+        m: &SchemaMapping,
+        rev: &SchemaMapping,
+        family: impl IntoIterator<Item = &'a Instance>,
+        v: &mut Vocabulary,
+    ) -> BoundedVerdict {
+        let (config, mut stats) = (HomConfig::default(), HomStats::default());
+        find_chase_inverse_counterexample(m, rev, family, v, &config, &mut stats).unwrap()
+    }
 
     fn two_step(v: &mut Vocabulary) -> SchemaMapping {
         parse_mapping(v, "source: P/2\ntarget: Q/2\nP(x,y) -> exists z . Q(x,z) & Q(z,y)").unwrap()
@@ -81,11 +106,11 @@ mod tests {
             parse_mapping(&mut v, "source: Q/2\ntarget: P/2\nQ(x,z) & Q(z,y) -> P(x,y)").unwrap();
         // The paper's own walkthrough instance plus a bounded family.
         let i = parse_instance(&mut v, "P(a,b)\nP(b,c)\nP(a,a)").unwrap();
-        assert!(roundtrip_recovers(&m, &minv, &i, &mut v).unwrap());
+        assert!(recovers(&m, &minv, &i, &mut v));
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cex = find_chase_inverse_counterexample(&m, &minv, family.iter(), &mut v).unwrap();
-        assert_eq!(cex, None);
+        let cex = counterexample(&m, &minv, family.iter(), &mut v);
+        assert!(cex.holds(), "{cex:?}");
     }
 
     /// Example 3.18's fine structure: I ⊆ V and V → I.
@@ -96,7 +121,7 @@ mod tests {
         let minv =
             parse_mapping(&mut v, "source: Q/2\ntarget: P/2\nQ(x,z) & Q(z,y) -> P(x,y)").unwrap();
         let i = parse_instance(&mut v, "P(a,b)\nP(b,c)").unwrap();
-        let recovered = roundtrip(&m, &minv, &i, &mut v).unwrap();
+        let recovered = roundtrip(&m, &minv, &i, &mut v, &HomConfig::default()).unwrap();
         assert!(i.is_subset_of(&recovered), "I ⊆ chase_M′(chase_M(I))");
         // The extra facts are of the form P(Z_ab, Z_bc) — nulls only.
         for f in recovered.facts() {
@@ -119,12 +144,12 @@ mod tests {
         )
         .unwrap();
         let i = parse_instance(&mut v, "P(?w, ?z)").unwrap();
-        let recovered = roundtrip(&m, &minv2, &i, &mut v).unwrap();
+        let recovered = roundtrip(&m, &minv2, &i, &mut v, &HomConfig::default()).unwrap();
         assert!(recovered.is_empty(), "no constants in U ⇒ empty reverse chase");
-        assert!(!roundtrip_recovers(&m, &minv2, &i, &mut v).unwrap());
+        assert!(!recovers(&m, &minv2, &i, &mut v));
         // On ground instances M″ does recover (it is an inverse).
         let ground = parse_instance(&mut v, "P(a, b)").unwrap();
-        assert!(roundtrip_recovers(&m, &minv2, &ground, &mut v).unwrap());
+        assert!(recovers(&m, &minv2, &ground, &mut v));
     }
 
     /// A wrong reverse mapping is caught by the counterexample search.
@@ -135,8 +160,8 @@ mod tests {
         let bad = parse_mapping(&mut v, "source: Q/2\ntarget: P/2\nQ(x,y) -> P(y,x)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 1);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cex = find_chase_inverse_counterexample(&m, &bad, family.iter(), &mut v).unwrap();
-        assert!(cex.is_some());
+        let cex = counterexample(&m, &bad, family.iter(), &mut v);
+        assert!(matches!(cex, BoundedVerdict::Counterexample { .. }));
     }
 
     /// The copy mapping with its transposed copy-back is a chase-inverse.
@@ -147,7 +172,7 @@ mod tests {
         let back = parse_mapping(&mut v, "source: Pp/2\ntarget: P/2\nPp(x,y) -> P(x,y)").unwrap();
         let u = Universe::small(&mut v);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cex = find_chase_inverse_counterexample(&m, &back, family.iter(), &mut v).unwrap();
-        assert_eq!(cex, None);
+        let cex = counterexample(&m, &back, family.iter(), &mut v);
+        assert!(cex.holds(), "{cex:?}");
     }
 }

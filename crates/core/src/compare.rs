@@ -1,12 +1,15 @@
 //! Comparing schema mappings by information loss (Section 6.3).
 
-use rde_chase::{chase_mapping, disjunctive_chase, ChaseOptions, DisjunctiveChaseOptions};
+use rde_chase::{chase_mapping, disjunctive_chase};
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::arrow::ArrowMCache;
-use crate::{CoreError, Universe};
+use crate::arrow::{ArrowMCache, CachePolicy};
+use crate::invertibility::BoundedVerdict;
+use crate::{
+    chase_options, disjunctive_options, some_maps_into, source_family, CoreError, Universe,
+};
 
 /// Result of comparing `→_{M₁}` and `→_{M₂}` over a bounded universe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,22 +39,13 @@ pub enum Comparison {
 /// by enumerating `→_{M₁}` vs `→_{M₂}` on the universe. A strict or
 /// incomparable verdict is witnessed by genuine pairs; equality and
 /// containment are bounded evidence.
+///
+/// Arrow queries run under `config`, their work accumulates into
+/// `stats`. Verdicts that assert the *absence* of pairs (equality,
+/// strict containment) require every pair settled; if some were cut and
+/// no incomparability witness pair was completed, the honest answer is
+/// [`Comparison::Unknown`].
 pub fn compare_lossiness(
-    m1: &SchemaMapping,
-    m2: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-) -> Result<Comparison, CoreError> {
-    let mut stats = HomStats::default();
-    compare_lossiness_budgeted(m1, m2, universe, vocab, &HomConfig::default(), &mut stats)
-}
-
-/// Budgeted form of [`compare_lossiness`]: arrow queries run under
-/// `config`, their work accumulates into `stats`. Verdicts that assert
-/// the *absence* of pairs (equality, strict containment) require every
-/// pair settled; if some were cut and no incomparability witness pair
-/// was completed, the honest answer is [`Comparison::Unknown`].
-pub fn compare_lossiness_budgeted(
     m1: &SchemaMapping,
     m2: &SchemaMapping,
     universe: &Universe,
@@ -64,18 +58,16 @@ pub fn compare_lossiness_budgeted(
             required: "two mappings over the same source schema",
         });
     }
-    let family = universe
-        .collect_instances(vocab, &m1.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let c1 = ArrowMCache::new_budgeted(m1, &family, vocab, config)?;
-    let c2 = ArrowMCache::new_budgeted(m2, &family, vocab, config)?;
+    let family = source_family(m1, universe, vocab)?;
+    let c1 = ArrowMCache::with_policy(m1, &family, vocab, config, CachePolicy::default())?;
+    let c2 = ArrowMCache::with_policy(m2, &family, vocab, config, CachePolicy::default())?;
     let mut only1: Option<(Instance, Instance)> = None;
     let mut only2: Option<(Instance, Instance)> = None;
     let mut unsettled: Option<Exhausted> = None;
     for a in 0..family.len() {
         for b in 0..family.len() {
-            let v1 = c1.arrow_budgeted(a, b, config);
-            let v2 = c2.arrow_budgeted(a, b, config);
+            let v1 = c1.arrow(a, b, config);
+            let v2 = c2.arrow(a, b, config);
             if let (Verdict::Unknown { budget }, _) | (_, Verdict::Unknown { budget }) = (v1, v2) {
                 unsettled = unsettled.or(Some(budget));
                 continue;
@@ -109,8 +101,9 @@ pub fn compare_lossiness_budgeted(
 /// `chase_{M₁′}(chase_{M₁}(I))` there is a leaf `V₂` of
 /// `chase_{M₂′}(chase_{M₂}(I))` with `V₂ → V₁`.
 ///
-/// Checks the right-hand side over a family of sources; returns the
-/// first `(I, V₁)` with no covering `V₂`.
+/// Checks the right-hand side over a family of sources under `config`;
+/// a counterexample is the first `(I, V₁)` with no covering `V₂`.
+#[allow(clippy::too_many_arguments)]
 pub fn check_less_lossy_via_recoveries<'a>(
     m1: &SchemaMapping,
     rec1: &SchemaMapping,
@@ -118,9 +111,11 @@ pub fn check_less_lossy_via_recoveries<'a>(
     rec2: &SchemaMapping,
     sources: impl IntoIterator<Item = &'a Instance>,
     vocab: &mut Vocabulary,
-) -> Result<Option<(Instance, Instance)>, CoreError> {
-    let copts = ChaseOptions::default();
-    let dopts = DisjunctiveChaseOptions::default();
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<BoundedVerdict, CoreError> {
+    let (copts, dopts) = (chase_options(config), disjunctive_options(config));
+    let mut verdict = BoundedVerdict::HoldsWithinBound;
     for i in sources {
         let u1 = chase_mapping(i, m1, vocab, &copts)?;
         let k1 = disjunctive_chase(&u1, &rec1.dependencies, vocab, &dopts)?;
@@ -129,12 +124,12 @@ pub fn check_less_lossy_via_recoveries<'a>(
         let leaves2: Vec<Instance> = k2.leaves.iter().map(|l| l.restrict_to(&m2.source)).collect();
         for v1 in &k1.leaves {
             let v1s = v1.restrict_to(&m1.source);
-            if !leaves2.iter().any(|v2| exists_hom(v2, &v1s)) {
-                return Ok(Some((i.clone(), v1s)));
+            if verdict.absorb(some_maps_into(&leaves2, &v1s, config, stats)) {
+                return Ok(BoundedVerdict::Counterexample { i1: i.clone(), i2: v1s });
             }
         }
     }
-    Ok(None)
+    Ok(verdict)
 }
 
 #[cfg(test)]
@@ -154,10 +149,26 @@ mod tests {
         )
         .unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
-        let cmp = compare_lossiness(&m1, &m2, &u, &mut v).unwrap();
+        let cmp = compare_lossiness(
+            &m1,
+            &m2,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert_eq!(cmp, Comparison::StrictlyLessLossy);
         // And symmetrically.
-        let cmp = compare_lossiness(&m2, &m1, &u, &mut v).unwrap();
+        let cmp = compare_lossiness(
+            &m2,
+            &m1,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert_eq!(cmp, Comparison::StrictlyMoreLossy);
     }
 
@@ -166,7 +177,11 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)").unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        assert_eq!(compare_lossiness(&m, &m, &u, &mut v).unwrap(), Comparison::EquallyLossy);
+        assert_eq!(
+            compare_lossiness(&m, &m, &u, &mut v, &HomConfig::default(), &mut HomStats::default())
+                .unwrap(),
+            Comparison::EquallyLossy
+        );
     }
 
     #[test]
@@ -177,7 +192,15 @@ mod tests {
         let m1 = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)").unwrap();
         let m2 = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(y)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 1);
-        let cmp = compare_lossiness(&m1, &m2, &u, &mut v).unwrap();
+        let cmp = compare_lossiness(
+            &m1,
+            &m2,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(matches!(cmp, Comparison::Incomparable { .. }), "got {cmp:?}");
     }
 
@@ -187,7 +210,15 @@ mod tests {
         let m1 = parse_mapping(&mut v, "source: P/1\ntarget: Q/1\nP(x) -> Q(x)").unwrap();
         let m2 = parse_mapping(&mut v, "source: R/1\ntarget: Q/1\nR(x) -> Q(x)").unwrap();
         let u = Universe::small(&mut v);
-        assert!(compare_lossiness(&m1, &m2, &u, &mut v).is_err());
+        assert!(compare_lossiness(
+            &m1,
+            &m2,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default()
+        )
+        .is_err());
     }
 
     /// Theorem 6.8 in action (the paper's closing example): with the
@@ -207,14 +238,33 @@ mod tests {
         let rec = parse_mapping(&mut v, "source: Pp/2\ntarget: P/2\nPp(x,y) -> P(x,y)").unwrap();
         let u = Universe::new(&mut v, 2, 1, 2);
         let family = u.collect_instances(&v, &m1.source).unwrap();
+        let (config, mut st) = (HomConfig::default(), HomStats::default());
         // →_{M₁} ⊆ →_{M₂}: criterion holds.
-        let cex =
-            check_less_lossy_via_recoveries(&m1, &rec, &m2, &rec, family.iter(), &mut v).unwrap();
-        assert_eq!(cex, None);
+        let cex = check_less_lossy_via_recoveries(
+            &m1,
+            &rec,
+            &m2,
+            &rec,
+            family.iter(),
+            &mut v,
+            &config,
+            &mut st,
+        )
+        .unwrap();
+        assert!(cex.holds(), "{cex:?}");
         // →_{M₂} ⊆ →_{M₁} fails: some leaf of M₂'s roundtrip is not
         // covered by M₁'s.
-        let cex =
-            check_less_lossy_via_recoveries(&m2, &rec, &m1, &rec, family.iter(), &mut v).unwrap();
-        assert!(cex.is_some());
+        let cex = check_less_lossy_via_recoveries(
+            &m2,
+            &rec,
+            &m1,
+            &rec,
+            family.iter(),
+            &mut v,
+            &config,
+            &mut st,
+        )
+        .unwrap();
+        assert!(matches!(cex, BoundedVerdict::Counterexample { .. }));
     }
 }

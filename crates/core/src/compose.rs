@@ -27,29 +27,18 @@
 //! `Constant`/inequality guards (e.g. `M″` of Example 3.19) the
 //! collapses are enumerated explicitly.
 
-use rde_chase::{chase_mapping, disjunctive_chase, ChaseOptions, DisjunctiveChaseOptions};
+use rde_chase::{chase_mapping, disjunctive_chase};
 use rde_deps::{SchemaMapping, Term};
-use rde_hom::exists_hom;
+use rde_hom::{HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashSet;
 use rde_model::{Instance, NullId, Substitution, Value, Vocabulary};
 
-use crate::semantics::satisfies;
-use crate::CoreError;
+use crate::semantics::satisfies_budgeted;
+use crate::{chase_options, disjunctive_options, some_maps_into, CoreError};
 
-/// Limits for collapse enumeration.
-#[derive(Debug, Clone)]
-pub struct ComposeOptions {
-    /// Maximum number of collapse substitutions to enumerate.
-    pub max_collapses: usize,
-    /// Options for the inner disjunctive chases.
-    pub chase: DisjunctiveChaseOptions,
-}
-
-impl Default for ComposeOptions {
-    fn default() -> Self {
-        ComposeOptions { max_collapses: 250_000, chase: DisjunctiveChaseOptions::default() }
-    }
-}
+/// Maximum number of collapse substitutions the composition checks
+/// enumerate before giving up with [`CoreError::SearchLimitExceeded`].
+pub const MAX_COLLAPSES: usize = 250_000;
 
 /// Constants literally occurring in a mapping's dependencies.
 fn dependency_constants(mapping: &SchemaMapping) -> Vec<Value> {
@@ -143,25 +132,30 @@ pub fn enumerate_collapses(
 ///
 /// Decided exactly by collapse enumeration (observation 1 above): the
 /// candidate middles are the homomorphic collapses of `chase_M(I)`.
+/// Satisfaction checks obey `config`; the answer is the Kleene
+/// disjunction over the collapses.
 pub fn in_composition(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
     source: &Instance,
     other: &Instance,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<bool, CoreError> {
-    let u = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let u = chase_mapping(source, mapping, vocab, &chase_options(config))?;
     // Standard satisfaction treats the source's nulls as rigid values:
     // only the chase-invented nulls may collapse.
     let rigid: FxHashSet<NullId> = source.nulls().into_iter().collect();
-    for h in enumerate_collapses(&u, reverse, other, &rigid, vocab, options.max_collapses)? {
+    let mut verdict = Verdict::Fails;
+    for h in enumerate_collapses(&u, reverse, other, &rigid, vocab, MAX_COLLAPSES)? {
         let j = h.apply_instance(&u);
-        if satisfies(&j, other, reverse) {
-            return Ok(true);
+        verdict = verdict.or(satisfies_budgeted(&j, other, reverse, config, stats));
+        if verdict.holds() {
+            break;
         }
     }
-    Ok(false)
+    Ok(verdict)
 }
 
 /// `(I₁, I₂) ∈ e(M) ∘ e(M′)` for `M` specified by **guard-free** s-t
@@ -170,54 +164,84 @@ pub fn in_composition(
 /// Fast path (guard-free `M′`): some leaf of
 /// `disjChase_{M′}(chase_M(I₁))`, restricted to `M′`'s target schema,
 /// maps homomorphically into `I₂`. General path (guards in `M′`): the
-/// same test over every homomorphic collapse of the chase.
+/// same test over every homomorphic collapse of the chase. Every chase
+/// and search runs under `config`.
 pub fn in_e_composition(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
     i1: &Instance,
     i2: &Instance,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<bool, CoreError> {
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
     if !mapping.is_tgd_mapping() {
         return Err(CoreError::UnsupportedMapping {
             required: "a guard-free tgd-specified forward mapping",
         });
     }
-    let u = chase_mapping(i1, mapping, vocab, &ChaseOptions::default())?;
+    let u = chase_mapping(i1, mapping, vocab, &chase_options(config))?;
     if reverse.is_disjunctive_tgd_mapping() {
-        return leaf_maps_into(&u, reverse, i2, vocab, options);
+        return leaf_maps_into(&u, reverse, i2, vocab, config, stats);
     }
-    for h in
-        enumerate_collapses(&u, reverse, i2, &FxHashSet::default(), vocab, options.max_collapses)?
-    {
+    let mut verdict = Verdict::Fails;
+    for h in enumerate_collapses(&u, reverse, i2, &FxHashSet::default(), vocab, MAX_COLLAPSES)? {
         let j = h.apply_instance(&u);
-        if leaf_maps_into(&j, reverse, i2, vocab, options)? {
-            return Ok(true);
+        verdict = verdict.or(leaf_maps_into(&j, reverse, i2, vocab, config, stats)?);
+        if verdict.holds() {
+            break;
         }
     }
-    Ok(false)
+    Ok(verdict)
 }
 
 /// Does some leaf of the disjunctive chase of `middle` with `reverse`,
 /// restricted to `reverse.target`, map homomorphically into `i2`?
-fn leaf_maps_into(
+pub(crate) fn leaf_maps_into(
     middle: &Instance,
     reverse: &SchemaMapping,
     i2: &Instance,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<bool, CoreError> {
-    let result = disjunctive_chase(middle, &reverse.dependencies, vocab, &options.chase)?;
-    Ok(result.leaves.iter().any(|leaf| exists_hom(&leaf.restrict_to(&reverse.target), i2)))
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let result =
+        disjunctive_chase(middle, &reverse.dependencies, vocab, &disjunctive_options(config))?;
+    let leaves = result.leaves.iter().map(|leaf| leaf.restrict_to(&reverse.target));
+    Ok(some_maps_into(leaves, i2, config, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Universe;
+    use rde_chase::ChaseOptions;
     use rde_deps::parse_mapping;
+    use rde_hom::exists_hom;
     use rde_model::parse::parse_instance;
+
+    type Membership = fn(
+        &SchemaMapping,
+        &SchemaMapping,
+        &Instance,
+        &Instance,
+        &mut Vocabulary,
+        &HomConfig,
+        &mut HomStats,
+    ) -> Result<Verdict, CoreError>;
+
+    /// An unbudgeted membership test, as a plain yes or no.
+    fn member(
+        test: Membership,
+        m: &SchemaMapping,
+        rev: &SchemaMapping,
+        i1: &Instance,
+        i2: &Instance,
+        v: &mut Vocabulary,
+    ) -> bool {
+        let verdict = test(m, rev, i1, i2, v, &HomConfig::default(), &mut HomStats::default());
+        verdict.unwrap().holds()
+    }
 
     /// Thm 3.15(2): M′ with Constant guards IS an inverse of
     /// P(x) → ∃y R(x,y), Q(y) → ∃x R(x,y): M ∘ M′ = Id on ground pairs.
@@ -238,8 +262,7 @@ mod tests {
         let sources = u.ground_instances(&v, &m.source).unwrap().collect::<Vec<_>>();
         for i1 in &sources {
             for i2 in &sources {
-                let in_comp =
-                    in_composition(&m, &minv, i1, i2, &mut v, &ComposeOptions::default()).unwrap();
+                let in_comp = member(in_composition, &m, &minv, i1, i2, &mut v);
                 let in_id = i1.is_subset_of(i2);
                 assert_eq!(in_comp, in_id, "composition must be Id on ({i1:?}, {i2:?})");
             }
@@ -258,7 +281,7 @@ mod tests {
         let i1 = parse_instance(&mut v, "P(u0)").unwrap();
         let i2 = parse_instance(&mut v, "P(u0)").unwrap();
         // (I1, I1) ∈ M ∘ M″? The middle {R(u0)} forces P(u0) AND Q(u0) ⊆ I2.
-        assert!(!in_composition(&m, &back, &i1, &i2, &mut v, &ComposeOptions::default()).unwrap());
+        assert!(!member(in_composition, &m, &back, &i1, &i2, &mut v));
     }
 
     /// e-composition fast path vs collapse path agree on guard-free
@@ -273,25 +296,22 @@ mod tests {
             parse_mapping(&mut v, "source: Q/2\ntarget: P/2\nQ(x,z) & Q(z,y) -> P(x,y)").unwrap();
         let u = Universe::new(&mut v, 1, 1, 1);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let opts = ComposeOptions::default();
         for i1 in &family {
             for i2 in &family {
-                let fast = in_e_composition(&m, &rev, i1, i2, &mut v, &opts).unwrap();
+                let fast = member(in_e_composition, &m, &rev, i1, i2, &mut v);
                 // Force the slow path by running collapse enumeration.
                 let uu = chase_mapping(i1, &m, &mut v, &ChaseOptions::default()).unwrap();
                 let mut slow = false;
-                for h in enumerate_collapses(
-                    &uu,
-                    &rev,
-                    i2,
-                    &FxHashSet::default(),
-                    &mut v,
-                    opts.max_collapses,
-                )
-                .unwrap()
+                for h in
+                    enumerate_collapses(&uu, &rev, i2, &FxHashSet::default(), &mut v, MAX_COLLAPSES)
+                        .unwrap()
                 {
                     let j = h.apply_instance(&uu);
-                    if leaf_maps_into(&j, &rev, i2, &mut v, &opts).unwrap() {
+                    let config = HomConfig::default();
+                    if leaf_maps_into(&j, &rev, i2, &mut v, &config, &mut HomStats::default())
+                        .unwrap()
+                        .holds()
+                    {
                         slow = true;
                         break;
                     }
@@ -319,18 +339,17 @@ mod tests {
         .unwrap();
         let i = parse_instance(&mut v, "P(?w, ?z)").unwrap();
         let empty = Instance::new();
-        let opts = ComposeOptions::default();
-        assert!(in_e_composition(&m, &m2, &i, &empty, &mut v, &opts).unwrap());
+        assert!(member(in_e_composition, &m, &m2, &i, &empty, &mut v));
         assert!(!exists_hom(&i, &empty), "the leaked pair is outside e(Id)");
         // (I, I) itself still holds — M″ is an extended *recovery*, the
         // failure is maximality/inversehood, matching Example 3.19's
         // chase-inverse refutation.
-        assert!(in_e_composition(&m, &m2, &i, &i, &mut v, &opts).unwrap());
+        assert!(member(in_e_composition, &m, &m2, &i, &i, &mut v));
         // The guard-free M′ does not leak (I, ∅).
         let m1 =
             parse_mapping(&mut v, "source: Q/2\ntarget: P/2\nQ(x,z) & Q(z,y) -> P(x,y)").unwrap();
-        assert!(!in_e_composition(&m, &m1, &i, &empty, &mut v, &opts).unwrap());
-        assert!(in_e_composition(&m, &m1, &i, &i, &mut v, &opts).unwrap());
+        assert!(!member(in_e_composition, &m, &m1, &i, &empty, &mut v));
+        assert!(member(in_e_composition, &m, &m1, &i, &i, &mut v));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Extended solutions and the homomorphic extension `e(M)` (Section 3).
 
-use rde_chase::{chase_mapping, ChaseOptions};
+use rde_chase::chase_mapping;
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom, exists_hom_budgeted, HomConfig, HomStats, Verdict};
+use rde_hom::{
+    exists_hom, exists_hom_budgeted, hom_equivalent_budgeted, HomConfig, HomStats, Verdict,
+};
 use rde_model::{Instance, Vocabulary};
 
 use crate::semantics::satisfies;
-use crate::{CoreError, Universe};
+use crate::{chase_options, CoreError, Universe};
 
 /// The extended identity: `(I₁, I₂) ∈ e(Id)` iff `I₁ → I₂`
 /// (Definition 3.7 — `e(Id)` *is* the homomorphism relation).
@@ -22,21 +24,9 @@ pub fn in_extended_identity(i1: &Instance, i2: &Instance) -> bool {
 /// `(I, chase_M(I)) ∈ M` and `chase_M(I) → J` exhibit the middle pair;
 /// completeness: from `I → I′`, `(I′, J′) ⊨ Σ`, `J′ → J` follows
 /// `chase_M(I) → chase_M(I′) → J′ → J` by chase monotonicity and
-/// universality.)
+/// universality.) The NP-hard `chase_M(I) → J` search obeys `config`
+/// and degrades to [`Verdict::Unknown`].
 pub fn is_extended_solution(
-    source: &Instance,
-    target: &Instance,
-    mapping: &SchemaMapping,
-    vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(&canonical, target))
-}
-
-/// Budgeted form of [`is_extended_solution`]: the chase runs unbounded
-/// (it is polynomial for s-t tgds), the NP-hard `chase_M(I) → J` search
-/// obeys `config` and degrades to [`Verdict::Unknown`].
-pub fn is_extended_solution_budgeted(
     source: &Instance,
     target: &Instance,
     mapping: &SchemaMapping,
@@ -44,7 +34,7 @@ pub fn is_extended_solution_budgeted(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
+    let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
     Ok(exists_hom_budgeted(&canonical, target, config, stats))
 }
 
@@ -53,21 +43,10 @@ pub fn is_extended_solution_budgeted(
 ///
 /// Since `chase_M(I)` is one (Prop 3.11) and extended solutions are
 /// up-closed under `→`, this holds iff `J ∈ eSol_M(I)` and
-/// `J → chase_M(I)` — i.e. `J` is hom-equivalent to the chase.
+/// `J → chase_M(I)` — i.e. `J` is hom-equivalent to the chase. The two
+/// searches combine by Kleene conjunction, so a definite failure on
+/// either side dominates a cut search on the other.
 pub fn is_extended_universal_solution(
-    source: &Instance,
-    target: &Instance,
-    mapping: &SchemaMapping,
-    vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(&canonical, target) && exists_hom(target, &canonical))
-}
-
-/// Budgeted form of [`is_extended_universal_solution`]: the two
-/// hom-equivalence searches combine by Kleene conjunction, so a definite
-/// failure on either side dominates a cut search on the other.
-pub fn is_extended_universal_solution_budgeted(
     source: &Instance,
     target: &Instance,
     mapping: &SchemaMapping,
@@ -75,12 +54,8 @@ pub fn is_extended_universal_solution_budgeted(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    let fwd = exists_hom_budgeted(&canonical, target, config, stats);
-    if fwd.fails() {
-        return Ok(Verdict::Fails);
-    }
-    Ok(fwd.and(exists_hom_budgeted(target, &canonical, config, stats)))
+    let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
+    Ok(hom_equivalent_budgeted(&canonical, target, config, stats))
 }
 
 /// Definition-level extended-solution check for **arbitrary**
@@ -122,8 +97,21 @@ fn invalid(e: rde_model::ModelError) -> CoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rde_chase::ChaseOptions;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
+
+    fn esol(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
+        is_extended_solution(i, j, m, v, &HomConfig::default(), &mut HomStats::default())
+            .unwrap()
+            .holds()
+    }
+
+    fn universal(i: &Instance, j: &Instance, m: &SchemaMapping, v: &mut Vocabulary) -> bool {
+        is_extended_universal_solution(i, j, m, v, &HomConfig::default(), &mut HomStats::default())
+            .unwrap()
+            .holds()
+    }
 
     fn decomposition(v: &mut Vocabulary) -> SchemaMapping {
         parse_mapping(v, "source: P/3\ntarget: Q/2, R/2\nP(x,y,z) -> Q(x,y) & R(y,z)").unwrap()
@@ -138,7 +126,7 @@ mod tests {
         let vi = parse_instance(&mut v, "P(a, b, ?z)\nP(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
         assert!(!crate::semantics::is_solution(&vi, &u, &m));
-        assert!(is_extended_solution(&vi, &u, &m, &mut v).unwrap());
+        assert!(esol(&vi, &u, &m, &mut v));
     }
 
     /// Proposition 3.4: for ground `I` and tgd-specified `M`,
@@ -152,7 +140,7 @@ mod tests {
         let universe = Universe::new(&mut v, 3, 1, 3);
         for j in universe.instances(&v, &m.target).unwrap() {
             let sol = crate::semantics::is_solution(&i, &j, &m);
-            let esol = is_extended_solution(&i, &j, &m, &mut v).unwrap();
+            let esol = esol(&i, &j, &m, &mut v);
             assert_eq!(sol, esol, "disagreement on {j:?}");
         }
     }
@@ -165,7 +153,7 @@ mod tests {
         let i = parse_instance(&mut v, "P(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(d, b)\nR(b, c)").unwrap();
         assert!(!crate::semantics::is_solution(&i, &u, &m));
-        assert!(is_extended_solution(&i, &u, &m, &mut v).unwrap());
+        assert!(esol(&i, &u, &m, &mut v));
     }
 
     #[test]
@@ -174,11 +162,11 @@ mod tests {
         let m = decomposition(&mut v);
         let i = parse_instance(&mut v, "P(a, b, ?z)\nP(c, d, e)").unwrap();
         let u = rde_chase::chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        assert!(is_extended_universal_solution(&i, &u, &m, &mut v).unwrap());
+        assert!(universal(&i, &u, &m, &mut v));
         // A strictly more specific solution is extended but not universal.
         let ground = parse_instance(&mut v, "Q(a,b)\nR(b,a)\nQ(c,d)\nR(d,e)").unwrap();
-        assert!(is_extended_solution(&i, &ground, &m, &mut v).unwrap());
-        assert!(!is_extended_universal_solution(&i, &ground, &m, &mut v).unwrap());
+        assert!(esol(&i, &ground, &m, &mut v));
+        assert!(!universal(&i, &ground, &m, &mut v));
     }
 
     /// The chase shortcut agrees with the definition-level bounded check
@@ -192,7 +180,7 @@ mod tests {
         let targets = universe.collect_instances(&v, &m.target).unwrap();
         for i in &sources {
             for j in &targets {
-                let fast = is_extended_solution(i, j, &m, &mut v).unwrap();
+                let fast = esol(i, j, &m, &mut v);
                 let slow = is_extended_solution_bounded(i, j, &m, &universe, &v).unwrap();
                 assert_eq!(fast, slow, "disagree on I={i:?} J={j:?}");
             }

@@ -17,11 +17,26 @@
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
+use rde_hom::{HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::compose::{in_composition, ComposeOptions};
+use crate::arrow::{ArrowMCache, CachePolicy};
+use crate::compose::in_composition;
 use crate::invertibility::BoundedVerdict;
+use crate::loss::{census, LossReport};
 use crate::{CoreError, Universe};
+
+/// The ground instances of `universe` over `mapping`'s source schema.
+fn ground_family(
+    mapping: &SchemaMapping,
+    universe: &Universe,
+    vocab: &Vocabulary,
+) -> Result<Vec<Instance>, CoreError> {
+    Ok(universe
+        .ground_instances(vocab, &mapping.source)
+        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?
+        .collect())
+}
 
 /// `(I₁, I₂) ∈ Id` for ground instances: `I₁ ⊆ I₂` (with the replica
 /// schema identified with the source schema, as the paper does for
@@ -33,29 +48,27 @@ pub fn in_identity(i1: &Instance, i2: &Instance) -> bool {
 
 /// Bounded inverse check (Fagin 2007): `M′` is an inverse of `M` iff
 /// `M ∘ M′ = Id` as sets of pairs of **ground** instances. Verifies the
-/// biconditional on every ground pair of the universe; a returned pair
-/// is a genuine counterexample.
+/// biconditional on every ground pair of the universe under `config`;
+/// a returned pair is a genuine counterexample.
 pub fn check_inverse(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
+    config: &HomConfig,
+    stats: &mut HomStats,
 ) -> Result<BoundedVerdict, CoreError> {
-    let family: Vec<Instance> = universe
-        .ground_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?
-        .collect();
+    let family = ground_family(mapping, universe, vocab)?;
+    let mut verdict = BoundedVerdict::HoldsWithinBound;
     for i1 in &family {
         for i2 in &family {
-            let lhs = in_composition(mapping, reverse, i1, i2, vocab, options)?;
-            let rhs = in_identity(i1, i2);
-            if lhs != rhs {
+            let lhs = in_composition(mapping, reverse, i1, i2, vocab, config, stats)?;
+            if verdict.absorb(if in_identity(i1, i2) { lhs } else { !lhs }) {
                 return Ok(BoundedVerdict::Counterexample { i1: i1.clone(), i2: i2.clone() });
             }
         }
     }
-    Ok(BoundedVerdict::HoldsWithinBound)
+    Ok(verdict)
 }
 
 /// Bounded **subset property** check (FKPT 2008): for all ground
@@ -67,23 +80,23 @@ pub fn check_subset_property(
     mapping: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
+    config: &HomConfig,
+    stats: &mut HomStats,
 ) -> Result<BoundedVerdict, CoreError> {
-    let family: Vec<Instance> = universe
-        .ground_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?
-        .collect();
-    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab)?;
-    for a in 0..family.len() {
+    let family = ground_family(mapping, universe, vocab)?;
+    let cache = ArrowMCache::with_policy(mapping, &family, vocab, config, CachePolicy::default())?;
+    let mut verdict = BoundedVerdict::HoldsWithinBound;
+    'scan: for a in 0..family.len() {
         for b in 0..family.len() {
-            if cache.arrow(a, b) && !family[a].is_subset_of(&family[b]) {
-                return Ok(BoundedVerdict::Counterexample {
-                    i1: family[a].clone(),
-                    i2: family[b].clone(),
-                });
+            if !family[a].is_subset_of(&family[b]) && verdict.absorb(!cache.arrow(a, b, config)) {
+                let (i1, i2) = (family[a].clone(), family[b].clone());
+                verdict = BoundedVerdict::Counterexample { i1, i2 };
+                break 'scan;
             }
         }
     }
-    Ok(BoundedVerdict::HoldsWithinBound)
+    *stats += cache.stats().hom;
+    Ok(verdict)
 }
 
 /// Is `J` a **witness** for `I` under `M` within a family of candidate
@@ -136,46 +149,19 @@ pub fn is_witness_solution(
 
 /// Ground information-loss census (Definition 4.17 / Proposition 4.19):
 /// the pairs in `→_{M,g} \ Id` over the ground instances of the
-/// universe.
+/// universe, under `config`. On ground instances `Id` is `⊆`, and `→`
+/// coincides with `⊆`.
 pub fn ground_information_loss(
     mapping: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
     max_examples: usize,
-) -> Result<crate::loss::LossReport, CoreError> {
-    let family: Vec<Instance> = universe
-        .ground_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?
-        .collect();
-    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab)?;
-    let mut arrow_m_pairs = 0usize;
-    let mut hom_pairs = 0usize;
-    let mut lost_pairs = 0usize;
-    let mut examples = Vec::new();
-    for a in 0..family.len() {
-        for b in 0..family.len() {
-            // On ground instances Id is ⊆ and → coincides with ⊆.
-            let id = family[a].is_subset_of(&family[b]);
-            if id {
-                hom_pairs += 1;
-                arrow_m_pairs += 1;
-                continue;
-            }
-            if cache.arrow(a, b) {
-                arrow_m_pairs += 1;
-                lost_pairs += 1;
-                if examples.len() < max_examples {
-                    examples.push((family[a].clone(), family[b].clone()));
-                }
-            }
-        }
-    }
-    Ok(crate::loss::LossReport {
-        universe_size: family.len(),
-        arrow_m_pairs,
-        hom_pairs,
-        lost_pairs,
-        examples,
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<LossReport, CoreError> {
+    let family = ground_family(mapping, universe, vocab)?;
+    census(mapping, &family, vocab, max_examples, config, stats, |i1, i2, _, _| {
+        Verdict::from_bool(i1.is_subset_of(i2))
     })
 }
 
@@ -192,7 +178,9 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let back = parse_mapping(&mut v, "source: Pp/2\ntarget: P/2\nPp(x,y) -> P(x,y)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 1);
-        let verdict = check_inverse(&m, &back, &u, &mut v, &ComposeOptions::default()).unwrap();
+        let verdict =
+            check_inverse(&m, &back, &u, &mut v, &HomConfig::default(), &mut HomStats::default())
+                .unwrap();
         assert!(verdict.holds(), "{verdict:?}");
     }
 
@@ -204,7 +192,9 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)")
             .unwrap();
         let u = Universe::new(&mut v, 1, 0, 1);
-        let verdict = check_subset_property(&m, &u, &mut v).unwrap();
+        let verdict =
+            check_subset_property(&m, &u, &mut v, &HomConfig::default(), &mut HomStats::default())
+                .unwrap();
         assert!(!verdict.holds());
     }
 
@@ -220,7 +210,15 @@ mod tests {
         )
         .unwrap();
         let u = Universe::new(&mut v, 2, 0, 2);
-        assert!(check_subset_property(&m, &u, &mut v).unwrap().holds());
+        assert!(check_subset_property(
+            &m,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default()
+        )
+        .unwrap()
+        .holds());
     }
 
     /// Witness solutions: for the copy mapping, the canonical chase is a
@@ -248,12 +246,20 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 1);
-        let report = ground_information_loss(&m, &u, &mut v, 10).unwrap();
+        let report = ground_information_loss(
+            &m,
+            &u,
+            &mut v,
+            10,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(report.lost_pairs > 0);
         for (i1, i2) in &report.examples {
             assert!(i1.is_ground() && i2.is_ground());
             assert!(!i1.is_subset_of(i2));
-            assert!(crate::arrow::arrow_m_ground(&m, i1, i2, &mut v).unwrap());
+            assert!(crate::arrow::arrow_m(&m, i1, i2, &mut v).unwrap());
         }
     }
 
@@ -263,7 +269,15 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 2);
-        let report = ground_information_loss(&m, &u, &mut v, 1).unwrap();
+        let report = ground_information_loss(
+            &m,
+            &u,
+            &mut v,
+            1,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert_eq!(report.lost_pairs, 0);
     }
 }

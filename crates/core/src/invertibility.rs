@@ -1,12 +1,14 @@
 //! Extended invertibility: capturing functions and the homomorphism
 //! property (Definitions 3.8–3.12, Theorems 3.10 and 3.13).
 
-use rde_chase::{chase_mapping, ChaseOptions};
+use rde_chase::chase_mapping;
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom, exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::{CoreError, Universe};
+use crate::arrow::{ArrowMCache, CachePolicy};
+use crate::extended::is_extended_solution;
+use crate::{chase_options, source_family, CoreError, Universe};
 
 /// Outcome of a bounded universal check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,32 +37,45 @@ impl BoundedVerdict {
     pub fn holds(&self) -> bool {
         matches!(self, BoundedVerdict::HoldsWithinBound)
     }
+
+    /// Fold one check into a scan that has found no counterexample
+    /// yet: the first cut search makes the scan `Unknown`. Returns
+    /// whether the check definitely failed.
+    pub(crate) fn absorb(&mut self, check: Verdict) -> bool {
+        if let (BoundedVerdict::HoldsWithinBound, Verdict::Unknown { budget }) = (&*self, check) {
+            *self = BoundedVerdict::Unknown { budget };
+        }
+        check.fails()
+    }
 }
 
-/// Search the universe for a violation of the **homomorphism property**
-/// (Definition 3.12): instances with `chase_M(I₁) → chase_M(I₂)` but
-/// not `I₁ → I₂`. By Theorem 3.13 a counterexample refutes extended
-/// invertibility outright.
+/// [`check_homomorphism_property_budgeted`] without a budget. The
+/// benchmark (`perfbench`) uses it as its reference answer.
 pub fn check_homomorphism_property(
     mapping: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
 ) -> Result<BoundedVerdict, CoreError> {
-    let mut stats = HomStats::default();
     check_homomorphism_property_budgeted(
         mapping,
         universe,
         vocab,
         &HomConfig::default(),
-        &mut stats,
+        &mut HomStats::default(),
     )
 }
 
-/// Budgeted form of [`check_homomorphism_property`]: every homomorphism
-/// search obeys `config`, and search work (including the arrow cache's)
-/// accumulates into `stats`. A counterexample needs both sides settled,
-/// so a run with cut searches that finds none returns
-/// [`BoundedVerdict::Unknown`] instead of claiming the property holds.
+/// Search the universe for a violation of the **homomorphism property**
+/// (Definition 3.12): instances with `chase_M(I₁) → chase_M(I₂)` but
+/// not `I₁ → I₂`. By Theorem 3.13 a counterexample refutes extended
+/// invertibility outright; for tgd-specified mappings extended
+/// invertibility and the homomorphism property coincide.
+///
+/// Every homomorphism search obeys `config`, and search work (including
+/// the arrow cache's) accumulates into `stats`. A counterexample needs
+/// both sides settled, so a run with cut searches that finds none
+/// returns [`BoundedVerdict::Unknown`] instead of claiming the property
+/// holds.
 pub fn check_homomorphism_property_budgeted(
     mapping: &SchemaMapping,
     universe: &Universe,
@@ -68,10 +83,8 @@ pub fn check_homomorphism_property_budgeted(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<BoundedVerdict, CoreError> {
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = crate::arrow::ArrowMCache::new_budgeted(mapping, &family, vocab, config)?;
+    let family = source_family(mapping, universe, vocab)?;
+    let cache = ArrowMCache::with_policy(mapping, &family, vocab, config, CachePolicy::default())?;
     let verdict = check_homomorphism_property_cached(&cache, &family, config, stats);
     *stats += cache.stats().hom;
     Ok(verdict)
@@ -85,7 +98,7 @@ pub fn check_homomorphism_property_budgeted(
 /// cancelled request reports `Unknown(Cancelled)` without touching any
 /// other request sharing the cache).
 pub fn check_homomorphism_property_cached(
-    cache: &crate::arrow::ArrowMCache,
+    cache: &ArrowMCache,
     family: &[Instance],
     config: &HomConfig,
     stats: &mut HomStats,
@@ -94,7 +107,7 @@ pub fn check_homomorphism_property_cached(
     let mut verdict = BoundedVerdict::HoldsWithinBound;
     'scan: for a in 0..family.len() {
         for b in 0..family.len() {
-            match cache.arrow_budgeted(a, b, config) {
+            match cache.arrow(a, b, config) {
                 Verdict::Fails => {}
                 Verdict::Unknown { budget } => unsettled = unsettled.or(Some(budget)),
                 Verdict::Holds => {
@@ -119,69 +132,67 @@ pub fn check_homomorphism_property_cached(
     }
 }
 
-/// Bounded extended-invertibility check via Theorem 3.13 (for
-/// tgd-specified mappings, extended invertibility ⟺ the homomorphism
-/// property).
-pub fn check_extended_invertibility(
-    mapping: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-) -> Result<BoundedVerdict, CoreError> {
-    check_homomorphism_property(mapping, universe, vocab)
-}
-
 /// Does `J` **capture** `I` for `M` within the universe (Definition
 /// 3.9)? Condition (a) — `J ∈ eSol_M(I)` — is exact (chase-based);
-/// condition (b) quantifies the candidate sources `K` over the universe.
+/// condition (b) — every `K` with `J ∈ eSol_M(K)` has `K → I` —
+/// quantifies `K` over the universe. The two combine by Kleene logic,
+/// so a definite failure of either dominates a cut search.
 pub fn captures_bounded(
     mapping: &SchemaMapping,
     target: &Instance,
     source: &Instance,
     universe: &Universe,
     vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    if !crate::extended::is_extended_solution(source, target, mapping, vocab)? {
-        return Ok(false);
-    }
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    for k in &family {
-        if crate::extended::is_extended_solution(k, target, mapping, vocab)?
-            && !exists_hom(k, source)
-        {
-            return Ok(false);
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let mut verdict = is_extended_solution(source, target, mapping, vocab, config, stats)?;
+    for k in &source_family(mapping, universe, vocab)? {
+        if verdict.fails() {
+            break;
         }
+        let solution = is_extended_solution(k, target, mapping, vocab, config, stats)?;
+        if solution.fails() {
+            continue;
+        }
+        let maps = exists_hom_budgeted(k, source, config, stats);
+        verdict = verdict.and(!solution.and(!maps));
     }
-    Ok(true)
+    Ok(verdict)
 }
 
 /// Theorem 3.13(3): when `M` is extended-invertible, `F(I) = chase_M(I)`
 /// is a capturing function. Checks that property for every source in
-/// the universe; returns the first source whose chase fails to capture
-/// it (a refutation of extended invertibility within the bound).
+/// the universe; a counterexample is the first source `I` whose chase
+/// fails to capture it, paired with that chase `F(I)` (a refutation of
+/// extended invertibility within the bound).
 pub fn check_chase_is_capturing(
     mapping: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
-) -> Result<Option<Instance>, CoreError> {
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    for i in &family {
-        let chased = chase_mapping(i, mapping, vocab, &ChaseOptions::default())?;
-        if !captures_bounded(mapping, &chased, i, universe, vocab)? {
-            return Ok(Some(i.clone()));
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<BoundedVerdict, CoreError> {
+    let mut verdict = BoundedVerdict::HoldsWithinBound;
+    for i in &source_family(mapping, universe, vocab)? {
+        let chased = chase_mapping(i, mapping, vocab, &chase_options(config))?;
+        if verdict.absorb(captures_bounded(mapping, &chased, i, universe, vocab, config, stats)?) {
+            return Ok(BoundedVerdict::Counterexample { i1: i.clone(), i2: chased });
         }
     }
-    Ok(None)
+    Ok(verdict)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
+    use rde_hom::exists_hom;
     use rde_model::parse::parse_instance;
+
+    fn unbounded() -> (HomConfig, HomStats) {
+        (HomConfig::default(), HomStats::default())
+    }
 
     /// Example 3.14: the union mapping is not extended-invertible, with
     /// the paper's exact counterexample shape ({P(c)}, {Q(c)}).
@@ -211,7 +222,9 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let u = Universe::small(&mut v);
         assert!(check_homomorphism_property(&m, &u, &mut v).unwrap().holds());
-        assert_eq!(check_chase_is_capturing(&m, &u, &mut v).unwrap(), None);
+        let (config, mut stats) = unbounded();
+        let capturing = check_chase_is_capturing(&m, &u, &mut v, &config, &mut stats).unwrap();
+        assert!(capturing.holds());
     }
 
     /// Theorem 3.15(2): P(x) → ∃y R(x,y), Q(y) → ∃x R(x,y) fails the
@@ -284,9 +297,11 @@ mod tests {
         let u = Universe::new(&mut v, 1, 1, 1);
         let i = parse_instance(&mut v, "P(u0)").unwrap();
         let not_a_solution = Instance::new();
-        assert!(!captures_bounded(&m, &not_a_solution, &i, &u, &mut v).unwrap());
+        let (config, mut stats) = unbounded();
+        let captures = captures_bounded(&m, &not_a_solution, &i, &u, &mut v, &config, &mut stats);
+        assert!(captures.unwrap().fails());
         let j = parse_instance(&mut v, "Q(u0)").unwrap();
-        assert!(captures_bounded(&m, &j, &i, &u, &mut v).unwrap());
+        assert!(captures_bounded(&m, &j, &i, &u, &mut v, &config, &mut stats).unwrap().holds());
     }
 
     /// The union mapping's chase fails to capture: {R(c)} is an
@@ -297,7 +312,8 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)")
             .unwrap();
         let u = Universe::new(&mut v, 1, 0, 1);
-        let failing = check_chase_is_capturing(&m, &u, &mut v).unwrap();
-        assert!(failing.is_some());
+        let (config, mut stats) = unbounded();
+        let failing = check_chase_is_capturing(&m, &u, &mut v, &config, &mut stats).unwrap();
+        assert!(matches!(failing, BoundedVerdict::Counterexample { .. }), "got {failing:?}");
     }
 }

@@ -50,6 +50,12 @@
 //! [`universe::Universe`]*: a counterexample found is a real
 //! counterexample; "holds within the bound" is evidence, not proof, and
 //! every such API says so in its name or docs.
+//!
+//! Every checker is budgeted: its one entry takes a [`HomConfig`] and
+//! threads it into every chase, arrow cache and hom search it runs. A
+//! search cut by a budget or a cancellation makes the answer `Unknown`,
+//! never a silent `Holds` or `Fails`; callers that want no bound pass
+//! `&HomConfig::default()`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,3 +83,55 @@ pub mod universe;
 
 pub use error::CoreError;
 pub use universe::Universe;
+
+use std::borrow::Borrow;
+
+use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
+use rde_deps::SchemaMapping;
+use rde_hom::{exists_hom_budgeted, HomConfig, HomStats, Verdict};
+use rde_model::{Instance, Vocabulary};
+
+/// Options for every chase a checker runs: `config`'s time budget and
+/// context, but not its node budget. Premise matching is strict (a cut
+/// enumeration is an error, not a degraded answer), and the node budget
+/// is meant for the checker's hom decisions.
+pub(crate) fn chase_options(config: &HomConfig) -> ChaseOptions {
+    ChaseOptions {
+        hom: HomConfig { node_budget: None, ..config.clone() },
+        ..ChaseOptions::default()
+    }
+}
+
+/// [`chase_options`] for the disjunctive chase.
+pub(crate) fn disjunctive_options(config: &HomConfig) -> DisjunctiveChaseOptions {
+    DisjunctiveChaseOptions { hom: chase_options(config).hom, ..DisjunctiveChaseOptions::default() }
+}
+
+/// Every instance of `universe` over `mapping`'s source schema.
+pub(crate) fn source_family(
+    mapping: &SchemaMapping,
+    universe: &Universe,
+    vocab: &Vocabulary,
+) -> Result<Vec<Instance>, CoreError> {
+    universe
+        .collect_instances(vocab, &mapping.source)
+        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })
+}
+
+/// Does some instance of `sources` map into `target`? The Kleene
+/// disjunction of the searches, stopped at the first hit.
+pub(crate) fn some_maps_into(
+    sources: impl IntoIterator<Item = impl Borrow<Instance>>,
+    target: &Instance,
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Verdict {
+    let mut verdict = Verdict::Fails;
+    for source in sources {
+        verdict = verdict.or(exists_hom_budgeted(source.borrow(), target, config, stats));
+        if verdict.holds() {
+            break;
+        }
+    }
+    verdict
+}

@@ -8,12 +8,11 @@
 //! can enumerate and count — a quantitative, comparable measure.
 
 use rde_deps::SchemaMapping;
-use rde_faults::ExecContext;
-use rde_hom::{exists_hom, HomConfig};
+use rde_hom::{exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::arrow::ArrowMCache;
-use crate::{CoreError, Universe};
+use crate::arrow::{ArrowMCache, CachePolicy};
+use crate::{source_family, CoreError, Universe};
 
 /// A census of `→_M \ →` over a bounded universe.
 #[derive(Debug, Clone)]
@@ -29,6 +28,10 @@ pub struct LossReport {
     pub lost_pairs: usize,
     /// Up to `max_examples` witnessing lost pairs.
     pub examples: Vec<(Instance, Instance)>,
+    /// The first budget that cut a pair's search. Such a pair counts as
+    /// neither lost nor kept, so with `Some` the counts are lower
+    /// bounds and the census is undetermined.
+    pub unsettled: Option<Exhausted>,
 }
 
 impl LossReport {
@@ -49,59 +52,73 @@ impl LossReport {
 }
 
 /// Enumerate and count the information loss of `M` over the universe.
+/// Every search obeys `config` and its work accumulates into `stats`;
+/// the cancel token of `config.ctx` is also polled between census rows
+/// (aborting with [`CoreError::Cancelled`] instead of finishing the
+/// `n²` sweep).
 pub fn information_loss(
     mapping: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
     max_examples: usize,
+    config: &HomConfig,
+    stats: &mut HomStats,
 ) -> Result<LossReport, CoreError> {
-    information_loss_scoped(mapping, universe, vocab, max_examples, &ExecContext::default())
+    let family = source_family(mapping, universe, vocab)?;
+    census(mapping, &family, vocab, max_examples, config, stats, exists_hom_budgeted)
 }
 
-/// Like [`information_loss`], but runs under `ctx`: the cancel token is
-/// polled between census rows (aborting with [`CoreError::Cancelled`]
-/// instead of finishing the `n²` sweep), and the context's fault
-/// injector scopes the arrow cache's `core.arrow.poison` point.
-pub fn information_loss_scoped(
+/// The `n²` census behind [`information_loss`] and its ground
+/// counterpart: a pair is kept when `kept` holds (the baseline relation
+/// is contained in `→_M`, so the arrow is not asked), lost when it
+/// fails and `→_M` holds.
+pub(crate) fn census(
     mapping: &SchemaMapping,
-    universe: &Universe,
+    family: &[Instance],
     vocab: &mut Vocabulary,
     max_examples: usize,
-    ctx: &ExecContext,
+    config: &HomConfig,
+    stats: &mut HomStats,
+    kept: impl Fn(&Instance, &Instance, &HomConfig, &mut HomStats) -> Verdict,
 ) -> Result<LossReport, CoreError> {
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = ArrowMCache::new_budgeted(
-        mapping,
-        &family,
-        vocab,
-        &HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
-    )?;
+    let cache = ArrowMCache::with_policy(mapping, family, vocab, config, CachePolicy::default())?;
     let span = rde_obs::span("core.loss.census", &[("universe", family.len().into())]);
     let journal_on = rde_obs::journal::enabled();
     let mut arrow_m_pairs = 0usize;
     let mut hom_pairs = 0usize;
     let mut lost_pairs = 0usize;
     let mut examples = Vec::new();
+    let mut unsettled = None;
     for a in 0..family.len() {
-        if ctx.is_cancelled() {
+        if config.ctx.is_cancelled() {
             return Err(CoreError::Cancelled);
         }
         let lost_before = lost_pairs;
         for b in 0..family.len() {
-            let hom = exists_hom(&family[a], &family[b]);
-            if hom {
-                hom_pairs += 1;
-                arrow_m_pairs += 1; // → ⊆ →_M (Prop 4.11)
-                debug_assert!(cache.arrow(a, b), "hom pair must be an arrow_M pair");
-                continue;
-            }
-            if cache.arrow(a, b) {
-                arrow_m_pairs += 1;
-                lost_pairs += 1;
-                if examples.len() < max_examples {
-                    examples.push((family[a].clone(), family[b].clone()));
+            let lost = match kept(&family[a], &family[b], config, stats) {
+                Verdict::Holds => {
+                    hom_pairs += 1;
+                    arrow_m_pairs += 1; // → ⊆ →_M (Prop 4.11)
+                    debug_assert!(
+                        !cache.arrow(a, b, config).fails(),
+                        "hom pair must be an →_M pair"
+                    );
+                    continue;
+                }
+                Verdict::Fails => cache.arrow(a, b, config),
+                unknown => unknown,
+            };
+            match lost {
+                Verdict::Holds => {
+                    arrow_m_pairs += 1;
+                    lost_pairs += 1;
+                    if examples.len() < max_examples {
+                        examples.push((family[a].clone(), family[b].clone()));
+                    }
+                }
+                Verdict::Fails => {}
+                Verdict::Unknown { budget } => {
+                    unsettled.get_or_insert(budget);
                 }
             }
         }
@@ -123,7 +140,15 @@ pub fn information_loss_scoped(
         ("hom_pairs", hom_pairs.into()),
         ("lost_pairs", lost_pairs.into()),
     ]);
-    Ok(LossReport { universe_size: family.len(), arrow_m_pairs, hom_pairs, lost_pairs, examples })
+    *stats += cache.stats().hom;
+    Ok(LossReport {
+        universe_size: family.len(),
+        arrow_m_pairs,
+        hom_pairs,
+        lost_pairs,
+        examples,
+        unsettled,
+    })
 }
 
 #[cfg(test)]
@@ -136,7 +161,9 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Pp/2\nP(x,y) -> Pp(x,y)").unwrap();
         let u = Universe::small(&mut v);
-        let report = information_loss(&m, &u, &mut v, 4).unwrap();
+        let report =
+            information_loss(&m, &u, &mut v, 4, &HomConfig::default(), &mut HomStats::default())
+                .unwrap();
         assert!(report.is_lossless_within_bound());
         assert_eq!(report.arrow_m_pairs, report.hom_pairs);
         assert_eq!(report.loss_fraction(), 0.0);
@@ -148,14 +175,16 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)")
             .unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        let report = information_loss(&m, &u, &mut v, 100).unwrap();
+        let report =
+            information_loss(&m, &u, &mut v, 100, &HomConfig::default(), &mut HomStats::default())
+                .unwrap();
         assert!(!report.is_lossless_within_bound());
         assert!(report.lost_pairs > 0);
         assert_eq!(report.lost_pairs, report.arrow_m_pairs - report.hom_pairs);
         // Every example is a genuine →_M \ → pair.
         for (i1, i2) in &report.examples {
             assert!(crate::arrow::arrow_m(&m, i1, i2, &mut v).unwrap());
-            assert!(!exists_hom(i1, i2));
+            assert!(!rde_hom::exists_hom(i1, i2));
         }
     }
 
@@ -171,7 +200,15 @@ mod tests {
             let mut v = Vocabulary::new();
             let m = parse_mapping(&mut v, text).unwrap();
             let u = Universe::new(&mut v, 2, 1, 1);
-            let report = information_loss(&m, &u, &mut v, 0).unwrap();
+            let report = information_loss(
+                &m,
+                &u,
+                &mut v,
+                0,
+                &HomConfig::default(),
+                &mut HomStats::default(),
+            )
+            .unwrap();
             let hp = crate::invertibility::check_homomorphism_property(&m, &u, &mut v).unwrap();
             assert_eq!(report.is_lossless_within_bound(), hp.holds(), "mapping: {text}");
         }
@@ -182,7 +219,9 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)").unwrap();
         let u = Universe::new(&mut v, 2, 0, 1);
-        let report = information_loss(&m, &u, &mut v, 10).unwrap();
+        let report =
+            information_loss(&m, &u, &mut v, 10, &HomConfig::default(), &mut HomStats::default())
+                .unwrap();
         // {P(a,a)} and {P(a,b)} export the same Q(a).
         assert!(report.lost_pairs > 0);
     }

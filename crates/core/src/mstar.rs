@@ -12,11 +12,13 @@
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom, is_isomorphic};
+use rde_hom::{exists_hom_budgeted, is_isomorphic, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::compose::ComposeOptions;
-use crate::{CoreError, Universe};
+use crate::arrow::{ArrowMCache, CachePolicy};
+use crate::compose::leaf_maps_into;
+use crate::invertibility::BoundedVerdict;
+use crate::{chase_options, source_family, CoreError, Universe};
 
 /// `(J, I) ∈ M*`: is `J` *the* canonical universal solution
 /// `chase_M(I)`? The chase is deterministic only up to the choice of
@@ -41,21 +43,25 @@ pub fn in_m_star(
 /// `(chase_M(I₂), I₂)` is in `M*`, and `J → chase_M(I₂)` implies
 /// membership with `I = I₂`. Conversely `J → chase_M(I)` and
 /// `I → I₂` give `chase_M(I) → chase_M(I₂)` (Prop 4.7), hence
-/// `J → chase_M(I₂)`. So: `(J, I₂) ∈ e(M*)` iff `J → chase_M(I₂)`.
+/// `J → chase_M(I₂)`. So: `(J, I₂) ∈ e(M*)` iff `J → chase_M(I₂)`,
+/// decided under `config`.
 pub fn in_e_m_star(
     mapping: &SchemaMapping,
     target: &Instance,
     i2: &Instance,
     vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let canonical = chase_mapping(i2, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(target, &canonical))
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let canonical = chase_mapping(i2, mapping, vocab, &chase_options(config))?;
+    Ok(exists_hom_budgeted(target, &canonical, config, stats))
 }
 
 /// Bounded check of Lemma 4.9: for every source `I` of the universe,
 /// `(chase_M(I), I) ∈ e(M′)` — i.e. `e(M*) ⊆ e(M′)` on the canonical
-/// generators. Returns the first failing source; `None` means `M′`
-/// passes the *strong* maximum condition within the bound.
+/// generators. A counterexample is the first failing pair
+/// `(chase_M(I), I)`; holding means `M′` passes the *strong* maximum
+/// condition within the bound.
 ///
 /// `M′` must be guard-free (tgds or disjunctive tgds), so pointwise
 /// `e(M′)` membership is a single disjunctive chase.
@@ -64,53 +70,54 @@ pub fn check_lemma_4_9(
     reverse: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<Option<Instance>, CoreError> {
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<BoundedVerdict, CoreError> {
     if !reverse.is_disjunctive_tgd_mapping() {
         return Err(CoreError::UnsupportedMapping {
             required: "a guard-free (disjunctive) tgd reverse mapping",
         });
     }
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    for i in &family {
-        let u = chase_mapping(i, mapping, vocab, &ChaseOptions::default())?;
+    let mut verdict = BoundedVerdict::HoldsWithinBound;
+    for i in &source_family(mapping, universe, vocab)? {
+        let u = chase_mapping(i, mapping, vocab, &chase_options(config))?;
         // (U, I) ∈ e(M′) iff some disjunctive-chase leaf of U maps into I.
-        let result =
-            rde_chase::disjunctive_chase(&u, &reverse.dependencies, vocab, &options.chase)?;
-        let hit =
-            result.leaves.iter().any(|leaf| exists_hom(&leaf.restrict_to(&reverse.target), i));
-        if !hit {
-            return Ok(Some(i.clone()));
+        if verdict.absorb(leaf_maps_into(&u, reverse, i, vocab, config, stats)?) {
+            return Ok(BoundedVerdict::Counterexample { i1: u, i2: i.clone() });
         }
     }
-    Ok(None)
+    Ok(verdict)
 }
 
 /// Bounded check of Lemma 4.12: `e(M) ∘ e(M*) = →_M` on every pair of
-/// the universe. Both sides are computed independently —
+/// the universe, under `config`. Both sides are computed independently —
 /// `(I₁, I₂) ∈ e(M) ∘ e(M*)` iff ∃ `J` with `chase(I₁) → J` and
 /// `(J, I₂) ∈ e(M*)`; normalizing `J = chase(I₁)` is sound because
-/// `e(M*)` is down-closed under `→` on its first argument.
+/// `e(M*)` is down-closed under `→` on its first argument. The sides
+/// combine by Kleene logic: a definite disagreement is `Fails`.
 pub fn check_lemma_4_12(
     mapping: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = crate::arrow::ArrowMCache::new(mapping, &family, vocab)?;
-    for a in 0..family.len() {
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let family = source_family(mapping, universe, vocab)?;
+    let cache = ArrowMCache::with_policy(mapping, &family, vocab, config, CachePolicy::default())?;
+    let mut verdict = Verdict::Holds;
+    'scan: for a in 0..family.len() {
         for (b, i2) in family.iter().enumerate() {
-            let lhs = in_e_m_star(mapping, cache.chased(a), i2, vocab)?;
-            if lhs != cache.arrow(a, b) {
-                return Ok(false);
+            let lhs = in_e_m_star(mapping, cache.chased(a), i2, vocab, config, stats)?;
+            let rhs = cache.arrow(a, b, config);
+            // Kleene biconditional: (lhs → rhs) ∧ (rhs → lhs).
+            verdict = verdict.and((!lhs).or(rhs)).and((!rhs).or(lhs));
+            if verdict.fails() {
+                break 'scan;
             }
         }
     }
-    Ok(true)
+    *stats += cache.stats().hom;
+    Ok(verdict)
 }
 
 #[cfg(test)]
@@ -158,9 +165,10 @@ mod tests {
         let i1 = parse_instance(&mut v, "P(a, b)").unwrap();
         let i2 = parse_instance(&mut v, "P(a, b)\nP(b, a)").unwrap();
         let u1 = chase_mapping(&i1, &m, &mut v, &ChaseOptions::default()).unwrap();
-        assert!(in_e_m_star(&m, &u1, &i2, &mut v).unwrap());
+        let (config, mut stats) = (HomConfig::default(), HomStats::default());
+        assert!(in_e_m_star(&m, &u1, &i2, &mut v, &config, &mut stats).unwrap().holds());
         let u2 = chase_mapping(&i2, &m, &mut v, &ChaseOptions::default()).unwrap();
-        assert!(!in_e_m_star(&m, &u2, &i1, &mut v).unwrap());
+        assert!(in_e_m_star(&m, &u2, &i1, &mut v, &config, &mut stats).unwrap().fails());
     }
 
     /// Lemma 4.9 in action: every extended recovery contains M*'s
@@ -173,13 +181,13 @@ mod tests {
         let rec =
             parse_mapping(&mut v, "source: R/1\ntarget: A/1, B/1\nR(x) -> A(x) | B(x)").unwrap();
         let u = Universe::new(&mut v, 1, 1, 2);
-        let opts = ComposeOptions::default();
-        assert_eq!(check_lemma_4_9(&m, &rec, &u, &mut v, &opts).unwrap(), None);
+        let (opts, mut st) = (HomConfig::default(), HomStats::default());
+        assert!(check_lemma_4_9(&m, &rec, &u, &mut v, &opts, &mut st).unwrap().holds());
         // The A-only reverse is not an extended recovery; Lemma 4.9's
         // conclusion fails at a B-source.
         let bad = parse_mapping(&mut v, "source: R/1\ntarget: A/1, B/1\nR(x) -> A(x)").unwrap();
-        let cex = check_lemma_4_9(&m, &bad, &u, &mut v, &opts).unwrap();
-        assert!(cex.is_some());
+        let cex = check_lemma_4_9(&m, &bad, &u, &mut v, &opts, &mut st).unwrap();
+        assert!(matches!(cex, BoundedVerdict::Counterexample { .. }));
     }
 
     #[test]
@@ -187,11 +195,15 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = two_step(&mut v);
         let u = Universe::new(&mut v, 2, 1, 1);
-        assert!(check_lemma_4_12(&m, &u, &mut v).unwrap());
+        assert!(check_lemma_4_12(&m, &u, &mut v, &HomConfig::default(), &mut HomStats::default())
+            .unwrap()
+            .holds());
         // Also on a lossy mapping — the lemma is unconditional on M.
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/1\nP(x,y) -> Q(x)").unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        assert!(check_lemma_4_12(&m, &u, &mut v).unwrap());
+        assert!(check_lemma_4_12(&m, &u, &mut v, &HomConfig::default(), &mut HomStats::default())
+            .unwrap()
+            .holds());
     }
 }

@@ -44,52 +44,38 @@
 //! by the unit tests, experiments E10/E11, and a property-based stress
 //! suite over random full-tgd mappings — rather than trusted blindly.
 
-use rde_chase::{chase, ChaseOptions};
+use rde_chase::chase;
 use rde_deps::{Atom, Conjunct, Dependency, Premise, SchemaMapping, Term, VarId};
-use rde_faults::ExecContext;
 use rde_hom::HomConfig;
 use rde_model::fx::{FxHashMap, FxHashSet};
 use rde_model::{Instance, Value, Vocabulary};
 
-use crate::CoreError;
+use crate::{chase_options, CoreError};
 
-/// Limits for the quasi-inverse construction.
-#[derive(Debug, Clone)]
-pub struct QuasiInverseOptions {
-    /// Maximum premise variables per tgd (set partitions grow as Bell
-    /// numbers; `B(8) = 4140`).
-    pub max_premise_vars: usize,
-    /// Maximum number of candidate blocks per pattern.
-    pub max_blocks: usize,
-    /// Maximum size of a minimal cover (the identity cover has size 1,
-    /// so the algorithm always produces output; larger covers add
-    /// alternative explanations).
-    pub max_cover_size: usize,
-    /// Execution context: the cancel token is polled once per
-    /// `(tgd, equality type)` unit of work and by every search of the
-    /// construction's chases, and the fault injector drives the
-    /// `core.quasi.construct` point (and `hom.search.exhaust` in those
-    /// searches).
-    pub ctx: ExecContext,
-}
+/// Maximum premise variables per tgd (set partitions grow as Bell
+/// numbers; `B(8) = 4140`).
+pub const MAX_PREMISE_VARS: usize = 8;
 
-impl Default for QuasiInverseOptions {
-    fn default() -> Self {
-        QuasiInverseOptions {
-            max_premise_vars: 8,
-            max_blocks: 4096,
-            max_cover_size: 4,
-            ctx: ExecContext::default(),
-        }
-    }
-}
+/// Maximum number of candidate blocks per pattern.
+pub const MAX_BLOCKS: usize = 4096;
+
+/// Maximum size of a minimal cover (the identity cover has size 1, so
+/// the algorithm always produces output; larger covers add alternative
+/// explanations).
+pub const MAX_COVER_SIZE: usize = 4;
 
 /// Compute a maximum extended recovery of a **full-tgd** mapping as
 /// disjunctive tgds with inequalities (Theorem 5.1).
+///
+/// The construction's chases run under `config`'s time budget and
+/// context. The cancel token of `config.ctx` is also polled once per
+/// `(tgd, equality type)` unit of work, and its fault injector drives
+/// the `core.quasi.construct` point (and `hom.search.exhaust` in the
+/// chases' searches).
 pub fn maximum_extended_recovery_full(
     mapping: &SchemaMapping,
     vocab: &mut Vocabulary,
-    options: &QuasiInverseOptions,
+    config: &HomConfig,
 ) -> Result<SchemaMapping, CoreError> {
     if !mapping.is_full_tgd_mapping() {
         return Err(CoreError::UnsupportedMapping {
@@ -100,10 +86,10 @@ pub fn maximum_extended_recovery_full(
 
     for dep in &mapping.dependencies {
         let vars = dep.universal_vars();
-        if vars.len() > options.max_premise_vars {
+        if vars.len() > MAX_PREMISE_VARS {
             return Err(CoreError::SearchLimitExceeded {
                 what: "premise variables for equality-type enumeration",
-                limit: options.max_premise_vars,
+                limit: MAX_PREMISE_VARS,
             });
         }
         // Slots: any block may use up to its own premise-variable count
@@ -128,7 +114,7 @@ pub fn maximum_extended_recovery_full(
             // One (tgd, equality type) is the construction's natural
             // unit of work: poll cancellation — and the resilience
             // suite's `core.quasi.construct` point — between units.
-            if options.ctx.should_inject("core.quasi.construct") || options.ctx.is_cancelled() {
+            if config.ctx.should_inject("core.quasi.construct") || config.ctx.is_cancelled() {
                 return Err(CoreError::Cancelled);
             }
             let n_classes = partition.iter().copied().max().map_or(0, |m| m + 1);
@@ -140,11 +126,11 @@ pub fn maximum_extended_recovery_full(
             let pattern = freeze_dep_atoms(conclusion_atoms, &var_to_class, &frozen);
 
             // Step 2: blocks (premise images onto classes + fresh slots).
-            let blocks = enumerate_blocks(mapping, n_classes, &frozen, &pattern, vocab, options)?;
+            let blocks = enumerate_blocks(mapping, n_classes, &frozen, &pattern, vocab, config)?;
 
             // Step 3: minimal covers of the pattern.
             let (covers, slot_values) =
-                minimal_covers(&blocks, &pattern, mapping, &frozen, vocab, options)?;
+                minimal_covers(&blocks, &pattern, mapping, &frozen, vocab, config)?;
             debug_assert!(!covers.is_empty(), "the identity premise image always covers");
 
             // Step 4: emit the rule.
@@ -220,18 +206,14 @@ fn freeze_dep_atoms(
 }
 
 /// Chase a block or cover into the target under the construction's
-/// context, so a cancellation also stops the chase's searches.
+/// config, so a cancellation also stops the chase's searches.
 fn chase_to_target(
     instance: &Instance,
     mapping: &SchemaMapping,
     vocab: &mut Vocabulary,
-    ctx: &ExecContext,
+    config: &HomConfig,
 ) -> Result<Instance, CoreError> {
-    let options = ChaseOptions {
-        hom: HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
-        ..ChaseOptions::default()
-    };
-    let result = chase(instance, &mapping.dependencies, vocab, &options)?;
+    let result = chase(instance, &mapping.dependencies, vocab, &chase_options(config))?;
     Ok(result.instance.restrict_to(&mapping.target))
 }
 
@@ -257,7 +239,7 @@ fn enumerate_blocks(
     frozen: &FrozenClasses,
     c_e: &Instance,
     vocab: &mut Vocabulary,
-    options: &QuasiInverseOptions,
+    config: &HomConfig,
 ) -> Result<Vec<Block>, CoreError> {
     let mut blocks = Vec::new();
     let mut seen: FxHashSet<Instance> = FxHashSet::default();
@@ -295,15 +277,15 @@ fn enumerate_blocks(
                 .map(|a| a.instantiate(&|v: VarId| assignment[&v]))
                 .collect();
             if seen.insert(atoms.clone()) {
-                let export = chase_to_target(&atoms, mapping, vocab, &options.ctx)?;
+                let export = chase_to_target(&atoms, mapping, vocab, config)?;
                 let visible = frozen.class_only(&export);
                 let contributes = visible.facts().any(|f| c_e.contains(&f));
                 if contributes {
                     blocks.push(Block { atoms, n_slots });
-                    if blocks.len() > options.max_blocks {
+                    if blocks.len() > MAX_BLOCKS {
                         return Err(CoreError::SearchLimitExceeded {
                             what: "candidate blocks",
-                            limit: options.max_blocks,
+                            limit: MAX_BLOCKS,
                         });
                     }
                 }
@@ -341,7 +323,7 @@ fn minimal_covers(
     mapping: &SchemaMapping,
     frozen: &FrozenClasses,
     vocab: &mut Vocabulary,
-    options: &QuasiInverseOptions,
+    config: &HomConfig,
 ) -> Result<(Vec<Instance>, FxHashSet<Value>), CoreError> {
     // Rename each block's canonical slots to private per-block values.
     let mut slot_values: FxHashSet<Value> = FxHashSet::default();
@@ -361,7 +343,7 @@ fn minimal_covers(
 
     let mut cover_indices: Vec<Vec<usize>> = Vec::new();
     let mut covers: Vec<Instance> = Vec::new();
-    let max_size = options.max_cover_size.min(blocks.len());
+    let max_size = MAX_COVER_SIZE.min(blocks.len());
     let mut combo: Vec<usize> = Vec::new();
     for size in 1..=max_size {
         combo.clear();
@@ -374,7 +356,7 @@ fn minimal_covers(
                 for &b in &combo {
                     union = union.union(&renamed[b]);
                 }
-                let export = chase_to_target(&union, mapping, vocab, &options.ctx)?;
+                let export = chase_to_target(&union, mapping, vocab, config)?;
                 if c_e.is_subset_of(&frozen.class_only(&export)) {
                     cover_indices.push(combo.clone());
                     covers.push(union);
@@ -747,14 +729,14 @@ pub fn set_partitions(n: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::recovery::check_maximum_extended_recovery;
-    use crate::{compose::ComposeOptions, Universe};
+    use crate::Universe;
     use rde_deps::{parse_mapping, printer};
+    use rde_hom::HomStats;
 
     fn synthesize(text: &str) -> (Vocabulary, SchemaMapping, SchemaMapping) {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, text).unwrap();
-        let rec =
-            maximum_extended_recovery_full(&m, &mut v, &QuasiInverseOptions::default()).unwrap();
+        let rec = maximum_extended_recovery_full(&m, &mut v, &HomConfig::default()).unwrap();
         (v, m, rec)
     }
 
@@ -804,9 +786,15 @@ mod tests {
         // And it is a maximum extended recovery on a bounded universe.
         let mut v = v;
         let u = Universe::new(&mut v, 2, 1, 1);
-        let verdict =
-            check_maximum_extended_recovery(&_m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_maximum_extended_recovery(
+            &_m,
+            &rec,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
     }
 
@@ -820,9 +808,15 @@ mod tests {
         assert!(rule.premise.inequalities.is_empty());
         let mut v = v;
         let u = Universe::new(&mut v, 1, 1, 2);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_maximum_extended_recovery(
+            &m,
+            &rec,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}");
     }
 
@@ -837,9 +831,15 @@ mod tests {
         }
         let mut v = v;
         let u = Universe::small(&mut v);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_maximum_extended_recovery(
+            &m,
+            &rec,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
     }
 
@@ -853,9 +853,15 @@ mod tests {
         let rendered = printer::mapping(&v, &rec);
         let mut v = v;
         let u = Universe::new(&mut v, 1, 1, 2);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_maximum_extended_recovery(
+            &m,
+            &rec,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
     }
 
@@ -882,15 +888,28 @@ mod tests {
         assert_eq!(rec.dependencies[0].disjuncts.len(), 2, "{rendered}");
         let mut v = v;
         let u = Universe::new(&mut v, 2, 1, 2);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_maximum_extended_recovery(
+            &m,
+            &rec,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}\n{rendered}");
         // In particular it IS an extended recovery at I = {P(a, b)}.
         let i = rde_model::parse::parse_instance(&mut v, "P(a, b)").unwrap();
-        assert!(
-            crate::recovery::recovers(&m, &rec, &i, &mut v, &ComposeOptions::default()).unwrap()
-        );
+        assert!(crate::recovery::recovers(
+            &m,
+            &rec,
+            &i,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default()
+        )
+        .unwrap()
+        .holds());
     }
 
     #[test]
@@ -898,8 +917,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let m =
             parse_mapping(&mut v, "source: P/1\ntarget: Q/2\nP(x) -> exists y . Q(x, y)").unwrap();
-        let err = maximum_extended_recovery_full(&m, &mut v, &QuasiInverseOptions::default())
-            .unwrap_err();
+        let err = maximum_extended_recovery_full(&m, &mut v, &HomConfig::default()).unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedMapping { .. }));
     }
 

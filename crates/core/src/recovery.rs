@@ -1,11 +1,13 @@
 //! Extended recoveries and maximum extended recoveries (Section 4).
 
 use rde_deps::SchemaMapping;
-use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::compose::{in_e_composition, ComposeOptions};
-use crate::{CoreError, Universe};
+use crate::arrow::{ArrowMCache, CachePolicy};
+use crate::compose::in_e_composition;
+use crate::invertibility::BoundedVerdict;
+use crate::{source_family, CoreError, Universe};
 
 /// Is `(I, I) ∈ e(M) ∘ e(M′)` — the extended-recovery condition at one
 /// source instance (Definition 4.3)?
@@ -14,27 +16,30 @@ pub fn recovers(
     reverse: &SchemaMapping,
     source: &Instance,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<bool, CoreError> {
-    in_e_composition(mapping, reverse, source, source, vocab, options)
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    in_e_composition(mapping, reverse, source, source, vocab, config, stats)
 }
 
-/// Is `M′` an extended recovery of `M` over a family of sources?
-/// Returns the first source with `(I, I) ∉ e(M) ∘ e(M′)` — a genuine
-/// refutation; `None` is bounded evidence.
+/// Is `M′` an extended recovery of `M` over a family of sources? A
+/// counterexample is the first pair `(I, I) ∉ e(M) ∘ e(M′)` — a genuine
+/// refutation; holding is bounded evidence.
 pub fn find_extended_recovery_counterexample<'a>(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
     sources: impl IntoIterator<Item = &'a Instance>,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<Option<Instance>, CoreError> {
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<BoundedVerdict, CoreError> {
+    let mut verdict = BoundedVerdict::HoldsWithinBound;
     for i in sources {
-        if !recovers(mapping, reverse, i, vocab, options)? {
-            return Ok(Some(i.clone()));
+        if verdict.absorb(recovers(mapping, reverse, i, vocab, config, stats)?) {
+            return Ok(BoundedVerdict::Counterexample { i1: i.clone(), i2: i.clone() });
         }
     }
-    Ok(None)
+    Ok(verdict)
 }
 
 /// Verdict of the bounded maximum-extended-recovery check.
@@ -77,111 +82,74 @@ impl MaxRecoveryVerdict {
 
 /// Bounded check of Theorem 4.13: `M′` is a maximum extended recovery
 /// of `M` iff `e(M) ∘ e(M′) = →_M`. Verifies the equality on every
-/// pair of source instances in the universe.
+/// pair of source instances in the universe. Both sides run under
+/// `config`; unsettled pairs degrade the verdict to
+/// [`MaxRecoveryVerdict::Unknown`] unless a definite refutation is
+/// found first. Search work accumulates into `stats`.
 pub fn check_maximum_extended_recovery(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
-) -> Result<MaxRecoveryVerdict, CoreError> {
-    let mut stats = HomStats::default();
-    check_maximum_extended_recovery_budgeted(
-        mapping,
-        reverse,
-        universe,
-        vocab,
-        options,
-        &HomConfig::default(),
-        &mut stats,
-    )
-}
-
-/// Budgeted form of [`check_maximum_extended_recovery`]: the `→_M` side
-/// of each pair runs under `config` (the composition side stays exact);
-/// unsettled pairs degrade the verdict to
-/// [`MaxRecoveryVerdict::Unknown`] unless a definite refutation is
-/// found first. Arrow-cache search work accumulates into `stats`.
-#[allow(clippy::too_many_arguments)]
-pub fn check_maximum_extended_recovery_budgeted(
-    mapping: &SchemaMapping,
-    reverse: &SchemaMapping,
-    universe: &Universe,
-    vocab: &mut Vocabulary,
-    options: &ComposeOptions,
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<MaxRecoveryVerdict, CoreError> {
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    let cache = crate::arrow::ArrowMCache::new_budgeted(mapping, &family, vocab, config)?;
-    let mut unsettled: Option<Exhausted> = None;
-    let mut refutation: Option<MaxRecoveryVerdict> = None;
-    'scan: for (a, i1) in family.iter().enumerate() {
-        for (b, i2) in family.iter().enumerate() {
-            let in_arrow = match cache.arrow_budgeted(a, b, config) {
-                Verdict::Holds => true,
-                Verdict::Fails => false,
-                Verdict::Unknown { budget } => {
-                    unsettled = unsettled.or(Some(budget));
-                    continue;
-                }
-            };
-            let in_comp = in_e_composition(mapping, reverse, i1, i2, vocab, options)?;
-            match (in_comp, in_arrow) {
-                (true, false) => {
-                    refutation = Some(MaxRecoveryVerdict::NotContainedInArrowM {
-                        i1: i1.clone(),
-                        i2: i2.clone(),
-                    });
-                    break 'scan;
-                }
-                (false, true) => {
-                    refutation = Some(MaxRecoveryVerdict::MissesArrowMPair {
-                        i1: i1.clone(),
-                        i2: i2.clone(),
-                    });
-                    break 'scan;
-                }
-                _ => {}
-            }
-        }
-    }
+    let family = source_family(mapping, universe, vocab)?;
+    let cache = ArrowMCache::with_policy(mapping, &family, vocab, config, CachePolicy::default())?;
+    let verdict = composition_equals(mapping, reverse, &family, Some(&cache), vocab, config, stats);
     *stats += cache.stats().hom;
-    Ok(match (refutation, unsettled) {
-        (Some(r), _) => r,
-        (None, Some(budget)) => MaxRecoveryVerdict::Unknown { budget },
-        (None, None) => MaxRecoveryVerdict::HoldsWithinBound,
-    })
+    verdict
 }
 
 /// Proposition 4.16 (bounded form): for an extended-invertible
 /// tgd-specified `M`, being a maximum extended recovery and being an
 /// extended inverse coincide; concretely, check that
-/// `e(M) ∘ e(M′) = e(Id) = →` on the universe.
+/// `e(M) ∘ e(M′) = e(Id) = →` on the universe, under `config`.
 pub fn check_extended_inverse_semantically(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
     universe: &Universe,
     vocab: &mut Vocabulary,
-    options: &ComposeOptions,
+    config: &HomConfig,
+    stats: &mut HomStats,
 ) -> Result<MaxRecoveryVerdict, CoreError> {
-    let family = universe
-        .collect_instances(vocab, &mapping.source)
-        .map_err(|_| CoreError::UnsupportedMapping { required: "an enumerable source schema" })?;
-    for i1 in &family {
-        for i2 in &family {
-            let in_hom = rde_hom::exists_hom(i1, i2);
-            let in_comp = in_e_composition(mapping, reverse, i1, i2, vocab, options)?;
-            match (in_comp, in_hom) {
-                (true, false) => {
+    let family = source_family(mapping, universe, vocab)?;
+    composition_equals(mapping, reverse, &family, None, vocab, config, stats)
+}
+
+/// The scan behind both checks: compare `e(M) ∘ e(M′)` with `→_M`
+/// (answered by `arrow`) or, without a cache, with `→` on every pair of
+/// `family`. The right-hand side is decided first; a pair it leaves
+/// unsettled is skipped.
+fn composition_equals(
+    mapping: &SchemaMapping,
+    reverse: &SchemaMapping,
+    family: &[Instance],
+    arrow: Option<&ArrowMCache>,
+    vocab: &mut Vocabulary,
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<MaxRecoveryVerdict, CoreError> {
+    let mut unsettled: Option<Exhausted> = None;
+    for (a, i1) in family.iter().enumerate() {
+        for (b, i2) in family.iter().enumerate() {
+            let rhs = match arrow {
+                Some(cache) => cache.arrow(a, b, config),
+                None => exists_hom_budgeted(i1, i2, config, stats),
+            };
+            let lhs = match rhs {
+                Verdict::Unknown { budget } => Verdict::Unknown { budget },
+                _ => in_e_composition(mapping, reverse, i1, i2, vocab, config, stats)?,
+            };
+            match (lhs, rhs) {
+                (Verdict::Unknown { budget }, _) => unsettled = unsettled.or(Some(budget)),
+                (Verdict::Holds, Verdict::Fails) => {
                     return Ok(MaxRecoveryVerdict::NotContainedInArrowM {
                         i1: i1.clone(),
                         i2: i2.clone(),
                     })
                 }
-                (false, true) => {
+                (Verdict::Fails, Verdict::Holds) => {
                     return Ok(MaxRecoveryVerdict::MissesArrowMPair {
                         i1: i1.clone(),
                         i2: i2.clone(),
@@ -191,7 +159,10 @@ pub fn check_extended_inverse_semantically(
             }
         }
     }
-    Ok(MaxRecoveryVerdict::HoldsWithinBound)
+    Ok(match unsettled {
+        Some(budget) => MaxRecoveryVerdict::Unknown { budget },
+        None => MaxRecoveryVerdict::HoldsWithinBound,
+    })
 }
 
 #[cfg(test)]
@@ -214,9 +185,15 @@ mod tests {
         )
         .unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rev, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_maximum_extended_recovery(
+            &m,
+            &rev,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}");
     }
 
@@ -233,16 +210,18 @@ mod tests {
         let conj =
             parse_mapping(&mut v, "source: R/1\ntarget: P/1, Q/1\nR(x) -> P(x) & Q(x)").unwrap();
         let u = Universe::new(&mut v, 1, 1, 2);
-        let opts = ComposeOptions::default();
-        let verdict = check_maximum_extended_recovery(&m, &disj, &u, &mut v, &opts).unwrap();
+        let (opts, mut st) = (HomConfig::default(), HomStats::default());
+        let verdict =
+            check_maximum_extended_recovery(&m, &disj, &u, &mut v, &opts, &mut st).unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}");
         // The conjunctive reverse asserts facts that may be absent:
         // (I, I) ∉ e(M) ∘ e(conj) for I = {P(c)} (since Q(c) ∉ I and the
         // leaf {P(c), Q(c)} has no hom into I on constants).
         let family = u.collect_instances(&v, &m.source).unwrap();
         let cex =
-            find_extended_recovery_counterexample(&m, &conj, family.iter(), &mut v, &opts).unwrap();
-        assert!(cex.is_some());
+            find_extended_recovery_counterexample(&m, &conj, family.iter(), &mut v, &opts, &mut st)
+                .unwrap();
+        assert!(matches!(cex, BoundedVerdict::Counterexample { .. }));
     }
 
     /// Extended recovery vs maximum: the trivial "recover nothing"
@@ -255,14 +234,21 @@ mod tests {
         let empty_rev = SchemaMapping::new(m.target.clone(), m.source.clone(), vec![]);
         let u = Universe::new(&mut v, 1, 1, 1);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let opts = ComposeOptions::default();
+        let (opts, mut st) = (HomConfig::default(), HomStats::default());
         // (I, I) ∈ e(M) ∘ e(M′) always: the empty leaf maps into everything.
-        let cex =
-            find_extended_recovery_counterexample(&m, &empty_rev, family.iter(), &mut v, &opts)
-                .unwrap();
-        assert_eq!(cex, None);
+        let cex = find_extended_recovery_counterexample(
+            &m,
+            &empty_rev,
+            family.iter(),
+            &mut v,
+            &opts,
+            &mut st,
+        )
+        .unwrap();
+        assert!(cex.holds(), "{cex:?}");
         // ...but e(M) ∘ e(M′) is ALL pairs, strictly above →_M:
-        let verdict = check_maximum_extended_recovery(&m, &empty_rev, &u, &mut v, &opts).unwrap();
+        let verdict =
+            check_maximum_extended_recovery(&m, &empty_rev, &u, &mut v, &opts, &mut st).unwrap();
         assert!(matches!(verdict, MaxRecoveryVerdict::NotContainedInArrowM { .. }));
     }
 
@@ -277,9 +263,15 @@ mod tests {
         let minv =
             parse_mapping(&mut v, "source: Q/2\ntarget: P/2\nQ(x,z) & Q(z,y) -> P(x,y)").unwrap();
         let u = Universe::new(&mut v, 1, 1, 1);
-        let verdict =
-            check_extended_inverse_semantically(&m, &minv, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_extended_inverse_semantically(
+            &m,
+            &minv,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(verdict.holds(), "verdict: {verdict:?}");
     }
 
@@ -293,13 +285,13 @@ mod tests {
         let rev = parse_mapping(&mut v, "source: R/1\ntarget: P/1\nR(x) -> P('ghost')").unwrap();
         let i1 = parse_instance(&mut v, "P(a)").unwrap();
         let ghost = parse_instance(&mut v, "P(ghost)").unwrap();
-        let opts = ComposeOptions::default();
+        let (opts, mut st) = (HomConfig::default(), HomStats::default());
         // (I1, ghost) ∈ e(M) ∘ e(rev): leaf {P(ghost)} → ghost. But
         // chase(I1) = {R(a)} does not map into chase(ghost) = {R(ghost)}.
-        assert!(in_e_composition(&m, &rev, &i1, &ghost, &mut v, &opts).unwrap());
+        assert!(in_e_composition(&m, &rev, &i1, &ghost, &mut v, &opts, &mut st).unwrap().holds());
         assert!(!crate::arrow::arrow_m(&m, &i1, &ghost, &mut v).unwrap());
         // And (I1, I1) fails: the leaf insists on P(ghost) → I1? P(ghost)
         // is a constant fact, no hom into {P(a)}: not a recovery either.
-        assert!(!recovers(&m, &rev, &i1, &mut v, &opts).unwrap());
+        assert!(recovers(&m, &rev, &i1, &mut v, &opts, &mut st).unwrap().fails());
     }
 }

@@ -25,19 +25,10 @@ use rde_model::Vocabulary;
 
 use crate::CoreError;
 
-/// Limits for unfolding (the combination count is `Πᵢ (conclusion
-/// atoms matching premise atom i)` per dependency).
-#[derive(Debug, Clone)]
-pub struct UnfoldOptions {
-    /// Maximum unfolded dependencies produced overall.
-    pub max_dependencies: usize,
-}
-
-impl Default for UnfoldOptions {
-    fn default() -> Self {
-        UnfoldOptions { max_dependencies: 10_000 }
-    }
-}
+/// Maximum unfolded dependencies produced overall (the combination
+/// count is `Πᵢ (conclusion atoms matching premise atom i)` per
+/// dependency).
+pub const MAX_DEPENDENCIES: usize = 10_000;
 
 /// Compose `m12 ∘ m23` syntactically. Requires `m12` full-tgd-specified
 /// and `m23` (possibly guarded, possibly disjunctive) tgd-specified,
@@ -46,7 +37,6 @@ pub fn compose_mappings(
     m12: &SchemaMapping,
     m23: &SchemaMapping,
     vocab: &Vocabulary,
-    options: &UnfoldOptions,
 ) -> Result<SchemaMapping, CoreError> {
     if !m12.is_full_tgd_mapping() {
         return Err(CoreError::UnsupportedMapping { required: "a full-tgd first mapping" });
@@ -58,7 +48,7 @@ pub fn compose_mappings(
     }
     let mut out: Vec<Dependency> = Vec::new();
     for d23 in &m23.dependencies {
-        unfold_dependency(m12, d23, vocab, options, &mut out)?;
+        unfold_dependency(m12, d23, vocab, &mut out)?;
     }
     Ok(SchemaMapping::new(m12.source.clone(), m23.target.clone(), out))
 }
@@ -147,7 +137,6 @@ fn unfold_dependency(
     m12: &SchemaMapping,
     d23: &Dependency,
     vocab: &Vocabulary,
-    options: &UnfoldOptions,
     out: &mut Vec<Dependency>,
 ) -> Result<(), CoreError> {
     // Combined namespace: d23's variables first.
@@ -212,10 +201,10 @@ fn unfold_dependency(
                 // compare rendered forms.
                 if dep.validate(vocab).is_ok() && !out.contains(&dep) {
                     out.push(dep);
-                    if out.len() > options.max_dependencies {
+                    if out.len() > MAX_DEPENDENCIES {
                         return Err(CoreError::SearchLimitExceeded {
                             what: "unfolded dependencies",
-                            limit: options.max_dependencies,
+                            limit: MAX_DEPENDENCIES,
                         });
                     }
                 }
@@ -307,10 +296,11 @@ fn finish_unfolding(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compose::{in_composition, ComposeOptions};
+    use crate::compose::in_composition;
     use crate::semantics::satisfies;
     use crate::Universe;
     use rde_deps::parse_mapping;
+    use rde_hom::{HomConfig, HomStats};
 
     /// Semantic cross-check: (I, K) ⊨ composed ⟺ (I, K) ∈ M12 ∘ M23
     /// on every bounded pair.
@@ -324,17 +314,18 @@ mod tests {
         let mut v = Vocabulary::new();
         let m12 = parse_mapping(&mut v, m12_text).unwrap();
         let m23 = parse_mapping(&mut v, m23_text).unwrap();
-        let composed = compose_mappings(&m12, &m23, &v, &UnfoldOptions::default()).unwrap();
+        let composed = compose_mappings(&m12, &m23, &v).unwrap();
         composed.validate(&v).unwrap();
         assert_eq!(composed.source, m12.source);
         assert_eq!(composed.target, m23.target);
         let universe = Universe::new(&mut v, consts, nulls, facts);
         let sources = universe.collect_instances(&v, &m12.source).unwrap();
         let targets = universe.collect_instances(&v, &m23.target).unwrap();
-        let opts = ComposeOptions::default();
+        let (config, mut stats) = (HomConfig::default(), HomStats::default());
         for i in &sources {
             for k in &targets {
-                let semantic = in_composition(&m12, &m23, i, k, &mut v, &opts).unwrap();
+                let semantic =
+                    in_composition(&m12, &m23, i, k, &mut v, &config, &mut stats).unwrap().holds();
                 let syntactic = satisfies(i, k, &composed);
                 assert_eq!(
                     semantic,
@@ -409,7 +400,7 @@ mod tests {
             "source: B/2\ntarget: C/1, D/1\nB(u, 'tag') -> C(u)\nB(u, 'other') -> D(u)",
         )
         .unwrap();
-        let composed = compose_mappings(&m12, &m23, &v, &UnfoldOptions::default()).unwrap();
+        let composed = compose_mappings(&m12, &m23, &v).unwrap();
         let d = v.find_relation("D").unwrap();
         assert!(
             composed
@@ -448,7 +439,7 @@ mod tests {
         let m12 =
             parse_mapping(&mut v, "source: A/1\ntarget: B/2\nA(x) -> exists y . B(x, y)").unwrap();
         let m23 = parse_mapping(&mut v, "source: B/2\ntarget: C/1\nB(x,y) -> C(x)").unwrap();
-        let err = compose_mappings(&m12, &m23, &v, &UnfoldOptions::default()).unwrap_err();
+        let err = compose_mappings(&m12, &m23, &v).unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedMapping { .. }));
     }
 
@@ -457,7 +448,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let m12 = parse_mapping(&mut v, "source: A/1\ntarget: B/1\nA(x) -> B(x)").unwrap();
         let m23 = parse_mapping(&mut v, "source: X/1\ntarget: C/1\nX(x) -> C(x)").unwrap();
-        let err = compose_mappings(&m12, &m23, &v, &UnfoldOptions::default()).unwrap_err();
+        let err = compose_mappings(&m12, &m23, &v).unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedMapping { .. }));
     }
 }

@@ -49,7 +49,14 @@ fn cancelled_requests_do_not_bleed_into_neighbours() {
     let (mut vocab, mapping, family) = setup();
     // Cold reference verdict, computed before any sharing.
     let reference = {
-        let cache = ArrowMCache::new(&mapping, &family, &mut vocab.clone()).unwrap();
+        let cache = ArrowMCache::with_policy(
+            &mapping,
+            &family,
+            &mut vocab.clone(),
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
         check_homomorphism_property_cached(
             &cache,
             &family,
@@ -62,7 +69,16 @@ fn cancelled_requests_do_not_bleed_into_neighbours() {
         "the union mapping must fail the homomorphism property: {reference:?}"
     );
 
-    let cache = Arc::new(ArrowMCache::new(&mapping, &family, &mut vocab).unwrap());
+    let cache = Arc::new(
+        ArrowMCache::with_policy(
+            &mapping,
+            &family,
+            &mut vocab,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap(),
+    );
     let family = Arc::new(family);
     let workers: Vec<_> = (0..8)
         .map(|i| {
@@ -152,7 +168,7 @@ fn shared_cache_verdicts_match_cold_and_uncached_runs() {
                 for step in 0..2 * n * n {
                     let k = (step + t * 7) % (n * n);
                     let (a, b) = (k / n, k % n);
-                    match cache.arrow_budgeted(a, b, &HomConfig::default()) {
+                    match cache.arrow(a, b, &HomConfig::default()) {
                         Verdict::Holds => assert!(truth[a][b], "({a},{b}) holds but truth says no"),
                         Verdict::Fails => {
                             assert!(!truth[a][b], "({a},{b}) fails but truth says yes");

@@ -2,12 +2,12 @@
 //! central narrative (Sections 1, 3.1, 4.2) as executable comparisons.
 
 use rde_chase::{chase_mapping, ChaseOptions};
-use rde_core::compose::ComposeOptions;
 use rde_core::ground::{check_subset_property, ground_information_loss, is_witness_solution};
-use rde_core::invertibility::check_homomorphism_property;
+use rde_core::invertibility::{check_homomorphism_property, BoundedVerdict};
 use rde_core::loss::information_loss;
 use rde_core::Universe;
 use rde_deps::{parse_mapping, SchemaMapping};
+use rde_hom::{HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
 
 const FAMILIES: &[(&str, &str)] = &[
@@ -20,6 +20,11 @@ const FAMILIES: &[(&str, &str)] = &[
         "source: P/1, Q/1\ntarget: R/2\nP(x) -> exists y . R(x, y)\nQ(y) -> exists x . R(x, y)",
     ),
 ];
+
+/// No budget: every check below runs to completion.
+fn unbounded() -> (HomConfig, HomStats) {
+    (HomConfig::default(), HomStats::default())
+}
 
 fn load(text: &str) -> (Vocabulary, SchemaMapping) {
     let mut v = Vocabulary::new();
@@ -35,9 +40,10 @@ fn load(text: &str) -> (Vocabulary, SchemaMapping) {
 fn homomorphism_property_implies_subset_property() {
     for &(name, text) in FAMILIES {
         let (mut v, m) = load(text);
+        let (config, mut stats) = unbounded();
         let u = Universe::new(&mut v, 2, 1, 2);
         let extended_ok = check_homomorphism_property(&m, &u, &mut v).unwrap().holds();
-        let ground_ok = check_subset_property(&m, &u, &mut v).unwrap().holds();
+        let ground_ok = check_subset_property(&m, &u, &mut v, &config, &mut stats).unwrap().holds();
         if extended_ok {
             assert!(ground_ok, "family {name}: Thm 3.15(1) violated within bound");
         }
@@ -53,8 +59,9 @@ fn homomorphism_property_implies_subset_property() {
 #[test]
 fn cross_null_family_separates_the_notions() {
     let (mut v, m) = load(FAMILIES[4].1);
+    let (config, mut stats) = unbounded();
     let u = Universe::new(&mut v, 2, 1, 2);
-    assert!(check_subset_property(&m, &u, &mut v).unwrap().holds());
+    assert!(check_subset_property(&m, &u, &mut v, &config, &mut stats).unwrap().holds());
     assert!(!check_homomorphism_property(&m, &u, &mut v).unwrap().holds());
 }
 
@@ -65,9 +72,11 @@ fn cross_null_family_separates_the_notions() {
 fn ground_loss_embeds_into_extended_loss() {
     for &(name, text) in FAMILIES {
         let (mut v, m) = load(text);
+        let (config, mut stats) = unbounded();
         let u = Universe::new(&mut v, 2, 1, 1);
-        let ground = ground_information_loss(&m, &u, &mut v, usize::MAX).unwrap();
-        let extended = information_loss(&m, &u, &mut v, usize::MAX).unwrap();
+        let ground =
+            ground_information_loss(&m, &u, &mut v, usize::MAX, &config, &mut stats).unwrap();
+        let extended = information_loss(&m, &u, &mut v, usize::MAX, &config, &mut stats).unwrap();
         assert!(
             ground.lost_pairs <= extended.lost_pairs,
             "family {name}: ground loss {} > extended loss {}",
@@ -135,7 +144,9 @@ fn lemma_4_12_holds_on_every_family() {
     for &(name, text) in FAMILIES {
         let (mut v, m) = load(text);
         let u = Universe::new(&mut v, 2, 1, 1);
-        assert!(rde_core::mstar::check_lemma_4_12(&m, &u, &mut v).unwrap(), "family {name}");
+        let (config, mut stats) = unbounded();
+        let verdict = rde_core::mstar::check_lemma_4_12(&m, &u, &mut v, &config, &mut stats);
+        assert!(verdict.unwrap().holds(), "family {name}");
     }
 }
 
@@ -150,21 +161,20 @@ fn semantic_and_chase_characterizations_agree() {
     let u = Universe::new(&mut v, 1, 1, 1);
     // Chase-inverse on the universe...
     let family = u.collect_instances(&v, &m.source).unwrap();
+    let (config, mut stats) = unbounded();
     let cex = rde_core::chase_inverse::find_chase_inverse_counterexample(
         &m,
         &minv,
         family.iter(),
         &mut v,
+        &config,
+        &mut stats,
     )
     .unwrap();
-    assert_eq!(cex, None);
+    assert_eq!(cex, BoundedVerdict::HoldsWithinBound);
     // ...and semantically an extended inverse on the same universe.
     let verdict = rde_core::recovery::check_extended_inverse_semantically(
-        &m,
-        &minv,
-        &u,
-        &mut v,
-        &ComposeOptions::default(),
+        &m, &minv, &u, &mut v, &config, &mut stats,
     )
     .unwrap();
     assert!(verdict.holds());

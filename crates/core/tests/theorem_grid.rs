@@ -4,15 +4,14 @@
 //! example-specific unit tests.
 
 use rde_chase::{chase_mapping, ChaseOptions};
-use rde_core::arrow::ArrowMCache;
-use rde_core::compose::ComposeOptions;
+use rde_core::arrow::{ArrowMCache, CachePolicy};
 use rde_core::invertibility::check_homomorphism_property;
 use rde_core::loss::information_loss;
-use rde_core::quasi_inverse::{maximum_extended_recovery_full, QuasiInverseOptions};
+use rde_core::quasi_inverse::maximum_extended_recovery_full;
 use rde_core::recovery::check_maximum_extended_recovery;
 use rde_core::Universe;
 use rde_deps::{parse_mapping, printer, SchemaMapping};
-use rde_hom::exists_hom;
+use rde_hom::{exists_hom, HomConfig, HomStats};
 use rde_model::Vocabulary;
 
 /// The mapping families of the grid. `full` marks eligibility for the
@@ -50,7 +49,9 @@ fn corollary_4_15_grid() {
     for &(name, text, _) in FAMILIES {
         let (mut v, m) = load(text);
         let u = Universe::new(&mut v, 2, 1, 1);
-        let report = information_loss(&m, &u, &mut v, 0).unwrap();
+        let report =
+            information_loss(&m, &u, &mut v, 0, &HomConfig::default(), &mut HomStats::default())
+                .unwrap();
         let hp = check_homomorphism_property(&m, &u, &mut v).unwrap().holds();
         assert_eq!(report.is_lossless_within_bound(), hp, "family {name}");
     }
@@ -66,8 +67,16 @@ fn proposition_3_11_grid() {
         for i in u.instances(&v, &m.source).unwrap() {
             let chased = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
             assert!(
-                rde_core::extended::is_extended_universal_solution(&i, &chased, &m, &mut v)
-                    .unwrap(),
+                rde_core::extended::is_extended_universal_solution(
+                    &i,
+                    &chased,
+                    &m,
+                    &mut v,
+                    &HomConfig::default(),
+                    &mut HomStats::default()
+                )
+                .unwrap()
+                .holds(),
                 "family {name}, source {i:?}"
             );
         }
@@ -82,17 +91,32 @@ fn proposition_4_11_grid() {
         let (mut v, m) = load(text);
         let u = Universe::new(&mut v, 2, 1, 1);
         let family = u.collect_instances(&v, &m.source).unwrap();
-        let cache = ArrowMCache::new(&m, &family, &mut v).unwrap();
+        let cache = ArrowMCache::with_policy(
+            &m,
+            &family,
+            &mut v,
+            &HomConfig::default(),
+            CachePolicy::default(),
+        )
+        .unwrap();
         let n = family.len();
         for a in 0..n {
-            assert!(cache.arrow(a, a), "family {name}: reflexivity");
+            assert!(cache.arrow(a, a, &HomConfig::default()).holds(), "family {name}: reflexivity");
             for b in 0..n {
                 if exists_hom(&family[a], &family[b]) {
-                    assert!(cache.arrow(a, b), "family {name}: → ⊆ →_M");
+                    assert!(
+                        cache.arrow(a, b, &HomConfig::default()).holds(),
+                        "family {name}: → ⊆ →_M"
+                    );
                 }
                 for c in 0..n {
-                    if cache.arrow(a, b) && cache.arrow(b, c) {
-                        assert!(cache.arrow(a, c), "family {name}: transitivity");
+                    if cache.arrow(a, b, &HomConfig::default()).holds()
+                        && cache.arrow(b, c, &HomConfig::default()).holds()
+                    {
+                        assert!(
+                            cache.arrow(a, c, &HomConfig::default()).holds(),
+                            "family {name}: transitivity"
+                        );
                     }
                 }
             }
@@ -109,13 +133,19 @@ fn theorem_5_1_grid() {
             continue;
         }
         let (mut v, m) = load(text);
-        let rec = maximum_extended_recovery_full(&m, &mut v, &QuasiInverseOptions::default())
+        let rec = maximum_extended_recovery_full(&m, &mut v, &HomConfig::default())
             .unwrap_or_else(|e| panic!("family {name}: synthesis failed: {e}"));
         assert!(!rec.uses_constant_guards(), "family {name}: Thm 5.1 language");
         let u = Universe::new(&mut v, 1, 1, 2);
-        let verdict =
-            check_maximum_extended_recovery(&m, &rec, &u, &mut v, &ComposeOptions::default())
-                .unwrap();
+        let verdict = check_maximum_extended_recovery(
+            &m,
+            &rec,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert!(
             verdict.holds(),
             "family {name}: {verdict:?}\nrecovery:\n{}",
@@ -131,7 +161,18 @@ fn lemma_4_12_grid() {
     for &(name, text, _) in FAMILIES {
         let (mut v, m) = load(text);
         let u = Universe::new(&mut v, 2, 1, 1);
-        assert!(rde_core::mstar::check_lemma_4_12(&m, &u, &mut v).unwrap(), "family {name}");
+        assert!(
+            rde_core::mstar::check_lemma_4_12(
+                &m,
+                &u,
+                &mut v,
+                &HomConfig::default(),
+                &mut HomStats::default()
+            )
+            .unwrap()
+            .holds(),
+            "family {name}"
+        );
     }
 }
 
@@ -199,10 +240,36 @@ fn section_6_3_order_is_consistent_with_censuses() {
         let m_less = parse_mapping(&mut v, less_text).unwrap();
         let m_more = parse_mapping(&mut v, more_text).unwrap();
         let u = Universe::new(&mut v, 2, 1, 1);
-        let cmp = rde_core::compare::compare_lossiness(&m_less, &m_more, &u, &mut v).unwrap();
+        let cmp = rde_core::compare::compare_lossiness(
+            &m_less,
+            &m_more,
+            &u,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
         assert_eq!(cmp, rde_core::compare::Comparison::StrictlyLessLossy, "{less_text}");
-        let loss_less = information_loss(&m_less, &u, &mut v, 0).unwrap().lost_pairs;
-        let loss_more = information_loss(&m_more, &u, &mut v, 0).unwrap().lost_pairs;
+        let loss_less = information_loss(
+            &m_less,
+            &u,
+            &mut v,
+            0,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap()
+        .lost_pairs;
+        let loss_more = information_loss(
+            &m_more,
+            &u,
+            &mut v,
+            0,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap()
+        .lost_pairs;
         assert!(loss_less < loss_more, "census order must agree ({loss_less} < {loss_more})");
     }
 }

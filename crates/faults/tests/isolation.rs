@@ -19,12 +19,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rde_chase::ChaseOptions;
-use rde_core::arrow::ArrowMCache;
-use rde_core::loss::{information_loss_scoped, LossReport};
+use rde_core::arrow::{ArrowMCache, CachePolicy};
+use rde_core::loss::{information_loss, LossReport};
 use rde_core::Universe;
 use rde_deps::{parse_mapping, SchemaMapping};
 use rde_faults::{ExecContext, FaultConfig, FaultInjector};
-use rde_hom::HomConfig;
+use rde_hom::{HomConfig, HomStats};
 use rde_model::{Instance, Vocabulary};
 
 const MAPPING: &str = "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)";
@@ -75,13 +75,17 @@ fn run_engines(ctx: &ExecContext) -> Result<Answers, String> {
         .map_err(|e| format!("chase: {e}"))?
         .instance;
 
-    let cache = ArrowMCache::new_budgeted(&mapping, &family, &mut vocab, &config)
-        .map_err(|e| format!("arrow: {e}"))?;
+    let cache =
+        ArrowMCache::with_policy(&mapping, &family, &mut vocab, &config, CachePolicy::default())
+            .map_err(|e| format!("arrow: {e}"))?;
     let n = cache.len();
-    let arrows = (0..n).map(|a| (0..n).map(|b| cache.arrow(a, b)).collect()).collect();
+    let arrows =
+        (0..n).map(|a| (0..n).map(|b| cache.arrow(a, b, &config).holds()).collect()).collect();
 
-    let report: LossReport = information_loss_scoped(&mapping, &universe, &mut vocab, 4, ctx)
-        .map_err(|e| format!("loss: {e}"))?;
+    let mut stats = HomStats::default();
+    let report: LossReport =
+        information_loss(&mapping, &universe, &mut vocab, 4, &config, &mut stats)
+            .map_err(|e| format!("loss: {e}"))?;
     Ok(Answers {
         chased,
         arrows,

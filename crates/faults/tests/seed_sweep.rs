@@ -26,8 +26,8 @@ use std::sync::RwLock;
 use rde_chase::{
     disjunctive_chase, ChaseError, ChaseOptions, ChaseVariant, DisjunctiveChaseOptions,
 };
-use rde_core::arrow::ArrowMCache;
-use rde_core::quasi_inverse::{maximum_extended_recovery_full, QuasiInverseOptions};
+use rde_core::arrow::{ArrowMCache, CachePolicy};
+use rde_core::quasi_inverse::maximum_extended_recovery_full;
 use rde_core::{CoreError, Universe};
 use rde_deps::{parse_dependency, parse_mapping, printer, Dependency};
 use rde_faults::{ExecContext, FaultConfig, FaultInjector};
@@ -142,8 +142,8 @@ fn chase_survives_injected_exhaustion_and_cancellation() {
 /// answers must match a cleanly-built reference cache exactly, because
 /// lock recovery (`PoisonError::into_inner`) preserves the memo's
 /// integrity rather than wedging or corrupting it. The injector rides
-/// in through the construction config's context and is read back from
-/// it per seed.
+/// in through each query's config context and is read back from it per
+/// seed.
 #[test]
 fn arrow_cache_matches_clean_reference_under_poisoned_locks() {
     let _g = shared();
@@ -156,9 +156,13 @@ fn arrow_cache_matches_clean_reference_under_poisoned_locks() {
     let n = family.len();
     assert!(n >= 4, "universe too small to be interesting");
 
-    let reference = ArrowMCache::new(&mapping, &family, &mut vocab).unwrap();
-    let expected: Vec<Vec<bool>> =
-        (0..n).map(|a| (0..n).map(|b| reference.arrow(a, b)).collect()).collect();
+    let unbounded = HomConfig::default();
+    let reference =
+        ArrowMCache::with_policy(&mapping, &family, &mut vocab, &unbounded, CachePolicy::default())
+            .unwrap();
+    let expected: Vec<Vec<bool>> = (0..n)
+        .map(|a| (0..n).map(|b| reference.arrow(a, b, &unbounded).holds()).collect())
+        .collect();
 
     let mut total_fired = 0u64;
     for seed in 0..SEEDS {
@@ -170,15 +174,19 @@ fn arrow_cache_matches_clean_reference_under_poisoned_locks() {
             2,
             Some("core.arrow"),
         )));
-        let cache = ArrowMCache::new_budgeted(
+        let config = HomConfig { ctx: ctx.clone(), ..HomConfig::default() };
+        let cache = ArrowMCache::with_policy(
             &mapping,
             &family,
             &mut vocab,
-            &HomConfig { ctx: ctx.clone(), ..HomConfig::default() },
+            &config,
+            CachePolicy::default(),
         )
         .unwrap();
         let answers = catch_unwind(AssertUnwindSafe(|| {
-            (0..n).map(|a| (0..n).map(|b| cache.arrow(a, b)).collect()).collect::<Vec<Vec<bool>>>()
+            (0..n)
+                .map(|a| (0..n).map(|b| cache.arrow(a, b, &config).holds()).collect())
+                .collect::<Vec<Vec<bool>>>()
         }));
         let report = ctx.fault_report();
         let answers =
@@ -574,8 +582,7 @@ fn quasi_inverse_survives_injected_construction_aborts() {
     )
     .unwrap();
     let reference =
-        maximum_extended_recovery_full(&mapping, &mut vocab, &QuasiInverseOptions::default())
-            .unwrap();
+        maximum_extended_recovery_full(&mapping, &mut vocab, &HomConfig::default()).unwrap();
     let reference_text = printer::mapping(&vocab, &reference);
 
     let mut cancelled = 0u64;
@@ -587,9 +594,9 @@ fn quasi_inverse_survives_injected_construction_aborts() {
             1 << (seed % 4),
             Some("core.quasi"),
         )));
-        let options = QuasiInverseOptions { ctx: ctx.clone(), ..QuasiInverseOptions::default() };
+        let config = HomConfig { ctx: ctx.clone(), ..HomConfig::default() };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            maximum_extended_recovery_full(&mapping, &mut vocab, &options)
+            maximum_extended_recovery_full(&mapping, &mut vocab, &config)
         }))
         .unwrap_or_else(|_| panic!("seed {seed}: quasi-inverse panicked under injection"));
         let report = ctx.fault_report();

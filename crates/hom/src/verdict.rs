@@ -87,6 +87,25 @@ impl Verdict {
             (Verdict::Holds, Verdict::Holds) => Verdict::Holds,
         }
     }
+
+    /// Three-valued (Kleene) disjunction: a definite `Holds` dominates,
+    /// otherwise any `Unknown` taints the result.
+    pub fn or(self, other: Verdict) -> Verdict {
+        !(!self).and(!other)
+    }
+}
+
+/// Three-valued negation: swaps `Holds` and `Fails`, keeps `Unknown`.
+impl std::ops::Not for Verdict {
+    type Output = Verdict;
+
+    fn not(self) -> Verdict {
+        match self {
+            Verdict::Holds => Verdict::Fails,
+            Verdict::Fails => Verdict::Holds,
+            unknown => unknown,
+        }
+    }
 }
 
 impl fmt::Display for Verdict {
@@ -124,5 +143,15 @@ mod tests {
         assert!(u.is_unknown() && !u.holds() && !u.fails());
         assert!(Verdict::from_bool(true).holds());
         assert!(Verdict::from_bool(false).fails());
+    }
+
+    #[test]
+    fn kleene_disjunction_and_negation() {
+        let u = Verdict::Unknown { budget: Exhausted::Nodes(1) };
+        assert_eq!(Verdict::Fails.or(Verdict::Fails), Verdict::Fails);
+        assert_eq!(u.or(Verdict::Holds), Verdict::Holds, "a definite yes beats unknown");
+        assert_eq!(Verdict::Fails.or(u), u);
+        assert_eq!(!Verdict::Holds, Verdict::Fails);
+        assert_eq!(!u, u);
     }
 }

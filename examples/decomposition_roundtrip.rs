@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --example decomposition_roundtrip`
 
+use rde_hom::{HomConfig, HomStats};
 use rde_model::{display, parse::parse_instance};
 use reverse_data_exchange::core::chase_inverse::{roundtrip, roundtrip_recovers};
 use reverse_data_exchange::core::Universe;
@@ -20,6 +21,8 @@ use reverse_data_exchange::prelude::*;
 
 fn main() {
     let mut vocab = Vocabulary::new();
+    // No budget: every check runs to completion.
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     let m = parse_mapping(
         &mut vocab,
         "source: P/2\ntarget: Q/2\nP(x, y) -> exists z . Q(x, z) & Q(z, y)",
@@ -42,7 +45,7 @@ fn main() {
 
     // Round trip through the chase-inverse M′: recovers the original up
     // to homomorphic equivalence (Theorem 3.17)...
-    let via_prime = roundtrip(&m, &m_prime, &flights, &mut vocab).unwrap();
+    let via_prime = roundtrip(&m, &m_prime, &flights, &mut vocab, &unbounded).unwrap();
     println!("recovered via M′:\n{}", display::instance(&vocab, &via_prime));
     assert!(hom_equivalent(&flights, &via_prime), "M′ recovers up to hom-equivalence");
     // ...including the paper's fine structure: I ⊆ V and V → I.
@@ -50,14 +53,15 @@ fn main() {
 
     // Round trip through the classical inverse M″: the null-endpoint
     // flight evaporates (its hub never produces constant endpoints).
-    let via_dprime = roundtrip(&m, &m_dprime, &flights, &mut vocab).unwrap();
+    let via_dprime = roundtrip(&m, &m_dprime, &flights, &mut vocab, &unbounded).unwrap();
     println!("recovered via M″:\n{}", display::instance(&vocab, &via_dprime));
-    assert!(!roundtrip_recovers(&m, &m_dprime, &flights, &mut vocab).unwrap());
+    let verdict = roundtrip_recovers(&m, &m_dprime, &flights, &mut vocab, &unbounded, &mut stats);
+    assert!(verdict.unwrap().fails());
     assert!(via_dprime.len() < flights.len(), "M″ drops the null-endpoint fact");
 
     // On all-null sources M″ recovers nothing at all (Example 3.19).
     let anonymous = parse_instance(&mut vocab, "P(?w, ?z)").unwrap();
-    let lost = roundtrip(&m, &m_dprime, &anonymous, &mut vocab).unwrap();
+    let lost = roundtrip(&m, &m_dprime, &anonymous, &mut vocab, &unbounded).unwrap();
     assert!(lost.is_empty());
     println!("M″ on an all-null source recovers: (nothing)");
 
@@ -69,9 +73,11 @@ fn main() {
         &m_prime,
         family.iter(),
         &mut vocab,
+        &unbounded,
+        &mut stats,
     )
     .unwrap();
-    assert!(cex.is_none(), "M′ is a chase-inverse on the whole bounded universe");
+    assert!(cex.holds(), "M′ is a chase-inverse on the whole bounded universe");
     println!(
         "verified: M′ is a chase-inverse (= extended inverse) over {} bounded sources",
         family.len()

@@ -18,13 +18,11 @@
 
 use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
 use rde_deps::printer;
+use rde_hom::{HomConfig, HomStats};
 use rde_model::{display, parse::parse_instance};
-use reverse_data_exchange::core::compose::ComposeOptions;
-use reverse_data_exchange::core::quasi_inverse::{
-    maximum_extended_recovery_full, QuasiInverseOptions,
-};
+use reverse_data_exchange::core::quasi_inverse::maximum_extended_recovery_full;
 use reverse_data_exchange::core::recovery::check_maximum_extended_recovery;
-use reverse_data_exchange::core::unfold::{compose_mappings, UnfoldOptions};
+use reverse_data_exchange::core::unfold::compose_mappings;
 use reverse_data_exchange::core::Universe;
 use reverse_data_exchange::prelude::*;
 
@@ -45,12 +43,11 @@ fn main() {
     .unwrap();
 
     // 1. Compose syntactically: one mapping from v1 to v3.
-    let m13 = compose_mappings(&m12, &m23, &vocab, &UnfoldOptions::default()).unwrap();
+    let m13 = compose_mappings(&m12, &m23, &vocab).unwrap();
     println!("composed v1 → v3 mapping:\n{}", printer::mapping(&vocab, &m13));
 
     // 2. Invert the composite: one maximum extended recovery v3 → v1.
-    let recovery =
-        maximum_extended_recovery_full(&m13, &mut vocab, &QuasiInverseOptions::default()).unwrap();
+    let recovery = maximum_extended_recovery_full(&m13, &mut vocab, &HomConfig::default()).unwrap();
     println!("synthesized v3 → v1 recovery:\n{}", printer::mapping(&vocab, &recovery));
 
     // 3. Verify it (Theorem 4.13 criterion, bounded).
@@ -60,7 +57,8 @@ fn main() {
         &recovery,
         &universe,
         &mut vocab,
-        &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(verdict.holds(), "recovery must verify: {verdict:?}");

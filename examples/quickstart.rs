@@ -12,8 +12,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
+use rde_hom::{HomConfig, HomStats};
 use rde_model::{display, parse::parse_instance};
-use reverse_data_exchange::core::compose::ComposeOptions;
 use reverse_data_exchange::core::recovery::check_maximum_extended_recovery;
 use reverse_data_exchange::core::Universe;
 use reverse_data_exchange::prelude::*;
@@ -78,7 +78,8 @@ fn main() {
         &reverse,
         &universe,
         &mut vocab,
-        &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .expect("check runs");
     assert!(verdict.holds(), "M' is a maximum extended recovery: {verdict:?}");

@@ -15,12 +15,15 @@
 //! Run with: `cargo run --example schema_evolution`
 
 use rde_chase::ChaseOptions;
+use rde_hom::HomConfig;
 use rde_model::{display, parse::parse_instance};
 use reverse_data_exchange::core::chase_inverse::roundtrip;
 use reverse_data_exchange::prelude::*;
 
 fn main() {
     let mut vocab = Vocabulary::new();
+    // No budget: every check runs to completion.
+    let unbounded = HomConfig::default();
 
     // Hop 1: v1 → v2 (vertical decomposition).
     let m12 = parse_mapping(
@@ -64,7 +67,7 @@ fn main() {
          ProdInfo(id, name, price) -> Prod(id, name) & Price(id, price)",
     )
     .unwrap();
-    let v2_recovered = roundtrip(&m23, &m32, &v2, &mut vocab).unwrap();
+    let v2_recovered = roundtrip(&m23, &m32, &v2, &mut vocab, &unbounded).unwrap();
     assert!(
         hom_equivalent(&v2, &v2_recovered),
         "hop-2 roundtrip recovers v2 up to homomorphic equivalence"
@@ -79,7 +82,7 @@ fn main() {
          Price(id, price) -> exists n . Item(id, n, price)",
     )
     .unwrap();
-    let v1_recovered = roundtrip(&m12, &m21, &v1, &mut vocab).unwrap();
+    let v1_recovered = roundtrip(&m12, &m21, &v1, &mut vocab, &unbounded).unwrap();
     println!("v1 recovered from v2:\n{}", display::instance(&vocab, &v1_recovered));
     // The decomposition loses the name↔price join: recovery is sound
     // (maps into the original) but not equivalent.

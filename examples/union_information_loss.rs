@@ -17,20 +17,19 @@
 //! Run with: `cargo run --example union_information_loss`
 
 use rde_deps::printer;
+use rde_hom::{HomConfig, HomStats};
 use rde_model::display;
 use reverse_data_exchange::core::compare::{compare_lossiness, Comparison};
-use reverse_data_exchange::core::compose::ComposeOptions;
 use reverse_data_exchange::core::invertibility::{check_homomorphism_property, BoundedVerdict};
 use reverse_data_exchange::core::loss::information_loss;
-use reverse_data_exchange::core::quasi_inverse::{
-    maximum_extended_recovery_full, QuasiInverseOptions,
-};
+use reverse_data_exchange::core::quasi_inverse::maximum_extended_recovery_full;
 use reverse_data_exchange::core::recovery::check_maximum_extended_recovery;
 use reverse_data_exchange::core::Universe;
 use reverse_data_exchange::prelude::*;
 
 fn main() {
     let mut vocab = Vocabulary::new();
+    let (cfg, mut st) = (HomConfig::default(), HomStats::default()); // no budget
     let union = parse_mapping(
         &mut vocab,
         "source: Customer/1, Supplier/1\ntarget: Contacts/1\n\
@@ -53,7 +52,7 @@ fn main() {
     }
 
     // 2. Quantify the loss.
-    let report = information_loss(&union, &universe, &mut vocab, 3).unwrap();
+    let report = information_loss(&union, &universe, &mut vocab, 3, &cfg, &mut st).unwrap();
     println!(
         "information loss census: {} lost pair(s) out of {}² instances ({:.1}%)",
         report.lost_pairs,
@@ -63,18 +62,11 @@ fn main() {
     assert!(report.lost_pairs > 0);
 
     // 3. Synthesize and verify the maximum extended recovery.
-    let recovery =
-        maximum_extended_recovery_full(&union, &mut vocab, &QuasiInverseOptions::default())
-            .unwrap();
+    let recovery = maximum_extended_recovery_full(&union, &mut vocab, &cfg).unwrap();
     println!("synthesized maximum extended recovery:\n{}", printer::mapping(&vocab, &recovery));
-    let verdict = check_maximum_extended_recovery(
-        &union,
-        &recovery,
-        &universe,
-        &mut vocab,
-        &ComposeOptions::default(),
-    )
-    .unwrap();
+    let verdict =
+        check_maximum_extended_recovery(&union, &recovery, &universe, &mut vocab, &cfg, &mut st)
+            .unwrap();
     assert!(verdict.holds(), "synthesized recovery must verify: {verdict:?}");
     println!("verified: e(M) ∘ e(M') = →_M on the bounded universe (Thm 4.13)");
 
@@ -86,10 +78,10 @@ fn main() {
          Supplier(x) -> Contacts(x) & IsSupp(x)",
     )
     .unwrap();
-    let cmp = compare_lossiness(&tagged, &union, &universe, &mut vocab).unwrap();
+    let cmp = compare_lossiness(&tagged, &union, &universe, &mut vocab, &cfg, &mut st).unwrap();
     assert_eq!(cmp, Comparison::StrictlyLessLossy);
     println!("design comparison: the tagged mapping is strictly less lossy than the union mapping");
-    let tagged_loss = information_loss(&tagged, &universe, &mut vocab, 0).unwrap();
+    let tagged_loss = information_loss(&tagged, &universe, &mut vocab, 0, &cfg, &mut st).unwrap();
     println!(
         "tagged design loss: {} lost pair(s) (lossless within bound: {})",
         tagged_loss.lost_pairs,

@@ -28,12 +28,10 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use rde_hom::{HomConfig, HomStats};
 use rde_model::Vocabulary;
-use reverse_data_exchange::core::compose::ComposeOptions;
 use reverse_data_exchange::core::invertibility::{check_homomorphism_property, BoundedVerdict};
-use reverse_data_exchange::core::quasi_inverse::{
-    maximum_extended_recovery_full, QuasiInverseOptions,
-};
+use reverse_data_exchange::core::quasi_inverse::maximum_extended_recovery_full;
 use reverse_data_exchange::core::{compare, ground, loss, recovery, Universe};
 use reverse_data_exchange::prelude::*;
 
@@ -166,8 +164,15 @@ impl Fixture {
         let universe = Universe::new(&mut vocab, consts, nulls, facts);
         match self.check.as_str() {
             "loss" => {
-                let report = loss::information_loss(&m, &universe, &mut vocab, 0)
-                    .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                let report = loss::information_loss(
+                    &m,
+                    &universe,
+                    &mut vocab,
+                    0,
+                    &HomConfig::default(),
+                    &mut HomStats::default(),
+                )
+                .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 let word = if report.lost_pairs == 0 { "lossless" } else { "lossy" };
                 assert_eq!(word, self.verdict, "{}: loss verdict", self.name);
                 self.pin("lost_pairs", report.lost_pairs as u64);
@@ -186,9 +191,8 @@ impl Fixture {
                 assert_eq!(word, self.verdict, "{}: invertibility verdict", self.name);
             }
             "max-extended-recovery" => {
-                let rec =
-                    maximum_extended_recovery_full(&m, &mut vocab, &QuasiInverseOptions::default())
-                        .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                let rec = maximum_extended_recovery_full(&m, &mut vocab, &HomConfig::default())
+                    .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 self.pin("rules", rec.dependencies.len() as u64);
                 let disjuncts: usize = rec.dependencies.iter().map(|d| d.disjuncts.len()).sum();
                 self.pin("disjuncts", disjuncts as u64);
@@ -197,7 +201,8 @@ impl Fixture {
                     &rec,
                     &universe,
                     &mut vocab,
-                    &ComposeOptions::default(),
+                    &HomConfig::default(),
+                    &mut HomStats::default(),
                 )
                 .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 assert_eq!(self.verdict, "holds", "{}: only `holds` is expressible", self.name);
@@ -210,7 +215,8 @@ impl Fixture {
                     &m2,
                     &universe,
                     &mut vocab,
-                    &ComposeOptions::default(),
+                    &HomConfig::default(),
+                    &mut HomStats::default(),
                 )
                 .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 let word = if verdict.holds() { "holds" } else { "counterexample" };
@@ -218,8 +224,15 @@ impl Fixture {
             }
             "compare" => {
                 let m2 = self.second_mapping(&mut vocab);
-                let verdict = compare::compare_lossiness(&m, &m2, &universe, &mut vocab)
-                    .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+                let verdict = compare::compare_lossiness(
+                    &m,
+                    &m2,
+                    &universe,
+                    &mut vocab,
+                    &HomConfig::default(),
+                    &mut HomStats::default(),
+                )
+                .unwrap_or_else(|e| panic!("{}: {e}", self.name));
                 let word = match verdict {
                     compare::Comparison::EquallyLossy => "equally-lossy",
                     compare::Comparison::StrictlyLessLossy => "less-lossy",

@@ -2,14 +2,12 @@
 //! across all crates (model → deps → chase → hom → core → query).
 
 use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
+use rde_hom::{HomConfig, HomStats};
 use rde_model::parse::parse_instance;
 use rde_model::{Instance, Vocabulary};
 use rde_query::{evaluate_null_free, reverse_certain_answers, ConjunctiveQuery};
-use reverse_data_exchange::core::compose::ComposeOptions;
 use reverse_data_exchange::core::invertibility::BoundedVerdict;
-use reverse_data_exchange::core::quasi_inverse::{
-    maximum_extended_recovery_full, QuasiInverseOptions,
-};
+use reverse_data_exchange::core::quasi_inverse::maximum_extended_recovery_full;
 use reverse_data_exchange::core::Universe;
 use reverse_data_exchange::prelude::*;
 
@@ -46,8 +44,16 @@ fn example_1_1_full_pipeline() {
     // Example 3.3 layered on top: U is an extended solution for V but
     // not a solution.
     assert!(!reverse_data_exchange::core::semantics::is_solution(&v, &u, &m));
-    assert!(reverse_data_exchange::core::extended::is_extended_solution(&v, &u, &m, &mut vocab)
-        .unwrap());
+    assert!(reverse_data_exchange::core::extended::is_extended_solution(
+        &v,
+        &u,
+        &m,
+        &mut vocab,
+        &HomConfig::default(),
+        &mut HomStats::default()
+    )
+    .unwrap()
+    .holds());
 }
 
 /// The union mapping across the stack: invertibility refutation,
@@ -67,8 +73,7 @@ fn union_mapping_full_pipeline() {
     assert!(matches!(verdict, BoundedVerdict::Counterexample { .. }));
 
     // Synthesize the maximum extended recovery and verify Thm 4.13.
-    let rec =
-        maximum_extended_recovery_full(&m, &mut vocab, &QuasiInverseOptions::default()).unwrap();
+    let rec = maximum_extended_recovery_full(&m, &mut vocab, &HomConfig::default()).unwrap();
     assert_eq!(rec.dependencies.len(), 1);
     assert_eq!(rec.dependencies[0].disjuncts.len(), 2);
     let verdict = reverse_data_exchange::core::recovery::check_maximum_extended_recovery(
@@ -76,7 +81,8 @@ fn union_mapping_full_pipeline() {
         &rec,
         &universe,
         &mut vocab,
-        &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(verdict.holds());
@@ -125,12 +131,13 @@ fn theorem_3_15_part_2_pipeline() {
         &m_inv,
         &universe,
         &mut vocab,
-        &ComposeOptions::default(),
+        &HomConfig::default(),
+        &mut HomStats::default(),
     )
     .unwrap();
     assert!(verdict.holds(), "M′ is an inverse on ground instances: {verdict:?}");
     // But not extended-invertible (null counterexample exists).
-    let verdict = reverse_data_exchange::core::invertibility::check_extended_invertibility(
+    let verdict = reverse_data_exchange::core::invertibility::check_homomorphism_property(
         &m, &universe, &mut vocab,
     )
     .unwrap();
@@ -148,8 +155,7 @@ fn theorem_6_5_with_synthesized_recovery() {
          Customer(x) -> Contacts(x)\nSupplier(x) -> Contacts(x)",
     )
     .unwrap();
-    let rec =
-        maximum_extended_recovery_full(&m, &mut vocab, &QuasiInverseOptions::default()).unwrap();
+    let rec = maximum_extended_recovery_full(&m, &mut vocab, &HomConfig::default()).unwrap();
     let i = parse_instance(&mut vocab, "Customer(acme)\nSupplier(acme)\nCustomer(globex)").unwrap();
 
     // A query every recovered world satisfies: is acme a contact at all

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
-use rde_hom::{core_of, is_core};
+use rde_hom::{core_of, is_core, HomConfig, HomStats};
 use rde_model::{Fact, Instance, Vocabulary};
 use reverse_data_exchange::prelude::*;
 
@@ -83,7 +83,7 @@ proptest! {
         let u1 = rde_chase::chase_mapping(&i1, &m, &mut w.vocab, &ChaseOptions::default()).unwrap();
         prop_assert!(reverse_data_exchange::core::semantics::is_solution(&i1, &u1, &m));
         prop_assert!(reverse_data_exchange::core::extended::is_extended_universal_solution(
-            &i1, &u1, &m, &mut w.vocab).unwrap());
+            &i1, &u1, &m, &mut w.vocab, &HomConfig::default(), &mut HomStats::default()).unwrap().holds());
         // Monotonicity: I1 → I2 implies chase(I1) → chase(I2).
         if exists_hom(&i1, &i2) {
             let u2 = rde_chase::chase_mapping(&i2, &m, &mut w.vocab, &ChaseOptions::default()).unwrap();
@@ -99,7 +99,7 @@ proptest! {
         let i = w.instance("P", &f);
         let (m, minv) = (w.two_step.clone(), w.two_step_inv.clone());
         let recovered = reverse_data_exchange::core::chase_inverse::roundtrip(
-            &m, &minv, &i, &mut w.vocab).unwrap();
+            &m, &minv, &i, &mut w.vocab, &HomConfig::default()).unwrap();
         prop_assert!(hom_equivalent(&i, &recovered));
         prop_assert!(i.is_subset_of(&recovered), "Example 3.18: I ⊆ V");
     }
@@ -127,11 +127,12 @@ proptest! {
         let i = ia.union(&ib);
         let (m, rec) = (w.union.clone(), w.union_rec.clone());
         let report = reverse_data_exchange::core::faithful::faithfulness_at(
-            &m, &rec, &i, std::slice::from_ref(&i), &mut w.vocab).unwrap();
-        prop_assert!(report.every_leaf_exports_at_least, "condition (1)");
-        prop_assert!(report.some_leaf_exports_at_most, "condition (2)");
+            &m, &rec, &i, std::slice::from_ref(&i), &mut w.vocab,
+            &HomConfig::default(), &mut HomStats::default()).unwrap();
+        prop_assert!(report.every_leaf_exports_at_least.holds(), "condition (1)");
+        prop_assert!(report.some_leaf_exports_at_most.holds(), "condition (2)");
         // Condition (3) with probe I' = I: some leaf maps into I itself.
-        prop_assert!(report.universality_within_bound, "condition (3) at I' = I");
+        prop_assert!(report.universality_within_bound.holds(), "condition (3) at I' = I");
     }
 
     /// Extended recovery at every random source: (I, I) ∈ e(M) ∘ e(M′)
@@ -143,7 +144,7 @@ proptest! {
         let (m, rec) = (w.union.clone(), w.union_rec.clone());
         prop_assert!(reverse_data_exchange::core::recovery::recovers(
             &m, &rec, &i, &mut w.vocab,
-            &reverse_data_exchange::core::compose::ComposeOptions::default()).unwrap());
+            &HomConfig::default(), &mut HomStats::default()).unwrap().holds());
     }
 
     /// Theorem 6.4 instance-wise: reverse certain answers through the

@@ -10,11 +10,9 @@
 use proptest::prelude::*;
 
 use rde_deps::{printer, Atom, Conjunct, Dependency, Premise, SchemaMapping, Term, VarId};
+use rde_hom::{HomConfig, HomStats};
 use rde_model::{Schema, Vocabulary};
-use reverse_data_exchange::core::compose::ComposeOptions;
-use reverse_data_exchange::core::quasi_inverse::{
-    maximum_extended_recovery_full, QuasiInverseOptions,
-};
+use reverse_data_exchange::core::quasi_inverse::maximum_extended_recovery_full;
 use reverse_data_exchange::core::recovery::{
     check_maximum_extended_recovery, find_extended_recovery_counterexample,
 };
@@ -80,15 +78,15 @@ proptest! {
             return Ok(()); // unsafe shape — skip
         };
         let recovery =
-            maximum_extended_recovery_full(&mapping, &mut vocab, &QuasiInverseOptions::default())
+            maximum_extended_recovery_full(&mapping, &mut vocab, &HomConfig::default())
                 .unwrap_or_else(|e| panic!(
                     "synthesis failed for\n{}\n: {e}",
                     printer::mapping(&vocab, &mapping)
                 ));
         let universe = Universe::new(&mut vocab, 1, 1, 2);
-        let opts = ComposeOptions::default();
+        let (opts, mut stats) = (HomConfig::default(), HomStats::default());
         let verdict =
-            check_maximum_extended_recovery(&mapping, &recovery, &universe, &mut vocab, &opts)
+            check_maximum_extended_recovery(&mapping, &recovery, &universe, &mut vocab, &opts, &mut stats)
                 .unwrap();
         prop_assert!(
             verdict.holds(),
@@ -108,21 +106,22 @@ proptest! {
             return Ok(());
         };
         let recovery =
-            maximum_extended_recovery_full(&mapping, &mut vocab, &QuasiInverseOptions::default())
+            maximum_extended_recovery_full(&mapping, &mut vocab, &HomConfig::default())
                 .unwrap();
         let universe = Universe::new(&mut vocab, 2, 1, 2);
         let family = universe.collect_instances(&vocab, &mapping.source).unwrap();
-        let opts = ComposeOptions::default();
+        let (opts, mut stats) = (HomConfig::default(), HomStats::default());
         let cex = find_extended_recovery_counterexample(
             &mapping,
             &recovery,
             family.iter(),
             &mut vocab,
             &opts,
+            &mut stats,
         )
         .unwrap();
         prop_assert!(
-            cex.is_none(),
+            cex.holds(),
             "not an extended recovery at {cex:?}\nmapping:\n{}\nrecovery:\n{}",
             printer::mapping(&vocab, &mapping),
             printer::mapping(&vocab, &recovery)
