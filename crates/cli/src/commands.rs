@@ -383,9 +383,21 @@ impl<'a> Checker<'a> {
     fn run<T>(
         &mut self,
         label: &str,
-        mut check: impl FnMut(&HomConfig, &mut HomStats) -> Result<T, CoreError>,
+        check: impl FnMut(&HomConfig, &mut HomStats) -> Result<T, CoreError>,
         unknown: impl Fn(&T) -> Option<Exhausted>,
     ) -> Result<Option<T>, CliError> {
+        let outcome = self.settle(label, check, &unknown)?;
+        Ok(unknown(&outcome).is_none().then_some(outcome))
+    }
+
+    /// [`Checker::run`], returning the outcome even when it printed
+    /// UNKNOWN, so that a verdict derived from it keeps the budget.
+    fn settle<T>(
+        &mut self,
+        label: &str,
+        mut check: impl FnMut(&HomConfig, &mut HomStats) -> Result<T, CoreError>,
+        unknown: impl Fn(&T) -> Option<Exhausted>,
+    ) -> Result<T, CliError> {
         let stats = &mut self.stats;
         let (outcome, attempts) = retry_budgeted(
             &self.config,
@@ -398,13 +410,11 @@ impl<'a> Checker<'a> {
         }
         let outcome = outcome.map_err(core_err)?;
         match unknown(&outcome) {
-            None => Ok(Some(outcome)),
-            Some(Exhausted::Cancelled) => Err(CliError::Cancelled),
-            Some(budget) => {
-                println!("{label}: UNKNOWN ({budget}); raise --node-budget or --retries");
-                Ok(None)
-            }
+            Some(Exhausted::Cancelled) => return Err(CliError::Cancelled),
+            Some(budget) => print_unknown(label, budget),
+            None => {}
         }
+        Ok(outcome)
     }
 
     /// End the command: print the `--stats` counters after the answer.
@@ -414,6 +424,10 @@ impl<'a> Checker<'a> {
         }
         Ok(())
     }
+}
+
+fn print_unknown(label: &str, budget: Exhausted) {
+    println!("{label}: UNKNOWN ({budget}); raise --node-budget or --retries");
 }
 
 fn verdict_unknown(verdict: &Verdict) -> Option<Exhausted> {
@@ -693,41 +707,45 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
     let i1 = load_instance(&mut vocab, opts.positional(0, "first instance file")?)?;
     let i2 = load_instance(&mut vocab, opts.positional(1, "second instance file")?)?;
     let mut checker = Checker::new(opts);
-    let fwd = checker.run(
+    let fwd = checker.settle(
         "I1 -> I2",
         |cfg, st| Ok(rde_hom::find_hom_budgeted(&i1, &i2, &Default::default(), cfg, st)),
         |found| found.as_ref().err().copied(),
     )?;
-    match fwd {
-        Some(Ok(Some(h))) => {
+    let fwd = match fwd {
+        Ok(Some(h)) => {
             println!("I1 -> I2: YES");
             let mut bindings: Vec<(rde_model::NullId, rde_model::Value)> = h.iter().collect();
             bindings.sort();
             for (n, img) in bindings {
                 println!("  {} |-> {}", vocab.null_name(n), vocab.value_name(img));
             }
+            Verdict::Holds
         }
-        Some(_) => println!("I1 -> I2: NO"),
-        None => {}
-    }
-    let bwd = checker.run(
+        Ok(None) => {
+            println!("I1 -> I2: NO");
+            Verdict::Fails
+        }
+        Err(budget) => Verdict::Unknown { budget },
+    };
+    let bwd = checker.settle(
         "I2 -> I1",
         |cfg, st| Ok(rde_hom::exists_hom_budgeted(&i2, &i1, cfg, st)),
         verdict_unknown,
     )?;
-    if let Some(bwd) = bwd {
+    if !bwd.is_unknown() {
         println!("I2 -> I1: {}", if bwd.holds() { "YES" } else { "NO" });
     }
-    let equivalent = checker.run(
-        "hom-equivalent",
-        |cfg, st| Ok(rde_hom::hom_equivalent_budgeted(&i1, &i2, cfg, st)),
-        verdict_unknown,
-    )?;
-    if let Some(equivalent) = equivalent {
-        // Isomorphic instances are hom-equivalent, so only an
-        // equivalent pair needs the isomorphism search.
-        let isomorphic = equivalent.holds() && rde_hom::is_isomorphic(&i1, &i2);
-        println!("hom-equivalent: {}; isomorphic: {isomorphic}", equivalent.holds());
+    // Equivalence is the Kleene conjunction of the two directions
+    // already searched: a definite NO in either beats an UNKNOWN.
+    match fwd.and(bwd) {
+        Verdict::Unknown { budget } => print_unknown("hom-equivalent", budget),
+        equivalent => {
+            // Isomorphic instances are hom-equivalent, so only an
+            // equivalent pair needs the isomorphism search.
+            let isomorphic = equivalent.holds() && rde_hom::is_isomorphic(&i1, &i2);
+            println!("hom-equivalent: {}; isomorphic: {isomorphic}", equivalent.holds());
+        }
     }
     checker.finish()
 }

@@ -180,10 +180,11 @@ pub fn in_e_composition(
             required: "a guard-free tgd-specified forward mapping",
         });
     }
-    let u = chase_mapping(i1, mapping, vocab, &chase_options(config))?;
     if reverse.is_disjunctive_tgd_mapping() {
-        return leaf_maps_into(&u, reverse, i2, vocab, config, stats);
+        let leaves = composition_leaves(mapping, reverse, i1, vocab, config)?;
+        return Ok(some_maps_into(&leaves, i2, config, stats));
     }
+    let u = chase_mapping(i1, mapping, vocab, &chase_options(config))?;
     let mut verdict = Verdict::Fails;
     for h in enumerate_collapses(&u, reverse, i2, &FxHashSet::default(), vocab, MAX_COLLAPSES)? {
         let j = h.apply_instance(&u);
@@ -193,6 +194,22 @@ pub fn in_e_composition(
         }
     }
     Ok(verdict)
+}
+
+/// The leaves `in_e_composition`'s fast path tests for `I₁`: those of
+/// `disjChase_{M′}(chase_M(I₁))`, restricted to `M′`'s target schema.
+/// For a guard-free `M′`, `(I₁, I₂) ∈ e(M) ∘ e(M′)` iff one of them maps
+/// into `I₂`, so a caller testing many `I₂` can chase once.
+pub(crate) fn composition_leaves(
+    mapping: &SchemaMapping,
+    reverse: &SchemaMapping,
+    i1: &Instance,
+    vocab: &mut Vocabulary,
+    config: &HomConfig,
+) -> Result<Vec<Instance>, CoreError> {
+    let u = chase_mapping(i1, mapping, vocab, &chase_options(config))?;
+    let result = disjunctive_chase(&u, &reverse.dependencies, vocab, &disjunctive_options(config))?;
+    Ok(result.leaves.iter().map(|leaf| leaf.restrict_to(&reverse.target)).collect())
 }
 
 /// Does some leaf of the disjunctive chase of `middle` with `reverse`,

@@ -5,9 +5,9 @@ use rde_hom::{exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::arrow::{ArrowMCache, CachePolicy};
-use crate::compose::in_e_composition;
+use crate::compose::{composition_leaves, in_e_composition};
 use crate::invertibility::BoundedVerdict;
-use crate::{source_family, CoreError, Universe};
+use crate::{some_maps_into, source_family, CoreError, Universe};
 
 /// Is `(I, I) ∈ e(M) ∘ e(M′)` — the extended-recovery condition at one
 /// source instance (Definition 4.3)?
@@ -120,7 +120,9 @@ pub fn check_extended_inverse_semantically(
 /// The scan behind both checks: compare `e(M) ∘ e(M′)` with `→_M`
 /// (answered by `arrow`) or, without a cache, with `→` on every pair of
 /// `family`. The right-hand side is decided first; a pair it leaves
-/// unsettled is skipped.
+/// unsettled is skipped. For a guard-free `M′` the left-hand side reads
+/// the row's composition leaves, chased once per row on the first pair
+/// that needs them.
 fn composition_equals(
     mapping: &SchemaMapping,
     reverse: &SchemaMapping,
@@ -130,8 +132,10 @@ fn composition_equals(
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Result<MaxRecoveryVerdict, CoreError> {
+    let leaves_per_row = mapping.is_tgd_mapping() && reverse.is_disjunctive_tgd_mapping();
     let mut unsettled: Option<Exhausted> = None;
     for (a, i1) in family.iter().enumerate() {
+        let mut row_leaves: Option<Vec<Instance>> = None;
         for (b, i2) in family.iter().enumerate() {
             let rhs = match arrow {
                 Some(cache) => cache.arrow(a, b, config),
@@ -139,6 +143,12 @@ fn composition_equals(
             };
             let lhs = match rhs {
                 Verdict::Unknown { budget } => Verdict::Unknown { budget },
+                _ if leaves_per_row => {
+                    if row_leaves.is_none() {
+                        row_leaves = Some(composition_leaves(mapping, reverse, i1, vocab, config)?);
+                    }
+                    some_maps_into(row_leaves.as_deref().unwrap_or_default(), i2, config, stats)
+                }
                 _ => in_e_composition(mapping, reverse, i1, i2, vocab, config, stats)?,
             };
             match (lhs, rhs) {

@@ -15,7 +15,7 @@
 //! * [`reverse_certain_answers`] — the paper's reverse query answering
 //!   (Theorem 6.5): answer a *source* query when only the exchanged
 //!   target instance is available, via the disjunctive chase with a
-//!   maximum extended recovery.
+//!   maximum extended recovery, chasing only the query's slice of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +24,7 @@ mod answers;
 pub mod containment;
 mod cq;
 mod reverse;
+mod slice;
 
 pub use answers::{drop_nulls, intersect_all, AnswerSet};
 pub use containment::{contained_in, equivalent, minimize};

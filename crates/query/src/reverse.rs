@@ -1,15 +1,16 @@
 //! Certain answers and reverse query answering (Section 6.2).
 
 use rde_chase::{
-    chase_mapping, disjunctive_chase, ChaseError, ChaseOptions, DependencyPlan,
+    chase, chase_mapping, disjunctive_chase, ChaseError, ChaseOptions, DependencyPlan,
     DisjunctiveChaseOptions,
 };
-use rde_deps::SchemaMapping;
+use rde_deps::{Dependency, SchemaMapping};
 use rde_model::fx::FxHashMap;
 use rde_model::{Instance, RelId, Vocabulary};
 
 use crate::answers::AnswerSet;
 use crate::cq::{evaluate_plan, ConjunctiveQuery};
+use crate::slice::slice;
 
 /// `(⋂_K q(K))↓` over a family of instances — the right-hand side of
 /// Theorem 6.5. Empty for an empty family.
@@ -83,8 +84,20 @@ pub fn forward_certain_answers(
 /// By Theorem 6.5 this equals `certain_{e(M) ∘ e(M′)}(q, I)`; by
 /// Theorem 6.4, when `M′` is an extended *inverse* it equals `q(I)↓`.
 ///
-/// Both chases run under `options.hom`: a budget that cuts either one
-/// short returns an error, never a partial answer set.
+/// Only the query's slice is chased: the dependencies of `M′` whose
+/// output `q` can see, closed under the relations they read, and the
+/// dependencies of `M` that write those relations, closed the same way.
+/// On the relations `q` reads, every leaf of the sliced chase is a leaf
+/// of the full one up to renaming of nulls, and conversely, so the
+/// answers are the full procedure's. A body relation outside `M`'s
+/// source schema answers the empty set before either chase runs.
+///
+/// Both chases run under `options`: a budget that cuts either one short
+/// returns an error, never a partial answer set. The sliced chases make
+/// a subset of the full chases' steps, branches and searches, so under
+/// any budget the call returns exactly the unbounded answers or a
+/// budget error. It may answer where the full chase would have hit a
+/// `max_*` limit or a node budget, never the reverse.
 pub fn reverse_certain_answers(
     q: &ConjunctiveQuery,
     source: &Instance,
@@ -93,13 +106,18 @@ pub fn reverse_certain_answers(
     vocab: &mut Vocabulary,
     options: &DisjunctiveChaseOptions,
 ) -> Result<AnswerSet, ChaseError> {
+    let Some((recovery_slice, relations)) = query_slice(q, mapping, recovery) else {
+        return Ok(AnswerSet::new());
+    };
+    let (mapping_slice, _) = slice(&mapping.dependencies, &relations);
     let forward = ChaseOptions { hom: options.hom.clone(), ..ChaseOptions::default() };
-    let u = chase_mapping(source, mapping, vocab, &forward)?;
-    reverse_certain_answers_from_target(q, &u, mapping, recovery, vocab, options)
+    let u = chase(source, &mapping_slice, vocab, &forward)?.instance.restrict_to(&mapping.target);
+    certain_over_leaves(q, &u, &recovery_slice, vocab, options)
 }
 
 /// Like [`reverse_certain_answers`] but starting from the materialized
 /// target instance `U` (the realistic situation: the source is gone).
+/// Only the recovery is sliced.
 pub fn reverse_certain_answers_from_target(
     q: &ConjunctiveQuery,
     target: &Instance,
@@ -108,15 +126,46 @@ pub fn reverse_certain_answers_from_target(
     vocab: &mut Vocabulary,
     options: &DisjunctiveChaseOptions,
 ) -> Result<AnswerSet, ChaseError> {
-    let result = disjunctive_chase(target, &recovery.dependencies, vocab, options)?;
-    // The query reads only its body relations, and on the source
-    // schema's relations every leaf agrees with its source restriction:
-    // the leaves are evaluated as they are. A body relation outside the
-    // source schema is empty in every restriction, so nothing is
-    // certain.
-    if body_relations(q).iter().any(|&r| !mapping.source.contains(r)) {
+    let Some((recovery_slice, _)) = query_slice(q, mapping, recovery) else {
         return Ok(AnswerSet::new());
-    }
+    };
+    certain_over_leaves(q, target, &recovery_slice, vocab, options)
+}
+
+/// The recovery's dependencies that `q` can see and the relations they
+/// touch, or `None` when a body relation lies outside the source
+/// schema: that relation is empty in every source restriction, so
+/// nothing is certain and nothing needs chasing. Counts the recovery's
+/// dependencies into `query.certain.deps_kept` and
+/// `query.certain.deps_sliced`.
+fn query_slice(
+    q: &ConjunctiveQuery,
+    mapping: &SchemaMapping,
+    recovery: &SchemaMapping,
+) -> Option<(Vec<Dependency>, Vec<RelId>)> {
+    let body = body_relations(q);
+    let sliced = body
+        .iter()
+        .all(|&r| mapping.source.contains(r))
+        .then(|| slice(&recovery.dependencies, &body));
+    let kept = sliced.as_ref().map_or(0, |(deps, _)| deps.len());
+    rde_obs::counter!("query.certain.deps_kept").add(kept as u64);
+    rde_obs::counter!("query.certain.deps_sliced").add((recovery.dependencies.len() - kept) as u64);
+    sliced
+}
+
+/// `(⋂_K q(K))↓` over the leaves of the disjunctive chase of `target`.
+/// The query reads only its body relations, and on the source schema's
+/// relations every leaf agrees with its source restriction, so the
+/// leaves are evaluated as they are.
+fn certain_over_leaves(
+    q: &ConjunctiveQuery,
+    target: &Instance,
+    dependencies: &[Dependency],
+    vocab: &mut Vocabulary,
+    options: &DisjunctiveChaseOptions,
+) -> Result<AnswerSet, ChaseError> {
+    let result = disjunctive_chase(target, dependencies, vocab, options)?;
     Ok(certain_answers_over(q, &result.leaves))
 }
 
@@ -200,6 +249,64 @@ mod tests {
         assert_eq!(from_u.unwrap().into_iter().collect::<Vec<_>>(), vec![vec![a], vec![b]]);
         let from_i = reverse_certain_answers(&q, &i, &m, &rec, &mut v, &options);
         assert!(matches!(from_i, Err(ChaseError::MatchBudgetExhausted { .. })), "{from_i:?}");
+    }
+
+    /// A body relation outside the source schema is certain to answer
+    /// nothing, so it answers before any chase a budget could stop.
+    #[test]
+    fn out_of_schema_queries_answer_empty_under_any_budget() {
+        let mut v = Vocabulary::new();
+        let m = parse_mapping(&mut v, "source: P/1, Q/1\ntarget: R/1\nP(x) -> R(x)\nQ(x) -> R(x)")
+            .unwrap();
+        let rec =
+            parse_mapping(&mut v, "source: R/1\ntarget: P/1, Q/1\nR(x) -> P(x) | Q(x)").unwrap();
+        let i = parse_instance(&mut v, "P(a)\nQ(b)").unwrap();
+        let u = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
+        let q = ConjunctiveQuery::parse(&mut v, "q(x) :- P(x) & R(x)").unwrap();
+        let hom = rde_hom::HomConfig { node_budget: Some(0), ..Default::default() };
+        let options = DisjunctiveChaseOptions { hom, ..DisjunctiveChaseOptions::default() };
+        let from_u = reverse_certain_answers_from_target(&q, &u, &m, &rec, &mut v, &options);
+        assert_eq!(from_u.unwrap(), AnswerSet::new());
+        let from_i = reverse_certain_answers(&q, &i, &m, &rec, &mut v, &options);
+        assert_eq!(from_i.unwrap(), AnswerSet::new());
+        // A source query under the same budget still stops honestly.
+        let qp = ConjunctiveQuery::parse(&mut v, "q(x) :- P(x)").unwrap();
+        let cut = reverse_certain_answers_from_target(&qp, &u, &m, &rec, &mut v, &options);
+        assert!(matches!(cut, Err(ChaseError::MatchBudgetExhausted { .. })), "{cut:?}");
+    }
+
+    /// A rule none of whose conclusions the query can see is not
+    /// chased, so its branches count against no budget.
+    #[test]
+    fn rules_the_query_cannot_see_are_not_chased() {
+        let mut v = Vocabulary::new();
+        let m = parse_mapping(
+            &mut v,
+            "source: P/2, A/1, B/1\ntarget: S/2, T/1\nP(x, y) -> S(x, y)\nA(x) -> T(x)\nB(x) -> T(x)",
+        )
+        .unwrap();
+        let rec = parse_mapping(
+            &mut v,
+            "source: S/2, T/1\ntarget: P/2, A/1, B/1\nS(x, y) -> P(x, y)\nT(x) -> A(x) | B(x)",
+        )
+        .unwrap();
+        let q = ConjunctiveQuery::parse(&mut v, "q(x) :- P(x, y)").unwrap();
+        let (kept, relations) = query_slice(&q, &m, &rec).unwrap();
+        assert_eq!(kept, rec.dependencies[..1]);
+        let (s, p) = (v.find_relation("S").unwrap(), v.find_relation("P").unwrap());
+        let mut expected = vec![s, p];
+        expected.sort_unstable();
+        assert_eq!(relations, expected);
+        // Eight A facts branch the full chase 256 ways, past a budget
+        // of two branches; the sliced chase has one leaf.
+        let facts: Vec<String> = (0..8).map(|i| format!("A(a{i})")).collect();
+        let i = parse_instance(&mut v, &format!("P(c, d)\n{}", facts.join("\n"))).unwrap();
+        let options = DisjunctiveChaseOptions { max_branches: 2, ..Default::default() };
+        let u = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
+        let full = disjunctive_chase(&u, &rec.dependencies, &mut v, &options);
+        assert!(matches!(full, Err(ChaseError::BranchBudgetExhausted { .. })), "{full:?}");
+        let got = reverse_certain_answers(&q, &i, &m, &rec, &mut v, &options).unwrap();
+        assert_eq!(got.into_iter().collect::<Vec<_>>(), vec![vec![v.const_value("c")]]);
     }
 
     #[test]

@@ -104,6 +104,11 @@ fn serves_every_op_and_shuts_down_cleanly() {
         metrics.iter().any(|l| l.starts_with("serve_cache_memo{mapping=\"merge\"}")),
         "per-mapping cache occupancy gauges refresh at scrape time: {metrics:?}"
     );
+    // CERTAIN counted the reverse mapping's one dependency as kept: the
+    // query reads `A`, which its disjunction writes.
+    for counter in ["query_certain_deps_kept ", "query_certain_deps_sliced "] {
+        assert!(metrics.iter().any(|l| l.starts_with(counter)), "{counter}: {metrics:?}");
+    }
 
     // Bad requests get ERR, and the connection survives them.
     let bad = client.request(&Request::bare("FROBNICATE")).unwrap();
