@@ -23,7 +23,7 @@
 //! rel <rel_id> <arity> <n_rows>
 //! <row: one value token per column>...
 //! delta none | delta some <n_facts>
-//! fact <rel_id> <arity> <values...>...
+//! fact <rel_id> <arity> <values...>...    # relation by relation
 //! deps <n_deps>
 //! dep <index> <n_keys>
 //! key <len> <values...>...
@@ -38,19 +38,26 @@
 //! Values are `c<id>` (constant) or `n<id>` (null). Rows appear in
 //! insertion order (the order the hom-search posting lists see);
 //! fired keys are sorted so the same state always produces the same
-//! bytes. Writes go to `<path>.tmp` then rename, so a crash mid-write
+//! bytes. The delta is the previous round's insertions: written
+//! relation by relation, each relation's facts in row order. Earlier
+//! writers listed them in insertion order across relations; both read
+//! the same. Writes go to `<path>.tmp` then rename, so a crash mid-write
 //! leaves the previous snapshot intact. Loading validates the version
-//! line and every count; any mismatch is a typed
-//! [`ChaseError::Checkpoint`], never a panic.
+//! line and every count, and that the snapshot is one the engine could
+//! have written: each relation's delta facts are exactly its last rows,
+//! in order, and every fired key has its dependency's premise slot
+//! count. Any mismatch is a typed [`ChaseError::Checkpoint`], never a
+//! panic.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use rde_hom::HomStats;
-use rde_model::fx::FxHashSet;
-use rde_model::{ConstId, Fact, Instance, NullId, RelId, Value};
+use std::collections::BTreeMap;
 
-use crate::standard::{FiringRecord, RoundStats};
+use rde_hom::HomStats;
+use rde_model::{ConstId, Fact, Instance, NullId, RelId, RowSet, Value};
+
+use crate::standard::{Delta, FiringRecord, RoundStats};
 use crate::ChaseError;
 
 /// Magic first line; bump the version when the layout changes.
@@ -79,8 +86,9 @@ pub(crate) struct SnapshotRef<'a> {
     pub null_count: usize,
     pub hom_total: HomStats,
     pub instance: &'a Instance,
-    pub delta: Option<&'a [Fact]>,
-    pub fired_keys: &'a [FxHashSet<Vec<Value>>],
+    /// Row ranges of `instance`, as the engine keeps its delta.
+    pub delta: Option<&'a [(RelId, u32, u32)]>,
+    pub fired_keys: &'a [RowSet],
     pub round_stats: &'a [RoundStats],
     pub provenance: &'a [FiringRecord],
 }
@@ -93,8 +101,8 @@ pub(crate) struct Snapshot {
     pub null_count: usize,
     pub hom_total: HomStats,
     pub instance: Instance,
-    pub delta: Option<Vec<Fact>>,
-    pub fired_keys: Vec<FxHashSet<Vec<Value>>>,
+    pub delta: Option<Delta>,
+    pub fired_keys: Vec<RowSet>,
     pub round_stats: Vec<RoundStats>,
     pub provenance: Vec<FiringRecord>,
 }
@@ -128,9 +136,9 @@ fn dec_value(tok: &str) -> Result<Value, ChaseError> {
     }
 }
 
-fn enc_fact(out: &mut String, tag: &str, fact: &Fact) {
-    let _ = write!(out, "{tag} {} {}", fact.relation().0, fact.args().len());
-    for &v in fact.args() {
+fn enc_fact(out: &mut String, tag: &str, rel: RelId, args: &[Value]) {
+    let _ = write!(out, "{tag} {} {}", rel.0, args.len());
+    for &v in args {
         enc_value(out, v);
     }
     out.push('\n');
@@ -174,10 +182,15 @@ pub(crate) fn save(
 
     match snap.delta {
         None => out.push_str("delta none\n"),
-        Some(facts) => {
-            let _ = writeln!(out, "delta some {}", facts.len());
-            for fact in facts {
-                enc_fact(&mut out, "fact", fact);
+        Some(ranges) => {
+            let n: u32 = ranges.iter().map(|&(_, start, end)| end - start).sum();
+            let _ = writeln!(out, "delta some {n}");
+            for &(rel, start, end) in ranges {
+                if let Some(data) = snap.instance.relation(rel) {
+                    for row in start..end {
+                        enc_fact(&mut out, "fact", rel, data.row_slice(row));
+                    }
+                }
             }
         }
     }
@@ -185,8 +198,8 @@ pub(crate) fn save(
     let _ = writeln!(out, "deps {}", snap.fired_keys.len());
     for (di, keys) in snap.fired_keys.iter().enumerate() {
         let _ = writeln!(out, "dep {di} {}", keys.len());
-        let mut sorted: Vec<&Vec<Value>> = keys.iter().collect();
-        sorted.sort();
+        let mut sorted: Vec<&[Value]> = keys.rows().collect();
+        sorted.sort_unstable();
         for key in sorted {
             let mut line = format!("key {}", key.len());
             for &v in key {
@@ -226,7 +239,7 @@ pub(crate) fn save(
         out.push_str(&line);
         out.push('\n');
         for fact in &rec.produced {
-            enc_fact(&mut out, "fact", fact);
+            enc_fact(&mut out, "fact", fact.relation(), fact.args());
         }
     }
     out.push_str("end\n");
@@ -309,8 +322,43 @@ fn dec_fact(toks: &[&str]) -> Result<Fact, ChaseError> {
     Ok(Fact::new(RelId(rel), args))
 }
 
-/// Read and validate a snapshot written by [`save`].
-pub(crate) fn load(path: &Path) -> Result<Snapshot, ChaseError> {
+/// The engine's delta for a snapshot's listed delta facts: per
+/// relation, the facts must be exactly its last rows, in row order (the
+/// relations may interleave in the list).
+fn delta_ranges(instance: &Instance, facts: &[Fact]) -> Result<Delta, ChaseError> {
+    let mut by_rel: BTreeMap<RelId, Vec<&Fact>> = BTreeMap::new();
+    for f in facts {
+        by_rel.entry(f.relation()).or_default().push(f);
+    }
+    let mut ranges = Delta::new();
+    for (rel, listed) in by_rel {
+        let data = instance.relation(rel);
+        let rows = data.map_or(0, rde_model::RelationData::len);
+        let start = rows.checked_sub(listed.len()).ok_or_else(|| {
+            malformed(format!(
+                "delta lists {} facts of relation {}, which has {rows} rows",
+                listed.len(),
+                rel.0
+            ))
+        })?;
+        for (k, f) in listed.iter().enumerate() {
+            let row = start + k;
+            if data.map(|d| d.row_slice(row as u32)) != Some(f.args()) {
+                return Err(malformed(format!(
+                    "delta fact {} is not row {row} of relation {} in the snapshot",
+                    k + 1,
+                    rel.0
+                )));
+            }
+        }
+        ranges.push((rel, start as u32, rows as u32));
+    }
+    Ok(ranges)
+}
+
+/// Read and validate a snapshot written by [`save`] for a chase whose
+/// dependency `i` has `key_widths[i]` premise slots.
+pub(crate) fn load(path: &Path, key_widths: &[usize]) -> Result<Snapshot, ChaseError> {
     let text = std::fs::read_to_string(path).map_err(|e| ioerr("reading", path, e))?;
     let mut r = Reader { lines: text.lines(), line_no: 0 };
 
@@ -357,28 +405,44 @@ pub(crate) fn load(path: &Path) -> Result<Snapshot, ChaseError> {
             for _ in 0..n {
                 facts.push(dec_fact(&r.tagged("fact")?)?);
             }
-            Some(facts)
+            Some(delta_ranges(&instance, &facts)?)
         }
         _ => return Err(malformed("bad delta line")),
     };
 
     let n_deps: usize = parse_num(r.tagged("deps")?.first(), "dependency count")?;
-    let mut fired_keys: Vec<FxHashSet<Vec<Value>>> = Vec::with_capacity(n_deps);
-    for di in 0..n_deps {
+    if n_deps != key_widths.len() {
+        return Err(malformed(format!(
+            "snapshot has {n_deps} dependencies, the chase has {}",
+            key_widths.len()
+        )));
+    }
+    let mut fired_keys: Vec<RowSet> = Vec::with_capacity(n_deps);
+    for (di, &width) in key_widths.iter().enumerate() {
         let toks = r.tagged("dep")?;
         let index: usize = parse_num(toks.first(), "dependency index")?;
         if index != di {
             return Err(malformed("dependency indices out of order"));
         }
         let n_keys: usize = parse_num(toks.get(1), "key count")?;
-        let mut keys = FxHashSet::default();
+        let mut keys = RowSet::new(width);
+        let mut key: Vec<Value> = Vec::with_capacity(width);
         for _ in 0..n_keys {
             let ktoks = r.tagged("key")?;
             let len: usize = parse_num(ktoks.first(), "key length")?;
             if ktoks.len() != 1 + len {
                 return Err(malformed("key length mismatch"));
             }
-            keys.insert(ktoks[1..].iter().map(|t| dec_value(t)).collect::<Result<Vec<_>, _>>()?);
+            if len != width {
+                return Err(malformed(format!(
+                    "dependency {di} has a key of {len} values, its premise has {width} slots"
+                )));
+            }
+            key.clear();
+            for t in &ktoks[1..] {
+                key.push(dec_value(t)?);
+            }
+            keys.insert(&key);
         }
         fired_keys.push(keys);
     }
@@ -459,17 +523,31 @@ mod tests {
         Value::Null(NullId(i))
     }
 
+    fn key_set(width: usize, keys: &[Vec<Value>]) -> RowSet {
+        let mut set = RowSet::new(width);
+        for k in keys {
+            set.insert(k);
+        }
+        set
+    }
+
+    fn sorted_keys(set: &RowSet) -> Vec<Vec<Value>> {
+        let mut keys: Vec<Vec<Value>> = set.rows().map(<[Value]>::to_vec).collect();
+        keys.sort();
+        keys
+    }
+
     #[test]
     fn round_trips_a_full_snapshot() {
         let mut instance = Instance::new();
         instance.insert(Fact::new(RelId(0), vec![c(0), n(1)]));
         instance.insert(Fact::new(RelId(0), vec![c(1), c(0)]));
         instance.insert(Fact::new(RelId(2), vec![n(0)]));
-        let delta = vec![Fact::new(RelId(2), vec![n(0)])];
-        let mut keys0 = FxHashSet::default();
-        keys0.insert(vec![c(0), n(1)]);
-        keys0.insert(vec![c(1), c(0)]);
-        let fired_keys = vec![keys0, FxHashSet::default()];
+        instance.insert(Fact::new(RelId(0), vec![n(1), n(1)]));
+        // The last row of relation 0 and the only row of relation 2.
+        let delta = vec![(RelId(0), 2, 3), (RelId(2), 0, 1)];
+        let keys0 = key_set(2, &[vec![c(0), n(1)], vec![c(1), c(0)]]);
+        let fired_keys = vec![keys0, RowSet::new(1)];
         let round_stats = vec![RoundStats {
             delta: 3,
             matches: 4,
@@ -498,7 +576,7 @@ mod tests {
         };
         let path = tmp_path("roundtrip");
         save(&path, &rde_faults::FaultInjector::inert(), &snap).unwrap();
-        let loaded = load(&path).unwrap();
+        let loaded = load(&path, &[2, 1]).unwrap();
         std::fs::remove_file(&path).ok();
 
         assert_eq!(loaded.rounds, 3);
@@ -507,14 +585,18 @@ mod tests {
         assert_eq!(loaded.hom_total, snap.hom_total);
         assert_eq!(loaded.instance, instance);
         assert_eq!(loaded.delta.as_deref(), Some(&delta[..]));
-        assert_eq!(loaded.fired_keys, fired_keys);
+        assert_eq!(loaded.fired_keys.len(), 2);
+        for (got, want) in loaded.fired_keys.iter().zip(&fired_keys) {
+            assert_eq!(got.width(), want.width());
+            assert_eq!(sorted_keys(got), sorted_keys(want));
+        }
         assert_eq!(loaded.round_stats, round_stats);
         assert_eq!(loaded.provenance, provenance);
         // Row order is preserved, not just set equality: the posting
         // lists the hom search walks are rebuilt in the same order.
         let rows: Vec<_> =
             loaded.instance.relation(RelId(0)).unwrap().tuples().map(|t| t.to_vec()).collect();
-        assert_eq!(rows, vec![vec![c(0), n(1)], vec![c(1), c(0)]]);
+        assert_eq!(rows, vec![vec![c(0), n(1)], vec![c(1), c(0)], vec![n(1), n(1)]]);
     }
 
     #[test]
@@ -549,7 +631,7 @@ mod tests {
         sweep_stale_tmp(&path);
         save(&path, &rde_faults::FaultInjector::inert(), &snap).unwrap();
         assert!(!path.with_extension("tmp").exists(), "save must not leave a tmp behind");
-        let loaded = load(&path).unwrap();
+        let loaded = load(&path, &[]).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded.rounds, 0);
     }
@@ -570,7 +652,7 @@ mod tests {
         };
         let path = tmp_path("none");
         save(&path, &rde_faults::FaultInjector::inert(), &snap).unwrap();
-        let loaded = load(&path).unwrap();
+        let loaded = load(&path, &[]).unwrap();
         std::fs::remove_file(&path).ok();
         assert!(loaded.delta.is_none());
         assert!(loaded.instance.is_empty());
@@ -580,11 +662,7 @@ mod tests {
     fn identical_state_produces_identical_bytes() {
         let mut instance = Instance::new();
         instance.insert(Fact::new(RelId(1), vec![c(5), c(6)]));
-        let mut keys = FxHashSet::default();
-        for i in 0..8 {
-            keys.insert(vec![c(i), n(i)]);
-        }
-        let fired_keys = vec![keys.clone()];
+        let fired_keys = vec![key_set(2, &(0..8).map(|i| vec![c(i), n(i)]).collect::<Vec<_>>())];
         let make = |path: &Path| {
             let snap = SnapshotRef {
                 rounds: 1,
@@ -611,11 +689,11 @@ mod tests {
     fn load_rejects_garbage_with_a_typed_error() {
         let path = tmp_path("garbage");
         std::fs::write(&path, "not a checkpoint\n").unwrap();
-        let err = load(&path).unwrap_err();
+        let err = load(&path, &[]).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, ChaseError::Checkpoint { .. }));
 
-        let missing = load(Path::new("/nonexistent/rde-ckpt")).unwrap_err();
+        let missing = load(Path::new("/nonexistent/rde-ckpt"), &[]).unwrap_err();
         assert!(matches!(missing, ChaseError::Checkpoint { .. }));
     }
 
@@ -630,7 +708,7 @@ mod tests {
             hom_total: HomStats::default(),
             instance: &instance,
             delta: None,
-            fired_keys: &[FxHashSet::default()],
+            fired_keys: &[RowSet::new(1)],
             round_stats: &[],
             provenance: &[],
         };
@@ -639,8 +717,86 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let cut = text.len() / 2;
         std::fs::write(&path, &text[..cut]).unwrap();
-        let err = load(&path).unwrap_err();
+        let err = load(&path, &[1]).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, ChaseError::Checkpoint { .. }));
+    }
+
+    /// Save a two-relation snapshot, apply `edit` to its text, and load
+    /// it for one dependency of two premise slots.
+    fn load_edited(name: &str, edit: impl Fn(&str) -> String) -> Result<Snapshot, ChaseError> {
+        let mut instance = Instance::new();
+        for (r, a, b) in [(0, 0, 1), (1, 5, 5), (0, 1, 2), (0, 2, 3), (1, 6, 6)] {
+            instance.insert(Fact::new(RelId(r), vec![c(a), c(b)]));
+        }
+        let fired_keys = [key_set(2, &[vec![c(0), c(1)]])];
+        let snap = SnapshotRef {
+            rounds: 1,
+            fired: 1,
+            null_count: 0,
+            hom_total: HomStats::default(),
+            instance: &instance,
+            delta: Some(&[(RelId(0), 1, 3), (RelId(1), 1, 2)]),
+            fired_keys: &fired_keys,
+            round_stats: &[],
+            provenance: &[],
+        };
+        let path = tmp_path(name);
+        save(&path, &rde_faults::FaultInjector::inert(), &snap).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, edit(&text)).unwrap();
+        let loaded = load(&path, &[2]);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn delta_is_written_relation_by_relation_and_read_in_any_interleaving() {
+        let loaded = load_edited("delta-ok", str::to_owned).unwrap();
+        assert_eq!(loaded.delta, Some(vec![(RelId(0), 1, 3), (RelId(1), 1, 2)]));
+        // An earlier writer's insertion order interleaves the relations.
+        let interleaved = load_edited("delta-interleaved", |t| {
+            t.replace(
+                "fact 0 2 c1 c2\nfact 0 2 c2 c3\nfact 1 2 c6 c6",
+                "fact 0 2 c1 c2\nfact 1 2 c6 c6\nfact 0 2 c2 c3",
+            )
+        });
+        assert_eq!(interleaved.unwrap().delta, loaded.delta);
+    }
+
+    #[test]
+    fn a_delta_fact_that_is_not_a_last_row_is_rejected() {
+        let edits: [(&str, &str); 3] = [
+            // A phantom fact, absent from the instance.
+            ("fact 1 2 c6 c6", "fact 1 2 c7 c7"),
+            // Present, but not among the relation's last rows.
+            ("fact 1 2 c6 c6", "fact 1 2 c5 c5"),
+            // The last rows out of order.
+            ("fact 0 2 c1 c2\nfact 0 2 c2 c3", "fact 0 2 c2 c3\nfact 0 2 c1 c2"),
+        ];
+        for (i, (from, to)) in edits.into_iter().enumerate() {
+            let err = load_edited(&format!("delta-bad-{i}"), |t| {
+                assert!(t.contains(from));
+                t.replace(from, to)
+            })
+            .unwrap_err();
+            assert!(matches!(err, ChaseError::Checkpoint { .. }), "edit {i}: {err:?}");
+        }
+        // More delta facts of a relation than it has rows.
+        let err = load_edited("delta-long", |t| {
+            t.replace("delta some 3\n", "delta some 5\nfact 1 2 c4 c4\nfact 1 2 c5 c5\n")
+        })
+        .unwrap_err();
+        assert!(matches!(err, ChaseError::Checkpoint { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn a_key_of_the_wrong_width_is_rejected() {
+        for (i, key) in ["key 1 c0", "key 3 c0 c1 c2", "key 0"].into_iter().enumerate() {
+            let err = load_edited(&format!("key-bad-{i}"), |t| t.replace("key 2 c0 c1", key))
+                .unwrap_err();
+            let ChaseError::Checkpoint { message } = err else { panic!("untyped error") };
+            assert!(message.contains("slots"), "{message}");
+        }
     }
 }

@@ -14,8 +14,8 @@ use std::rc::Rc;
 
 use rde_deps::Dependency;
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
-use rde_model::fx::{FxHashMap, FxHashSet, FxHasher};
-use rde_model::{Fact, Instance, RelId, Substitution, Value, Vocabulary};
+use rde_model::fx::{FxHashMap, FxHasher};
+use rde_model::{Instance, RelId, RowSet, Substitution, Value, Vocabulary};
 
 use crate::plan::{DependencyPlan, FiringTemplate};
 use crate::ChaseError;
@@ -96,13 +96,13 @@ impl Matches {
     fn enumerate(
         plan: &DependencyPlan,
         instance: &Instance,
-        fired: &FxHashSet<Vec<Value>>,
+        fired: &RowSet,
         config: &HomConfig,
     ) -> Self {
         let mut vals = Vec::new();
         let mut len = 0;
         let report = plan.premise().for_each_match(instance, config, |m| {
-            if !fired.contains(m) {
+            if fired.find(m).is_none() {
                 vals.extend_from_slice(m);
                 len += 1;
             }
@@ -131,12 +131,13 @@ struct TriggerCursor {
 struct Branch {
     instance: Instance,
     /// Fired triggers per dependency, keyed by premise slot assignment.
-    fired: Vec<FxHashSet<Vec<Value>>>,
+    fired: Vec<RowSet>,
     cursors: Vec<TriggerCursor>,
 }
 
 impl Branch {
-    /// First unfired, unwitnessed trigger of dependency `di`, or the
+    /// Copy the first unfired, unwitnessed trigger of dependency `di`
+    /// into `trigger` (`Ok(false)` if there is none), or return the
     /// budget that cut a search before the answer was known. The same
     /// trigger a fresh enumeration of the branch would find: premise
     /// enumeration order depends only on the premise relations' data,
@@ -146,7 +147,8 @@ impl Branch {
         di: usize,
         plan: &DependencyPlan,
         config: &HomConfig,
-    ) -> Result<Option<Vec<Value>>, Exhausted> {
+        trigger: &mut Vec<Value>,
+    ) -> Result<bool, Exhausted> {
         let cursor = &mut self.cursors[di];
         let matches = match &cursor.matches {
             Some(m) => Rc::clone(m),
@@ -164,7 +166,8 @@ impl Branch {
         // re-check stays the error it always was.
         if config.node_budget.is_some() {
             let fired = &self.fired[di];
-            for vals in (0..cursor.next).map(|i| matches.get(i)).filter(|v| !fired.contains(*v)) {
+            for vals in (0..cursor.next).map(|i| matches.get(i)).filter(|v| fired.find(v).is_none())
+            {
                 if let Verdict::Unknown { budget } =
                     plan.witnessed(&self.instance, vals, config, &mut stats)
                 {
@@ -179,36 +182,41 @@ impl Branch {
             let vals = matches.get(cursor.next);
             match plan.witnessed(&self.instance, vals, config, &mut stats) {
                 Verdict::Holds => cursor.next += 1,
-                Verdict::Fails => return Ok(Some(vals.to_vec())),
+                Verdict::Fails => {
+                    trigger.clear();
+                    trigger.extend_from_slice(vals);
+                    return Ok(true);
+                }
                 Verdict::Unknown { budget } => return Err(budget),
             }
         }
         match matches.cut {
             Some(budget) => Err(budget),
-            None => Ok(None),
+            None => Ok(false),
         }
     }
 
     /// Find the first unfired, unwitnessed trigger in the branch:
-    /// lowest dependency index, then premise-match order.
+    /// lowest dependency index, then premise-match order. Its dependency
+    /// is returned and its key copied into `trigger`.
     fn next_trigger(
         &mut self,
         plans: &[DependencyPlan],
         config: &HomConfig,
-    ) -> Result<Option<(usize, Vec<Value>)>, Exhausted> {
+        trigger: &mut Vec<Value>,
+    ) -> Result<Option<usize>, Exhausted> {
         for (di, plan) in plans.iter().enumerate() {
-            if let Some(vals) = self.first_trigger(di, plan, config)? {
-                return Ok(Some((di, vals)));
+            if self.first_trigger(di, plan, config, trigger)? {
+                return Ok(Some(di));
             }
         }
         Ok(None)
     }
 
-    /// Insert a fact; a new one stales the matches of every dependency
-    /// whose premise reads its relation.
-    fn insert(&mut self, fact: Fact, readers: &FxHashMap<RelId, Vec<usize>>) {
-        let rel = fact.relation();
-        if self.instance.insert(fact) {
+    /// Insert the fact `rel(args)`; a new one stales the matches of
+    /// every dependency whose premise reads its relation.
+    fn insert(&mut self, rel: RelId, args: &[Value], readers: &FxHashMap<RelId, Vec<usize>>) {
+        if self.instance.insert_args(rel, args) {
             for &di in readers.get(&rel).into_iter().flatten() {
                 self.cursors[di].matches = None;
             }
@@ -248,10 +256,15 @@ pub fn disjunctive_chase(
     let mut steps: u64 = 0;
     let mut work = vec![Branch {
         instance: instance.clone(),
-        fired: vec![FxHashSet::default(); plans.len()],
+        fired: plans.iter().map(|p| RowSet::new(p.premise().num_vars())).collect(),
         cursors: vec![TriggerCursor::default(); plans.len()],
     }];
     let mut leaves: Vec<Instance> = Vec::new();
+    // Reused by every step: the trigger key, its fresh nulls and the
+    // conclusion atom being inserted.
+    let mut vals: Vec<Value> = Vec::new();
+    let mut fresh: Vec<Value> = Vec::new();
+    let mut atom_buf: Vec<Value> = Vec::new();
 
     while let Some(mut branch) = work.pop() {
         // Per-branch cancellation and fault injection: the branching
@@ -261,8 +274,8 @@ pub fn disjunctive_chase(
         if ctx.should_inject("chase.disj.branch") || ctx.is_cancelled() {
             return Err(cut(Exhausted::Cancelled, steps));
         }
-        let Some((di, vals)) =
-            branch.next_trigger(&plans, &options.hom).map_err(|b| cut(b, steps))?
+        let Some(di) =
+            branch.next_trigger(&plans, &options.hom, &mut vals).map_err(|b| cut(b, steps))?
         else {
             leaves.push(branch.instance);
             continue;
@@ -273,13 +286,16 @@ pub fn disjunctive_chase(
         }
         // Every child fires the trigger, so record it before they split.
         branch.cursors[di].next += 1;
-        branch.fired[di].insert(vals.clone());
+        branch.fired[di].insert(&vals);
         // One child per disjunct, pushed (and allocating fresh nulls) in
         // disjunct order; the last takes the parent instead of a copy.
         let mut spawn = |mut child: Branch, template: &FiringTemplate| {
-            let fresh: Vec<Value> =
-                (0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())).collect();
-            template.instantiate(&vals, &fresh, |fact| child.insert(fact, &readers));
+            fresh.clear();
+            fresh.extend((0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())));
+            template.instantiate_into(&vals, &fresh, &mut atom_buf, |rel, args| {
+                child.insert(rel, args, &readers);
+                true
+            });
             if child.instance.len() > options.max_facts {
                 return Err(ChaseError::FactBudgetExhausted { facts: options.max_facts });
             }

@@ -29,7 +29,7 @@
 use rde_deps::{Conjunct, Dependency, Premise, Term, VarId};
 use rde_hom::{CompiledPattern, Exhausted, HomConfig, HomStats, PatArg, PatternAtom, Verdict};
 use rde_model::fx::FxHashMap;
-use rde_model::{Fact, Instance, RelId, Value};
+use rde_model::{ConstId, Fact, Instance, RelId, Value};
 
 /// Outcome of one (possibly budgeted) premise enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,32 +191,35 @@ impl PremisePlan {
     }
 
     /// Unify premise atom `atom_idx` with a fact's argument tuple,
-    /// producing a slot seed, or `None` if they don't unify (relation
-    /// mismatch is the caller's job — it has `atom_rel`).
+    /// writing the slot seed into `seed` (cleared first, one entry per
+    /// slot); `false` if they don't unify (relation mismatch is the
+    /// caller's job — it has `atom_rel`).
     pub fn seed_from_fact(
         &self,
         atom_idx: usize,
         fact_args: &[Value],
-    ) -> Option<Vec<Option<Value>>> {
+        seed: &mut Vec<Option<Value>>,
+    ) -> bool {
         let atom = &self.pattern.atoms()[atom_idx];
         if atom.args.len() != fact_args.len() {
-            return None;
+            return false;
         }
-        let mut seed: Vec<Option<Value>> = vec![None; self.num_vars()];
+        seed.clear();
+        seed.resize(self.num_vars(), None);
         for (arg, &fv) in atom.args.iter().zip(fact_args) {
             match *arg {
                 PatArg::Fixed(v) => {
                     if v != fv {
-                        return None;
+                        return false;
                     }
                 }
                 PatArg::Var(s) => match seed[s as usize] {
-                    Some(v) if v != fv => return None,
+                    Some(v) if v != fv => return false,
                     _ => seed[s as usize] = Some(fv),
                 },
             }
         }
-        Some(seed)
+        true
     }
 
     /// Enumerate all premise matches (guards filtered) in `instance`
@@ -255,16 +258,28 @@ impl PremisePlan {
         config: &HomConfig,
         mut on_match: impl FnMut(&[Value]) -> bool,
     ) -> MatchReport {
-        let mut vals: Vec<Value> = Vec::with_capacity(self.num_vars());
+        // The assignment lives on the stack for up to
+        // `SEED_STACK_SLOTS` slots: this runs once per premise search.
+        let mut stack = [Value::Const(ConstId(0)); SEED_STACK_SLOTS];
+        let mut heap: Vec<Value> = Vec::new();
+        let n = self.num_vars();
+        let vals: &mut [Value] = if n <= SEED_STACK_SLOTS {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, Value::Const(ConstId(0)));
+            &mut heap
+        };
         let report =
             self.pattern.for_each_match_excluding(skip, instance, seed, config, |assignment| {
-                vals.clear();
                 // Invariant: `for_each_match_excluding` only yields
                 // complete assignments — every slot is `Some`.
-                #[allow(clippy::expect_used)]
-                vals.extend(assignment.iter().map(|v| v.expect("full match binds every slot")));
-                if self.guards_hold(&vals) {
-                    on_match(&vals)
+                for (slot, v) in vals.iter_mut().zip(assignment) {
+                    #[allow(clippy::expect_used)]
+                    let value = v.expect("full match binds every slot");
+                    *slot = value;
+                }
+                if self.guards_hold(vals) {
+                    on_match(vals)
                 } else {
                     true
                 }
@@ -359,8 +374,9 @@ impl SatisfactionPlan {
     }
 }
 
-/// Premise slot count up to which a satisfaction check seeds its search
-/// from a stack array instead of a heap vector.
+/// Premise slot count up to which a satisfaction check seeds its search,
+/// and a premise enumeration builds its assignment, in a stack array
+/// instead of a heap vector.
 const SEED_STACK_SLOTS: usize = 16;
 
 /// One argument of a conclusion atom, resolved for direct instantiation.
@@ -418,26 +434,44 @@ impl FiringTemplate {
         self.n_existentials
     }
 
-    /// Instantiate the conclusion atoms. `fresh[i]` is the value for
-    /// existential `i`; must have length [`Self::num_existentials`].
+    /// Instantiate the conclusion atoms as [`Fact`]s. `fresh[i]` is the
+    /// value for existential `i`; must have length
+    /// [`Self::num_existentials`].
     pub fn instantiate(
         &self,
         premise_vals: &[Value],
         fresh: &[Value],
         mut on_fact: impl FnMut(Fact),
     ) {
+        let mut buf = Vec::new();
+        self.instantiate_into(premise_vals, fresh, &mut buf, |rel, args| {
+            on_fact(Fact::new(rel, args));
+            true
+        });
+    }
+
+    /// Instantiate the conclusion atoms in order into the reused `buf`,
+    /// handing each to `on_atom` as a relation and argument slice (the
+    /// engines insert it with [`Instance::insert_args`], so a firing
+    /// builds no [`Fact`]). `on_atom` returns `false` to stop; the
+    /// result is `false` when it did.
+    pub fn instantiate_into(
+        &self,
+        premise_vals: &[Value],
+        fresh: &[Value],
+        buf: &mut Vec<Value>,
+        mut on_atom: impl FnMut(RelId, &[Value]) -> bool,
+    ) -> bool {
         debug_assert_eq!(fresh.len(), self.n_existentials);
-        for (rel, args) in &self.atoms {
-            let values: Vec<Value> = args
-                .iter()
-                .map(|a| match *a {
-                    OutArg::Fixed(v) => v,
-                    OutArg::Premise(s) => premise_vals[s as usize],
-                    OutArg::Exist(e) => fresh[e as usize],
-                })
-                .collect();
-            on_fact(Fact::new(*rel, values));
-        }
+        self.atoms.iter().all(|(rel, args)| {
+            buf.clear();
+            buf.extend(args.iter().map(|a| match *a {
+                OutArg::Fixed(v) => v,
+                OutArg::Premise(s) => premise_vals[s as usize],
+                OutArg::Exist(e) => fresh[e as usize],
+            }));
+            on_atom(*rel, buf)
+        })
     }
 }
 
@@ -589,7 +623,8 @@ mod tests {
         let e = v.find_relation("E").unwrap();
         let (b, c) = (v.const_value("b"), v.const_value("c"));
         // Seed atom 0 := E(b, c): only the match (b, c, d).
-        let seed = plan.seed_from_fact(0, &[b, c]).unwrap();
+        let mut seed = Vec::new();
+        assert!(plan.seed_from_fact(0, &[b, c], &mut seed));
         let mut keys = Vec::new();
         plan.for_each_match_seeded(0, &seed, &i, &HomConfig::default(), |vals| {
             keys.push(vals.to_vec());
@@ -597,7 +632,7 @@ mod tests {
         });
         assert_eq!(keys, vec![vec![b, c, v.const_value("d")]]);
         // Seed atom 1 := E(b, c): only the match (a, b, c).
-        let seed = plan.seed_from_fact(1, &[b, c]).unwrap();
+        assert!(plan.seed_from_fact(1, &[b, c], &mut seed));
         keys.clear();
         plan.for_each_match_seeded(1, &seed, &i, &HomConfig::default(), |vals| {
             keys.push(vals.to_vec());
@@ -613,8 +648,10 @@ mod tests {
         let d = parse_dependency(&mut v, "P(x, x) -> Q(x)").unwrap();
         let plan = PremisePlan::compile(&d.premise);
         let (a, b) = (v.const_value("a"), v.const_value("b"));
-        assert!(plan.seed_from_fact(0, &[a, b]).is_none(), "P(x,x) cannot unify with P(a,b)");
-        assert!(plan.seed_from_fact(0, &[a, a]).is_some());
+        let mut seed = Vec::new();
+        assert!(!plan.seed_from_fact(0, &[a, b], &mut seed), "P(x,x) cannot unify with P(a,b)");
+        assert!(plan.seed_from_fact(0, &[a, a], &mut seed));
+        assert_eq!(seed, vec![Some(a)]);
     }
 
     #[test]
@@ -792,10 +829,11 @@ mod tests {
 
             for atom_idx in 0..plan.premise().num_atoms() {
                 let rel = plan.premise().atom_rel(atom_idx);
+                let mut seed = Vec::new();
                 for fact in i.facts().filter(|f| f.relation() == rel) {
-                    let Some(seed) = plan.premise().seed_from_fact(atom_idx, fact.args()) else {
+                    if !plan.premise().seed_from_fact(atom_idx, fact.args(), &mut seed) {
                         continue;
-                    };
+                    }
                     let mut seeded = Vec::new();
                     let cfg = HomConfig::default();
                     plan.premise().for_each_match_seeded(atom_idx, &seed, &i, &cfg, |vals| {

@@ -22,8 +22,7 @@ use std::time::Instant;
 
 use rde_deps::{Dependency, SchemaMapping};
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
-use rde_model::fx::{FxHashMap, FxHashSet};
-use rde_model::{Fact, Instance, RelId, Value, Vocabulary};
+use rde_model::{Fact, Instance, RelId, RowSet, Value, Vocabulary};
 
 use crate::checkpoint::{self, CheckpointPolicy, SnapshotRef};
 use crate::plan::DependencyPlan;
@@ -214,9 +213,6 @@ pub struct ChaseResult {
 /// Candidate triggers of one dependency collected in one round.
 #[derive(Default)]
 struct DepCandidates {
-    /// New triggers to fire, as slot-ordered values, in enumeration
-    /// order.
-    pending: Vec<Vec<Value>>,
     /// New triggers the restricted pre-check found already witnessed.
     satisfied: u64,
     matches: u64,
@@ -224,49 +220,30 @@ struct DepCandidates {
     hom: HomStats,
 }
 
-/// A round's delta facts grouped by relation, built once per round and
-/// shared by every dependency's collection: seeding atom `k`
-/// touches only the delta facts of atom `k`'s relation instead of
-/// filtering the full delta per atom.
-/// Per-relation order is the delta's insertion order, so the seeded
-/// enumeration visits exactly the facts the ungrouped scan would have,
-/// in the same order — required for bit-identical trigger order.
-struct DeltaBuckets<'a> {
-    facts: &'a [Fact],
-    by_rel: FxHashMap<RelId, Vec<u32>>,
-}
-
-impl<'a> DeltaBuckets<'a> {
-    fn new(facts: &'a [Fact]) -> Self {
-        let mut by_rel: FxHashMap<RelId, Vec<u32>> = FxHashMap::default();
-        for (i, f) in facts.iter().enumerate() {
-            by_rel.entry(f.relation()).or_default().push(i as u32);
-        }
-        DeltaBuckets { facts, by_rel }
-    }
-
-    fn for_rel(&self, rel: RelId) -> impl Iterator<Item = &'a Fact> + '_ {
-        self.by_rel.get(&rel).into_iter().flatten().map(|&i| &self.facts[i as usize])
-    }
-}
+/// A round's delta: per relation that grew, the rows `start..end` its
+/// firings appended, in relation order. Rows are only ever appended
+/// during a chase, so the range holds exactly the round's new facts of
+/// that relation, in insertion order.
+pub(crate) type Delta = Vec<(RelId, u32, u32)>;
 
 /// Enumerate one dependency's new triggers against `current`, which it
 /// only reads. Each new trigger key goes straight into `fired`, the
-/// dependency's set of recorded keys, so a key met again later in the
-/// same round counts as a duplicate; collection is sequential
-/// (DESIGN.md §13.2), so nothing else reads `fired` meanwhile. `delta`
-/// is `None` for a full enumeration (round 0 / naive) and
-/// `Some(buckets)` for a delta round; `restricted` runs the
-/// satisfaction pre-check on each new trigger. Fails with
-/// [`ChaseError::MatchBudgetExhausted`] when a search hits `hom`'s
-/// budget: a truncated enumeration could silently miss triggers, so the
-/// chase refuses to continue from it (and drops `fired` with the rest
-/// of the run's state).
+/// dependency's key arena, so a key met again later in the same round
+/// counts as a duplicate; collection is sequential (DESIGN.md §13.2),
+/// so nothing else reads `fired` meanwhile. The ids of the new keys
+/// that need firing are appended to `pending`. `delta` is `None` for a
+/// full enumeration (round 0 / naive) and `Some(ranges)` for a delta
+/// round; `restricted` runs the satisfaction pre-check on each new
+/// trigger. Fails with [`ChaseError::MatchBudgetExhausted`] when a
+/// search hits `hom`'s budget: a truncated enumeration could silently
+/// miss triggers, so the chase refuses to continue from it (and drops
+/// `fired` with the rest of the run's state).
 fn collect_dep(
     plan: &DependencyPlan,
     current: &Instance,
-    fired: &mut FxHashSet<Vec<Value>>,
-    delta: Option<&DeltaBuckets<'_>>,
+    fired: &mut RowSet,
+    pending: &mut Vec<u32>,
+    delta: Option<&[(RelId, u32, u32)]>,
     restricted: bool,
     hom: &HomConfig,
 ) -> Result<DepCandidates, ChaseError> {
@@ -278,14 +255,11 @@ fn collect_dep(
     {
         let mut stats = HomStats::default();
         let mut on_match = |vals: &[Value]| {
-            // Probe before copying: under the naive variant almost every
-            // match is a duplicate, and a key copy per duplicate costs
-            // more than the second hash a new key pays.
-            if fired.contains(vals) {
+            let (id, new) = fired.insert(vals);
+            if !new {
                 out.duplicates += 1;
                 return true;
             }
-            fired.insert(vals.to_vec());
             // Deterministic chaos: a campaign firing here models the
             // restricted-chase satisfaction check dying mid-search (a
             // torn index, a poisoned backend). It must surface exactly
@@ -308,7 +282,7 @@ fn collect_dep(
             if satisfied {
                 out.satisfied += 1;
             } else {
-                out.pending.push(vals.to_vec());
+                pending.push(id);
             }
             true
         };
@@ -321,26 +295,35 @@ fn collect_dep(
                     exhausted.set(report.exhausted);
                 }
             }
-            Some(db) => {
+            Some(ranges) => {
+                let mut seed: Vec<Option<Value>> = Vec::with_capacity(plan.premise().num_vars());
                 'atoms: for atom_idx in 0..plan.premise().num_atoms() {
                     let rel = plan.premise().atom_rel(atom_idx);
-                    for fact in db.for_rel(rel) {
-                        if let Some(seed) = plan.premise().seed_from_fact(atom_idx, fact.args()) {
-                            let report = plan.premise().for_each_match_seeded(
-                                atom_idx,
-                                &seed,
-                                current,
-                                hom,
-                                &mut on_match,
-                            );
-                            out.matches += report.matches;
-                            out.hom += report.stats;
-                            if exhausted.get().is_none() {
-                                exhausted.set(report.exhausted);
-                            }
-                            if exhausted.get().is_some() {
-                                break 'atoms;
-                            }
+                    let Some(&(_, start, end)) = ranges.iter().find(|r| r.0 == rel) else {
+                        continue;
+                    };
+                    let Some(data) = current.relation(rel) else {
+                        continue;
+                    };
+                    for row in start..end {
+                        if !plan.premise().seed_from_fact(atom_idx, data.row_slice(row), &mut seed)
+                        {
+                            continue;
+                        }
+                        let report = plan.premise().for_each_match_seeded(
+                            atom_idx,
+                            &seed,
+                            current,
+                            hom,
+                            &mut on_match,
+                        );
+                        out.matches += report.matches;
+                        out.hom += report.stats;
+                        if exhausted.get().is_none() {
+                            exhausted.set(report.exhausted);
+                        }
+                        if exhausted.get().is_some() {
+                            break 'atoms;
                         }
                     }
                 }
@@ -352,6 +335,27 @@ fn collect_dep(
         Some(budget) => Err(ChaseError::MatchBudgetExhausted { budget }),
         None => Ok(out),
     }
+}
+
+/// The rows each relation gained since `before` (the relation lengths
+/// at the start of the round), as delta ranges in relation order.
+fn grown_rows(current: &Instance, before: &[(RelId, u32)]) -> Delta {
+    let mut before = before.iter().peekable();
+    let mut delta = Delta::new();
+    for (rel, data) in current.relations() {
+        while before.next_if(|&&(r, _)| r < rel).is_some() {}
+        let start = before.next_if(|&&(r, _)| r == rel).map_or(0, |&(_, len)| len);
+        let end = data.len() as u32;
+        if end > start {
+            delta.push((rel, start, end));
+        }
+    }
+    delta
+}
+
+/// Number of facts in a delta.
+fn delta_len(delta: &[(RelId, u32, u32)]) -> usize {
+    delta.iter().map(|&(_, start, end)| (end - start) as usize).sum()
 }
 
 /// Chase `instance` with `dependencies` (each must have exactly one
@@ -392,7 +396,11 @@ pub fn chase(
         ),
     };
     let mut current = instance.clone();
-    let mut fired_keys: Vec<FxHashSet<Vec<Value>>> = vec![FxHashSet::default(); plans.len()];
+    // One key arena per dependency: every trigger key, stored once.
+    let mut fired_keys: Vec<RowSet> =
+        plans.iter().map(|p| RowSet::new(p.premise().num_vars())).collect();
+    // Per dependency, the ids of this round's keys that need firing.
+    let mut pending: Vec<Vec<u32>> = vec![Vec::new(); plans.len()];
     let mut fired: u64 = 0;
     let mut rounds: u64 = 0;
     let mut round_stats: Vec<RoundStats> = Vec::new();
@@ -400,7 +408,7 @@ pub fn chase(
     let mut provenance: Vec<FiringRecord> = Vec::new();
     // Previous round's insertions; `None` = enumerate everything (the
     // first round, and every round of the naive variant).
-    let mut delta: Option<Vec<Fact>> = None;
+    let mut delta: Option<Delta> = None;
     let semi_naive = options.variant != ChaseVariant::Naive;
     let restricted = options.variant == ChaseVariant::Restricted;
     // A previous run that crashed (or took an injected fault) between a
@@ -413,16 +421,8 @@ pub fn chase(
     }
     if let Some(path) = &options.resume_from {
         checkpoint::sweep_stale_tmp(path);
-        let snap = checkpoint::load(path)?;
-        if snap.fired_keys.len() != plans.len() {
-            return Err(ChaseError::Checkpoint {
-                message: format!(
-                    "snapshot has {} dependencies, the chase has {}",
-                    snap.fired_keys.len(),
-                    plans.len()
-                ),
-            });
-        }
+        let widths: Vec<usize> = plans.iter().map(|p| p.premise().num_vars()).collect();
+        let snap = checkpoint::load(path, &widths)?;
         if !vocab.resync_null_count(snap.null_count) {
             return Err(ChaseError::Checkpoint {
                 message: "snapshot null count conflicts with named nulls".to_owned(),
@@ -441,6 +441,10 @@ pub fn chase(
             &[("round", rounds.into()), ("facts", current.len().into())],
         );
     }
+    // Reused by every firing: fresh nulls and the conclusion atom being
+    // inserted.
+    let mut fresh: Vec<Value> = Vec::new();
+    let mut atom_buf: Vec<Value> = Vec::new();
     loop {
         if options.hom.ctx.should_inject("chase.round") || options.hom.ctx.is_cancelled() {
             rde_obs::counter!("chase.cancelled").inc();
@@ -452,23 +456,21 @@ pub fn chase(
             rde_obs::event("chase.budget_exhausted", &[("kind", "rounds".into())]);
             return Err(ChaseError::RoundBudgetExhausted { rounds: options.max_rounds });
         }
+        let delta_facts = delta.as_deref().map_or(current.len(), delta_len);
         let round_span = rde_obs::span(
             "chase.round",
-            &[
-                ("round", rounds.into()),
-                ("delta", delta.as_deref().map_or(current.len(), <[Fact]>::len).into()),
-            ],
+            &[("round", rounds.into()), ("delta", delta_facts.into())],
         );
         let round_start = Instant::now();
         // Phase 1: collect this round's new triggers against the
         // *current* state, in dependency order.
-        let delta_slice = delta.as_deref();
-        let delta_buckets = delta_slice.map(DeltaBuckets::new);
         let collected: Result<Vec<DepCandidates>, ChaseError> = plans
             .iter()
             .zip(&mut fired_keys)
-            .map(|(p, fired)| {
-                collect_dep(p, &current, fired, delta_buckets.as_ref(), restricted, &options.hom)
+            .zip(&mut pending)
+            .map(|((p, fired), pending)| {
+                pending.clear();
+                collect_dep(p, &current, fired, pending, delta.as_deref(), restricted, &options.hom)
             })
             .collect();
         let per_dep = match collected {
@@ -488,18 +490,15 @@ pub fn chase(
             }
         };
 
-        // Queue the unsatisfied triggers (collection recorded every key).
-        let mut stats = RoundStats {
-            delta: delta_slice.map_or(current.len(), <[Fact]>::len),
-            ..RoundStats::default()
-        };
+        // Tally the unsatisfied triggers (collection recorded every key).
+        let mut stats = RoundStats { delta: delta_facts, ..RoundStats::default() };
         let journal_on = rde_obs::journal::enabled();
-        let mut pending: Vec<(usize, Vec<Value>)> = Vec::new();
         for (di, cands) in per_dep.into_iter().enumerate() {
             stats.matches += cands.matches;
             stats.duplicates += cands.duplicates;
             stats.hom += cands.hom;
-            let triggers = cands.pending.len() + cands.satisfied as usize;
+            stats.triggers += pending[di].len();
+            let triggers = pending[di].len() + cands.satisfied as usize;
             if journal_on && (cands.matches > 0 || triggers > 0) {
                 // Per-dependency attribution: which dependency produced
                 // how many triggers.
@@ -514,9 +513,8 @@ pub fn chase(
                 );
             }
             stats.satisfied += cands.satisfied;
-            pending.extend(cands.pending.into_iter().map(|vals| (di, vals)));
         }
-        if pending.is_empty() {
+        if stats.triggers == 0 {
             // The quiescence check's search work still counts toward the
             // run total even though no round is recorded for it.
             hom_total += stats.hom;
@@ -536,84 +534,83 @@ pub fn chase(
             });
         }
         rounds += 1;
-        stats.triggers = pending.len();
 
         // Phase 2: fire in canonical order. Sorting by
         // `(dependency, assignment)` pins the fresh-null allocation
         // order, so the naive and semi-naive variants yield the same
-        // instance.
-        pending.sort_unstable();
-        let mut new_delta: Vec<Fact> = Vec::new();
-        let mut fact_buf: Vec<Fact> = Vec::new();
-        for (di, vals) in pending {
-            let plan = &plans[di];
-            if restricted {
-                // Same chaos point as the collection-phase pre-check:
-                // the re-check can die too, and must fail just as
-                // loudly.
-                if options.hom.ctx.should_inject("chase.restricted.check") {
-                    rde_obs::counter!("chase.budget.match_exhausted").inc();
-                    rde_obs::event("chase.budget_exhausted", &[("kind", "recheck".into())]);
-                    return Err(ChaseError::MatchBudgetExhausted { budget: Exhausted::Nodes(0) });
-                }
-                // An earlier firing in this round may have satisfied
-                // this trigger already.
-                match plan.satisfaction()[0].satisfiable_budgeted(
-                    &current,
-                    &vals,
-                    &options.hom,
-                    &mut stats.hom,
-                ) {
-                    Verdict::Holds => continue,
-                    Verdict::Fails => {}
-                    Verdict::Unknown { budget: Exhausted::Cancelled } => {
-                        rde_obs::counter!("chase.cancelled").inc();
-                        rde_obs::event("chase.cancelled", &[("round", rounds.into())]);
-                        return Err(ChaseError::Cancelled);
-                    }
-                    Verdict::Unknown { budget } => {
+        // instance. Keys are read in place from the arenas.
+        let before: Vec<(RelId, u32)> = if semi_naive {
+            current.relations().map(|(r, d)| (r, d.len() as u32)).collect()
+        } else {
+            Vec::new()
+        };
+        for (di, (plan, keys)) in plans.iter().zip(&fired_keys).enumerate() {
+            pending[di].sort_unstable_by(|&a, &b| keys.row(a).cmp(keys.row(b)));
+            for &id in &pending[di] {
+                let vals = keys.row(id);
+                if restricted {
+                    // Same chaos point as the collection-phase pre-check:
+                    // the re-check can die too, and must fail just as
+                    // loudly.
+                    if options.hom.ctx.should_inject("chase.restricted.check") {
                         rde_obs::counter!("chase.budget.match_exhausted").inc();
                         rde_obs::event("chase.budget_exhausted", &[("kind", "recheck".into())]);
-                        return Err(ChaseError::MatchBudgetExhausted { budget });
+                        return Err(ChaseError::MatchBudgetExhausted {
+                            budget: Exhausted::Nodes(0),
+                        });
+                    }
+                    // An earlier firing in this round may have satisfied
+                    // this trigger already.
+                    match plan.satisfaction()[0].satisfiable_budgeted(
+                        &current,
+                        vals,
+                        &options.hom,
+                        &mut stats.hom,
+                    ) {
+                        Verdict::Holds => continue,
+                        Verdict::Fails => {}
+                        Verdict::Unknown { budget: Exhausted::Cancelled } => {
+                            rde_obs::counter!("chase.cancelled").inc();
+                            rde_obs::event("chase.cancelled", &[("round", rounds.into())]);
+                            return Err(ChaseError::Cancelled);
+                        }
+                        Verdict::Unknown { budget } => {
+                            rde_obs::counter!("chase.budget.match_exhausted").inc();
+                            rde_obs::event("chase.budget_exhausted", &[("kind", "recheck".into())]);
+                            return Err(ChaseError::MatchBudgetExhausted { budget });
+                        }
                     }
                 }
-            }
-            let template = &plan.templates()[0];
-            let fresh: Vec<Value> =
-                (0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())).collect();
-            fact_buf.clear();
-            template.instantiate(&vals, &fresh, |f| fact_buf.push(f));
-            if options.trace {
-                let mut pairs: Vec<(rde_deps::VarId, Value)> =
-                    plan.premise().vars().iter().copied().zip(vals.iter().copied()).collect();
-                pairs.sort();
-                provenance.push(FiringRecord {
-                    dependency: di,
-                    assignment: pairs,
-                    produced: fact_buf.clone(),
-                });
-            }
-            for fact in fact_buf.drain(..) {
-                let is_new = if semi_naive {
-                    let is_new = current.insert(fact.clone());
-                    if is_new {
-                        new_delta.push(fact);
-                    }
-                    is_new
-                } else {
-                    current.insert(fact)
-                };
-                if is_new {
-                    stats.inserted += 1;
-                }
-                if current.len() > options.max_facts {
+                let template = &plan.templates()[0];
+                fresh.clear();
+                fresh.extend(
+                    (0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())),
+                );
+                let mut produced: Vec<Fact> = Vec::new();
+                let completed =
+                    template.instantiate_into(vals, &fresh, &mut atom_buf, |rel, args| {
+                        if options.trace {
+                            produced.push(Fact::new(rel, args));
+                        }
+                        if current.insert_args(rel, args) {
+                            stats.inserted += 1;
+                        }
+                        current.len() <= options.max_facts
+                    });
+                if !completed {
                     rde_obs::counter!("chase.budget.facts_exhausted").inc();
                     rde_obs::event("chase.budget_exhausted", &[("kind", "facts".into())]);
                     return Err(ChaseError::FactBudgetExhausted { facts: options.max_facts });
                 }
+                if options.trace {
+                    let mut pairs: Vec<(rde_deps::VarId, Value)> =
+                        plan.premise().vars().iter().copied().zip(vals.iter().copied()).collect();
+                    pairs.sort();
+                    provenance.push(FiringRecord { dependency: di, assignment: pairs, produced });
+                }
+                stats.fired += 1;
+                fired += 1;
             }
-            stats.fired += 1;
-            fired += 1;
         }
         hom_total += stats.hom;
         // Metrics are always on (no `trace` feature needed): per-round
@@ -639,7 +636,7 @@ pub fn chase(
             ("inserted", stats.inserted.into()),
         ]);
         round_stats.push(stats);
-        delta = if semi_naive { Some(new_delta) } else { None };
+        delta = semi_naive.then(|| grown_rows(&current, &before));
         if let Some(policy) = &options.checkpoint {
             if policy.every > 0 && rounds.is_multiple_of(policy.every) {
                 checkpoint::save(

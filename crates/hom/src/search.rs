@@ -362,16 +362,40 @@ impl CompiledPattern {
                 args: &a.args,
             })
             .collect();
-        let mut vals: Vec<Option<Value>> = vec![None; self.n_vars as usize];
+        let Scratch { mut vals, mut trail, mut probe_tuple, mut remaining } =
+            SCRATCH.take().unwrap_or_default();
+        vals.clear();
+        vals.resize(self.n_vars as usize, None);
         for (slot, &v) in seed.iter().enumerate().take(vals.len()) {
             vals[slot] = v;
         }
-        let mut searcher =
-            Searcher { facts, vals, meter, trail: Vec::new(), probe_tuple: Vec::new(), on_found };
-        let mut remaining: Vec<usize> = (0..searcher.facts.len()).collect();
+        trail.clear();
+        probe_tuple.clear();
+        remaining.clear();
+        remaining.extend(0..facts.len());
+        let mut searcher = Searcher { facts, vals, meter, trail, probe_tuple, on_found };
         searcher.solve(&mut remaining);
-        searcher.meter
+        let Searcher { vals, meter, trail, probe_tuple, .. } = searcher;
+        SCRATCH.set(Some(Scratch { vals, trail, probe_tuple, remaining }));
+        meter
     }
+}
+
+/// The searcher's reusable vectors. A search takes them from its
+/// thread's slot and puts them back when done, so back-to-back searches
+/// (the chase runs tens of thousands per call) allocate none of them. A
+/// search nested inside another's callback finds the slot empty and
+/// allocates its own.
+#[derive(Default)]
+struct Scratch {
+    vals: Vec<Option<Value>>,
+    trail: Vec<u32>,
+    probe_tuple: Vec<Value>,
+    remaining: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::Cell<Option<Scratch>> = const { std::cell::Cell::new(None) };
 }
 
 /// Widest atom the probe-only path assembles on the stack; wider fully

@@ -5,18 +5,20 @@ use std::hash::{Hash, Hasher};
 
 use crate::fact::Fact;
 use crate::fx::{FxHashMap, FxHashSet, FxHasher};
+use crate::rowset::RowSet;
 use crate::schema::{RelId, Schema};
 use crate::value::Value;
 use crate::vocab::Vocabulary;
 use crate::ModelError;
 
-/// The tuples of one relation: boxed `[Value]` rows plus per-column
-/// posting lists.
+/// The tuples of one relation: a [`RowSet`] plus per-column posting
+/// lists.
 ///
 /// Tuples are kept in insertion order (deterministic iteration) and
-/// deduplicated (set semantics, as in the paper). Each column maintains
-/// a posting list `value → sorted row ids`, which makes homomorphism
-/// search and chase premise matching sub-linear: a partially bound atom
+/// deduplicated (set semantics, as in the paper), each stored once in
+/// the row set. Each column maintains a posting list
+/// `value → sorted row ids`, which makes homomorphism search and chase
+/// premise matching sub-linear: a partially bound atom
 /// only visits the shortest posting list among its bound columns, and a
 /// fully bound one is a single [`Self::contains`] probe.
 ///
@@ -25,8 +27,7 @@ use crate::ModelError;
 /// so posting lists always hold ascending row ids.
 #[derive(Debug, Clone, Default)]
 pub struct RelationData {
-    tuples: Vec<Box<[Value]>>,
-    dedup: FxHashMap<Box<[Value]>, u32>,
+    rows: RowSet,
     /// `index[col][value]` = sorted row ids with `value` in column `col`.
     index: Vec<FxHashMap<Value, Vec<u32>>>,
 }
@@ -34,31 +35,27 @@ pub struct RelationData {
 impl RelationData {
     /// An empty relation with the given number of columns.
     fn with_arity(arity: usize) -> Self {
-        RelationData {
-            tuples: Vec::new(),
-            dedup: FxHashMap::default(),
-            index: vec![FxHashMap::default(); arity],
-        }
+        RelationData { rows: RowSet::new(arity), index: vec![FxHashMap::default(); arity] }
     }
 
     /// Number of columns.
     pub fn arity(&self) -> usize {
-        self.index.len()
+        self.rows.width()
     }
 
     /// All tuples, in insertion order.
     pub fn tuples(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
-        self.tuples.iter().map(|t| &**t)
+        self.rows.rows()
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows.len()
     }
 
     /// Is the relation empty?
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows.is_empty()
     }
 
     /// Row ids whose column `col` holds `value`, ascending (empty slice
@@ -72,17 +69,22 @@ impl RelationData {
     /// The tuple at a row id (from [`Self::rows_with`]).
     #[inline]
     pub fn row_slice(&self, row: u32) -> &[Value] {
-        &self.tuples[row as usize]
+        self.rows.row(row)
     }
 
     /// Does the relation contain this exact tuple?
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.dedup.contains_key(tuple)
+        self.rows.find(tuple).is_some()
     }
 
     /// Set equality of the tuples (insertion order ignored).
     fn same_tuples(&self, other: &RelationData) -> bool {
         self.len() == other.len() && self.tuples().all(|t| other.contains(t))
+    }
+
+    /// One past the largest null id in the relation (0 when ground).
+    fn null_offset(&self) -> u32 {
+        self.tuples().flatten().filter_map(|v| v.as_null()).map(|n| n.0 + 1).max().unwrap_or(0)
     }
 
     /// Order-independent hash of the facts `rel(t)`: the wrapping sum of
@@ -98,17 +100,13 @@ impl RelationData {
 
     /// Insert a tuple; `true` if it was new.
     fn insert(&mut self, tuple: &[Value]) -> bool {
-        if self.dedup.contains_key(tuple) {
-            return false;
+        let (row, new) = self.rows.insert(tuple);
+        if new {
+            for (col, &v) in tuple.iter().enumerate() {
+                self.index[col].entry(v).or_default().push(row);
+            }
         }
-        let row = u32::try_from(self.tuples.len()).expect("relation too large");
-        for (col, &v) in tuple.iter().enumerate() {
-            self.index[col].entry(v).or_default().push(row);
-        }
-        let boxed: Box<[Value]> = tuple.into();
-        self.dedup.insert(boxed.clone(), row);
-        self.tuples.push(boxed);
-        true
+        new
     }
 
     /// Remove a tuple in place, if present; returns `true` when removed.
@@ -116,7 +114,7 @@ impl RelationData {
     /// earlier from [`Self::rows_with`] are invalidated) and every index
     /// is repaired.
     fn remove(&mut self, tuple: &[Value]) -> bool {
-        let Some(row) = self.dedup.remove(tuple) else {
+        let Some(row) = self.rows.find(tuple) else {
             return false;
         };
         for (col, &v) in tuple.iter().enumerate() {
@@ -128,21 +126,19 @@ impl RelationData {
                 col_index.remove(&v);
             }
         }
-        let last = u32::try_from(self.tuples.len() - 1).expect("relation too large");
-        self.tuples.swap_remove(row as usize);
+        let last = u32::try_from(self.len() - 1).expect("relation too large");
         if row != last {
-            // The previous last tuple now lives at `row`: renumber its
-            // posting-list entries and its dedup slot.
-            let moved = &self.tuples[row as usize];
-            for (col, &v) in moved.iter().enumerate() {
+            // The last tuple moves to `row`: renumber its posting-list
+            // entries before the row set moves it.
+            for (col, &v) in self.rows.row(last).iter().enumerate() {
                 let rows = self.index[col].get_mut(&v).expect("moved tuple is indexed");
                 let pos = rows.binary_search(&last).expect("moved row is listed");
                 rows.remove(pos);
                 let ins = rows.binary_search(&row).expect_err("freed row id is unused");
                 rows.insert(ins, row);
             }
-            *self.dedup.get_mut(&**moved).expect("moved tuple is deduped") = row;
         }
+        self.rows.swap_remove(row);
         true
     }
 }
@@ -200,21 +196,19 @@ impl Instance {
     ///
     /// Returns `true` if the fact was new.
     pub fn insert(&mut self, fact: Fact) -> bool {
-        let arity = fact.arity();
-        let data = self
-            .relations
-            .entry(fact.relation())
-            .or_insert_with(|| RelationData::with_arity(arity));
-        debug_assert_eq!(
-            data.arity(),
-            arity,
-            "inconsistent arity for relation {:?}",
-            fact.relation()
-        );
-        let added = data.insert(fact.args());
+        self.insert_args(fact.relation(), fact.args())
+    }
+
+    /// Insert the fact `rel(args)` without building a [`Fact`] (no arity
+    /// validation). Returns `true` if the fact was new.
+    pub fn insert_args(&mut self, rel: RelId, args: &[Value]) -> bool {
+        let data =
+            self.relations.entry(rel).or_insert_with(|| RelationData::with_arity(args.len()));
+        debug_assert_eq!(data.arity(), args.len(), "inconsistent arity for relation {rel:?}");
+        let added = data.insert(args);
         if added {
             self.fact_count += 1;
-            for &v in fact.args() {
+            for &v in args {
                 if let Value::Null(n) = v {
                     self.null_offset = self.null_offset.max(n.0 + 1);
                 }
@@ -223,12 +217,27 @@ impl Instance {
         added
     }
 
+    /// Insert every row of `data` that `keep` accepts, as `rel` facts.
+    fn extend_rows(
+        &mut self,
+        rel: RelId,
+        data: &RelationData,
+        mut keep: impl FnMut(&[Value]) -> bool,
+    ) {
+        for t in data.tuples() {
+            if keep(t) {
+                self.insert_args(rel, t);
+            }
+        }
+    }
+
     /// An exclusive upper bound on the null ids in the instance: one
     /// past the largest [`crate::NullId`] inserted so far (0 if the
-    /// instance is ground). O(1) — maintained by [`Instance::insert`],
-    /// which every constructor funnels through — replacing the
-    /// full-instance null scans that premise matching used to pay per
-    /// call for fresh-variable offsets.
+    /// instance is ground). O(1) — maintained by
+    /// [`Instance::insert_args`], which every constructor but
+    /// [`Instance::restrict_to`] funnels through (that one recomputes it
+    /// from the kept rows) — replacing the full-instance null scans that
+    /// premise matching used to pay per call for fresh-variable offsets.
     pub fn null_offset(&self) -> u32 {
         self.null_offset
     }
@@ -304,13 +313,14 @@ impl Instance {
         self.relations().all(|(r, _)| schema.contains(r))
     }
 
-    /// The sub-instance of facts over `schema`'s relations.
+    /// The sub-instance of facts over `schema`'s relations. Each kept
+    /// relation is copied whole, rows and indexes alike.
     pub fn restrict_to(&self, schema: &Schema) -> Instance {
         let mut out = Instance::new();
-        for f in self.facts() {
-            if schema.contains(f.relation()) {
-                out.insert(f);
-            }
+        for (rel, data) in self.relations().filter(|&(r, _)| schema.contains(r)) {
+            out.fact_count += data.len();
+            out.null_offset = out.null_offset.max(data.null_offset());
+            out.relations.insert(rel, data.clone());
         }
         out
     }
@@ -319,8 +329,13 @@ impl Instance {
     /// null-renaming), producing a new instance.
     pub fn map_values(&self, mut f: impl FnMut(Value) -> Value) -> Instance {
         let mut out = Instance::new();
-        for fact in self.facts() {
-            out.insert(fact.map_values(&mut f));
+        let mut buf: Vec<Value> = Vec::new();
+        for (rel, data) in self.relations() {
+            for t in data.tuples() {
+                buf.clear();
+                buf.extend(t.iter().map(|&v| f(v)));
+                out.insert_args(rel, &buf);
+            }
         }
         out
     }
@@ -328,8 +343,8 @@ impl Instance {
     /// Set union of two instances.
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
-        for f in other.facts() {
-            out.insert(f);
+        for (rel, data) in other.relations() {
+            out.extend_rows(rel, data, |_| true);
         }
         out
     }
@@ -337,9 +352,9 @@ impl Instance {
     /// Set intersection of two instances.
     pub fn intersection(&self, other: &Instance) -> Instance {
         let mut out = Instance::new();
-        for f in self.facts() {
-            if other.contains(&f) {
-                out.insert(f);
+        for (rel, data) in self.relations() {
+            if let Some(o) = other.relation(rel) {
+                out.extend_rows(rel, data, |t| o.contains(t));
             }
         }
         out
@@ -348,17 +363,18 @@ impl Instance {
     /// Set difference `self ∖ other`.
     pub fn difference(&self, other: &Instance) -> Instance {
         let mut out = Instance::new();
-        for f in self.facts() {
-            if !other.contains(&f) {
-                out.insert(f);
-            }
+        for (rel, data) in self.relations() {
+            let o = other.relation(rel);
+            out.extend_rows(rel, data, |t| !o.is_some_and(|o| o.contains(t)));
         }
         out
     }
 
     /// Is every fact of `self` a fact of `other`?
     pub fn is_subset_of(&self, other: &Instance) -> bool {
-        self.facts().all(|f| other.contains(&f))
+        self.relations().all(|(rel, data)| {
+            other.relation(rel).is_some_and(|o| data.tuples().all(|t| o.contains(t)))
+        })
     }
 
     /// An order-independent hash of the facts over `rels`, consistent
@@ -407,10 +423,8 @@ impl Instance {
     /// fact *sets* and the engines rely on persistent snapshots).
     pub fn without_fact(&self, fact: &Fact) -> Instance {
         let mut out = Instance::new();
-        for f in self.facts() {
-            if &f != fact {
-                out.insert(f);
-            }
+        for (rel, data) in self.relations() {
+            out.extend_rows(rel, data, |t| rel != fact.relation() || t != fact.args());
         }
         out
     }
@@ -419,10 +433,8 @@ impl Instance {
     /// `values` (used by core computation to drop a null's facts).
     pub fn without_values(&self, values: &FxHashSet<Value>) -> Instance {
         let mut out = Instance::new();
-        for f in self.facts() {
-            if !f.args().iter().any(|v| values.contains(v)) {
-                out.insert(f);
-            }
+        for (rel, data) in self.relations() {
+            out.extend_rows(rel, data, |t| !t.iter().any(|v| values.contains(v)));
         }
         out
     }
@@ -454,7 +466,7 @@ impl FromIterator<Fact> for Instance {
     fn from_iter<T: IntoIterator<Item = Fact>>(iter: T) -> Self {
         let mut inst = Instance::new();
         for f in iter {
-            inst.insert(f);
+            inst.insert_args(f.relation(), f.args());
         }
         inst
     }
@@ -726,6 +738,92 @@ mod tests {
         assert!(d.contains(&[]));
         assert!(d.remove(&[]));
         assert!(d.is_empty());
+    }
+
+    /// Rebuild fact by fact, the way every copy used to be made.
+    fn rebuild<'a>(facts: impl IntoIterator<Item = &'a Fact>) -> Instance {
+        let mut out = Instance::new();
+        for f in facts {
+            out.insert(f.clone());
+        }
+        out
+    }
+
+    /// Same relations, same rows in the same order, same indexes and the
+    /// same null offset.
+    fn assert_same_layout(got: &Instance, want: &Instance, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: fact count");
+        assert_eq!(got.null_offset(), want.null_offset(), "{what}: null offset");
+        let rels = |i: &Instance| i.relations().map(|(r, _)| r).collect::<Vec<_>>();
+        assert_eq!(rels(got), rels(want), "{what}: relations");
+        for (rel, w) in want.relations() {
+            let g = got.relation(rel).unwrap();
+            assert!(g.tuples().eq(w.tuples()), "{what}: row order of {rel:?}");
+            for col in 0..w.arity() {
+                for t in w.tuples() {
+                    assert_eq!(g.rows_with(col, &t[col]), w.rows_with(col, &t[col]), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_copies_equal_fact_by_fact_rebuilds() {
+        let mut a = Instance::new();
+        for f in [
+            fact(0, &[c(0), n(3)]),
+            fact(0, &[c(1), c(2)]),
+            fact(1, &[n(7)]),
+            fact(0, &[n(1), c(0)]),
+            fact(2, &[c(4), c(4), n(2)]),
+            fact(1, &[c(5)]),
+            fact(0, &[c(2), c(2)]),
+        ] {
+            a.insert(f);
+        }
+        // A removal reorders rows: copies must keep the current order.
+        a.remove_fact(&fact(0, &[c(1), c(2)]));
+        let mut b = Instance::new();
+        b.insert(fact(0, &[c(2), c(2)]));
+        b.insert(fact(1, &[n(7)]));
+        b.insert(fact(2, &[c(9), c(9), c(9)]));
+        let facts: Vec<Fact> = a.facts().collect();
+        let schema = Schema::from_relations([RelId(0), RelId(2)]);
+        let gone = fact(1, &[n(7)]);
+        let mut kill = FxHashSet::default();
+        kill.insert(n(3));
+        let rename = |v: Value| if v == n(1) { c(0) } else { v };
+        let cases = [
+            (
+                "restrict_to",
+                a.restrict_to(&schema),
+                rebuild(facts.iter().filter(|f| schema.contains(f.relation()))),
+            ),
+            ("intersection", a.intersection(&b), rebuild(facts.iter().filter(|f| b.contains(f)))),
+            ("difference", a.difference(&b), rebuild(facts.iter().filter(|f| !b.contains(f)))),
+            ("without_fact", a.without_fact(&gone), rebuild(facts.iter().filter(|f| **f != gone))),
+            (
+                "without_values",
+                a.without_values(&kill),
+                rebuild(facts.iter().filter(|f| !f.args().iter().any(|v| kill.contains(v)))),
+            ),
+            (
+                "map_values",
+                a.map_values(rename),
+                rebuild(&facts.iter().map(|f| f.map_values(rename)).collect::<Vec<_>>()),
+            ),
+            ("from_iter", facts.iter().cloned().collect(), rebuild(&facts)),
+            (
+                "union",
+                a.union(&b),
+                rebuild(facts.iter().chain(b.facts().collect::<Vec<_>>().iter())),
+            ),
+        ];
+        for (what, got, want) in &cases {
+            assert_same_layout(got, want, what);
+        }
+        assert_eq!(a.restrict_to(&schema).null_offset(), 4, "recomputed on the kept rows");
+        assert!(a.intersection(&b).is_subset_of(&b) && !a.is_subset_of(&b));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * [`Schema`] — a finite set of relation symbols (a view onto the
 //!   vocabulary), including the replica-schema construction of the paper;
 //! * [`Fact`] and [`Instance`] — deduplicated, column-indexed fact sets;
+//! * [`RowSet`] — flat deduplicated rows of one width, the store behind
+//!   every relation and the chase's trigger keys;
 //! * [`enumerate`] — bounded enumeration of all instances over a schema
 //!   (used to decide paper properties exactly on finite universes);
 //! * [`generate`] — random instance generation for property-based testing;
@@ -34,6 +36,7 @@ pub mod fx;
 pub mod generate;
 mod instance;
 pub mod parse;
+mod rowset;
 mod schema;
 mod substitution;
 mod value;
@@ -42,6 +45,7 @@ mod vocab;
 pub use error::ModelError;
 pub use fact::Fact;
 pub use instance::{Instance, RelationData};
+pub use rowset::RowSet;
 pub use schema::{RelId, Schema};
 pub use substitution::Substitution;
 pub use value::{ConstId, NullId, Value};

@@ -1,7 +1,11 @@
 //! Property-based tests for the data model.
 
 use proptest::prelude::*;
-use rde_model::{display, parse::parse_instance, Fact, Instance, Substitution, Value, Vocabulary};
+use rde_model::fx::FxHashMap;
+use rde_model::{
+    display, parse::parse_instance, ConstId, Fact, Instance, NullId, RowSet, Substitution, Value,
+    Vocabulary,
+};
 
 type AbstractFact = (u8, Vec<(bool, u8)>);
 
@@ -28,6 +32,26 @@ fn abstract_facts() -> impl Strategy<Value = Vec<AbstractFact>> {
 /// present tuple and force a swap-remove repair, and some miss.
 fn abstract_script() -> impl Strategy<Value = Vec<(bool, u8, AbstractFact)>> {
     prop::collection::vec((any::<bool>(), 0u8..64, abstract_fact()), 0..24)
+}
+
+/// Strategy: a row-set script over one width in `0..=4`. Each step is
+/// `(op, pick, row)`: op 0–1 inserts `row`, op 2 looks it up, op 3
+/// swap-removes the `pick`-th live row (mod their number). Values come
+/// from two constants and two nulls, so rows repeat, home slots collide
+/// and probe chains wrap around the small table.
+fn rowset_script() -> impl Strategy<Value = (usize, Vec<(u8, u8, Vec<u8>)>)> {
+    (0usize..=4).prop_flat_map(|width| {
+        let step = (0u8..4, 0u8..=255, prop::collection::vec(0u8..4, width));
+        (Just(width), prop::collection::vec(step, 0..64))
+    })
+}
+
+fn code_value(code: u8) -> Value {
+    if code < 2 {
+        Value::Const(ConstId(u32::from(code)))
+    } else {
+        Value::Null(NullId(u32::from(code)))
+    }
 }
 
 fn materialize_fact(vocab: &mut Vocabulary, (rel, args): &AbstractFact) -> Fact {
@@ -178,6 +202,50 @@ proptest! {
     /// equals the ascending row ids of an index rebuilt from the
     /// surviving tuples — removed values included, whose lists must be
     /// empty.
+    /// The row set against a `Vec` + hash-map reference: every insert's
+    /// id and `new` flag, every lookup of a present or absent row, and
+    /// after each step the length and every row by id.
+    #[test]
+    fn row_set_matches_a_reference(case in rowset_script()) {
+        let (width, script) = case;
+        let mut set = RowSet::new(width);
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut ids: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
+        for (op, pick, codes) in &script {
+            let row: Vec<Value> = codes.iter().map(|&c| code_value(c)).collect();
+            match op {
+                0 | 1 => {
+                    let want = match ids.get(&row) {
+                        Some(&id) => (id, false),
+                        None => {
+                            ids.insert(row.clone(), rows.len() as u32);
+                            rows.push(row.clone());
+                            (rows.len() as u32 - 1, true)
+                        }
+                    };
+                    prop_assert_eq!(set.insert(&row), want);
+                }
+                2 => prop_assert_eq!(set.find(&row), ids.get(&row).copied()),
+                _ if !rows.is_empty() => {
+                    let id = usize::from(*pick) % rows.len();
+                    set.swap_remove(id as u32);
+                    let gone = rows.swap_remove(id);
+                    ids.remove(&gone);
+                    prop_assert_eq!(set.find(&gone), None);
+                    if let Some(moved) = rows.get(id) {
+                        ids.insert(moved.clone(), id as u32);
+                    }
+                }
+                _ => {}
+            }
+            prop_assert_eq!(set.len(), rows.len());
+            for (id, r) in rows.iter().enumerate() {
+                prop_assert_eq!(set.row(id as u32), &r[..]);
+                prop_assert_eq!(set.find(r), Some(id as u32));
+            }
+        }
+    }
+
     #[test]
     fn posting_lists_are_exact(script in abstract_script()) {
         let mut vocab = Vocabulary::new();
