@@ -29,7 +29,7 @@
 use rde_deps::{Conjunct, Dependency, Premise, Term, VarId};
 use rde_hom::{CompiledPattern, Exhausted, HomConfig, HomStats, PatArg, PatternAtom, Verdict};
 use rde_model::fx::FxHashMap;
-use rde_model::{ConstId, Fact, Instance, RelId, Value};
+use rde_model::{ConstId, Instance, RelId, Value};
 
 /// Outcome of one (possibly budgeted) premise enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -434,27 +434,12 @@ impl FiringTemplate {
         self.n_existentials
     }
 
-    /// Instantiate the conclusion atoms as [`Fact`]s. `fresh[i]` is the
-    /// value for existential `i`; must have length
-    /// [`Self::num_existentials`].
-    pub fn instantiate(
-        &self,
-        premise_vals: &[Value],
-        fresh: &[Value],
-        mut on_fact: impl FnMut(Fact),
-    ) {
-        let mut buf = Vec::new();
-        self.instantiate_into(premise_vals, fresh, &mut buf, |rel, args| {
-            on_fact(Fact::new(rel, args));
-            true
-        });
-    }
-
     /// Instantiate the conclusion atoms in order into the reused `buf`,
     /// handing each to `on_atom` as a relation and argument slice (the
     /// engines insert it with [`Instance::insert_args`], so a firing
-    /// builds no [`Fact`]). `on_atom` returns `false` to stop; the
-    /// result is `false` when it did.
+    /// builds no [`Fact`](rde_model::Fact)). `fresh[i]` is the value for existential
+    /// `i`; must have length [`Self::num_existentials`]. `on_atom`
+    /// returns `false` to stop; the result is `false` when it did.
     pub fn instantiate_into(
         &self,
         premise_vals: &[Value],
@@ -481,7 +466,7 @@ mod tests {
     use proptest::prelude::*;
     use rde_deps::{parse_dependency, Atom};
     use rde_hom::for_each_hom;
-    use rde_model::{NullId, Substitution, Vocabulary};
+    use rde_model::{Fact, NullId, Substitution, Vocabulary};
 
     /// The reference matcher the compiled plans are checked against:
     /// matching a conjunction into `instance` is finding a homomorphism
@@ -695,7 +680,11 @@ mod tests {
         let (a, b) = (v.const_value("a"), v.const_value("b"));
         let z = Value::Null(NullId(7));
         let mut facts = Vec::new();
-        tpl.instantiate(&[a, b], &[z], |f| facts.push(f));
+        let completed = tpl.instantiate_into(&[a, b], &[z], &mut Vec::new(), |rel, args| {
+            facts.push(Fact::new(rel, args));
+            true
+        });
+        assert!(completed);
         let q = v.find_relation("Q").unwrap();
         assert_eq!(facts, vec![Fact::new(q, vec![a, z]), Fact::new(q, vec![z, b])]);
     }

@@ -20,8 +20,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use rde_deps::{Dependency, SchemaMapping};
+use rde_deps::{Dependency, SchemaMapping, Term};
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, RelId, RowSet, Value, Vocabulary};
 
 use crate::checkpoint::{self, CheckpointPolicy, SnapshotRef};
@@ -48,7 +49,8 @@ pub enum ChaseVariant {
     /// The restricted (non-oblivious, "standard") chase with delta
     /// rounds: a trigger whose conclusion is already satisfied in the
     /// live instance is skipped, checked with the compiled
-    /// [`SatisfactionPlan`](crate::SatisfactionPlan)s. Hom-equivalent to
+    /// [`SatisfactionPlan`](crate::SatisfactionPlan)s, except where the
+    /// check provably fails (DESIGN.md §17). Hom-equivalent to
     /// the oblivious variants on terminating inputs, with smaller
     /// results; terminates on strictly more inputs.
     Restricted,
@@ -233,8 +235,8 @@ pub(crate) type Delta = Vec<(RelId, u32, u32)>;
 /// so nothing else reads `fired` meanwhile. The ids of the new keys
 /// that need firing are appended to `pending`. `delta` is `None` for a
 /// full enumeration (round 0 / naive) and `Some(ranges)` for a delta
-/// round; `restricted` runs the satisfaction pre-check on each new
-/// trigger. Fails with [`ChaseError::MatchBudgetExhausted`] when a
+/// round; `check` runs the restricted chase's satisfaction pre-check on
+/// each new trigger. Fails with [`ChaseError::MatchBudgetExhausted`] when a
 /// search hits `hom`'s budget: a truncated enumeration could silently
 /// miss triggers, so the chase refuses to continue from it (and drops
 /// `fired` with the rest of the run's state).
@@ -244,7 +246,7 @@ fn collect_dep(
     fired: &mut RowSet,
     pending: &mut Vec<u32>,
     delta: Option<&[(RelId, u32, u32)]>,
-    restricted: bool,
+    check: bool,
     hom: &HomConfig,
 ) -> Result<DepCandidates, ChaseError> {
     let mut out = DepCandidates::default();
@@ -265,11 +267,11 @@ fn collect_dep(
             // torn index, a poisoned backend). It must surface exactly
             // like a genuine budget cut — a typed error, never a
             // silently unsound skip-or-fire decision.
-            if restricted && hom.ctx.should_inject("chase.restricted.check") {
+            if check && hom.ctx.should_inject("chase.restricted.check") {
                 exhausted.set(Some(Exhausted::Nodes(0)));
                 return false;
             }
-            let satisfied = restricted
+            let satisfied = check
                 && match plan.satisfaction()[0].satisfiable_budgeted(current, vals, hom, &mut stats)
                 {
                     Verdict::Holds => true,
@@ -353,6 +355,40 @@ fn grown_rows(current: &Instance, before: &[(RelId, u32)]) -> Delta {
     delta
 }
 
+/// Per dependency, whether every satisfaction check of its new
+/// triggers provably fails, so the restricted chase may skip them. A
+/// dependency qualifies when some conclusion atom `A`
+///
+/// 1. names every premise variable,
+/// 2. shares its relation with no other conclusion atom, of this
+///    dependency or any other, and
+/// 3. has a relation of which `input` holds no fact.
+///
+/// Then only firings of this dependency write `A`'s relation, and each
+/// writes one `A` fact carrying its trigger key at the premise
+/// variables' positions. A witness of `A` under key `k` can only be
+/// the fact that firing `k` itself wrote, and the key arena collects
+/// and fires each key at most once, so neither the pre-check nor the
+/// recheck of a new trigger can succeed. Condition 3 reads the chase's
+/// input, never a resumed snapshot's instance, so a resumed run skips
+/// the same checks as an uninterrupted one (DESIGN.md §17).
+fn never_witnessed(deps: &[Dependency], input: &Instance) -> Vec<bool> {
+    let mut writers: FxHashMap<RelId, usize> = FxHashMap::default();
+    for atom in deps.iter().flat_map(|d| &d.disjuncts).flat_map(|c| &c.atoms) {
+        *writers.entry(atom.rel).or_default() += 1;
+    }
+    deps.iter()
+        .map(|d| {
+            let premise_vars = d.premise.atom_vars();
+            d.disjuncts.iter().flat_map(|c| &c.atoms).any(|a| {
+                writers[&a.rel] == 1
+                    && input.relation(a.rel).is_none_or(|r| r.is_empty())
+                    && premise_vars.iter().all(|&v| a.args.contains(&Term::Var(v)))
+            })
+        })
+        .collect()
+}
+
 /// Number of facts in a delta.
 fn delta_len(delta: &[(RelId, u32, u32)]) -> usize {
     delta.iter().map(|&(_, start, end)| (end - start) as usize).sum()
@@ -411,6 +447,14 @@ pub fn chase(
     let mut delta: Option<Delta> = None;
     let semi_naive = options.variant != ChaseVariant::Naive;
     let restricted = options.variant == ChaseVariant::Restricted;
+    // Per dependency: does the chase run its triggers' satisfaction
+    // checks? Only the restricted variant does, and not where they
+    // provably fail.
+    let checked: Vec<bool> = if restricted {
+        never_witnessed(dependencies, instance).into_iter().map(|never| !never).collect()
+    } else {
+        vec![false; plans.len()]
+    };
     // A previous run that crashed (or took an injected fault) between a
     // checkpoint's create and rename strands `<path>.tmp` next to the
     // last complete snapshot. Sweep it before writing or resuming —
@@ -466,11 +510,12 @@ pub fn chase(
         // *current* state, in dependency order.
         let collected: Result<Vec<DepCandidates>, ChaseError> = plans
             .iter()
+            .zip(&checked)
             .zip(&mut fired_keys)
             .zip(&mut pending)
-            .map(|((p, fired), pending)| {
+            .map(|(((p, &check), fired), pending)| {
                 pending.clear();
-                collect_dep(p, &current, fired, pending, delta.as_deref(), restricted, &options.hom)
+                collect_dep(p, &current, fired, pending, delta.as_deref(), check, &options.hom)
             })
             .collect();
         let per_dep = match collected {
@@ -492,12 +537,18 @@ pub fn chase(
 
         // Tally the unsatisfied triggers (collection recorded every key).
         let mut stats = RoundStats { delta: delta_facts, ..RoundStats::default() };
+        // Every new trigger of a restricted dependency that runs no
+        // checks fires, skipping both its pre-check and its recheck.
+        let mut checks_skipped: u64 = 0;
         let journal_on = rde_obs::journal::enabled();
         for (di, cands) in per_dep.into_iter().enumerate() {
             stats.matches += cands.matches;
             stats.duplicates += cands.duplicates;
             stats.hom += cands.hom;
             stats.triggers += pending[di].len();
+            if restricted && !checked[di] {
+                checks_skipped += 2 * pending[di].len() as u64;
+            }
             let triggers = pending[di].len() + cands.satisfied as usize;
             if journal_on && (cands.matches > 0 || triggers > 0) {
                 // Per-dependency attribution: which dependency produced
@@ -548,7 +599,7 @@ pub fn chase(
             pending[di].sort_unstable_by(|&a, &b| keys.row(a).cmp(keys.row(b)));
             for &id in &pending[di] {
                 let vals = keys.row(id);
-                if restricted {
+                if checked[di] {
                     // Same chaos point as the collection-phase pre-check:
                     // the re-check can die too, and must fail just as
                     // loudly.
@@ -624,6 +675,9 @@ pub fn chase(
         rde_obs::counter!("chase.triggers.fired").add(stats.fired);
         rde_obs::labeled_counter("chase.triggers.fired", &variant_label).add(stats.fired);
         rde_obs::counter!("chase.facts.inserted").add(stats.inserted as u64);
+        if restricted {
+            rde_obs::counter!("chase.restricted.checks_skipped").add(checks_skipped);
+        }
         rde_obs::histogram!("chase.round.delta").record(stats.delta as u64);
         let round_us = u64::try_from(round_start.elapsed().as_micros()).unwrap_or(u64::MAX);
         rde_obs::histogram!("chase.round.us").record(round_us);
@@ -1077,6 +1131,43 @@ mod tests {
         let naive =
             chase_mapping(&i, &m, &mut v, &ChaseOptions::for_variant(ChaseVariant::Naive)).unwrap();
         assert!(rde_hom::hom_equivalent(&naive, &restricted));
+    }
+
+    #[test]
+    fn never_witnessed_needs_all_three_conditions() {
+        let mut v = Vocabulary::new();
+        let mut marks = |rules: &[&str], input: &str| {
+            let deps: Vec<Dependency> =
+                rules.iter().map(|d| rde_deps::parse_dependency(&mut v, d).unwrap()).collect();
+            let input = parse_instance(&mut v, input).unwrap();
+            never_witnessed(&deps, &input)
+        };
+        // All three hold: one atom names x and y, is A's only writer, and
+        // the input has no A (an existential atom qualifies alike).
+        assert_eq!(marks(&["T(x, y) -> A(x, y)"], "T(a, b)"), [true]);
+        assert_eq!(marks(&["T(x, y) -> exists w . B(x, y, w)"], "T(a, b)"), [true]);
+        assert_eq!(marks(&["T(x, y) -> exists w . C(w) & D(y, w, x)"], ""), [true]);
+        // 1 fails: the atom omits a premise variable.
+        assert_eq!(marks(&["T(x, y) -> U(x)"], "T(a, b)"), [false]);
+        assert_eq!(marks(&["T(x, y) & E(y, z) -> A(x, z)"], ""), [false]);
+        // 2 fails: another conclusion atom writes the relation, in the
+        // same dependency or in another one.
+        assert_eq!(marks(&["E(x, y) -> R(x, y) & R(y, x)"], "E(a, b)"), [false]);
+        assert_eq!(marks(&["T(x, y) -> A(x, y)", "E(x, y) -> A(y, x)"], ""), [false, false]);
+        assert_eq!(
+            marks(&["E(x, y) -> T(x, y)", "T(x, y) & T(y, z) -> T(x, z)"], ""),
+            [false, false]
+        );
+        // 3 fails: the input already holds a fact of the relation.
+        assert_eq!(marks(&["T(x, y) -> A(x, y)"], "T(a, b)\nA(c, d)"), [false]);
+        // Each dependency is marked on its own.
+        assert_eq!(
+            marks(
+                &["E(x, y) -> T(x, y)", "T(x, y) -> A(x, y)", "T(x, y) -> U(x)"],
+                "E(a, b)\nT(c, c)"
+            ),
+            [false, true, false]
+        );
     }
 
     #[test]

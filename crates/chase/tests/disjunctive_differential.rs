@@ -63,8 +63,9 @@ mod reference {
                             .map(|_| Value::Null(vocab.fresh_null()))
                             .collect();
                         let mut child_instance = branch.instance.clone();
-                        template.instantiate(&vals, &fresh, |fact| {
-                            child_instance.insert(fact);
+                        template.instantiate_into(&vals, &fresh, &mut Vec::new(), |rel, args| {
+                            child_instance.insert_args(rel, args);
+                            true
                         });
                         if child_instance.len() > options.max_facts {
                             return Err(ChaseError::FactBudgetExhausted {

@@ -15,7 +15,12 @@ use rde_model::fx::FxHashSet;
 use rde_model::{Fact, Instance, Value, Vocabulary};
 
 /// Same-schema dependency pool: recursive rules, existentials, guards,
-/// and inequalities, so multi-round delta behaviour is exercised.
+/// and inequalities, so multi-round delta behaviour is exercised. The
+/// `A` and `B` rules are the only writers of their relations and name
+/// every premise variable, so the restricted chase skips their
+/// satisfaction checks unless the input holds `A` facts; the `R` and
+/// `U` rules just miss that rule (`R` has two writers, `U(x)` omits
+/// `y`), so their checks run and can succeed.
 const DEP_POOL: &[&str] = &[
     "E(x, y) -> T(x, y)",
     "T(x, y) & T(y, z) -> T(x, z)",
@@ -23,24 +28,35 @@ const DEP_POOL: &[&str] = &[
     "E(x, y) & E(y, x) -> exists u . T(x, u)",
     "S(x, y) & Constant(x) -> T(x, x)",
     "E(x, y) & x != y -> T(y, x)",
+    "T(x, y) -> A(x, y)",
+    "T(x, y) -> exists w . B(x, y, w)",
+    "E(x, y) -> R(x, y) & R(y, x)",
+    "T(x, y) -> U(x)",
 ];
 
-fn setup(
-    picks: &[bool],
-    facts: &[(bool, u8, bool, u8)],
-) -> (Vocabulary, Vec<Dependency>, Instance) {
+/// A generated input fact: over `A` when the flag is set, else over
+/// `E`, with two `(is_null, index)` argument codes.
+type GenFact = (bool, (bool, u8, bool, u8));
+
+/// The vocabulary with every pool rule parsed, so every run interns
+/// identical ids.
+fn pool() -> (Vocabulary, Vec<Dependency>) {
     let mut vocab = Vocabulary::new();
-    // Parse the full pool first so every run interns identical ids,
-    // then keep the picked subset (always at least the first rule).
-    let all: Vec<Dependency> =
-        DEP_POOL.iter().map(|d| parse_dependency(&mut vocab, d).unwrap()).collect();
+    let all = DEP_POOL.iter().map(|d| parse_dependency(&mut vocab, d).unwrap()).collect();
+    (vocab, all)
+}
+
+fn setup(picks: &[bool], facts: &[GenFact]) -> (Vocabulary, Vec<Dependency>, Instance) {
+    // Keep the picked subset of the pool (always at least the first
+    // rule).
+    let (mut vocab, all) = pool();
     let deps: Vec<Dependency> = all
         .into_iter()
         .enumerate()
         .filter(|(i, _)| *i == 0 || picks.get(*i).copied().unwrap_or(false))
         .map(|(_, d)| d)
         .collect();
-    let e = vocab.find_relation("E").unwrap();
+    let (e, a) = (vocab.find_relation("E").unwrap(), vocab.find_relation("A").unwrap());
     let value = |vocab: &mut Vocabulary, is_null: bool, i: u8| {
         if is_null {
             vocab.null_value(&format!("n{i}"))
@@ -50,16 +66,16 @@ fn setup(
     };
     let instance: Instance = facts
         .iter()
-        .map(|&(n1, a, n2, b)| {
-            let v1 = value(&mut vocab, n1, a);
-            let v2 = value(&mut vocab, n2, b);
-            Fact::new(e, vec![v1, v2])
+        .map(|&(over_a, (n1, i, n2, j))| {
+            let v1 = value(&mut vocab, n1, i);
+            let v2 = value(&mut vocab, n2, j);
+            Fact::new(if over_a { a } else { e }, vec![v1, v2])
         })
         .collect();
     (vocab, deps, instance)
 }
 
-fn run(picks: &[bool], facts: &[(bool, u8, bool, u8)], variant: ChaseVariant) -> ChaseResult {
+fn run(picks: &[bool], facts: &[GenFact], variant: ChaseVariant) -> ChaseResult {
     let (mut vocab, deps, instance) = setup(picks, facts);
     chase(&instance, &deps, &mut vocab, &ChaseOptions::for_variant(variant)).unwrap()
 }
@@ -107,8 +123,9 @@ fn reference_chase(
             let template = &plans[di].templates()[0];
             let fresh: Vec<Value> =
                 (0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())).collect();
-            template.instantiate(&vals, &fresh, |fact| {
-                current.insert(fact);
+            template.instantiate_into(&vals, &fresh, &mut Vec::new(), |rel, args| {
+                current.insert_args(rel, args);
+                true
             });
             fired += 1;
         }
@@ -136,8 +153,10 @@ fn assert_equals_reference(
     Ok(())
 }
 
-fn abstract_facts(max: usize) -> impl Strategy<Value = Vec<(bool, u8, bool, u8)>> {
-    prop::collection::vec((any::<bool>(), 0u8..4, any::<bool>(), 0u8..4), 0..=max)
+/// Up to `max` input facts, about one in five over `A`.
+fn abstract_facts(max: usize) -> impl Strategy<Value = Vec<GenFact>> {
+    let codes = (any::<bool>(), 0u8..4, any::<bool>(), 0u8..4);
+    prop::collection::vec(((0u8..5).prop_map(|r| r == 0), codes), 0..=max)
 }
 
 fn dep_picks() -> impl Strategy<Value = Vec<bool>> {
@@ -158,6 +177,66 @@ fn strategies_produce_equal_instances() {
     for variant in ChaseVariant::ALL {
         assert_equals_reference(&vocab, &deps, &instance, variant).unwrap();
     }
+}
+
+#[test]
+fn skipped_checks_equal_the_reference() {
+    // Each case breaks one condition of the skip for one rule, so a
+    // skip taken without that condition fires a trigger the reference
+    // finds satisfied: `U(a)` is witnessed by the first `T(a, ·)`
+    // firing, `R(b, a)` by the firing of `E(a, b)`, and `A(a, b)` by
+    // the input.
+    let cases = [
+        (&[0, 9][..], "E(a, b)\nE(a, c)"),
+        (&[8][..], "E(a, b)\nE(b, a)"),
+        (&[0, 6, 7][..], "E(a, b)\nE(a, c)\nA(a, b)"),
+        (&[0, 1, 6, 7, 8, 9][..], "E(a, b)\nE(b, a)\nE(b, c)\nA(?n, a)"),
+    ];
+    for (picks, input) in cases {
+        let (mut vocab, all) = pool();
+        let deps: Vec<Dependency> = picks.iter().map(|&i| all[i].clone()).collect();
+        let instance = rde_model::parse::parse_instance(&mut vocab, input).unwrap();
+        for variant in ChaseVariant::ALL {
+            assert_equals_reference(&vocab, &deps, &instance, variant).unwrap();
+        }
+    }
+}
+
+#[test]
+fn resumed_restricted_run_skips_the_same_checks() {
+    // Every pool rule over a chain that also carries an `A` fact, so
+    // the `A` rule is checked and the `B` rule is not. Late rounds fire
+    // `B` keys that share their first value with earlier `B` facts,
+    // where a check would scan a posting list: a resumed run that
+    // decided the skip on its snapshot (which holds `B` facts) would
+    // spend hom nodes the uninterrupted run does not.
+    let (mut vocab, deps) = pool();
+    let instance =
+        rde_model::parse::parse_instance(&mut vocab, "E(a, b)\nE(b, c)\nE(c, d)\nA(a, b)").unwrap();
+    let options =
+        ChaseOptions { trace: true, ..ChaseOptions::for_variant(ChaseVariant::Restricted) };
+    let mut v_straight = vocab.clone();
+    let straight = chase(&instance, &deps, &mut v_straight, &options).unwrap();
+    assert!(straight.rounds >= 3, "need a multi-round chase to crash mid-run");
+
+    let path = std::env::temp_dir().join(format!("rde-skip-resume-{}.ckpt", std::process::id()));
+    let crash = ChaseOptions {
+        max_facts: straight.instance.len() - 1,
+        checkpoint: Some(rde_chase::CheckpointPolicy::new(&path, 1)),
+        ..options.clone()
+    };
+    let mut v = vocab.clone();
+    assert!(chase(&instance, &deps, &mut v, &crash).is_err());
+    let resume = ChaseOptions { resume_from: Some(path.clone()), ..options };
+    let resumed = chase(&instance, &deps, &mut v, &resume).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(resumed.instance, straight.instance);
+    assert_eq!(resumed.fired, straight.fired);
+    assert_eq!(resumed.rounds, straight.rounds);
+    assert_eq!(resumed.round_stats, straight.round_stats);
+    assert_eq!(resumed.hom, straight.hom);
+    assert_eq!(resumed.provenance, straight.provenance);
+    assert_eq!(v.null_count(), v_straight.null_count());
 }
 
 proptest! {

@@ -66,6 +66,28 @@ fn metrics_flag_prints_a_snapshot_table() {
     assert!(stdout.contains("chase.rounds"), "missing chase counters:\n{stdout}");
     assert!(stdout.contains("chase.round.us"), "missing round histogram:\n{stdout}");
     assert!(stdout.contains("hom.search.nodes"), "missing hom counters:\n{stdout}");
+
+    // A restricted run of a copy rule skips both satisfaction checks of
+    // each of the two triggers: only the rule writes `Q`, and the input
+    // holds none.
+    let map = tmp("copy.map");
+    std::fs::write(&map, "source: P/2\ntarget: Q/2\nP(x, y) -> Q(x, y)\n").unwrap();
+    let output = rde()
+        .args(["chase", &map.to_string_lossy(), &example("flights.inst")])
+        .args(["--variant", "restricted", "--metrics"])
+        .output()
+        .expect("spawn rde");
+    let _ = std::fs::remove_file(&map);
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let skipped = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("chase.restricted.checks_skipped "))
+        .map(str::trim);
+    assert_eq!(skipped, Some("4"), "{stdout}");
+    let searches =
+        stdout.lines().find_map(|l| l.strip_prefix("hom.search.searches ")).map(str::trim);
+    assert_eq!(searches, Some("1"), "one premise enumeration, no checks:\n{stdout}");
 }
 
 #[test]

@@ -120,12 +120,15 @@ pub(crate) fn evaluate_plan(
     null_free: bool,
 ) -> AnswerSet {
     let mut out = AnswerSet::new();
+    let mut head = Vec::new();
     plan.premise().for_each_match(instance, &HomConfig::default(), |vals| {
-        // The head has no existentials: its one "firing" is the answer.
-        plan.templates()[0].instantiate(vals, &[], |head| {
-            if !null_free || head.args().iter().all(|v| v.is_const()) {
-                out.insert(head.args().to_vec());
+        // The head has no existentials: its one "firing" is the answer,
+        // built in `head` and copied out only when it is new.
+        plan.templates()[0].instantiate_into(vals, &[], &mut head, |_, args| {
+            if (!null_free || args.iter().all(|v| v.is_const())) && !out.contains(args) {
+                out.insert(args.to_vec());
             }
+            true
         });
         true
     });
