@@ -13,7 +13,7 @@ use rde_bench::workloads;
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_core::arrow::{ArrowMCache, CachePolicy};
 use rde_core::Universe;
-use rde_hom::{core_of, core_of_quadratic, exists_hom, hom_equivalent, HomConfig};
+use rde_hom::{core_of, core_of_quadratic, exists_hom, hom_equivalent, HomConfig, HomStats};
 use rde_model::parse::parse_instance;
 use rde_model::{Instance, Vocabulary};
 
@@ -54,9 +54,11 @@ fn core_rows(quick: bool, rows: &mut Vec<String>) {
         let inst = bloated(&mut v, k, pad);
         let reps = if quick { 2 } else { 10 };
         let (t_quad, r_quad) = time(reps, || core_of_quadratic(&inst));
-        let (t_inc, r_inc) = time(reps, || core_of(&inst));
+        let unbounded = HomConfig::default();
+        let (t_inc, r_inc) = time(reps, || core_of(&inst, &unbounded).result);
         assert_eq!(r_quad.core.len(), r_inc.core.len(), "minimizers must agree on core size");
-        assert!(hom_equivalent(&inst, &r_inc.core), "core must stay hom-equivalent");
+        let equivalent = hom_equivalent(&inst, &r_inc.core, &unbounded, &mut HomStats::default());
+        assert!(equivalent.holds(), "core must stay hom-equivalent");
         let speedup = t_quad / t_inc;
         println!(
             "{:>7} {:>5} {:>14.3} {:>14.3} {:>8.2}x",
@@ -105,11 +107,11 @@ fn arrow_rows(quick: bool, rows: &mut Vec<String>) {
                     chase_mapping(i, &mapping, &mut v.clone(), &ChaseOptions::default()).unwrap()
                 })
                 .collect();
-            let mut hits = 0u64;
+            let (mut hits, mut stats) = (0u64, HomStats::default());
             for _ in 0..sweeps {
                 for a in &chased {
                     for b in &chased {
-                        if exists_hom(a, b) {
+                        if exists_hom(a, b, &unbounded, &mut stats).holds() {
                             hits += 1;
                         }
                     }

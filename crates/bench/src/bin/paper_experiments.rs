@@ -115,7 +115,9 @@ fn e1() -> Outcome {
     let expected_u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
     let vi = chase_mapping(&u, &rev, &mut v, &ChaseOptions::default()).unwrap();
     let paper_v = parse_instance(&mut v, "P(a,b,?zz)\nP(?xx,b,c)").unwrap();
-    let pass = u == expected_u && !vi.is_ground() && hom_equivalent(&vi, &paper_v);
+    let (cfg, mut st) = unbounded();
+    let pass =
+        u == expected_u && !vi.is_ground() && hom_equivalent(&vi, &paper_v, &cfg, &mut st).holds();
     Outcome {
         id: "E1",
         claim: "Ex 1.1: V = {P(a,b,Z), P(X,b,c)} non-ground",
@@ -131,14 +133,14 @@ fn e2() -> Outcome {
     let m = decomposition(&mut v);
     let vi = parse_instance(&mut v, "P(a,b,?z)\nP(?x,b,c)").unwrap();
     let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-    let not_sol = !rde_core::semantics::is_solution(&vi, &u, &m);
+    let not_sol = !rde_core::semantics::satisfies(&vi, &u, &m);
     let is_esol = is_extended_solution(&vi, &u, &m, &mut v, &cfg, &mut st).unwrap().holds();
     // Prop 3.4: ground sources have eSol = Sol on a bounded target universe.
     let i = parse_instance(&mut v, "P(a,b,c)").unwrap();
     let universe = Universe::new(&mut v, 3, 1, 2);
     let mut prop34 = true;
     for j in universe.instances(&v, &m.target).unwrap() {
-        if rde_core::semantics::is_solution(&i, &j, &m)
+        if rde_core::semantics::satisfies(&i, &j, &m)
             != is_extended_solution(&i, &j, &m, &mut v, &cfg, &mut st).unwrap().holds()
         {
             prop34 = false;
@@ -306,7 +308,10 @@ fn e7() -> Outcome {
         }
         // A witness solution must be a solution AND a witness; every
         // shape fails within the candidate family.
-        if !rde_core::ground::is_witness_solution(&m, &j, &i, &family, &mut v).unwrap() {
+        let (cfg, mut st) = unbounded();
+        let verdict =
+            rde_core::ground::is_witness_solution(&m, &j, &i, &family, &mut v, &cfg, &mut st);
+        if verdict.unwrap().fails() {
             refuted += 1;
         }
     }

@@ -12,7 +12,7 @@
 //! downstream (NP-hard) homomorphism checks.
 
 use rde_deps::SchemaMapping;
-use rde_hom::{core_of_budgeted, Exhausted};
+use rde_hom::{core_of, Exhausted};
 use rde_model::{Instance, Vocabulary};
 
 use crate::standard::{chase_mapping, ChaseOptions};
@@ -27,8 +27,8 @@ use crate::ChaseError;
 /// [`ChaseError::MatchBudgetExhausted`] / [`ChaseError::Cancelled`]
 /// instead of silently running an unbounded core search. A partial
 /// retract would still be a sound universal solution, but callers asked
-/// for *the* core; reporting the budget cut lets them retry with a
-/// larger budget or accept the un-minimized chase explicitly.
+/// for *the* core; reporting the budget that cut it lets them retry
+/// with a larger budget or accept the un-minimized chase explicitly.
 pub fn core_chase_mapping(
     instance: &Instance,
     mapping: &SchemaMapping,
@@ -36,21 +36,15 @@ pub fn core_chase_mapping(
     options: &ChaseOptions,
 ) -> Result<Instance, ChaseError> {
     let chased = chase_mapping(instance, mapping, vocab, options)?;
-    let outcome = core_of_budgeted(&chased, &options.hom);
-    if outcome.complete {
+    let outcome = core_of(&chased, &options.hom);
+    let Some(budget) = outcome.exhausted else {
         return Ok(outcome.result.core);
-    }
-    if options.hom.ctx.cancel.is_cancelled() {
+    };
+    if budget == Exhausted::Cancelled || options.hom.ctx.cancel.is_cancelled() {
         rde_obs::counter!("chase.cancelled").inc();
         rde_obs::event("chase.cancelled", &[("phase", "core".into())]);
         return Err(ChaseError::Cancelled);
     }
-    let budget = match (options.hom.node_budget, options.hom.time_budget) {
-        (Some(nodes), _) => Exhausted::Nodes(nodes),
-        (None, Some(time)) => Exhausted::Time(time),
-        // No explicit budget: the only remaining cut is cancellation.
-        (None, None) => Exhausted::Cancelled,
-    };
     rde_obs::counter!("chase.budget.match_exhausted").inc();
     rde_obs::event("chase.budget_exhausted", &[("kind", "core".into())]);
     Err(ChaseError::MatchBudgetExhausted { budget })
@@ -60,7 +54,7 @@ pub fn core_chase_mapping(
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
-    use rde_hom::{hom_equivalent, is_core};
+    use rde_hom::{hom_equivalent, is_core, HomConfig, HomStats};
     use rde_model::parse::parse_instance;
 
     #[test]
@@ -76,7 +70,9 @@ mod tests {
         let i = parse_instance(&mut v, "P(a, b)").unwrap();
         let chased = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         let core = core_chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        assert!(hom_equivalent(&chased, &core));
+        assert!(
+            hom_equivalent(&chased, &core, &HomConfig::default(), &mut HomStats::default()).holds()
+        );
         assert!(is_core(&core));
         assert!(core.len() <= chased.len());
     }
@@ -100,7 +96,6 @@ mod tests {
 
     #[test]
     fn core_minimization_honors_the_node_budget() {
-        use rde_hom::HomConfig;
         let mut v = Vocabulary::new();
         let m = parse_mapping(
             &mut v,
@@ -164,5 +159,37 @@ mod tests {
         let chased = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         let core = core_chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         assert_eq!(chased, core);
+    }
+
+    #[test]
+    fn the_error_names_the_budget_that_cut_minimization() {
+        let mut v = Vocabulary::new();
+        let m = parse_mapping(
+            &mut v,
+            "source: A/1, B/1, C/1\ntarget: Q/1\n\
+             A(x) -> exists z . Q(z)\nB(x) -> exists z . Q(z)\nC(x) -> exists z . Q(z)",
+        )
+        .unwrap();
+        // Each premise search scans 100 rows, short of the first
+        // deadline poll at node 256; the first fold test of the 300
+        // invented Q(z) facts binds one atom per node and passes it.
+        let src: String = ["A", "B", "C"]
+            .iter()
+            .flat_map(|r| (0..100).map(move |k| format!("{r}(a{k})\n")))
+            .collect();
+        let i = parse_instance(&mut v, &src).unwrap();
+        let opts = ChaseOptions {
+            hom: HomConfig {
+                node_budget: Some(u64::MAX),
+                time_budget: Some(std::time::Duration::ZERO),
+                ..HomConfig::default()
+            },
+            ..ChaseOptions::for_variant(crate::ChaseVariant::SemiNaive)
+        };
+        assert!(chase_mapping(&i, &m, &mut v, &opts).is_ok(), "no premise search reaches a poll");
+        match core_chase_mapping(&i, &m, &mut v, &opts) {
+            Err(ChaseError::MatchBudgetExhausted { budget: Exhausted::Time(_) }) => {}
+            other => panic!("expected the time budget to be named, got {other:?}"),
+        }
     }
 }

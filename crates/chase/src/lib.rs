@@ -52,6 +52,5 @@ pub use disjunctive::{disjunctive_chase, DisjunctiveChaseOptions, DisjunctiveCha
 pub use error::ChaseError;
 pub use plan::{DependencyPlan, FiringTemplate, MatchReport, PremisePlan, SatisfactionPlan};
 pub use standard::{
-    chase, chase_mapping, chase_mapping_default, ChaseOptions, ChaseResult, ChaseVariant,
-    FiringRecord, RoundStats,
+    chase, chase_mapping, ChaseOptions, ChaseResult, ChaseVariant, FiringRecord, RoundStats,
 };

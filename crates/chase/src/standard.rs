@@ -728,16 +728,6 @@ pub fn chase_mapping(
     Ok(result.instance.restrict_to(&mapping.target))
 }
 
-/// Convenience used pervasively by `rde-core`: oblivious chase of the
-/// mapping with default budgets.
-pub fn chase_mapping_default(
-    instance: &Instance,
-    mapping: &SchemaMapping,
-    vocab: &mut Vocabulary,
-) -> Result<Instance, ChaseError> {
-    chase_mapping(instance, mapping, vocab, &ChaseOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,11 +735,15 @@ mod tests {
     use rde_faults::ExecContext;
     use rde_model::parse::parse_instance;
 
+    fn equivalent(a: &Instance, b: &Instance) -> bool {
+        rde_hom::hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+
     fn chase_text(mapping_text: &str, instance_text: &str) -> (Vocabulary, Instance) {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, mapping_text).unwrap();
         let i = parse_instance(&mut v, instance_text).unwrap();
-        let j = chase_mapping_default(&i, &m, &mut v).unwrap();
+        let j = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         (v, j)
     }
 
@@ -772,7 +766,7 @@ mod tests {
         )
         .unwrap();
         let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-        let vres = chase_mapping_default(&u, &m, &mut v).unwrap();
+        let vres = chase_mapping(&u, &m, &mut v, &ChaseOptions::default()).unwrap();
         assert_eq!(vres.len(), 2);
         assert!(!vres.is_ground());
         let p = v.find_relation("P").unwrap();
@@ -831,7 +825,7 @@ mod tests {
         let standard = chase_mapping(&i, &m, &mut v, &opts).unwrap();
         // Second trigger (a, c) is satisfied by the first firing's Q(a, Z).
         assert_eq!(standard.len(), 1);
-        assert!(rde_hom::hom_equivalent(&oblivious, &standard));
+        assert!(equivalent(&oblivious, &standard));
     }
 
     #[test]
@@ -843,7 +837,7 @@ mod tests {
         )
         .unwrap();
         let i = parse_instance(&mut v, "R(a, a)\nR(a, b)\nR(?n, b)").unwrap();
-        let j = chase_mapping_default(&i, &m, &mut v).unwrap();
+        let j = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         // Only R(a, b) passes both guards.
         let expected = parse_instance(&mut v, "P(a)").unwrap();
         assert_eq!(j, expected);
@@ -855,7 +849,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/2\nP(x,y) -> Q(y,x)").unwrap();
         let i = parse_instance(&mut v, "P(?w, ?z)").unwrap();
-        let j = chase_mapping_default(&i, &m, &mut v).unwrap();
+        let j = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
         assert_eq!(j.len(), 1);
         assert_eq!(j.nulls().len(), 2);
     }
@@ -988,9 +982,9 @@ mod tests {
         // must end in Ok (quiescent) or MatchBudgetExhausted — never a
         // panic or a silently wrong instance.
         match chase(&i, &m.dependencies, &mut v, &opts) {
-            Ok(r) => assert!(rde_hom::hom_equivalent(
+            Ok(r) => assert!(equivalent(
                 &r.instance.restrict_to(&m.target),
-                &chase_mapping_default(&i, &m, &mut v).unwrap()
+                &chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap()
             )),
             Err(e) => assert!(matches!(e, ChaseError::MatchBudgetExhausted { .. })),
         }
@@ -1130,7 +1124,7 @@ mod tests {
         assert_eq!(restricted.len(), 2, "one Q per distinct first component");
         let naive =
             chase_mapping(&i, &m, &mut v, &ChaseOptions::for_variant(ChaseVariant::Naive)).unwrap();
-        assert!(rde_hom::hom_equivalent(&naive, &restricted));
+        assert!(equivalent(&naive, &restricted));
     }
 
     #[test]

@@ -97,7 +97,7 @@ mod reference {
         if options.prune_subsumed {
             let mut stats = HomStats::default();
             let mut arrow = |from: &Instance, to: &Instance| {
-                rde_hom::find_hom_budgeted(from, to, &Substitution::new(), &options.hom, &mut stats)
+                rde_hom::find_hom(from, to, &Substitution::new(), &options.hom, &mut stats)
                     .map(|hom| hom.is_some())
                     .map_err(cut)
             };

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use rde_chase::{chase, ChaseOptions, ChaseResult, ChaseVariant, RoundStats};
 use rde_deps::{analyze_dependencies, parse_dependency, Dependency, TerminationVerdict};
-use rde_hom::{core_of, hom_equivalent, is_isomorphic, HomStats};
+use rde_hom::{core_of, find_iso, hom_equivalent, HomConfig, HomStats};
 use rde_model::{Fact, Instance, Vocabulary};
 
 /// A generated mapping family: a dependency pool (the first rule is
@@ -148,22 +148,23 @@ fn check_family(family: &Family, picks: &[bool], facts: &[(bool, u8, bool, u8)])
     // whose conclusion is already satisfied) and mint different
     // nulls, but the result must be a universal solution for the
     // same input: hom-equivalent to both oblivious runs.
+    let (cfg, mut stats) = (HomConfig::default(), HomStats::default());
     assert!(
-        hom_equivalent(&naive.instance, &restricted.instance),
+        hom_equivalent(&naive.instance, &restricted.instance, &cfg, &mut stats).holds(),
         "naive and restricted must be hom-equivalent"
     );
     assert!(
-        hom_equivalent(&semi.instance, &restricted.instance),
+        hom_equivalent(&semi.instance, &restricted.instance, &cfg, &mut stats).holds(),
         "semi-naive and restricted must be hom-equivalent"
     );
 
     // Hom-equivalent instances have isomorphic cores: identical up
     // to renumbering the labeled nulls.
-    let naive_core = core_of(&naive.instance).core;
-    let restricted_core = core_of(&restricted.instance).core;
+    let naive_core = core_of(&naive.instance, &cfg).result.core;
+    let restricted_core = core_of(&restricted.instance, &cfg).result.core;
     assert_eq!(naive_core.len(), restricted_core.len());
     assert!(
-        is_isomorphic(&naive_core, &restricted_core),
+        find_iso(&naive_core, &restricted_core, &cfg, &mut stats).unwrap().is_some(),
         "cores must agree up to null renumbering"
     );
 }

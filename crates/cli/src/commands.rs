@@ -709,7 +709,7 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
     let mut checker = Checker::new(opts);
     let fwd = checker.settle(
         "I1 -> I2",
-        |cfg, st| Ok(rde_hom::find_hom_budgeted(&i1, &i2, &Default::default(), cfg, st)),
+        |cfg, st| Ok(rde_hom::find_hom(&i1, &i2, &Default::default(), cfg, st)),
         |found| found.as_ref().err().copied(),
     )?;
     let fwd = match fwd {
@@ -730,7 +730,7 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
     };
     let bwd = checker.settle(
         "I2 -> I1",
-        |cfg, st| Ok(rde_hom::exists_hom_budgeted(&i2, &i1, cfg, st)),
+        |cfg, st| Ok(rde_hom::exists_hom(&i2, &i1, cfg, st)),
         verdict_unknown,
     )?;
     if !bwd.is_unknown() {
@@ -740,11 +740,18 @@ fn cmd_hom(opts: &Options) -> Result<(), CliError> {
     // already searched: a definite NO in either beats an UNKNOWN.
     match fwd.and(bwd) {
         Verdict::Unknown { budget } => print_unknown("hom-equivalent", budget),
-        equivalent => {
+        Verdict::Fails => println!("hom-equivalent: false; isomorphic: false"),
+        Verdict::Holds => {
             // Isomorphic instances are hom-equivalent, so only an
-            // equivalent pair needs the isomorphism search.
-            let isomorphic = equivalent.holds() && rde_hom::is_isomorphic(&i1, &i2);
-            println!("hom-equivalent: {}; isomorphic: {isomorphic}", equivalent.holds());
+            // equivalent pair needs the isomorphism search, which runs
+            // under the same budgets as the two directions.
+            let iso = checker.settle(
+                "isomorphic",
+                |cfg, st| Ok(rde_hom::find_iso(&i1, &i2, cfg, st)),
+                |found| found.as_ref().err().copied(),
+            )?;
+            let isomorphic = iso.map_or("UNKNOWN".to_string(), |found| found.is_some().to_string());
+            println!("hom-equivalent: true; isomorphic: {isomorphic}");
         }
     }
     checker.finish()

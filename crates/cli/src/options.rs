@@ -1,5 +1,7 @@
 //! Flag parsing for the `rde` CLI.
 
+use std::str::FromStr;
+
 use rde_chase::ChaseVariant;
 
 /// Parsed command-line options: positional arguments plus the bounded-
@@ -138,173 +140,59 @@ impl Default for Options {
     }
 }
 
+/// The integer value of the valued flag `name`, taken from `it`.
+fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<T, String> {
+    it.next()
+        .ok_or_else(|| format!("{name} requires a value"))?
+        .parse()
+        .map_err(|_| format!("{name} requires an integer value"))
+}
+
+/// The text operand of the flag `name`, taken from `it` and described
+/// as `what` when it is missing.
+fn text(it: &mut std::slice::Iter<'_, String>, name: &str, what: &str) -> Result<String, String> {
+    it.next().cloned().ok_or_else(|| format!("{name} requires {what}"))
+}
+
 impl Options {
     /// Parse `args` (everything after the subcommand).
     pub fn parse(args: &[String]) -> Result<Options, String> {
         let mut opts = Options::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            let mut flag = |name: &str| -> Result<usize, String> {
-                it.next()
-                    .ok_or_else(|| format!("{name} requires a value"))?
-                    .parse::<usize>()
-                    .map_err(|_| format!("{name} requires an integer value"))
-            };
-            match arg.as_str() {
-                "--consts" => opts.consts = flag("--consts")?,
-                "--nulls" => opts.nulls = flag("--nulls")?,
-                "--facts" => opts.facts = flag("--facts")?,
-                "--examples" => opts.examples = flag("--examples")?,
-                "--node-budget" => {
-                    opts.node_budget = Some(
-                        it.next()
-                            .ok_or_else(|| "--node-budget requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| "--node-budget requires an integer value".to_string())?,
-                    );
-                }
-                "--time-budget-ms" => {
-                    opts.time_budget_ms = Some(
-                        it.next()
-                            .ok_or_else(|| "--time-budget-ms requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| {
-                                "--time-budget-ms requires an integer value".to_string()
-                            })?,
-                    );
-                }
-                "--retries" => {
-                    opts.retries = it
-                        .next()
-                        .ok_or_else(|| "--retries requires a value".to_string())?
-                        .parse::<u32>()
-                        .map_err(|_| "--retries requires an integer value".to_string())?;
-                }
-                "--deadline-ms" => {
-                    opts.deadline_ms = Some(
-                        it.next()
-                            .ok_or_else(|| "--deadline-ms requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| "--deadline-ms requires an integer value".to_string())?,
-                    );
-                }
-                "--trace-out" => {
-                    opts.trace_out = Some(
-                        it.next().ok_or_else(|| "--trace-out requires a path".to_string())?.clone(),
-                    );
-                }
-                "--checkpoint" => {
-                    opts.checkpoint = Some(
-                        it.next()
-                            .ok_or_else(|| "--checkpoint requires a path".to_string())?
-                            .clone(),
-                    );
-                }
-                "--checkpoint-every" => {
-                    opts.checkpoint_every = it
-                        .next()
-                        .ok_or_else(|| "--checkpoint-every requires a value".to_string())?
-                        .parse::<u64>()
-                        .map_err(|_| "--checkpoint-every requires an integer value".to_string())?;
-                }
-                "--resume" => {
-                    opts.resume = Some(
-                        it.next().ok_or_else(|| "--resume requires a path".to_string())?.clone(),
-                    );
-                }
-                "--addr" => {
-                    opts.addr = Some(
-                        it.next().ok_or_else(|| "--addr requires host:port".to_string())?.clone(),
-                    );
-                }
-                "--max-inflight" => opts.max_inflight = Some(flag("--max-inflight")?),
-                "--cache-memo" => opts.cache_memo = Some(flag("--cache-memo")?),
-                "--cache-classes" => opts.cache_classes = Some(flag("--cache-classes")?),
-                "--server-deadline-ms" => {
-                    opts.server_deadline_ms = Some(
-                        it.next()
-                            .ok_or_else(|| "--server-deadline-ms requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| {
-                                "--server-deadline-ms requires an integer value".to_string()
-                            })?,
-                    );
-                }
-                "--access-log" => {
-                    opts.access_log = Some(
-                        it.next()
-                            .ok_or_else(|| "--access-log requires a path".to_string())?
-                            .clone(),
-                    );
-                }
-                "--trace-slow-ms" => {
-                    opts.trace_slow_ms = Some(
-                        it.next()
-                            .ok_or_else(|| "--trace-slow-ms requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| "--trace-slow-ms requires an integer value".to_string())?,
-                    );
-                }
-                "--interval-ms" => {
-                    opts.interval_ms = it
-                        .next()
-                        .ok_or_else(|| "--interval-ms requires a value".to_string())?
-                        .parse::<u64>()
-                        .map_err(|_| "--interval-ms requires an integer value".to_string())?;
-                }
-                "--iterations" => {
-                    opts.iterations = Some(
-                        it.next()
-                            .ok_or_else(|| "--iterations requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| "--iterations requires an integer value".to_string())?,
-                    );
-                }
-                "--request-id" => {
-                    opts.request_id = Some(
-                        it.next()
-                            .ok_or_else(|| "--request-id requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| "--request-id requires an integer value".to_string())?,
-                    );
-                }
+            let name = arg.as_str();
+            match name {
+                "--consts" => opts.consts = value(&mut it, name)?,
+                "--nulls" => opts.nulls = value(&mut it, name)?,
+                "--facts" => opts.facts = value(&mut it, name)?,
+                "--examples" => opts.examples = value(&mut it, name)?,
+                "--node-budget" => opts.node_budget = Some(value(&mut it, name)?),
+                "--time-budget-ms" => opts.time_budget_ms = Some(value(&mut it, name)?),
+                "--retries" => opts.retries = value(&mut it, name)?,
+                "--deadline-ms" => opts.deadline_ms = Some(value(&mut it, name)?),
+                "--trace-out" => opts.trace_out = Some(text(&mut it, name, "a path")?),
+                "--checkpoint" => opts.checkpoint = Some(text(&mut it, name, "a path")?),
+                "--checkpoint-every" => opts.checkpoint_every = value(&mut it, name)?,
+                "--resume" => opts.resume = Some(text(&mut it, name, "a path")?),
+                "--addr" => opts.addr = Some(text(&mut it, name, "host:port")?),
+                "--max-inflight" => opts.max_inflight = Some(value(&mut it, name)?),
+                "--cache-memo" => opts.cache_memo = Some(value(&mut it, name)?),
+                "--cache-classes" => opts.cache_classes = Some(value(&mut it, name)?),
+                "--server-deadline-ms" => opts.server_deadline_ms = Some(value(&mut it, name)?),
+                "--access-log" => opts.access_log = Some(text(&mut it, name, "a path")?),
+                "--trace-slow-ms" => opts.trace_slow_ms = Some(value(&mut it, name)?),
+                "--interval-ms" => opts.interval_ms = value(&mut it, name)?,
+                "--iterations" => opts.iterations = Some(value(&mut it, name)?),
+                "--request-id" => opts.request_id = Some(value(&mut it, name)?),
                 "--tenant-quota" => {
-                    opts.tenant_quotas.push(
-                        it.next()
-                            .ok_or_else(|| "--tenant-quota requires NAME=rps[:burst]".to_string())?
-                            .clone(),
-                    );
+                    opts.tenant_quotas.push(text(&mut it, name, "NAME=rps[:burst]")?);
                 }
-                "--conn-idle-ms" => {
-                    opts.conn_idle_ms = Some(
-                        it.next()
-                            .ok_or_else(|| "--conn-idle-ms requires a value".to_string())?
-                            .parse::<u64>()
-                            .map_err(|_| "--conn-idle-ms requires an integer value".to_string())?,
-                    );
-                }
-                "--max-strikes" => {
-                    opts.max_strikes = Some(
-                        it.next()
-                            .ok_or_else(|| "--max-strikes requires a value".to_string())?
-                            .parse::<u32>()
-                            .map_err(|_| "--max-strikes requires an integer value".to_string())?,
-                    );
-                }
-                "--tenant" => {
-                    opts.tenant = Some(
-                        it.next().ok_or_else(|| "--tenant requires a name".to_string())?.clone(),
-                    );
-                }
+                "--conn-idle-ms" => opts.conn_idle_ms = Some(value(&mut it, name)?),
+                "--max-strikes" => opts.max_strikes = Some(value(&mut it, name)?),
+                "--tenant" => opts.tenant = Some(text(&mut it, name, "a name")?),
                 "--variant" => {
-                    opts.variant = Some(
-                        it.next()
-                            .ok_or_else(|| {
-                                "--variant requires `naive`, `semi-naive`, or `restricted`"
-                                    .to_string()
-                            })?
-                            .parse::<ChaseVariant>()?,
-                    );
+                    let what = "`naive`, `semi-naive`, or `restricted`";
+                    opts.variant = Some(text(&mut it, name, what)?.parse::<ChaseVariant>()?);
                 }
                 "--require-terminating" => opts.require_terminating = true,
                 "--metrics" => opts.metrics = true,
@@ -496,8 +384,47 @@ mod tests {
 
     #[test]
     fn bad_flags_are_reported() {
-        assert!(Options::parse(&strings(&["--consts"])).is_err());
-        assert!(Options::parse(&strings(&["--consts", "x"])).is_err());
-        assert!(Options::parse(&strings(&["--wat", "1"])).is_err());
+        const VALUED: &[&str] = &[
+            "--consts",
+            "--nulls",
+            "--facts",
+            "--examples",
+            "--node-budget",
+            "--time-budget-ms",
+            "--retries",
+            "--deadline-ms",
+            "--checkpoint-every",
+            "--max-inflight",
+            "--cache-memo",
+            "--cache-classes",
+            "--server-deadline-ms",
+            "--trace-slow-ms",
+            "--interval-ms",
+            "--iterations",
+            "--request-id",
+            "--conn-idle-ms",
+            "--max-strikes",
+        ];
+        for flag in VALUED {
+            let missing = Options::parse(&strings(&[flag])).unwrap_err();
+            assert_eq!(missing, format!("{flag} requires a value"));
+            let bad = Options::parse(&strings(&[flag, "x"])).unwrap_err();
+            assert_eq!(bad, format!("{flag} requires an integer value"));
+        }
+        const TEXT: &[(&str, &str)] = &[
+            ("--trace-out", "a path"),
+            ("--checkpoint", "a path"),
+            ("--resume", "a path"),
+            ("--access-log", "a path"),
+            ("--addr", "host:port"),
+            ("--tenant-quota", "NAME=rps[:burst]"),
+            ("--tenant", "a name"),
+            ("--variant", "`naive`, `semi-naive`, or `restricted`"),
+        ];
+        for (flag, what) in TEXT {
+            let missing = Options::parse(&strings(&[flag])).unwrap_err();
+            assert_eq!(missing, format!("{flag} requires {what}"));
+        }
+        assert_eq!(Options::parse(&strings(&["--wat", "1"])).unwrap_err(), "unknown flag `--wat`");
     }
 }

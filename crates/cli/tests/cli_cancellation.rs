@@ -334,3 +334,27 @@ fn client_deadline_and_dead_servers_stay_distinct() {
     let status = rde().args(["call", &addr, "ping"]).status().expect("spawn rde call");
     assert_eq!(status.code(), Some(1), "{status:?}");
 }
+
+#[test]
+fn the_isomorphism_search_runs_under_the_node_budget() {
+    // Three interchangeable nulls: each direction finds a homomorphism
+    // in three nodes (everything onto `?a`), but the isomorphism search
+    // enumerates non-injective homomorphisms first and needs more.
+    let path = std::env::temp_dir().join(format!("rde-iso-{}.inst", std::process::id()));
+    std::fs::write(&path, "R(?a)\nR(?b)\nR(?c)\n").unwrap();
+    let inst = path.to_string_lossy().into_owned();
+    let run = |extra: &[&str]| {
+        let output = rde().args(["hom", &inst, &inst]).args(extra).output().expect("spawn rde");
+        assert_eq!(output.status.code(), Some(0), "{extra:?}: {:?}", output.status);
+        String::from_utf8_lossy(&output.stdout).into_owned()
+    };
+    let cut = run(&["--node-budget", "3"]);
+    let unbounded = run(&[]);
+    let retried = run(&["--node-budget", "3", "--retries", "4"]);
+    std::fs::remove_file(&path).unwrap();
+    assert!(cut.contains("I1 -> I2: YES") && cut.contains("I2 -> I1: YES"), "{cut}");
+    assert!(cut.contains("isomorphic: UNKNOWN (node budget of 3 exhausted)"), "{cut}");
+    assert!(cut.ends_with("hom-equivalent: true; isomorphic: UNKNOWN\n"), "{cut}");
+    assert!(unbounded.ends_with("hom-equivalent: true; isomorphic: true\n"), "{unbounded}");
+    assert!(retried.ends_with("hom-equivalent: true; isomorphic: true\n"), "{retried}");
+}

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 use rde_chase::{chase_mapping, ChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_hom::{core_of_budgeted, exists_hom, exists_hom_budgeted, HomConfig, HomStats, Verdict};
+use rde_hom::{core_of, exists_hom, HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, NullId, Value, Vocabulary};
 
@@ -28,7 +28,7 @@ pub fn arrow_m(
 ) -> Result<bool, CoreError> {
     let c1 = chase_mapping(i1, mapping, vocab, &ChaseOptions::default())?;
     let c2 = chase_mapping(i2, mapping, vocab, &ChaseOptions::default())?;
-    Ok(exists_hom(&c1, &c2))
+    Ok(exists_hom(&c1, &c2, &HomConfig::default(), &mut HomStats::default()).holds())
 }
 
 /// Work counters of an [`ArrowMCache`]: how far canonicalization
@@ -237,7 +237,7 @@ impl ArrowMCache {
                 return Err(CoreError::Cancelled);
             }
             let c = chase_mapping(i, mapping, vocab, &chase_options)?;
-            let outcome = core_of_budgeted(&c, config);
+            let outcome = core_of(&c, config);
             hom += outcome.stats;
             let core = outcome.result.core;
             let cid = *by_fp.entry(fingerprint(&core)).or_insert_with(|| {
@@ -298,7 +298,7 @@ impl ArrowMCache {
         config: &HomConfig,
     ) -> Result<ClassHandle, CoreError> {
         let c = chase_mapping(instance, mapping, vocab, &chase_options(config))?;
-        let outcome = core_of_budgeted(&c, config);
+        let outcome = core_of(&c, config);
         self.lock_stats().hom += outcome.stats;
         let core = outcome.result.core;
         let fp = fingerprint(&core);
@@ -390,7 +390,7 @@ impl ArrowMCache {
         }
         rde_obs::counter!("core.arrow.misses").inc();
         let mut search = HomStats::default();
-        let verdict = exists_hom_budgeted(rep_a, rep_b, config, &mut search);
+        let verdict = exists_hom(rep_a, rep_b, config, &mut search);
         let mut stats = self.lock_stats();
         stats.misses += 1;
         stats.hom += search;
@@ -505,6 +505,10 @@ mod tests {
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
 
+    fn hom(a: &Instance, b: &Instance) -> bool {
+        exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+
     #[test]
     fn copy_mapping_arrow_is_hom() {
         // For the copy mapping, →_M coincides with → (Example 6.7).
@@ -515,7 +519,7 @@ mod tests {
         for a in &family {
             for b in &family {
                 let lhs = arrow_m(&m, a, b, &mut v).unwrap();
-                let rhs = exists_hom(a, b);
+                let rhs = hom(a, b);
                 assert_eq!(lhs, rhs, "copy mapping must not change the relation: {a:?} vs {b:?}");
             }
         }
@@ -532,7 +536,7 @@ mod tests {
         let i2 = parse_instance(&mut v, "Q(0)").unwrap();
         assert!(arrow_m(&m, &i1, &i2, &mut v).unwrap());
         assert!(arrow_m(&m, &i2, &i1, &mut v).unwrap());
-        assert!(!exists_hom(&i1, &i2));
+        assert!(!hom(&i1, &i2));
     }
 
     #[test]
@@ -799,7 +803,7 @@ mod tests {
         let family = u.collect_instances(&v, &m.source).unwrap();
         for a in &family {
             for b in &family {
-                if exists_hom(a, b) {
+                if hom(a, b) {
                     assert!(arrow_m(&m, a, b, &mut v).unwrap());
                 }
             }

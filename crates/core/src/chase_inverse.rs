@@ -3,7 +3,7 @@
 
 use rde_chase::chase;
 use rde_deps::SchemaMapping;
-use rde_hom::{hom_equivalent_budgeted, HomConfig, HomStats, Verdict};
+use rde_hom::{hom_equivalent, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::invertibility::BoundedVerdict;
@@ -40,7 +40,7 @@ pub fn roundtrip_recovers(
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
     let recovered = roundtrip(mapping, reverse, source, vocab, config)?;
-    Ok(hom_equivalent_budgeted(source, &recovered, config, stats))
+    Ok(hom_equivalent(source, &recovered, config, stats))
 }
 
 /// Is `M′` a chase-inverse of `M` over the given family of source
@@ -63,7 +63,7 @@ pub fn find_chase_inverse_counterexample<'a>(
     let mut verdict = BoundedVerdict::HoldsWithinBound;
     for i in sources {
         let recovered = roundtrip(mapping, reverse, i, vocab, config)?;
-        if verdict.absorb(hom_equivalent_budgeted(i, &recovered, config, stats)) {
+        if verdict.absorb(hom_equivalent(i, &recovered, config, stats)) {
             return Ok(BoundedVerdict::Counterexample { i1: i.clone(), i2: recovered });
         }
     }
@@ -129,7 +129,8 @@ mod tests {
                 assert!(f.args().iter().all(|a| a.is_null()), "extra fact {f:?} must be all-null");
             }
         }
-        assert!(rde_hom::exists_hom(&recovered, &i));
+        let (cfg, mut st) = (HomConfig::default(), HomStats::default());
+        assert!(rde_hom::exists_hom(&recovered, &i, &cfg, &mut st).holds());
     }
 
     /// Example 3.19: the Constant-guarded inverse M″ is NOT a

@@ -357,7 +357,8 @@ mod tests {
         let i = parse_instance(&mut v, "P(?w, ?z)").unwrap();
         let empty = Instance::new();
         assert!(member(in_e_composition, &m, &m2, &i, &empty, &mut v));
-        assert!(!exists_hom(&i, &empty), "the leaked pair is outside e(Id)");
+        let (cfg, mut st) = (HomConfig::default(), HomStats::default());
+        assert!(exists_hom(&i, &empty, &cfg, &mut st).fails(), "the leaked pair is outside e(Id)");
         // (I, I) itself still holds — M″ is an extended *recovery*, the
         // failure is maximality/inversehood, matching Example 3.19's
         // chase-inverse refutation.

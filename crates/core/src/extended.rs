@@ -2,19 +2,11 @@
 
 use rde_chase::chase_mapping;
 use rde_deps::SchemaMapping;
-use rde_hom::{
-    exists_hom, exists_hom_budgeted, hom_equivalent_budgeted, HomConfig, HomStats, Verdict,
-};
+use rde_hom::{exists_hom, hom_equivalent, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::semantics::satisfies;
 use crate::{chase_options, CoreError, Universe};
-
-/// The extended identity: `(I₁, I₂) ∈ e(Id)` iff `I₁ → I₂`
-/// (Definition 3.7 — `e(Id)` *is* the homomorphism relation).
-pub fn in_extended_identity(i1: &Instance, i2: &Instance) -> bool {
-    exists_hom(i1, i2)
-}
 
 /// Is `J` an extended solution for `I` w.r.t. a **tgd-specified** `M`
 /// (Definition 3.2)?
@@ -35,7 +27,7 @@ pub fn is_extended_solution(
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
     let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
-    Ok(exists_hom_budgeted(&canonical, target, config, stats))
+    Ok(exists_hom(&canonical, target, config, stats))
 }
 
 /// Is `J` an extended **universal** solution for `I` (Definition 3.5):
@@ -55,7 +47,7 @@ pub fn is_extended_universal_solution(
     stats: &mut HomStats,
 ) -> Result<Verdict, CoreError> {
     let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
-    Ok(hom_equivalent_budgeted(&canonical, target, config, stats))
+    Ok(hom_equivalent(&canonical, target, config, stats))
 }
 
 /// Definition-level extended-solution check for **arbitrary**
@@ -74,12 +66,15 @@ pub fn is_extended_solution_bounded(
 ) -> Result<bool, CoreError> {
     let sources = universe.collect_instances(vocab, &mapping.source).map_err(invalid)?;
     let targets = universe.collect_instances(vocab, &mapping.target).map_err(invalid)?;
+    let maps = |a: &Instance, b: &Instance| {
+        exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    };
     for i_prime in &sources {
-        if !exists_hom(source, i_prime) {
+        if !maps(source, i_prime) {
             continue;
         }
         for j_prime in &targets {
-            if satisfies(i_prime, j_prime, mapping) && exists_hom(j_prime, target) {
+            if satisfies(i_prime, j_prime, mapping) && maps(j_prime, target) {
                 return Ok(true);
             }
         }
@@ -125,7 +120,7 @@ mod tests {
         let m = decomposition(&mut v);
         let vi = parse_instance(&mut v, "P(a, b, ?z)\nP(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(a,b)\nR(b,c)").unwrap();
-        assert!(!crate::semantics::is_solution(&vi, &u, &m));
+        assert!(!crate::semantics::satisfies(&vi, &u, &m));
         assert!(esol(&vi, &u, &m, &mut v));
     }
 
@@ -139,7 +134,7 @@ mod tests {
         let i = parse_instance(&mut v, "P(a, b, c)").unwrap();
         let universe = Universe::new(&mut v, 3, 1, 3);
         for j in universe.instances(&v, &m.target).unwrap() {
-            let sol = crate::semantics::is_solution(&i, &j, &m);
+            let sol = crate::semantics::satisfies(&i, &j, &m);
             let esol = esol(&i, &j, &m, &mut v);
             assert_eq!(sol, esol, "disagreement on {j:?}");
         }
@@ -152,7 +147,7 @@ mod tests {
         let m = decomposition(&mut v);
         let i = parse_instance(&mut v, "P(?x, b, c)").unwrap();
         let u = parse_instance(&mut v, "Q(d, b)\nR(b, c)").unwrap();
-        assert!(!crate::semantics::is_solution(&i, &u, &m));
+        assert!(!crate::semantics::satisfies(&i, &u, &m));
         assert!(esol(&i, &u, &m, &mut v));
     }
 
@@ -185,14 +180,5 @@ mod tests {
                 assert_eq!(fast, slow, "disagree on I={i:?} J={j:?}");
             }
         }
-    }
-
-    #[test]
-    fn extended_identity_is_the_hom_relation() {
-        let mut v = Vocabulary::new();
-        let a = parse_instance(&mut v, "P(?x)").unwrap();
-        let b = parse_instance(&mut v, "P(k)").unwrap();
-        assert!(in_extended_identity(&a, &b));
-        assert!(!in_extended_identity(&b, &a));
     }
 }

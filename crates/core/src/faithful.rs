@@ -2,7 +2,7 @@
 
 use rde_chase::{chase_mapping, disjunctive_chase};
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom_budgeted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, HomConfig, HomStats, Verdict};
 use rde_model::fx::FxHashSet;
 use rde_model::{Instance, Vocabulary};
 
@@ -143,7 +143,7 @@ fn conditions(
     let mut every_leaf_exports_at_least = Verdict::Holds;
     for c in &chased_leaves {
         every_leaf_exports_at_least =
-            every_leaf_exports_at_least.and(exists_hom_budgeted(u, c, config, stats));
+            every_leaf_exports_at_least.and(exists_hom(u, c, config, stats));
         if every_leaf_exports_at_least.fails() {
             break;
         }
@@ -152,7 +152,7 @@ fn conditions(
     let mut universality_within_bound = Verdict::Holds;
     let mut universality_counterexample = None;
     for (i_prime, chased) in probes.iter().zip(probe_chases) {
-        let reached = exists_hom_budgeted(u, chased, config, stats);
+        let reached = exists_hom(u, chased, config, stats);
         if reached.fails() {
             continue;
         }

@@ -15,7 +15,7 @@
 //! Proposition 4.2's experiment demonstrate side by side with the
 //! extended notions.
 
-use rde_chase::{chase_mapping, ChaseOptions};
+use rde_chase::chase_mapping;
 use rde_deps::SchemaMapping;
 use rde_hom::{HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
@@ -24,7 +24,8 @@ use crate::arrow::{ArrowMCache, CachePolicy};
 use crate::compose::in_composition;
 use crate::invertibility::BoundedVerdict;
 use crate::loss::{census, LossReport};
-use crate::{CoreError, Universe};
+use crate::semantics::satisfies_budgeted;
+use crate::{chase_options, CoreError, Universe};
 
 /// The ground instances of `universe` over `mapping`'s source schema.
 fn ground_family(
@@ -114,37 +115,50 @@ pub fn check_subset_property(
 /// active-domain-preserving homomorphism, so if it is a solution for
 /// `I′` then so is every solution of `I` (chase-invented nulls are
 /// globally fresh, hence disjoint from `adom(I′)`).
+///
+/// Every satisfaction check obeys `config`; the implications combine by
+/// Kleene logic, so one definite violation refutes the witness.
 pub fn is_witness_for(
     mapping: &SchemaMapping,
     target: &Instance,
     source: &Instance,
     candidates: &[Instance],
     vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    let chase_i = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let chase_i = chase_mapping(source, mapping, vocab, &chase_options(config))?;
+    let mut verdict = Verdict::Holds;
     for i_prime in candidates {
-        if crate::semantics::is_solution(i_prime, target, mapping)
-            && !crate::semantics::is_solution(i_prime, &chase_i, mapping)
-        {
-            return Ok(false);
+        let solves = satisfies_budgeted(i_prime, target, mapping, config, stats);
+        if solves.fails() {
+            continue;
+        }
+        let implied = satisfies_budgeted(i_prime, &chase_i, mapping, config, stats);
+        verdict = verdict.and((!solves).or(implied));
+        if verdict.fails() {
+            break;
         }
     }
-    Ok(true)
+    Ok(verdict)
 }
 
 /// Is `J` a **witness solution** for `I` (a witness that is also a
-/// solution)?
+/// solution)? Kleene conjunction of the two, under `config`.
 pub fn is_witness_solution(
     mapping: &SchemaMapping,
     target: &Instance,
     source: &Instance,
     candidates: &[Instance],
     vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    if !crate::semantics::is_solution(source, target, mapping) {
-        return Ok(false);
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let solution = satisfies_budgeted(source, target, mapping, config, stats);
+    if solution.fails() {
+        return Ok(Verdict::Fails);
     }
-    is_witness_for(mapping, target, source, candidates, vocab)
+    Ok(solution.and(is_witness_for(mapping, target, source, candidates, vocab, config, stats)?))
 }
 
 /// Ground information-loss census (Definition 4.17 / Proposition 4.19):
@@ -231,12 +245,35 @@ mod tests {
         let candidates = u.collect_instances(&v, &m.source).unwrap();
         let i = parse_instance(&mut v, "P(u0)").unwrap();
         let j = parse_instance(&mut v, "Q(u0)").unwrap();
-        assert!(is_witness_solution(&m, &j, &i, &candidates, &mut v).unwrap());
+        let (cfg, mut st) = (HomConfig::default(), HomStats::default());
+        assert!(is_witness_solution(&m, &j, &i, &candidates, &mut v, &cfg, &mut st)
+            .unwrap()
+            .holds());
         // An overly large target is a solution but not a witness: it is
         // also a solution for bigger sources.
         let too_big = parse_instance(&mut v, "Q(u0)\nQ(u1)").unwrap();
-        assert!(crate::semantics::is_solution(&i, &too_big, &m));
-        assert!(!is_witness_solution(&m, &too_big, &i, &candidates, &mut v).unwrap());
+        assert!(crate::semantics::satisfies(&i, &too_big, &m));
+        let refuted = is_witness_solution(&m, &too_big, &i, &candidates, &mut v, &cfg, &mut st);
+        assert!(refuted.unwrap().fails());
+    }
+
+    /// A candidate check cut by the budget leaves the witness question
+    /// open: it is never taken as passed.
+    #[test]
+    fn a_cut_candidate_check_is_not_a_pass() {
+        let mut v = Vocabulary::new();
+        let m = parse_mapping(&mut v, "source: P/1\ntarget: Q/1\nP(x) -> Q(x)").unwrap();
+        let j = parse_instance(&mut v, "Q(a)").unwrap();
+        let candidates = [parse_instance(&mut v, "P(a)").unwrap()];
+        let source = Instance::new();
+        let mut witness = |node_budget| {
+            let cfg = HomConfig { node_budget, ..HomConfig::default() };
+            let mut st = HomStats::default();
+            is_witness_for(&m, &j, &source, &candidates, &mut v, &cfg, &mut st).unwrap()
+        };
+        // J solves {P(a)} but chase_M(∅) = ∅ does not: J is no witness.
+        assert!(witness(None).fails());
+        assert!(witness(Some(0)).is_unknown());
     }
 
     /// Ground information loss of the projection mapping is nonempty and

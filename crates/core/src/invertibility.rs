@@ -3,7 +3,7 @@
 
 use rde_chase::chase_mapping;
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::arrow::{ArrowMCache, CachePolicy};
@@ -110,19 +110,17 @@ pub fn check_homomorphism_property_cached(
             match cache.arrow(a, b, config) {
                 Verdict::Fails => {}
                 Verdict::Unknown { budget } => unsettled = unsettled.or(Some(budget)),
-                Verdict::Holds => {
-                    match exists_hom_budgeted(&family[a], &family[b], config, stats) {
-                        Verdict::Holds => {}
-                        Verdict::Unknown { budget } => unsettled = unsettled.or(Some(budget)),
-                        Verdict::Fails => {
-                            verdict = BoundedVerdict::Counterexample {
-                                i1: family[a].clone(),
-                                i2: family[b].clone(),
-                            };
-                            break 'scan;
-                        }
+                Verdict::Holds => match exists_hom(&family[a], &family[b], config, stats) {
+                    Verdict::Holds => {}
+                    Verdict::Unknown { budget } => unsettled = unsettled.or(Some(budget)),
+                    Verdict::Fails => {
+                        verdict = BoundedVerdict::Counterexample {
+                            i1: family[a].clone(),
+                            i2: family[b].clone(),
+                        };
+                        break 'scan;
                     }
-                }
+                },
             }
         }
     }
@@ -155,7 +153,7 @@ pub fn captures_bounded(
         if solution.fails() {
             continue;
         }
-        let maps = exists_hom_budgeted(k, source, config, stats);
+        let maps = exists_hom(k, source, config, stats);
         verdict = verdict.and(!solution.and(!maps));
     }
     Ok(verdict)
@@ -187,7 +185,6 @@ pub fn check_chase_is_capturing(
 mod tests {
     use super::*;
     use rde_deps::parse_mapping;
-    use rde_hom::exists_hom;
     use rde_model::parse::parse_instance;
 
     fn unbounded() -> (HomConfig, HomStats) {
@@ -207,7 +204,8 @@ mod tests {
             BoundedVerdict::Counterexample { i1, i2 } => {
                 assert_eq!(i1.len(), 1);
                 assert_eq!(i2.len(), 1);
-                assert!(!exists_hom(&i1, &i2));
+                let (cfg, mut st) = unbounded();
+                assert!(exists_hom(&i1, &i2, &cfg, &mut st).fails());
             }
             other => panic!("union mapping must fail, got {other:?}"),
         }

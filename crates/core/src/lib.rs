@@ -7,9 +7,10 @@
 //!
 //! * [`semantics`] — satisfaction `(I, J) ⊨ Σ`, solutions, universal
 //!   solutions (Section 2);
-//! * [`extended`] — extended solutions, extended universal solutions,
-//!   the homomorphic extension `e(M)` and the extended identity `e(Id)`
-//!   (Section 3, Definitions 3.2–3.7);
+//! * [`extended`] — extended solutions, extended universal solutions
+//!   and the homomorphic extension `e(M)` (Section 3, Definitions
+//!   3.2–3.7; the extended identity `e(Id)` is `→` itself,
+//!   `rde_hom::exists_hom`);
 //! * [`invertibility`] — capturing functions, the homomorphism property,
 //!   extended invertibility (Theorems 3.10 and 3.13);
 //! * [`chase_inverse`] — chase-inverses and their equivalence with
@@ -88,7 +89,7 @@ use std::borrow::Borrow;
 
 use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom_budgeted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 /// Options for every chase a checker runs: `config`'s time budget and
@@ -128,7 +129,7 @@ pub(crate) fn some_maps_into(
 ) -> Verdict {
     let mut verdict = Verdict::Fails;
     for source in sources {
-        verdict = verdict.or(exists_hom_budgeted(source.borrow(), target, config, stats));
+        verdict = verdict.or(exists_hom(source.borrow(), target, config, stats));
         if verdict.holds() {
             break;
         }

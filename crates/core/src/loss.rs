@@ -8,7 +8,7 @@
 //! can enumerate and count — a quantitative, comparable measure.
 
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::arrow::{ArrowMCache, CachePolicy};
@@ -65,7 +65,7 @@ pub fn information_loss(
     stats: &mut HomStats,
 ) -> Result<LossReport, CoreError> {
     let family = source_family(mapping, universe, vocab)?;
-    census(mapping, &family, vocab, max_examples, config, stats, exists_hom_budgeted)
+    census(mapping, &family, vocab, max_examples, config, stats, exists_hom)
 }
 
 /// The `n²` census behind [`information_loss`] and its ground
@@ -184,7 +184,7 @@ mod tests {
         // Every example is a genuine →_M \ → pair.
         for (i1, i2) in &report.examples {
             assert!(crate::arrow::arrow_m(&m, i1, i2, &mut v).unwrap());
-            assert!(!rde_hom::exists_hom(i1, i2));
+            assert!(exists_hom(i1, i2, &HomConfig::default(), &mut HomStats::default()).fails());
         }
     }
 

@@ -1,7 +1,7 @@
 //! Extended recoveries and maximum extended recoveries (Section 4).
 
 use rde_deps::SchemaMapping;
-use rde_hom::{exists_hom_budgeted, Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
 use crate::arrow::{ArrowMCache, CachePolicy};
@@ -139,7 +139,7 @@ fn composition_equals(
         for (b, i2) in family.iter().enumerate() {
             let rhs = match arrow {
                 Some(cache) => cache.arrow(a, b, config),
-                None => exists_hom_budgeted(i1, i2, config, stats),
+                None => exists_hom(i1, i2, config, stats),
             };
             let lhs = match rhs {
                 Verdict::Unknown { budget } => Verdict::Unknown { budget },

@@ -1,12 +1,12 @@
 //! The semantic view of schema mappings: satisfaction, solutions,
 //! universal solutions (Section 2).
 
-use rde_chase::{chase_mapping, ChaseOptions, DependencyPlan};
+use rde_chase::{chase_mapping, DependencyPlan};
 use rde_deps::{Dependency, SchemaMapping};
-use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
+use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::{Instance, Vocabulary};
 
-use crate::CoreError;
+use crate::{chase_options, CoreError};
 
 /// Does the pair `(source, target)` satisfy a single dependency?
 ///
@@ -85,33 +85,33 @@ pub fn satisfies_budgeted(
     acc
 }
 
-/// Is `J` a solution for `I` w.r.t. `M` — i.e. `(I, J) ∈ M`
-/// (Section 2)? Alias of [`satisfies`] with solution vocabulary.
-pub fn is_solution(source: &Instance, target: &Instance, mapping: &SchemaMapping) -> bool {
-    satisfies(source, target, mapping)
-}
-
 /// Is `J` a **universal** solution for `I` w.r.t. a tgd-specified `M`?
 ///
 /// `chase_M(I)` is universal and homomorphically maps into every
-/// solution, so `J` is universal iff it is a solution and `J →
-/// chase_M(I)` (then `J → J′` for every solution `J′` by composition).
+/// solution, so `J` is universal iff it is a solution (`(I, J) ∈ M`,
+/// Section 2) and `J → chase_M(I)` (then `J → J′` for every solution
+/// `J′` by composition). Both checks obey `config` and combine by
+/// Kleene conjunction; a definite non-solution skips the chase.
 pub fn is_universal_solution(
     source: &Instance,
     target: &Instance,
     mapping: &SchemaMapping,
     vocab: &mut Vocabulary,
-) -> Result<bool, CoreError> {
-    if !is_solution(source, target, mapping) {
-        return Ok(false);
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Verdict, CoreError> {
+    let solution = satisfies_budgeted(source, target, mapping, config, stats);
+    if solution.fails() {
+        return Ok(Verdict::Fails);
     }
-    let canonical = chase_mapping(source, mapping, vocab, &ChaseOptions::default())?;
-    Ok(rde_hom::exists_hom(target, &canonical))
+    let canonical = chase_mapping(source, mapping, vocab, &chase_options(config))?;
+    Ok(solution.and(exists_hom(target, &canonical, config, stats)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rde_chase::ChaseOptions;
     use rde_deps::parse_mapping;
     use rde_model::parse::parse_instance;
 
@@ -169,19 +169,25 @@ mod tests {
         )
         .unwrap();
         let i = parse_instance(&mut v, "P(a, b)").unwrap();
+        let universal = |v: &mut Vocabulary, j: &Instance| {
+            is_universal_solution(&i, j, &m, v, &HomConfig::default(), &mut HomStats::default())
+                .unwrap()
+        };
         // The canonical chase result is universal.
         let canon = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        assert!(is_universal_solution(&i, &canon, &m, &mut v).unwrap());
+        assert!(universal(&mut v, &canon).holds());
         // A ground completion is a solution but NOT universal.
         let ground = parse_instance(&mut v, "Q(a, c)\nQ(c, b)").unwrap();
-        assert!(is_solution(&i, &ground, &m));
-        assert!(!is_universal_solution(&i, &ground, &m, &mut v).unwrap());
+        assert!(satisfies(&i, &ground, &m));
+        assert!(universal(&mut v, &ground).fails());
         // A padded variant of the canonical solution is still universal.
         let mut padded = canon.clone();
         for f in parse_instance(&mut v, "Q(?extra1, ?extra2)").unwrap().facts() {
             padded.insert(f);
         }
-        assert!(is_universal_solution(&i, &padded, &m, &mut v).unwrap());
+        assert!(universal(&mut v, &padded).holds());
+        // Not a solution at all: refuted before any chase.
+        assert!(universal(&mut v, &Instance::new()).fails());
     }
 
     #[test]

@@ -105,7 +105,10 @@ fn witnesses_die_with_nulls_where_the_paper_says() {
     let candidates: Vec<Instance> = u.collect_instances(&v, &copy.source).unwrap();
     let source = candidates.iter().find(|i| i.is_ground() && i.len() == 1).unwrap().clone();
     let chase = chase_mapping(&source, &copy, &mut v, &ChaseOptions::default()).unwrap();
-    assert!(is_witness_solution(&copy, &chase, &source, &candidates, &mut v).unwrap());
+    let (cfg, mut st) = (HomConfig::default(), HomStats::default());
+    assert!(is_witness_solution(&copy, &chase, &source, &candidates, &mut v, &cfg, &mut st)
+        .unwrap()
+        .holds());
 
     // Two-step: the chase of the paper's instance is NOT a witness once
     // sources with its nulls are admitted as candidates.
@@ -118,7 +121,9 @@ fn witnesses_die_with_nulls_where_the_paper_says() {
         ground_univ.ground_instances(&v, &two_step.source).unwrap().collect();
     ground_candidates.push(source.clone());
     assert!(
-        is_witness_solution(&two_step, &chase, &source, &ground_candidates, &mut v).unwrap(),
+        is_witness_solution(&two_step, &chase, &source, &ground_candidates, &mut v, &cfg, &mut st)
+            .unwrap()
+            .holds(),
         "ground candidates cannot refute the chase"
     );
     // Add candidates over the chase's own nulls: witness refuted.
@@ -131,7 +136,9 @@ fn witnesses_die_with_nulls_where_the_paper_says() {
         }
     }
     assert!(
-        !is_witness_solution(&two_step, &chase, &source, &null_candidates, &mut v).unwrap(),
+        is_witness_solution(&two_step, &chase, &source, &null_candidates, &mut v, &cfg, &mut st)
+            .unwrap()
+            .fails(),
         "null-mentioning candidates must refute the witness (Prop 4.2)"
     );
 }

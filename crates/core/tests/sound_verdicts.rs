@@ -3,10 +3,11 @@
 //! `0, 1, 2, 4, …` and then lifting it must never flip one definite
 //! verdict into the other, and the unbounded verdict is the boolean
 //! check's. The first property covers satisfaction; the second runs
-//! the same ladder over a table of every mapping-level checker.
+//! the same ladder over a table of every mapping-level and pointwise
+//! checker.
 
 use proptest::prelude::*;
-use rde_chase::chase_mapping_default;
+use rde_chase::{chase_mapping, ChaseOptions};
 use rde_core::arrow::arrow_m;
 use rde_core::compare::{compare_lossiness, Comparison};
 use rde_core::invertibility::{check_homomorphism_property_budgeted, BoundedVerdict};
@@ -14,7 +15,9 @@ use rde_core::recovery::{
     check_maximum_extended_recovery, find_extended_recovery_counterexample, MaxRecoveryVerdict,
 };
 use rde_core::semantics::{satisfies, satisfies_budgeted};
-use rde_core::{chase_inverse, extended, faithful, loss, CoreError, Universe};
+use rde_core::{
+    chase_inverse, extended, faithful, ground, loss, mstar, semantics, CoreError, Universe,
+};
 use rde_deps::{parse_mapping, SchemaMapping};
 use rde_faults::ExecContext;
 use rde_hom::{exists_hom, Exhausted, HomConfig, HomStats, Verdict};
@@ -99,7 +102,7 @@ proptest! {
         // Half the targets contain a universal solution (when the
         // mapping has no disjunction to chase), so both verdicts occur.
         if complete {
-            if let Ok(solution) = chase_mapping_default(&i, &m, &mut vocab) {
+            if let Ok(solution) = chase_mapping(&i, &m, &mut vocab, &ChaseOptions::default()) {
                 j = j.union(&solution);
             }
         }
@@ -174,9 +177,10 @@ fn pick(header: &str, pool: &[&str], picks: &[bool]) -> String {
 
 /// One random input of the checker table: two forward mappings over the
 /// same source schema, a reverse mapping (with and without its
-/// disjunction), a tiny universe for the universal checkers, and a
-/// source and a target instance from a larger one for the pointwise
-/// checkers.
+/// disjunction), a tiny universe for the universal checkers, a source
+/// and a target instance from a larger one for the pointwise checkers,
+/// and that target joined with the source's chase, a solution whose
+/// universality and witnesses are the open questions.
 struct Case {
     vocab: Vocabulary,
     m: SchemaMapping,
@@ -185,6 +189,7 @@ struct Case {
     rev_tgd: SchemaMapping,
     i: Instance,
     j: Instance,
+    solution: Instance,
     universe: Universe,
     pointwise: Universe,
 }
@@ -204,7 +209,9 @@ impl Case {
         let sources = pointwise.collect_instances(&vocab, &m.source).unwrap();
         let targets = pointwise.collect_instances(&vocab, &m.target).unwrap();
         let (i, j) = (sources[i % sources.len()].clone(), targets[j % targets.len()].clone());
-        Case { vocab, m, m2, rev, rev_tgd, i, j, universe, pointwise }
+        let chased = chase_mapping(&i, &m, &mut vocab, &ChaseOptions::default()).unwrap();
+        let solution = j.union(&chased);
+        Case { vocab, m, m2, rev, rev_tgd, i, j, solution, universe, pointwise }
     }
 
     fn family(&self) -> Vec<Instance> {
@@ -235,7 +242,8 @@ fn from_bounded(v: BoundedVerdict) -> Answer {
 
 type Check = fn(&mut Case, &HomConfig, &mut HomStats) -> Result<Answer, CoreError>;
 
-/// Every mapping-level checker, each reduced to an [`Answer`].
+/// Every mapping-level and pointwise checker, each reduced to an
+/// [`Answer`].
 const CHECKERS: &[(&str, Check)] = &[
     ("extended solution", |c, cfg, st| {
         let v = extended::is_extended_solution(&c.i, &c.j, &c.m, &mut c.vocab, cfg, st)?;
@@ -301,6 +309,20 @@ const CHECKERS: &[(&str, Check)] = &[
             faithful::check_universal_faithful(&c.m, &c.rev, &c.universe, &mut c.vocab, cfg, st)?;
         Ok(from_verdict(v.map_or(Verdict::Holds, |(_, report)| report.verdict())))
     }),
+    ("universal solution", |c, cfg, st| {
+        let (i, j, m) = (&c.i, &c.solution, &c.m);
+        let v = semantics::is_universal_solution(i, j, m, &mut c.vocab, cfg, st)?;
+        Ok(from_verdict(v))
+    }),
+    ("M* membership", |c, cfg, st| {
+        Ok(from_verdict(mstar::in_m_star(&c.m, &c.solution, &c.i, &mut c.vocab, cfg, st)?))
+    }),
+    ("witness solution", |c, cfg, st| {
+        let family = c.family();
+        let (m, j, i) = (&c.m, &c.solution, &c.i);
+        let v = ground::is_witness_solution(m, j, i, &family, &mut c.vocab, cfg, st)?;
+        Ok(from_verdict(v))
+    }),
 ];
 
 /// The definition-level reference answer of a checker, where one
@@ -311,14 +333,15 @@ fn reference(name: &str, c: &mut Case) -> Option<String> {
     let mut arrows = Vec::new();
     for a in &family {
         for b in &family {
-            arrows.push((arrow_m(&c.m, a, b, &mut c.vocab).unwrap(), exists_hom(a, b)));
+            let hom = exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds();
+            arrows.push((arrow_m(&c.m, a, b, &mut c.vocab).unwrap(), hom));
         }
     }
     match name {
         // Exact when the middle pair (I, chase_M(I)) lies in the
         // universe: a full mapping whose chase fits the fact bound.
         "extended solution" => {
-            let chased = chase_mapping_default(&c.i, &c.m, &mut c.vocab).unwrap();
+            let chased = chase_mapping(&c.i, &c.m, &mut c.vocab, &ChaseOptions::default()).unwrap();
             let targets = c.pointwise.collect_instances(&c.vocab, &c.m.target).unwrap();
             (c.m.is_full_tgd_mapping() && targets.contains(&chased)).then(|| {
                 let (i, j, m) = (&c.i, &c.j, &c.m);

@@ -103,7 +103,8 @@ fn proposition_4_11_grid() {
         for a in 0..n {
             assert!(cache.arrow(a, a, &HomConfig::default()).holds(), "family {name}: reflexivity");
             for b in 0..n {
-                if exists_hom(&family[a], &family[b]) {
+                let mut stats = HomStats::default();
+                if exists_hom(&family[a], &family[b], &HomConfig::default(), &mut stats).holds() {
                     assert!(
                         cache.arrow(a, b, &HomConfig::default()).holds(),
                         "family {name}: → ⊆ →_M"

@@ -29,9 +29,10 @@
 use rde_model::fx::FxHashSet;
 use rde_model::{Fact, Instance, Substitution};
 
-use crate::search::{instance_pattern, HomConfig, HomStats};
+use crate::search::{find_hom, instance_pattern, HomConfig, HomStats};
+use crate::verdict::Exhausted;
 
-/// Result of [`core_of`]: the core and a retraction onto it.
+/// A core and a retraction onto it.
 #[derive(Debug, Clone)]
 pub struct CoreResult {
     /// The core: a sub-instance of the input, hom-equivalent to it.
@@ -41,43 +42,38 @@ pub struct CoreResult {
     pub retraction: Substitution,
 }
 
-/// Result of [`core_of_budgeted`]: the (possibly partial) minimization,
-/// the aggregated search work, and whether every fold test completed.
+/// Result of [`core_of`]: the (possibly partial) minimization, the
+/// aggregated search work, and the budget that cut a fold test, if any.
 #[derive(Debug, Clone)]
 pub struct CoreOutcome {
-    /// The minimized instance and retraction. When [`Self::complete`] is
-    /// false this is still a sound retract of the input (hom-equivalent
+    /// The minimized instance and retraction. When [`Self::exhausted`]
+    /// is set this is still a sound retract of the input (hom-equivalent
     /// sub-instance), just not necessarily minimal.
     pub result: CoreResult,
     /// Aggregated homomorphism-search counters over all fold tests.
     pub stats: HomStats,
-    /// `true` when no fold test was cut short by the budget, i.e. the
+    /// `Some` when a budget cut a fold test short (the first such cut),
+    /// as on [`SearchReport`](crate::SearchReport); `None` means the
     /// result really is the core.
-    pub complete: bool,
-}
-
-/// Compute the core of `instance`.
-///
-/// Worst-case exponential (it performs homomorphism searches), but fast
-/// on chase results, whose redundancy is shallow.
-pub fn core_of(instance: &Instance) -> CoreResult {
-    core_of_budgeted(instance, &HomConfig::default()).result
+    pub exhausted: Option<Exhausted>,
 }
 
 /// Compute the core of `instance` under per-search budgets.
 ///
-/// A fold test cut short by the budget is conservatively treated as
-/// "cannot fold" — the returned instance is then a hom-equivalent
-/// retract of the input but possibly not minimal, and
-/// [`CoreOutcome::complete`] is `false`. Folding steps preserve
-/// hom-equivalence individually, so partial minimization is still sound
-/// wherever only the equivalence class matters (e.g. the arrow cache).
-pub fn core_of_budgeted(instance: &Instance, config: &HomConfig) -> CoreOutcome {
+/// Worst-case exponential (it performs homomorphism searches), but fast
+/// on chase results, whose redundancy is shallow. A fold test cut short
+/// by the budget is conservatively treated as "cannot fold" — the
+/// returned instance is then a hom-equivalent retract of the input but
+/// possibly not minimal, and [`CoreOutcome::exhausted`] names the cut.
+/// Folding steps preserve hom-equivalence individually, so partial
+/// minimization is still sound wherever only the equivalence class
+/// matters (e.g. the arrow cache).
+pub fn core_of(instance: &Instance, config: &HomConfig) -> CoreOutcome {
     let span = rde_obs::span("hom.core_min", &[("facts_in", instance.len().into())]);
     let mut current = instance.clone();
     let mut retraction = Substitution::new();
     let mut stats = HomStats::default();
-    let mut complete = true;
+    let mut exhausted = None;
     let mut attempts: u64 = 0;
     let mut folds: u64 = 0;
     'outer: loop {
@@ -116,9 +112,7 @@ pub fn core_of_budgeted(instance: &Instance, config: &HomConfig) -> CoreOutcome 
                 folds += 1;
                 continue 'outer;
             }
-            if !report.complete() {
-                complete = false;
-            }
+            exhausted = exhausted.or(report.exhausted);
             current.insert(f.clone());
         }
         rde_obs::counter!("hom.core.fold_attempts").add(attempts);
@@ -128,9 +122,10 @@ pub fn core_of_budgeted(instance: &Instance, config: &HomConfig) -> CoreOutcome 
             ("attempts", attempts.into()),
             ("folds", folds.into()),
             ("nodes", stats.nodes.into()),
-            ("complete", complete.into()),
+            ("complete", exhausted.is_none().into()),
         ]);
-        return CoreOutcome { result: CoreResult { core: current, retraction }, stats, complete };
+        let result = CoreResult { core: current, retraction };
+        return CoreOutcome { result, stats, exhausted };
     }
 }
 
@@ -145,7 +140,10 @@ pub fn core_of_quadratic(instance: &Instance) -> CoreResult {
         let candidates: Vec<_> = current.facts().filter(|f| f.has_null()).collect();
         for f in candidates {
             let smaller = current.without_fact(&f);
-            if let Some(h) = crate::search::find_hom(&current, &smaller) {
+            let (cfg, mut stats) = (HomConfig::default(), HomStats::default());
+            if let Ok(Some(h)) =
+                find_hom(&current, &smaller, &Substitution::new(), &cfg, &mut stats)
+            {
                 current = h.apply_instance(&current);
                 retraction = retraction.then(&h);
                 continue 'outer;
@@ -179,7 +177,7 @@ pub fn is_core(instance: &Instance) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hom_equivalent, is_isomorphic};
+    use crate::{find_iso, hom_equivalent};
     use rde_model::{ConstId, Fact, NullId, RelId, Value};
 
     fn c(i: u32) -> Value {
@@ -191,12 +189,18 @@ mod tests {
     fn inst(facts: &[(u32, &[Value])]) -> Instance {
         facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
     }
+    fn core(i: &Instance) -> CoreResult {
+        core_of(i, &HomConfig::default()).result
+    }
+    fn equivalent(a: &Instance, b: &Instance) -> bool {
+        hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
 
     #[test]
     fn ground_instances_are_their_own_core() {
         let i = inst(&[(0, &[c(0), c(1)]), (1, &[c(2)])]);
         assert!(is_core(&i));
-        let r = core_of(&i);
+        let r = core(&i);
         assert_eq!(r.core, i);
         assert!(r.retraction.is_empty());
     }
@@ -206,10 +210,10 @@ mod tests {
         // {P(a,b), P(a,X)} has core {P(a,b)}.
         let i = inst(&[(0, &[c(0), c(1)]), (0, &[c(0), n(0)])]);
         assert!(!is_core(&i));
-        let r = core_of(&i);
+        let r = core(&i);
         assert_eq!(r.core, inst(&[(0, &[c(0), c(1)])]));
         assert_eq!(r.retraction.apply(n(0)), c(1));
-        assert!(hom_equivalent(&i, &r.core));
+        assert!(equivalent(&i, &r.core));
     }
 
     #[test]
@@ -217,7 +221,7 @@ mod tests {
         // {Q(a,X), Q(X,b)} is a core: dropping either fact loses structure.
         let i = inst(&[(0, &[c(0), n(0)]), (0, &[n(0), c(1)])]);
         assert!(is_core(&i));
-        assert_eq!(core_of(&i).core, i);
+        assert_eq!(core(&i).core, i);
     }
 
     #[test]
@@ -226,18 +230,18 @@ mod tests {
         // folds onto the loop.
         let i =
             inst(&[(0, &[c(0), c(0)]), (0, &[n(0), n(1)]), (0, &[n(1), n(2)]), (0, &[n(2), n(0)])]);
-        let r = core_of(&i);
+        let r = core(&i);
         assert_eq!(r.core, inst(&[(0, &[c(0), c(0)])]));
-        assert!(hom_equivalent(&i, &r.core));
+        assert!(equivalent(&i, &r.core));
     }
 
     #[test]
     fn retraction_maps_input_onto_core() {
         let i =
             inst(&[(0, &[c(0), n(0)]), (0, &[c(0), c(1)]), (1, &[n(0), n(1)]), (1, &[c(1), n(2)])]);
-        let r = core_of(&i);
+        let r = core(&i);
         assert!(is_core(&r.core));
-        assert!(hom_equivalent(&i, &r.core));
+        assert!(equivalent(&i, &r.core));
         assert_eq!(r.retraction.apply_instance(&i), r.core);
         assert!(r.core.is_subset_of(&i));
     }
@@ -248,14 +252,14 @@ mod tests {
         // core is a single loop on one null.
         let i =
             inst(&[(0, &[n(0), n(0)]), (0, &[n(0), n(1)]), (0, &[n(1), n(0)]), (0, &[n(1), n(1)])]);
-        let r = core_of(&i);
+        let r = core(&i);
         assert_eq!(r.core.len(), 1);
-        assert!(hom_equivalent(&i, &r.core));
+        assert!(equivalent(&i, &r.core));
     }
 
     #[test]
     fn empty_instance_core() {
-        let r = core_of(&Instance::new());
+        let r = core(&Instance::new());
         assert!(r.core.is_empty());
         assert!(is_core(&Instance::new()));
     }
@@ -273,9 +277,11 @@ mod tests {
             Instance::new(),
         ];
         for i in &cases {
-            let fast = core_of(i);
+            let fast = core(i);
             let slow = core_of_quadratic(i);
-            assert!(is_isomorphic(&fast.core, &slow.core), "{i:?}");
+            let iso =
+                find_iso(&fast.core, &slow.core, &HomConfig::default(), &mut HomStats::default());
+            assert!(iso.unwrap().is_some(), "{i:?}");
             assert_eq!(slow.retraction.apply_instance(i), slow.core);
             assert_eq!(fast.retraction.apply_instance(i), fast.core);
         }
@@ -286,16 +292,16 @@ mod tests {
         let i =
             inst(&[(0, &[c(0), c(0)]), (0, &[n(0), n(1)]), (0, &[n(1), n(2)]), (0, &[n(2), n(0)])]);
         // Unbounded: complete, minimal.
-        let full = core_of_budgeted(&i, &HomConfig::default());
-        assert!(full.complete);
+        let full = core_of(&i, &HomConfig::default());
+        assert_eq!(full.exhausted, None);
         assert!(full.stats.nodes > 0);
         assert!(is_core(&full.result.core));
         // Budget 0: nothing can be tested, so nothing folds — but the
         // result is still a sound (here: trivial) retract.
         let cfg = HomConfig { node_budget: Some(0), ..HomConfig::default() };
-        let cut = core_of_budgeted(&i, &cfg);
-        assert!(!cut.complete);
+        let cut = core_of(&i, &cfg);
+        assert_eq!(cut.exhausted, Some(Exhausted::Nodes(0)));
         assert_eq!(cut.result.core, i);
-        assert!(hom_equivalent(&i, &cut.result.core));
+        assert!(equivalent(&i, &cut.result.core));
     }
 }

@@ -11,32 +11,42 @@
 use rde_model::fx::FxHashSet;
 use rde_model::{Instance, Substitution, Value};
 
-use crate::search::{for_each_hom, HomConfig};
+use crate::search::{for_each_hom, HomConfig, HomStats};
+use crate::verdict::Exhausted;
 
 /// Find an isomorphism from `a` onto `b`, if one exists: an injective
-/// homomorphism whose image is exactly `b`.
+/// homomorphism whose image is exactly `b`. The enumeration runs under
+/// `config`'s budgets and accumulates its work into `stats`.
+///
+/// `Ok(Some(iso))` — a witness; `Ok(None)` — the instances are not
+/// isomorphic; `Err(budget)` — the budget ran out before either.
 ///
 /// Strategy: enumerate homomorphisms `a → b` and keep the first that is
 /// injective on nulls and maps `a` onto all of `b`. Since `a → b`
 /// injectively-onto forces `|a| = |b|`, we reject early on size or
 /// active-domain mismatch.
-pub fn find_iso(a: &Instance, b: &Instance) -> Option<Substitution> {
+pub fn find_iso(
+    a: &Instance,
+    b: &Instance,
+    config: &HomConfig,
+    stats: &mut HomStats,
+) -> Result<Option<Substitution>, Exhausted> {
     if a.len() != b.len() {
-        return None;
+        return Ok(None);
     }
     let a_dom = a.active_domain();
     let b_dom = b.active_domain();
     if a_dom.len() != b_dom.len() {
-        return None;
+        return Ok(None);
     }
     // Same constants on both sides (constants are fixed points).
     let a_consts: FxHashSet<Value> = a_dom.iter().copied().filter(|v| v.is_const()).collect();
     let b_consts: FxHashSet<Value> = b_dom.iter().copied().filter(|v| v.is_const()).collect();
     if a_consts != b_consts {
-        return None;
+        return Ok(None);
     }
     let mut found = None;
-    for_each_hom(a, b, &Substitution::new(), &HomConfig::default(), |sub| {
+    let report = for_each_hom(a, b, &Substitution::new(), config, |sub| {
         // Injective on nulls?
         let mut images = FxHashSet::default();
         let injective = sub.iter().all(|(_, img)| images.insert(img));
@@ -53,12 +63,11 @@ pub fn find_iso(a: &Instance, b: &Instance) -> Option<Substitution> {
         }
         true
     });
-    found
-}
-
-/// Are `a` and `b` isomorphic (equal up to a bijective null renaming)?
-pub fn is_isomorphic(a: &Instance, b: &Instance) -> bool {
-    find_iso(a, b).is_some()
+    stats.merge(report.stats);
+    match (found, report.exhausted) {
+        (None, Some(budget)) => Err(budget),
+        (found, _) => Ok(found),
+    }
 }
 
 #[cfg(test)]
@@ -75,12 +84,18 @@ mod tests {
     fn inst(facts: &[(u32, &[Value])]) -> Instance {
         facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
     }
+    fn iso(a: &Instance, b: &Instance) -> Option<Substitution> {
+        find_iso(a, b, &HomConfig::default(), &mut HomStats::default()).unwrap()
+    }
+    fn isomorphic(a: &Instance, b: &Instance) -> bool {
+        iso(a, b).is_some()
+    }
 
     #[test]
     fn equal_instances_are_isomorphic() {
         let a = inst(&[(0, &[c(0), n(0)]), (1, &[n(0)])]);
-        assert!(is_isomorphic(&a, &a));
-        let id = find_iso(&a, &a).unwrap();
+        assert!(isomorphic(&a, &a));
+        let id = iso(&a, &a).unwrap();
         // The identity (or some automorphism) maps a onto a.
         assert_eq!(id.apply_instance(&a), a);
     }
@@ -89,7 +104,7 @@ mod tests {
     fn null_renaming_is_isomorphic() {
         let a = inst(&[(0, &[n(0), n(1)]), (0, &[n(1), n(0)])]);
         let b = inst(&[(0, &[n(7), n(9)]), (0, &[n(9), n(7)])]);
-        let iso = find_iso(&a, &b).unwrap();
+        let iso = iso(&a, &b).unwrap();
         assert_eq!(iso.apply_instance(&a), b);
     }
 
@@ -98,8 +113,10 @@ mod tests {
         // {P(a,a)} vs {P(a,a), P(a,X)}: hom-equivalent, different sizes.
         let a = inst(&[(0, &[c(0), c(0)])]);
         let b = inst(&[(0, &[c(0), c(0)]), (0, &[c(0), n(0)])]);
-        assert!(crate::hom_equivalent(&a, &b));
-        assert!(!is_isomorphic(&a, &b));
+        assert!(
+            crate::hom_equivalent(&a, &b, &HomConfig::default(), &mut HomStats::default()).holds()
+        );
+        assert!(!isomorphic(&a, &b));
     }
 
     #[test]
@@ -107,25 +124,25 @@ mod tests {
         // Same size, but the only homs fold two nulls together.
         let a = inst(&[(0, &[n(0), n(1)])]);
         let b = inst(&[(0, &[n(5), n(5)])]);
-        assert!(crate::exists_hom(&a, &b));
-        assert!(!is_isomorphic(&a, &b));
+        assert!(crate::exists_hom(&a, &b, &HomConfig::default(), &mut HomStats::default()).holds());
+        assert!(!isomorphic(&a, &b));
         // And in the other direction the hom is injective but not onto
         // the two distinct-null positions... sizes match, domains don't.
-        assert!(!is_isomorphic(&b, &a));
+        assert!(!isomorphic(&b, &a));
     }
 
     #[test]
     fn constants_must_match_exactly() {
         let a = inst(&[(0, &[c(0)])]);
         let b = inst(&[(0, &[c(1)])]);
-        assert!(!is_isomorphic(&a, &b));
+        assert!(!isomorphic(&a, &b));
         let b2 = inst(&[(0, &[n(0)])]);
-        assert!(!is_isomorphic(&a, &b2), "a constant cannot be renamed to a null");
+        assert!(!isomorphic(&a, &b2), "a constant cannot be renamed to a null");
     }
 
     #[test]
     fn empty_instances_are_isomorphic() {
-        assert!(is_isomorphic(&Instance::new(), &Instance::new()));
+        assert!(isomorphic(&Instance::new(), &Instance::new()));
     }
 
     #[test]
@@ -134,6 +151,21 @@ mod tests {
         // Q(a,Z9),Q(Z9,b).
         let run1 = inst(&[(0, &[c(0), n(1)]), (0, &[n(1), c(1)])]);
         let run2 = inst(&[(0, &[c(0), n(9)]), (0, &[n(9), c(1)])]);
-        assert!(is_isomorphic(&run1, &run2));
+        assert!(isomorphic(&run1, &run2));
+    }
+
+    #[test]
+    fn a_cut_enumeration_is_not_a_refutation() {
+        // Equal-sized, same domains: the size checks pass, so only the
+        // enumeration can decide, and a zero budget cuts it.
+        let a = inst(&[(0, &[n(0), n(1)]), (0, &[n(1), n(0)])]);
+        let b = inst(&[(0, &[n(7), n(9)]), (0, &[n(9), n(7)])]);
+        let cfg = HomConfig { node_budget: Some(0), ..HomConfig::default() };
+        let mut stats = HomStats::default();
+        assert_eq!(find_iso(&a, &b, &cfg, &mut stats), Err(Exhausted::Nodes(0)));
+        assert_eq!(stats.nodes, 1, "the cut attempt is accounted");
+        // A size mismatch is decided before any search, at any budget.
+        let smaller = inst(&[(0, &[n(7), n(9)])]);
+        assert_eq!(find_iso(&a, &smaller, &cfg, &mut stats), Ok(None));
     }
 }

@@ -16,19 +16,22 @@
 //! * per-column posting-list indexes from `rde-model` to enumerate
 //!   candidate target tuples for a partially bound fact;
 //! * dynamic fail-first fact ordering (cheapest-candidate-set next);
-//! * node and wall-clock budgets for callers that need interruptible
-//!   search — exhaustion is a completion *status* on the returned
-//!   [`SearchReport`], folded into a three-valued [`Verdict`]
-//!   (`Holds` / `Fails` / `Unknown`) by the budgeted deciders, never a
-//!   panic.
+//! * node and wall-clock budgets and a cancel token, so every search is
+//!   interruptible — exhaustion is a completion *status* on the
+//!   returned [`SearchReport`], folded into a three-valued [`Verdict`]
+//!   (`Holds` / `Fails` / `Unknown`) by the deciders, never a panic.
 //!
-//! Both optimizations can be disabled through [`HomConfig`] — the
-//! ablation benchmarks measure exactly that gap.
+//! Both optimizations can be disabled through [`HomConfig`]; the
+//! differential tests hold the optimized search to those references.
 //!
-//! On top of the search the crate provides homomorphic equivalence and
-//! the **core** (minimum retract) of an instance, which canonicalizes
-//! instances up to homomorphic equivalence — the right notion of
-//! "same instance" in the paper's framework.
+//! Each notion has one entry, and every entry takes a [`HomConfig`]:
+//! [`exists_hom`] and [`find_hom`] (`I₁ → I₂`), [`hom_equivalent`],
+//! [`find_iso`] (equality up to null renaming) and [`core_of`] (the
+//! minimum retract, which canonicalizes instances up to homomorphic
+//! equivalence — the right notion of "same instance" in the paper's
+//! framework). The unbudgeted [`count_homs`], [`is_core`],
+//! [`core_of_quadratic`] and [`for_each_hom`] are the oracles the tests
+//! check the deciders against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,14 +42,11 @@ mod iso;
 mod search;
 mod verdict;
 
-pub use core_min::{
-    core_of, core_of_budgeted, core_of_quadratic, is_core, CoreOutcome, CoreResult,
-};
-pub use equivalence::{hom_equivalent, hom_equivalent_budgeted, hom_equivalent_with};
-pub use iso::{find_iso, is_isomorphic};
+pub use core_min::{core_of, core_of_quadratic, is_core, CoreOutcome, CoreResult};
+pub use equivalence::hom_equivalent;
+pub use iso::find_iso;
 pub use search::{
-    count_homs, exists_hom, exists_hom_budgeted, find_hom, find_hom_budgeted, find_hom_seeded,
-    for_each_hom, instance_pattern, CompiledPattern, HomConfig, HomStats, PatArg, PatternAtom,
-    SearchReport,
+    count_homs, exists_hom, find_hom, for_each_hom, instance_pattern, CompiledPattern, HomConfig,
+    HomStats, PatArg, PatternAtom, SearchReport,
 };
 pub use verdict::{Exhausted, Verdict};

@@ -8,13 +8,13 @@
 //! bound positions), unify, recurse.
 //!
 //! Every search runs under [`HomConfig`]'s (optional) node and
-//! wall-clock budgets. Exhausting a budget is not an error: it is a
-//! completion status on the returned [`SearchReport`], and the budgeted
-//! deciders ([`exists_hom_budgeted`], [`find_hom_budgeted`]) fold it
-//! into a three-valued [`Verdict`]. The unbounded wrappers
-//! ([`exists_hom`], [`find_hom`], [`count_homs`]) stay infallible by
-//! construction — an unbounded search has no budget to exhaust, so
-//! there is no panic path to pretend-handle.
+//! wall-clock budgets and its cancel token. Exhausting a budget is not
+//! an error: it is a completion status on the returned
+//! [`SearchReport`], and the deciders ([`exists_hom`], [`find_hom`])
+//! fold it into a three-valued [`Verdict`] or an [`Exhausted`] error.
+//! Under `HomConfig::default()` nothing can cut a search, so the
+//! answer is always definite. [`count_homs`] is the unbudgeted oracle
+//! the tests hold the deciders to.
 
 use std::time::{Duration, Instant};
 
@@ -31,7 +31,8 @@ use crate::verdict::{Exhausted, Verdict};
 const TIME_CHECK_STRIDE: u64 = 256;
 
 /// Search configuration. The default is complete (no budgets) and fully
-/// optimized; the two flags exist for the ablation benchmarks.
+/// optimized; the two optimization flags are the reference settings of
+/// the differential tests.
 #[derive(Debug, Clone)]
 pub struct HomConfig {
     /// Node budget: the maximum number of candidate-tuple unification
@@ -780,52 +781,29 @@ pub fn for_each_hom(
     report
 }
 
-/// Find one homomorphism `source → target`, if any (complete search).
-pub fn find_hom(source: &Instance, target: &Instance) -> Option<Substitution> {
-    find_hom_seeded(source, target, &Substitution::new())
-}
-
-/// Find one homomorphism extending `seed`, if any (complete search).
-pub fn find_hom_seeded(
-    source: &Instance,
-    target: &Instance,
-    seed: &Substitution,
-) -> Option<Substitution> {
-    let mut result = None;
-    for_each_hom(source, target, seed, &HomConfig::default(), |sub| {
-        result = Some(sub.clone());
-        false
-    });
-    result
-}
-
-/// Decide `source → target` (Definition 3.1's relation).
-pub fn exists_hom(source: &Instance, target: &Instance) -> bool {
-    find_hom(source, target).is_some()
-}
-
-/// Decide `source → target` under `config`'s budgets, accumulating the
-/// search work into `stats`. Returns [`Verdict::Unknown`] when a budget
-/// ran out before a witness was found or the space was exhausted.
-pub fn exists_hom_budgeted(
+/// Decide `source → target` (Definition 3.1's relation) under
+/// `config`'s budgets, accumulating the search work into `stats`.
+/// Returns [`Verdict::Unknown`] when a budget ran out before a witness
+/// was found or the space was exhausted.
+pub fn exists_hom(
     source: &Instance,
     target: &Instance,
     config: &HomConfig,
     stats: &mut HomStats,
 ) -> Verdict {
-    match find_hom_budgeted(source, target, &Substitution::new(), config, stats) {
+    match find_hom(source, target, &Substitution::new(), config, stats) {
         Ok(Some(_)) => Verdict::Holds,
         Ok(None) => Verdict::Fails,
         Err(budget) => Verdict::Unknown { budget },
     }
 }
 
-/// Find one homomorphism extending `seed` under `config`'s budgets,
-/// accumulating the search work into `stats`.
+/// Find one homomorphism `source → target` extending `seed` under
+/// `config`'s budgets, accumulating the search work into `stats`.
 ///
 /// `Ok(Some(h))` — a witness; `Ok(None)` — a complete refutation;
 /// `Err(budget)` — the budget ran out before either.
-pub fn find_hom_budgeted(
+pub fn find_hom(
     source: &Instance,
     target: &Instance,
     seed: &Substitution,
@@ -867,35 +845,41 @@ mod tests {
     fn inst(facts: &[(u32, &[Value])]) -> Instance {
         facts.iter().map(|(r, args)| Fact::new(RelId(*r), args.to_vec())).collect()
     }
+    fn hom(source: &Instance, target: &Instance) -> bool {
+        exists_hom(source, target, &HomConfig::default(), &mut HomStats::default()).holds()
+    }
+    fn find(source: &Instance, target: &Instance, seed: &Substitution) -> Option<Substitution> {
+        find_hom(source, target, seed, &HomConfig::default(), &mut HomStats::default()).unwrap()
+    }
 
     #[test]
     fn empty_source_maps_anywhere() {
         let empty = Instance::new();
         let target = inst(&[(0, &[c(0)])]);
-        assert!(exists_hom(&empty, &target));
-        assert!(exists_hom(&empty, &empty));
+        assert!(hom(&empty, &target));
+        assert!(hom(&empty, &empty));
     }
 
     #[test]
     fn nonempty_source_needs_matching_relation() {
         let source = inst(&[(0, &[n(0)])]);
         let target = inst(&[(1, &[c(0)])]);
-        assert!(!exists_hom(&source, &target));
+        assert!(!hom(&source, &target));
     }
 
     #[test]
     fn constants_are_fixed() {
         let source = inst(&[(0, &[c(0)])]);
         let target = inst(&[(0, &[c(1)])]);
-        assert!(!exists_hom(&source, &target));
-        assert!(exists_hom(&source, &inst(&[(0, &[c(0)]), (0, &[c(1)])])));
+        assert!(!hom(&source, &target));
+        assert!(hom(&source, &inst(&[(0, &[c(0)]), (0, &[c(1)])])));
     }
 
     #[test]
     fn nulls_map_to_constants_or_nulls() {
         let source = inst(&[(0, &[n(0), n(1)])]);
         let target = inst(&[(0, &[c(0), n(5)])]);
-        let h = find_hom(&source, &target).unwrap();
+        let h = find(&source, &target, &Substitution::new()).unwrap();
         assert_eq!(h.apply(n(0)), c(0));
         assert_eq!(h.apply(n(1)), n(5));
     }
@@ -904,8 +888,8 @@ mod tests {
     fn shared_nulls_must_agree() {
         // P(x, x) cannot map into P(a, b).
         let source = inst(&[(0, &[n(0), n(0)])]);
-        assert!(!exists_hom(&source, &inst(&[(0, &[c(0), c(1)])])));
-        assert!(exists_hom(&source, &inst(&[(0, &[c(0), c(0)])])));
+        assert!(!hom(&source, &inst(&[(0, &[c(0), c(1)])])));
+        assert!(hom(&source, &inst(&[(0, &[c(0), c(0)])])));
     }
 
     #[test]
@@ -913,13 +897,13 @@ mod tests {
         // Path of nulls x→y→z maps onto edge a→b by folding.
         let source = inst(&[(0, &[n(0), n(1)]), (0, &[n(1), n(2)])]);
         let target = inst(&[(0, &[c(0), c(1)]), (0, &[c(1), c(0)])]);
-        assert!(exists_hom(&source, &target));
+        assert!(hom(&source, &target));
         // ...but not into a single non-loop edge.
         let single = inst(&[(0, &[c(0), c(1)])]);
-        assert!(!exists_hom(&source, &single));
+        assert!(!hom(&source, &single));
         // A loop absorbs everything.
         let loop_ = inst(&[(0, &[c(0), c(0)])]);
-        assert!(exists_hom(&source, &loop_));
+        assert!(hom(&source, &loop_));
     }
 
     #[test]
@@ -927,10 +911,10 @@ mod tests {
         // For ground I₁: I₁ → I₂ iff I₁ ⊆ I₂ (paper, Section 1).
         let i1 = inst(&[(0, &[c(0), c(1)]), (1, &[c(2)])]);
         let i2 = inst(&[(0, &[c(0), c(1)]), (1, &[c(2)]), (1, &[c(3)])]);
-        assert!(exists_hom(&i1, &i2));
+        assert!(hom(&i1, &i2));
         assert!(i1.is_subset_of(&i2));
         let i3 = inst(&[(0, &[c(0), c(1)])]);
-        assert!(!exists_hom(&i1, &i3));
+        assert!(!hom(&i1, &i3));
         assert!(!i1.is_subset_of(&i3));
     }
 
@@ -939,9 +923,9 @@ mod tests {
         // P(x), Q(x) needs a value in both unary relations.
         let source = inst(&[(0, &[n(0)]), (1, &[n(0)])]);
         let t1 = inst(&[(0, &[c(0)]), (1, &[c(1)])]);
-        assert!(!exists_hom(&source, &t1));
+        assert!(!hom(&source, &t1));
         let t2 = inst(&[(0, &[c(0)]), (1, &[c(0)])]);
-        assert!(exists_hom(&source, &t2));
+        assert!(hom(&source, &t2));
     }
 
     #[test]
@@ -950,10 +934,10 @@ mod tests {
         let target = inst(&[(0, &[c(0)]), (0, &[c(1)])]);
         let mut seed = Substitution::new();
         seed.bind(NullId(0), c(1));
-        let h = find_hom_seeded(&source, &target, &seed).unwrap();
+        let h = find(&source, &target, &seed).unwrap();
         assert_eq!(h.apply(n(0)), c(1));
         seed.bind(NullId(0), c(7)); // not in target
-        assert!(find_hom_seeded(&source, &target, &seed).is_none());
+        assert!(find(&source, &target, &seed).is_none());
     }
 
     #[test]
@@ -961,8 +945,8 @@ mod tests {
         let a = inst(&[(0, &[n(0), n(1)])]);
         let b = inst(&[(0, &[n(2), c(0)])]);
         let c_ = inst(&[(0, &[c(1), c(0)])]);
-        let h1 = find_hom(&a, &b).unwrap();
-        let h2 = find_hom(&b, &c_).unwrap();
+        let h1 = find(&a, &b, &Substitution::new()).unwrap();
+        let h2 = find(&b, &c_, &Substitution::new()).unwrap();
         let composed = h1.then(&h2);
         assert_eq!(composed.apply_instance(&a), c_);
     }
@@ -991,11 +975,11 @@ mod tests {
         assert_eq!(report.exhausted, Some(Exhausted::Nodes(0)));
         assert!(!report.complete());
         let mut stats = HomStats::default();
-        let verdict = exists_hom_budgeted(&source, &target, &cfg, &mut stats);
+        let verdict = exists_hom(&source, &target, &cfg, &mut stats);
         assert_eq!(verdict, Verdict::Unknown { budget: Exhausted::Nodes(0) });
         // The unbounded decision is definite.
         let mut stats = HomStats::default();
-        let v = exists_hom_budgeted(&source, &target, &HomConfig::default(), &mut stats);
+        let v = exists_hom(&source, &target, &HomConfig::default(), &mut stats);
         assert_eq!(v, Verdict::Fails);
         assert!(stats.nodes > 0);
     }
@@ -1071,7 +1055,7 @@ mod tests {
         let target: Instance = target.into_iter().collect();
         let cfg = HomConfig { time_budget: Some(Duration::ZERO), ..HomConfig::default() };
         let mut stats = HomStats::default();
-        let verdict = exists_hom_budgeted(&source, &target, &cfg, &mut stats);
+        let verdict = exists_hom(&source, &target, &cfg, &mut stats);
         assert!(matches!(verdict, Verdict::Unknown { budget: Exhausted::Time(_) }));
         assert!(stats.nodes >= TIME_CHECK_STRIDE, "cut at the first deadline poll");
     }
@@ -1175,7 +1159,7 @@ mod tests {
         let mut stats = HomStats::default();
         let cfg0 = HomConfig { node_budget: Some(0), ..HomConfig::default() };
         assert_eq!(
-            exists_hom_budgeted(&source, &target, &cfg0, &mut stats),
+            exists_hom(&source, &target, &cfg0, &mut stats),
             Verdict::Unknown { budget: Exhausted::Nodes(0) }
         );
         let done = run(1);
@@ -1184,7 +1168,7 @@ mod tests {
         // A miss needs no budget: it is a definite refutation even at 0.
         let (source, target) = ground_probe(false);
         let mut stats = HomStats::default();
-        assert_eq!(exists_hom_budgeted(&source, &target, &cfg0, &mut stats), Verdict::Fails);
+        assert_eq!(exists_hom(&source, &target, &cfg0, &mut stats), Verdict::Fails);
     }
 
     #[test]
@@ -1341,11 +1325,11 @@ mod tests {
         let mut stats = HomStats::default();
         let cfg0 = HomConfig { node_budget: Some(0), ..HomConfig::default() };
         assert_eq!(
-            exists_hom_budgeted(&source, &target, &cfg0, &mut stats),
+            exists_hom(&source, &target, &cfg0, &mut stats),
             Verdict::Unknown { budget: Exhausted::Nodes(0) }
         );
         let cfg1 = HomConfig { node_budget: Some(1), ..HomConfig::default() };
-        assert_eq!(exists_hom_budgeted(&source, &target, &cfg1, &mut stats), Verdict::Holds);
+        assert_eq!(exists_hom(&source, &target, &cfg1, &mut stats), Verdict::Holds);
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! homomorphism engines: correctness here exercises deep backtracking
 //! with genuine conflicts, not just index lookups.
 
-use rde_hom::{count_homs, exists_hom};
+use rde_hom::{count_homs, exists_hom, HomConfig, HomStats};
 use rde_model::{Fact, Instance, Value, Vocabulary};
+
+fn hom(g: &Instance, template: &Instance) -> bool {
+    exists_hom(g, template, &HomConfig::default(), &mut HomStats::default()).holds()
+}
 
 struct G {
     vocab: Vocabulary,
@@ -79,7 +83,7 @@ fn bipartite_graphs_are_2_colorable() {
     let mut g = G::new();
     let c6 = g.cycle(6);
     let k2 = g.complete(2);
-    assert!(exists_hom(&c6, &k2), "even cycles are bipartite");
+    assert!(hom(&c6, &k2), "even cycles are bipartite");
     // Exactly two proper 2-colorings of a connected bipartite graph.
     assert_eq!(count_homs(&c6, &k2), 2);
 }
@@ -90,8 +94,8 @@ fn odd_cycles_are_not_2_colorable_but_are_3_colorable() {
     let c5 = g.cycle(5);
     let k2 = g.complete(2);
     let k3 = g.complete(3);
-    assert!(!exists_hom(&c5, &k2), "odd cycle needs 3 colors");
-    assert!(exists_hom(&c5, &k3));
+    assert!(!hom(&c5, &k2), "odd cycle needs 3 colors");
+    assert!(hom(&c5, &k3));
     // C5 has 30 proper 3-colorings: (3-1)^5 + (3-1) = 30.
     assert_eq!(count_homs(&c5, &k3), 30);
 }
@@ -102,8 +106,8 @@ fn k4_needs_exactly_4_colors() {
     let k4_nulls = g.clique(4);
     let k3 = g.complete(3);
     let k4 = g.complete(4);
-    assert!(!exists_hom(&k4_nulls, &k3), "χ(K4) = 4");
-    assert!(exists_hom(&k4_nulls, &k4));
+    assert!(!hom(&k4_nulls, &k3), "χ(K4) = 4");
+    assert!(hom(&k4_nulls, &k4));
     // Proper colorings of K4 with 4 colors: 4! = 24.
     assert_eq!(count_homs(&k4_nulls, &k4), 24);
 }
@@ -125,8 +129,8 @@ fn petersen_graph_is_3_colorable_but_not_2() {
     assert_eq!(p.len(), 30, "15 undirected edges");
     let k2 = g.complete(2);
     let k3 = g.complete(3);
-    assert!(!exists_hom(&p, &k2), "Petersen contains odd cycles");
-    assert!(exists_hom(&p, &k3), "χ(Petersen) = 3");
+    assert!(!hom(&p, &k2), "Petersen contains odd cycles");
+    assert!(hom(&p, &k3), "χ(Petersen) = 3");
     // Known: the Petersen graph has 120 proper 3-colorings.
     assert_eq!(count_homs(&p, &k3), 120);
 }
@@ -149,7 +153,7 @@ fn grid_graphs_are_bipartite() {
         }
     }
     let k2 = g.complete(2);
-    assert!(exists_hom(&grid, &k2));
+    assert!(hom(&grid, &k2));
     assert_eq!(count_homs(&grid, &k2), 2, "connected bipartite: two 2-colorings");
 }
 
@@ -164,6 +168,6 @@ fn wheel_graphs() {
     }
     let k3 = g.complete(3);
     let k4 = g.complete(4);
-    assert!(!exists_hom(&w, &k3));
-    assert!(exists_hom(&w, &k4));
+    assert!(!hom(&w, &k3));
+    assert!(hom(&w, &k4));
 }

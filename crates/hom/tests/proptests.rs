@@ -2,10 +2,30 @@
 
 use proptest::prelude::*;
 use rde_hom::{
-    core_of, core_of_budgeted, exists_hom, find_hom, hom_equivalent, is_core, is_isomorphic,
-    CompiledPattern, HomConfig, PatArg, PatternAtom, SearchReport,
+    core_of, count_homs, exists_hom, find_hom, find_iso, hom_equivalent, is_core, CompiledPattern,
+    CoreResult, HomConfig, HomStats, PatArg, PatternAtom, SearchReport, Verdict,
 };
 use rde_model::{Fact, Instance, Substitution, Value, Vocabulary};
+
+/// The unbudgeted deciders, as the booleans the properties compare.
+fn hom(a: &Instance, b: &Instance) -> bool {
+    exists_hom(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+}
+fn find(a: &Instance, b: &Instance) -> Option<Substitution> {
+    find_hom(a, b, &Substitution::new(), &HomConfig::default(), &mut HomStats::default()).unwrap()
+}
+fn equivalent(a: &Instance, b: &Instance) -> bool {
+    hom_equivalent(a, b, &HomConfig::default(), &mut HomStats::default()).holds()
+}
+fn isomorphic(a: &Instance, b: &Instance) -> bool {
+    find_iso(a, b, &HomConfig::default(), &mut HomStats::default()).unwrap().is_some()
+}
+fn core(i: &Instance) -> CoreResult {
+    core_of(i, &HomConfig::default()).result
+}
+
+/// A decider under test, closed over its inputs.
+type Decide<'a> = &'a dyn Fn(&HomConfig, &mut HomStats) -> Verdict;
 
 fn abstract_facts(max: usize) -> impl Strategy<Value = Vec<Vec<(bool, u8)>>> {
     prop::collection::vec(prop::collection::vec((any::<bool>(), 0u8..4), 2), 0..=max)
@@ -258,7 +278,7 @@ proptest! {
     fn hom_is_reflexive_and_witnessed(facts in abstract_facts(8)) {
         let mut vocab = Vocabulary::new();
         let i = materialize(&mut vocab, &facts);
-        let h = find_hom(&i, &i).expect("identity works");
+        let h = find(&i, &i).expect("identity works");
         prop_assert!(h.apply_instance(&i).is_subset_of(&i));
     }
 
@@ -269,10 +289,10 @@ proptest! {
         let a = materialize(&mut vocab, &f1);
         let b = materialize(&mut vocab, &f2);
         let c = materialize(&mut vocab, &f3);
-        if let (Some(h1), Some(h2)) = (find_hom(&a, &b), find_hom(&b, &c)) {
+        if let (Some(h1), Some(h2)) = (find(&a, &b), find(&b, &c)) {
             let composed = h1.then(&h2);
             prop_assert!(composed.apply_instance(&a).is_subset_of(&c));
-            prop_assert!(exists_hom(&a, &c));
+            prop_assert!(hom(&a, &c));
         }
     }
 
@@ -287,7 +307,7 @@ proptest! {
         };
         let a = ground(&f1);
         let b = ground(&f2);
-        prop_assert_eq!(exists_hom(&a, &b), a.is_subset_of(&b));
+        prop_assert_eq!(hom(&a, &b), a.is_subset_of(&b));
     }
 
     /// Renaming nulls bijectively yields an isomorphic instance, which
@@ -301,8 +321,8 @@ proptest! {
             rename.bind(n, Value::Null(vocab.fresh_null()));
         }
         let j = rename.apply_instance(&i);
-        prop_assert!(is_isomorphic(&i, &j));
-        prop_assert!(hom_equivalent(&i, &j));
+        prop_assert!(isomorphic(&i, &j));
+        prop_assert!(equivalent(&i, &j));
     }
 
     /// Collapsing all nulls to one constant gives a hom target.
@@ -312,7 +332,7 @@ proptest! {
         let i = materialize(&mut vocab, &facts);
         let sink = vocab.const_value("sink");
         let j = i.map_values(|v| if v.is_null() { sink } else { v });
-        prop_assert!(exists_hom(&i, &j));
+        prop_assert!(hom(&i, &j));
     }
 
     /// Core properties: sub-instance, equivalent, minimal, idempotent,
@@ -321,9 +341,9 @@ proptest! {
     fn core_properties(facts in abstract_facts(7)) {
         let mut vocab = Vocabulary::new();
         let i = materialize(&mut vocab, &facts);
-        let r = core_of(&i);
+        let r = core(&i);
         prop_assert!(r.core.is_subset_of(&i));
-        prop_assert!(hom_equivalent(&i, &r.core));
+        prop_assert!(equivalent(&i, &r.core));
         prop_assert!(is_core(&r.core));
         // Cores of isomorphic instances are isomorphic.
         let mut rename = Substitution::new();
@@ -331,8 +351,8 @@ proptest! {
             rename.bind(n, Value::Null(vocab.fresh_null()));
         }
         let j = rename.apply_instance(&i);
-        let rj = core_of(&j);
-        prop_assert!(is_isomorphic(&r.core, &rj.core));
+        let rj = core(&j);
+        prop_assert!(isomorphic(&r.core, &rj.core));
     }
 
     /// The minimizer's substitution is a true retraction: its image is
@@ -342,7 +362,7 @@ proptest! {
     fn core_retraction_is_a_true_retraction(facts in abstract_facts(7)) {
         let mut vocab = Vocabulary::new();
         let i = materialize(&mut vocab, &facts);
-        let r = core_of(&i);
+        let r = core(&i);
         prop_assert_eq!(r.retraction.apply_instance(&i), r.core.clone());
         for v in r.core.active_domain() {
             prop_assert_eq!(r.retraction.apply(v), v, "retraction must fix core value {v:?}");
@@ -355,27 +375,27 @@ proptest! {
 
     /// Budgeted minimization is sound at every node budget: the outcome
     /// is a hom-equivalent sub-instance that its retraction maps the
-    /// input onto, a `complete` outcome is the core (up to isomorphism),
-    /// and the unbounded run is always complete.
+    /// input onto, an uncut outcome is the core (up to isomorphism), and
+    /// the unbounded run is never cut.
     #[test]
     fn budgeted_core_is_a_sound_retract_at_every_budget(facts in abstract_facts(8)) {
         let mut vocab = Vocabulary::new();
         let i = materialize(&mut vocab, &facts);
-        let core = core_of(&i).core;
+        let core = core(&i).core;
         // Budgets 0, 1, 2, 4, …, 4096, then unbounded.
         let budgets = std::iter::once(0).chain((0..=12).map(|k| 1u64 << k)).map(Some);
         for node_budget in budgets.chain([None]) {
             let config = HomConfig { node_budget, ..HomConfig::default() };
-            let out = core_of_budgeted(&i, &config);
+            let out = core_of(&i, &config);
             let r = &out.result;
             prop_assert!(r.core.is_subset_of(&i), "budget {node_budget:?}");
-            prop_assert!(hom_equivalent(&i, &r.core), "budget {node_budget:?}");
+            prop_assert!(equivalent(&i, &r.core), "budget {node_budget:?}");
             prop_assert_eq!(&r.retraction.apply_instance(&i), &r.core, "budget {node_budget:?}");
-            if out.complete {
-                prop_assert!(is_isomorphic(&r.core, &core), "budget {node_budget:?}");
+            if out.exhausted.is_none() {
+                prop_assert!(isomorphic(&r.core, &core), "budget {node_budget:?}");
             }
             if node_budget.is_none() {
-                prop_assert!(out.complete, "an unbounded run is never cut");
+                prop_assert_eq!(out.exhausted, None, "an unbounded run is never cut");
             }
         }
     }
@@ -388,11 +408,65 @@ proptest! {
         let a = materialize(&mut vocab, &f1);
         let b = materialize(&mut vocab, &f2);
         let e = materialize(&mut vocab, &extra);
-        if exists_hom(&a, &b) {
-            prop_assert!(exists_hom(&a, &b.union(&e)), "bigger targets stay reachable");
+        if hom(&a, &b) {
+            prop_assert!(hom(&a, &b.union(&e)), "bigger targets stay reachable");
         }
-        if !exists_hom(&a, &b) {
-            prop_assert!(!exists_hom(&a.union(&e), &b), "bigger sources stay unreachable");
+        if !hom(&a, &b) {
+            prop_assert!(!hom(&a.union(&e), &b), "bigger sources stay unreachable");
+        }
+    }
+
+    /// Budget monotonicity of the three deciders: under the node budgets
+    /// 0, 1, 2, 4, …, 1024 every definite verdict equals the unbudgeted
+    /// one, which is always definite. The unbudgeted answers match the
+    /// `count_homs` oracle, and an isomorphism is checked by hand: its
+    /// image is exactly the target, and a bijective renaming of the
+    /// source (half the cases) always has one.
+    #[test]
+    fn raising_the_node_budget_never_flips_a_definite_verdict(
+        f1 in abstract_facts(6),
+        f2 in abstract_facts(6),
+        rename_source in any::<bool>(),
+    ) {
+        let mut vocab = Vocabulary::new();
+        let a = materialize(&mut vocab, &f1);
+        let b = if rename_source {
+            let mut rename = Substitution::new();
+            for n in a.nulls() {
+                rename.bind(n, Value::Null(vocab.fresh_null()));
+            }
+            rename.apply_instance(&a)
+        } else {
+            materialize(&mut vocab, &f2)
+        };
+        let iso = |cfg: &HomConfig, st: &mut HomStats| match find_iso(&a, &b, cfg, st) {
+            Ok(found) => Verdict::from_bool(found.is_some()),
+            Err(budget) => Verdict::Unknown { budget },
+        };
+        let deciders: [(&str, Decide); 3] = [
+            ("exists_hom", &|cfg, st| exists_hom(&a, &b, cfg, st)),
+            ("hom_equivalent", &|cfg, st| hom_equivalent(&a, &b, cfg, st)),
+            ("find_iso", &iso),
+        ];
+        let (fwd, bwd) = (count_homs(&a, &b) > 0, count_homs(&b, &a) > 0);
+        let oracles = [Some(fwd), Some(fwd && bwd), rename_source.then_some(true)];
+        for ((name, decide), oracle) in deciders.iter().zip(oracles) {
+            let unbudgeted = decide(&HomConfig::default(), &mut HomStats::default());
+            prop_assert!(!unbudgeted.is_unknown(), "{name}: nothing cuts an unbudgeted search");
+            if let Some(expected) = oracle {
+                prop_assert_eq!(unbudgeted, Verdict::from_bool(expected), "{}", name);
+            }
+            let budgets = std::iter::once(0).chain((0..=10).map(|k| 1u64 << k));
+            for node_budget in budgets {
+                let cfg = HomConfig { node_budget: Some(node_budget), ..HomConfig::default() };
+                let v = decide(&cfg, &mut HomStats::default());
+                prop_assert!(v.is_unknown() || v == unbudgeted, "{name} at {node_budget}: {v}");
+            }
+        }
+        let witness = find_iso(&a, &b, &HomConfig::default(), &mut HomStats::default()).unwrap();
+        if let Some(iso) = witness {
+            prop_assert_eq!(iso.apply_instance(&a), b.clone());
+            prop_assert!(fwd && bwd, "isomorphic instances are hom-equivalent");
         }
     }
 }

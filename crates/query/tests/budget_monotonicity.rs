@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use rde_chase::{chase_mapping_default, ChaseError, DisjunctiveChaseOptions};
+use rde_chase::{chase_mapping, ChaseError, ChaseOptions, DisjunctiveChaseOptions};
 use rde_deps::{parse_mapping, SchemaMapping};
 use rde_hom::HomConfig;
 use rde_model::{Fact, Instance, Value, Vocabulary};
@@ -113,7 +113,7 @@ fn check(workload: &Workload, facts: &[GenFact]) -> Result<(), TestCaseError> {
         workload.queries.iter().map(|t| ConjunctiveQuery::parse(&mut vocab, t).unwrap()).collect();
     // Runs from the target mint fresh nulls past the target's own.
     let mut target_vocab = vocab.clone();
-    let u = chase_mapping_default(&i, &m, &mut target_vocab).unwrap();
+    let u = chase_mapping(&i, &m, &mut target_vocab, &ChaseOptions::default()).unwrap();
     for (q, text) in queries.iter().zip(workload.queries) {
         let truth = answers_at(q, Start::Source(&i), &m, &rec, &vocab, None).unwrap();
         for (start, vocab) in [(Start::Source(&i), &vocab), (Start::Target(&u), &target_vocab)] {

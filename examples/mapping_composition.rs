@@ -18,7 +18,6 @@
 
 use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
 use rde_deps::printer;
-use rde_hom::{HomConfig, HomStats};
 use rde_model::{display, parse::parse_instance};
 use reverse_data_exchange::core::quasi_inverse::maximum_extended_recovery_full;
 use reverse_data_exchange::core::recovery::check_maximum_extended_recovery;
@@ -73,6 +72,8 @@ fn main() {
         .restrict_to(&m13.target);
     println!("v3 after two evolutions (via the composite):\n{}", display::instance(&vocab, &v3));
 
+    // No budget: every check runs to completion.
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
     let leaves = disjunctive_chase(
         &v3,
         &recovery.dependencies,
@@ -86,7 +87,7 @@ fn main() {
         let world = leaf.restrict_to(&m13.source);
         // Every recovered world is a sound approximation of v1.
         assert!(
-            exists_hom(&world, &v1)
+            exists_hom(&world, &v1, &unbounded, &mut stats).holds()
                 || reverse_data_exchange::core::arrow::arrow_m(&m13, &world, &v1, &mut vocab)
                     .unwrap()
         );
@@ -94,7 +95,7 @@ fn main() {
     let first = leaves[0].restrict_to(&m13.source);
     println!("one recovered world:\n{}", display::instance(&vocab, &first));
     assert!(
-        hom_equivalent(&first, &v1),
+        hom_equivalent(&first, &v1, &unbounded, &mut stats).holds(),
         "this evolution is lossless: recovery is exact up to hom-equivalence"
     );
     println!("roundtrip: v1 recovered up to homomorphic equivalence ✓");

@@ -12,7 +12,6 @@
 //! Run with: `cargo run --example quickstart`
 
 use rde_chase::{ChaseOptions, DisjunctiveChaseOptions};
-use rde_hom::{HomConfig, HomStats};
 use rde_model::{display, parse::parse_instance};
 use reverse_data_exchange::core::recovery::check_maximum_extended_recovery;
 use reverse_data_exchange::core::Universe;
@@ -54,10 +53,13 @@ fn main() {
     println!("recovered V = chase_M'(U):\n{}", display::instance(&vocab, &v));
     assert!(!v.is_ground(), "reverse exchange produces labeled nulls (the paper's point)");
 
-    // The recovered instance is a sound approximation: V → I.
-    assert!(exists_hom(&v, &source), "V maps homomorphically into the original source");
+    // The recovered instance is a sound approximation: V → I. Every
+    // decision takes a budget; the default one runs to completion.
+    let (unbounded, mut stats) = (HomConfig::default(), HomStats::default());
+    let sound = exists_hom(&v, &source, &unbounded, &mut stats);
+    assert!(sound.holds(), "V maps homomorphically into the original source");
     // It is not equivalent — the decomposition lost the join.
-    assert!(!hom_equivalent(&v, &source));
+    assert!(hom_equivalent(&v, &source, &unbounded, &mut stats).fails());
 
     // The disjunctive-chase view (trivial here: no disjunctions, 1 leaf).
     let leaves = disjunctive_chase(
@@ -74,12 +76,7 @@ fn main() {
     // verified exhaustively on a bounded universe (Theorem 4.13).
     let universe = Universe::new(&mut vocab, 2, 1, 1);
     let verdict = check_maximum_extended_recovery(
-        &mapping,
-        &reverse,
-        &universe,
-        &mut vocab,
-        &HomConfig::default(),
-        &mut HomStats::default(),
+        &mapping, &reverse, &universe, &mut vocab, &unbounded, &mut stats,
     )
     .expect("check runs");
     assert!(verdict.holds(), "M' is a maximum extended recovery: {verdict:?}");

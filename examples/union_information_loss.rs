@@ -17,7 +17,6 @@
 //! Run with: `cargo run --example union_information_loss`
 
 use rde_deps::printer;
-use rde_hom::{HomConfig, HomStats};
 use rde_model::display;
 use reverse_data_exchange::core::compare::{compare_lossiness, Comparison};
 use reverse_data_exchange::core::invertibility::{check_homomorphism_property, BoundedVerdict};

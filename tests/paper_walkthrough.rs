@@ -39,11 +39,12 @@ fn example_1_1_full_pipeline() {
     assert_eq!(v.nulls().len(), 2);
     // V is hom-equivalent to the instance the paper writes down.
     let paper_v = parse_instance(&mut vocab, "P(a, b, ?zz)\nP(?xx, b, c)").unwrap();
-    assert!(hom_equivalent(&v, &paper_v));
+    let (cfg, mut stats) = (HomConfig::default(), HomStats::default());
+    assert!(hom_equivalent(&v, &paper_v, &cfg, &mut stats).holds());
 
     // Example 3.3 layered on top: U is an extended solution for V but
     // not a solution.
-    assert!(!reverse_data_exchange::core::semantics::is_solution(&v, &u, &m));
+    assert!(!reverse_data_exchange::core::semantics::satisfies(&v, &u, &m));
     assert!(reverse_data_exchange::core::extended::is_extended_solution(
         &v,
         &u,
