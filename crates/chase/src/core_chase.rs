@@ -15,11 +15,16 @@ use rde_deps::SchemaMapping;
 use rde_hom::{core_of, Exhausted};
 use rde_model::{Instance, Vocabulary};
 
-use crate::standard::{chase_mapping, ChaseOptions};
+use crate::standard::{chase, ChaseOptions, ChaseResult};
 use crate::ChaseError;
 
 /// `core(chase_M(I))`: the smallest (extended) universal solution for
 /// `I` w.r.t. a tgd-specified mapping.
+///
+/// The result's `instance` is the core of the chase's target part. Its
+/// `fired`, `rounds`, `round_stats` and `provenance` describe the
+/// chase, and its `hom` counts the chase's searches plus the
+/// minimization's fold tests.
 ///
 /// The minimization honors `options.hom` the same way the chase's own
 /// premise searches do: if a fold test exhausts its node/time budget
@@ -34,11 +39,13 @@ pub fn core_chase_mapping(
     mapping: &SchemaMapping,
     vocab: &mut Vocabulary,
     options: &ChaseOptions,
-) -> Result<Instance, ChaseError> {
-    let chased = chase_mapping(instance, mapping, vocab, options)?;
-    let outcome = core_of(&chased, &options.hom);
+) -> Result<ChaseResult, ChaseError> {
+    let mut result = chase(instance, &mapping.dependencies, vocab, options)?;
+    let outcome = core_of(&result.instance.restrict_to(&mapping.target), &options.hom);
     let Some(budget) = outcome.exhausted else {
-        return Ok(outcome.result.core);
+        result.instance = outcome.result.core;
+        result.hom += outcome.stats;
+        return Ok(result);
     };
     if budget == Exhausted::Cancelled || options.hom.ctx.cancel.is_cancelled() {
         rde_obs::counter!("chase.cancelled").inc();
@@ -53,6 +60,7 @@ pub fn core_chase_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::standard::chase_mapping;
     use rde_deps::parse_mapping;
     use rde_hom::{hom_equivalent, is_core, HomConfig, HomStats};
     use rde_model::parse::parse_instance;
@@ -69,7 +77,7 @@ mod tests {
         // invented 2-paths can fold together once a ground path exists.
         let i = parse_instance(&mut v, "P(a, b)").unwrap();
         let chased = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        let core = core_chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
+        let core = core_chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap().instance;
         assert!(
             hom_equivalent(&chased, &core, &HomConfig::default(), &mut HomStats::default()).holds()
         );
@@ -90,7 +98,7 @@ mod tests {
         let opts = ChaseOptions::for_variant(crate::ChaseVariant::SemiNaive);
         let chased = chase_mapping(&i, &m, &mut v, &opts).unwrap();
         assert_eq!(chased.len(), 2);
-        let core = core_chase_mapping(&i, &m, &mut v, &opts).unwrap();
+        let core = core_chase_mapping(&i, &m, &mut v, &opts).unwrap().instance;
         assert_eq!(core.len(), 1);
     }
 
@@ -131,7 +139,7 @@ mod tests {
                 Ok(core) => {
                     assert!(chase_ok);
                     // Nothing folds: the chase is already a core.
-                    assert_eq!(core.len(), 8);
+                    assert_eq!(core.instance.len(), 8);
                     // Minimization fits in the budget: boundary found
                     // earlier (or folding is free); stop scanning.
                     break;
@@ -157,7 +165,7 @@ mod tests {
         let m = parse_mapping(&mut v, "source: P/2\ntarget: Q/2\nP(x, y) -> Q(y, x)").unwrap();
         let i = parse_instance(&mut v, "P(a, b)\nP(b, c)").unwrap();
         let chased = chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
-        let core = core_chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap();
+        let core = core_chase_mapping(&i, &m, &mut v, &ChaseOptions::default()).unwrap().instance;
         assert_eq!(chased, core);
     }
 

@@ -164,7 +164,7 @@ answer UNKNOWN instead of searching without bound (counterexamples
 reported under a budget are still genuine); chase, core, reverse and
 certain stop with an error instead. --retries N reruns an UNKNOWN check
 up to N more times with exponentially escalated budgets. --stats prints
-search-work counters after the answer (chase and the checkers).
+search-work counters after the answer (chase, core and the checkers).
 
 --deadline-ms N caps the whole command in wall-clock time: the engines
 cancel cooperatively at the next round/search boundary and the process
@@ -453,10 +453,16 @@ fn cmd_chase(opts: &Options) -> Result<(), CliError> {
         .map_err(chase_err)?;
     print!("{}", display::instance(&vocab, &result.instance.restrict_to(&mapping.target)));
     if opts.stats {
-        println!("# chase: {} round(s), {} trigger(s) fired", result.rounds, result.fired);
-        print_hom_stats(&result.hom);
+        print_chase_stats(&result);
     }
     Ok(())
+}
+
+/// The `--stats` lines of `chase` and `core`: rounds and firings, then
+/// every hom search the command ran.
+fn print_chase_stats(result: &rde_chase::ChaseResult) {
+    println!("# chase: {} round(s), {} trigger(s) fired", result.rounds, result.fired);
+    print_hom_stats(&result.hom);
 }
 
 fn cmd_reverse(opts: &Options) -> Result<(), CliError> {
@@ -694,9 +700,12 @@ fn cmd_core(opts: &Options) -> Result<(), CliError> {
     let mapping = load_mapping(&mut vocab, opts.positional(0, "mapping file")?)?;
     let instance = load_instance(&mut vocab, opts.positional(1, "instance file")?)?;
     let options = chase_options(opts);
-    let core = rde_chase::core_chase_mapping(&instance, &mapping, &mut vocab, &options)
+    let result = rde_chase::core_chase_mapping(&instance, &mapping, &mut vocab, &options)
         .map_err(chase_err)?;
-    print!("{}", display::instance(&vocab, &core));
+    print!("{}", display::instance(&vocab, &result.instance));
+    if opts.stats {
+        print_chase_stats(&result);
+    }
     Ok(())
 }
 

@@ -344,3 +344,34 @@ fn retry_and_time_budget_flags_run_end_to_end() {
     assert!(output.status.success());
     assert!(!String::from_utf8_lossy(&output.stdout).contains("UNKNOWN"));
 }
+
+/// `rde core --stats` reports the chase like `rde chase --stats`, and
+/// its hom line also counts the minimization's fold tests.
+#[test]
+fn core_stats_report_the_chase_and_the_minimization() {
+    let map = tmp("core.map");
+    let inst = tmp("core.inst");
+    std::fs::write(&map, "source: P/1\ntarget: R/2\nP(x) -> exists y . R(x, y)\nP(x) -> R(x, x)\n")
+        .unwrap();
+    std::fs::write(&inst, "P(a)\nP(b)\n").unwrap();
+    let (map_s, inst_s) = (map.to_string_lossy(), inst.to_string_lossy());
+    let run = |cmd: &str| {
+        let output = rde().args([cmd, &map_s, &inst_s, "--stats"]).output().expect("spawn rde");
+        assert!(output.status.success(), "{cmd}: {}", String::from_utf8_lossy(&output.stderr));
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let (chase, core) = (run("chase"), run("core"));
+    let line = |out: &str, prefix: &str| -> String {
+        out.lines().find(|l| l.starts_with(prefix)).unwrap_or_else(|| panic!("{out}")).to_owned()
+    };
+    let nodes = |out: &str| -> u64 {
+        let l = line(out, "# hom search: ");
+        l["# hom search: ".len()..].split(' ').next().unwrap().parse().unwrap()
+    };
+    assert_eq!(line(&core, "# chase: "), line(&chase, "# chase: "), "{core}");
+    assert!(nodes(&core) > nodes(&chase), "minimization searched too:\n{chase}\n{core}");
+    let facts: Vec<&str> = core.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(facts, ["R(a, a)", "R(b, b)"], "{core}");
+    let _ = std::fs::remove_file(&map);
+    let _ = std::fs::remove_file(&inst);
+}

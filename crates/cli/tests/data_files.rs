@@ -134,3 +134,33 @@ fn reverse_and_certain_chase_forward_with_the_chosen_variant() {
     assert!(out.contains("# 1 certain answer(s)\n(a)"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The pattern `Q1(x), …, Q5(x)` has a five-block minimal cover (all
+/// five `Si(x)`): `invert` must keep it as a disjunct, so that `reverse`
+/// on `{S1(a), …, S5(a)}` gets `S`-facts back and `check-recovery`
+/// accepts the recovery on both counts.
+#[test]
+fn invert_keeps_a_five_block_explanation() {
+    let map = data("wide_conclusion.map");
+    let (ok, rev_text) = rde(&["invert", &map]);
+    assert!(ok, "{rev_text}");
+    assert!(
+        rev_text.contains("-> P(x0) | S1(x0) & S2(x0) & S3(x0) & S4(x0) & S5(x0)"),
+        "{rev_text}"
+    );
+    let dir = std::env::temp_dir().join(format!("rde-cli-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let rev = dir.join("wide.rev");
+    std::fs::write(&rev, &rev_text).unwrap();
+    let inst = dir.join("s.inst");
+    std::fs::write(&inst, "S1(a)\nS2(a)\nS3(a)\nS4(a)\nS5(a)\n").unwrap();
+    let (rev, inst) = (rev.to_string_lossy().into_owned(), inst.to_string_lossy().into_owned());
+    let (ok, out) = rde(&["reverse", &map, &rev, &inst]);
+    assert!(ok, "{out}");
+    assert!(out.contains("S5(a)"), "some leaf must give the S-facts back: {out}");
+    let (ok, out) =
+        rde(&["check-recovery", &map, &rev, "--consts", "1", "--nulls", "0", "--facts", "5"]);
+    assert!(ok, "{out}");
+    assert_eq!(out.matches("HOLDS within bound").count(), 2, "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -59,10 +59,12 @@ pub const MAX_PREMISE_VARS: usize = 8;
 /// Maximum number of candidate blocks per pattern.
 pub const MAX_BLOCKS: usize = 4096;
 
-/// Maximum size of a minimal cover (the identity cover has size 1, so
-/// the algorithm always produces output; larger covers add alternative
-/// explanations).
-pub const MAX_COVER_SIZE: usize = 4;
+/// Maximum number of block combinations the minimal-cover search tries
+/// for one pattern. Covers are enumerated up to the size bound
+/// `|C_e| · p` (DESIGN.md §13.5), which no minimal cover exceeds; past
+/// this many combinations the construction stops with a typed error
+/// rather than return a recovery missing an explanation.
+pub const MAX_COVER_COMBINATIONS: usize = 1 << 16;
 
 /// Compute a maximum extended recovery of a **full-tgd** mapping as
 /// disjunctive tgds with inequalities (Theorem 5.1).
@@ -341,14 +343,25 @@ fn minimal_covers(
         })
         .collect();
 
+    // No minimal cover has more than |C_e| · p blocks, p the largest
+    // premise's atom count (DESIGN.md §13.5).
+    let p = mapping.dependencies.iter().map(|d| d.premise.atoms.len()).max().unwrap_or(0);
+    let max_size = (c_e.len() * p).min(blocks.len());
     let mut cover_indices: Vec<Vec<usize>> = Vec::new();
     let mut covers: Vec<Instance> = Vec::new();
-    let max_size = MAX_COVER_SIZE.min(blocks.len());
     let mut combo: Vec<usize> = Vec::new();
+    let mut tried = 0usize;
     for size in 1..=max_size {
         combo.clear();
         combo.extend(0..size);
         loop {
+            tried += 1;
+            if tried > MAX_COVER_COMBINATIONS {
+                return Err(CoreError::SearchLimitExceeded {
+                    what: "block combinations for minimal covers",
+                    limit: MAX_COVER_COMBINATIONS,
+                });
+            }
             let is_superset_of_cover =
                 cover_indices.iter().any(|c| c.iter().all(|b| combo.contains(b)));
             if !is_superset_of_cover {
@@ -910,6 +923,47 @@ mod tests {
         )
         .unwrap()
         .holds());
+    }
+
+    /// `P(x) → Q1(x) ∧ … ∧ Qk(x)` plus `Si(x) → Qi(x)`: the pattern
+    /// `{Q1(a), …, Qk(a)}` is explained by `P(a)` or by all k `Si(a)`
+    /// together, a minimal cover of k blocks. At k = 5 a search capped
+    /// at four blocks dropped that disjunct, and the recovery then
+    /// mapped `{S1(a), …, S5(a)}` to `P(a)` alone.
+    #[test]
+    fn wide_conclusions_keep_their_widest_explanation() {
+        let k = 5;
+        let source: Vec<String> =
+            std::iter::once("P/1".to_owned()).chain((1..=k).map(|i| format!("S{i}/1"))).collect();
+        let target: Vec<String> = (1..=k).map(|i| format!("Q{i}/1")).collect();
+        let wide: Vec<String> = (1..=k).map(|i| format!("Q{i}(x)")).collect();
+        let mut text = format!("source: {}\ntarget: {}\n", source.join(", "), target.join(", "));
+        text.push_str(&format!("P(x) -> {}\n", wide.join(" & ")));
+        for i in 1..=k {
+            text.push_str(&format!("S{i}(x) -> Q{i}(x)\n"));
+        }
+        let (mut v, m, rec) = synthesize(&text);
+        let rendered = printer::mapping(&v, &rec);
+        let rule = rec
+            .dependencies
+            .iter()
+            .find(|d| d.premise.atoms.len() == k)
+            .unwrap_or_else(|| panic!("no rule on the wide pattern in {rendered}"));
+        let mut widths: Vec<usize> = rule.disjuncts.iter().map(|c| c.atoms.len()).collect();
+        widths.sort_unstable();
+        assert_eq!(widths, [1, k], "{rendered}");
+        let body: Vec<String> = (1..=k).map(|i| format!("S{i}(a)")).collect();
+        let i = rde_model::parse::parse_instance(&mut v, &body.join("\n")).unwrap();
+        let verdict = crate::recovery::recovers(
+            &m,
+            &rec,
+            &i,
+            &mut v,
+            &HomConfig::default(),
+            &mut HomStats::default(),
+        )
+        .unwrap();
+        assert!(verdict.holds(), "{rendered}");
     }
 
     #[test]

@@ -179,8 +179,11 @@ fn pick(header: &str, pool: &[&str], picks: &[bool]) -> String {
 /// same source schema, a reverse mapping (with and without its
 /// disjunction), a tiny universe for the universal checkers, a source
 /// and a target instance from a larger one for the pointwise checkers,
-/// and that target joined with the source's chase, a solution whose
-/// universality and witnesses are the open questions.
+/// that target joined with the source's chase, a solution whose
+/// universality and witnesses are the open questions, and one witness
+/// candidate for it: a one-fact source over the solution's own values,
+/// drawn among those that refute the solution as a witness when any do
+/// (the solution solves it, the source's chase does not).
 struct Case {
     vocab: Vocabulary,
     m: SchemaMapping,
@@ -190,12 +193,20 @@ struct Case {
     i: Instance,
     j: Instance,
     solution: Instance,
+    candidate: Instance,
     universe: Universe,
     pointwise: Universe,
 }
 
 impl Case {
-    fn new(forward: &[bool], second: &[bool], reverse: &[bool], i: usize, j: usize) -> Self {
+    fn new(
+        forward: &[bool],
+        second: &[bool],
+        reverse: &[bool],
+        i: usize,
+        j: usize,
+        k: usize,
+    ) -> Self {
         let mut vocab = Vocabulary::new();
         let header = "source: P/2, R/1\ntarget: Q/2, T/1\n";
         let m = parse_mapping(&mut vocab, &pick(header, FORWARD_POOL, forward)).unwrap();
@@ -211,12 +222,41 @@ impl Case {
         let (i, j) = (sources[i % sources.len()].clone(), targets[j % targets.len()].clone());
         let chased = chase_mapping(&i, &m, &mut vocab, &ChaseOptions::default()).unwrap();
         let solution = j.union(&chased);
-        Case { vocab, m, m2, rev, rev_tgd, i, j, solution, universe, pointwise }
+        let sources = one_fact_sources(&vocab, &m, &solution.active_domain());
+        let refutes = |c: &&Instance| satisfies(c, &solution, &m) && !satisfies(c, &chased, &m);
+        let refuting: Vec<&Instance> = sources.iter().filter(refutes).collect();
+        let candidate = match (refuting.is_empty(), sources.is_empty()) {
+            (false, _) => refuting[k % refuting.len()].clone(),
+            (true, false) => sources[k % sources.len()].clone(),
+            (true, true) => Instance::new(),
+        };
+        Case { vocab, m, m2, rev, rev_tgd, i, j, solution, candidate, universe, pointwise }
     }
 
     fn family(&self) -> Vec<Instance> {
         self.universe.collect_instances(&self.vocab, &self.m.source).unwrap()
     }
+}
+
+/// Every source instance of one fact over `values`.
+fn one_fact_sources(vocab: &Vocabulary, m: &SchemaMapping, values: &[Value]) -> Vec<Instance> {
+    let mut out = Vec::new();
+    if values.is_empty() {
+        return out;
+    }
+    for &rel in m.source.relations() {
+        let arity = vocab.arity(rel);
+        let mut args = vec![0usize; arity];
+        loop {
+            let fact = Fact::new(rel, args.iter().map(|&k| values[k]).collect::<Vec<_>>());
+            out.push(std::iter::once(fact).collect());
+            // Odometer over `values^arity`.
+            let Some(pos) = args.iter().rposition(|&k| k + 1 < values.len()) else { break };
+            args[pos] += 1;
+            args[pos + 1..].fill(0);
+        }
+    }
+    out
 }
 
 /// A checker's answer reduced to what must not change with the budget:
@@ -243,21 +283,36 @@ fn from_bounded(v: BoundedVerdict) -> Answer {
 type Check = fn(&mut Case, &HomConfig, &mut HomStats) -> Result<Answer, CoreError>;
 
 /// Every mapping-level and pointwise checker, each reduced to an
-/// [`Answer`].
-const CHECKERS: &[(&str, Check)] = &[
-    ("extended solution", |c, cfg, st| {
-        let v = extended::is_extended_solution(&c.i, &c.j, &c.m, &mut c.vocab, cfg, st)?;
-        Ok(from_verdict(v))
-    }),
-    ("extended universal solution", |c, cfg, st| {
-        let v = extended::is_extended_universal_solution(&c.i, &c.j, &c.m, &mut c.vocab, cfg, st)?;
-        Ok(from_verdict(v))
-    }),
-    ("homomorphism property", |c, cfg, st| {
-        let v = check_homomorphism_property_budgeted(&c.m, &c.universe, &mut c.vocab, cfg, st)?;
-        Ok(from_bounded(v))
-    }),
-    ("chase-inverse", |c, cfg, st| {
+/// [`Answer`], with the budget-handling fault its row catches: a
+/// definite answer where a search was cut makes some step of the ladder
+/// disagree with the unbounded answer.
+const CHECKERS: &[(&str, &str, Check)] = &[
+    (
+        "extended solution",
+        "a cut `chase_M(I) → J` search read as a definite answer",
+        |c, cfg, st| {
+            let v = extended::is_extended_solution(&c.i, &c.j, &c.m, &mut c.vocab, cfg, st)?;
+            Ok(from_verdict(v))
+        },
+    ),
+    (
+        "extended universal solution",
+        "a cut search between `J` and `chase_M(I)`, either way, read as definite",
+        |c, cfg, st| {
+            let v =
+                extended::is_extended_universal_solution(&c.i, &c.j, &c.m, &mut c.vocab, cfg, st)?;
+            Ok(from_verdict(v))
+        },
+    ),
+    (
+        "homomorphism property",
+        "a pair whose `→` search was cut counted as lost or as kept",
+        |c, cfg, st| {
+            let v = check_homomorphism_property_budgeted(&c.m, &c.universe, &mut c.vocab, cfg, st)?;
+            Ok(from_bounded(v))
+        },
+    ),
+    ("chase-inverse", "a cut round-trip search counted as a recovered source", |c, cfg, st| {
         let family = c.family();
         let (m, rev) = (&c.m, &c.rev_tgd);
         let v = chase_inverse::find_chase_inverse_counterexample(
@@ -270,7 +325,7 @@ const CHECKERS: &[(&str, Check)] = &[
         )?;
         Ok(from_bounded(v))
     }),
-    ("extended recovery", |c, cfg, st| {
+    ("extended recovery", "a cut recovery check counted as passed for its source", |c, cfg, st| {
         let family = c.family();
         let v = find_extended_recovery_counterexample(
             &c.m,
@@ -282,47 +337,74 @@ const CHECKERS: &[(&str, Check)] = &[
         )?;
         Ok(from_bounded(v))
     }),
-    ("maximum extended recovery", |c, cfg, st| {
-        let v = check_maximum_extended_recovery(&c.m, &c.rev, &c.universe, &mut c.vocab, cfg, st)?;
-        Ok(match v {
-            MaxRecoveryVerdict::HoldsWithinBound => Ok("holds".into()),
-            MaxRecoveryVerdict::Unknown { budget } => Err(budget),
-            _ => Ok("fails".into()),
-        })
-    }),
-    ("compare", |c, cfg, st| {
-        Ok(match compare_lossiness(&c.m, &c.m2, &c.universe, &mut c.vocab, cfg, st)? {
-            Comparison::Unknown { budget } => Err(budget),
-            Comparison::Incomparable { .. } => Ok("incomparable".into()),
-            definite => Ok(format!("{definite:?}")),
-        })
-    }),
-    ("information loss", |c, cfg, st| {
-        let r = loss::information_loss(&c.m, &c.universe, &mut c.vocab, 0, cfg, st)?;
-        Ok(match r.unsettled {
-            Some(budget) => Err(budget),
-            None => Ok(format!("{} {} {}", r.arrow_m_pairs, r.hom_pairs, r.lost_pairs)),
-        })
-    }),
-    ("universal faithfulness", |c, cfg, st| {
+    (
+        "maximum extended recovery",
+        "a cut pair of the composition scan counted as in (or out of) `→_M`",
+        |c, cfg, st| {
+            let v =
+                check_maximum_extended_recovery(&c.m, &c.rev, &c.universe, &mut c.vocab, cfg, st)?;
+            Ok(match v {
+                MaxRecoveryVerdict::HoldsWithinBound => Ok("holds".into()),
+                MaxRecoveryVerdict::Unknown { budget } => Err(budget),
+                _ => Ok("fails".into()),
+            })
+        },
+    ),
+    (
+        "compare",
+        "a cut `→_M` pair of either mapping counted as related, ordering the two",
+        |c, cfg, st| {
+            Ok(match compare_lossiness(&c.m, &c.m2, &c.universe, &mut c.vocab, cfg, st)? {
+                Comparison::Unknown { budget } => Err(budget),
+                Comparison::Incomparable { .. } => Ok("incomparable".into()),
+                definite => Ok(format!("{definite:?}")),
+            })
+        },
+    ),
+    (
+        "information loss",
+        "a cut pair counted in the census instead of leaving it unsettled",
+        |c, cfg, st| {
+            let r = loss::information_loss(&c.m, &c.universe, &mut c.vocab, 0, cfg, st)?;
+            Ok(match r.unsettled {
+                Some(budget) => Err(budget),
+                None => Ok(format!("{} {} {}", r.arrow_m_pairs, r.hom_pairs, r.lost_pairs)),
+            })
+        },
+    ),
+    ("universal faithfulness", "a cut Definition 6.1 condition read as holding", |c, cfg, st| {
         let v =
             faithful::check_universal_faithful(&c.m, &c.rev, &c.universe, &mut c.vocab, cfg, st)?;
         Ok(from_verdict(v.map_or(Verdict::Holds, |(_, report)| report.verdict())))
     }),
-    ("universal solution", |c, cfg, st| {
+    ("universal solution", "a cut `J → chase_M(I)` search read as definite", |c, cfg, st| {
         let (i, j, m) = (&c.i, &c.solution, &c.m);
         let v = semantics::is_universal_solution(i, j, m, &mut c.vocab, cfg, st)?;
         Ok(from_verdict(v))
     }),
-    ("M* membership", |c, cfg, st| {
-        Ok(from_verdict(mstar::in_m_star(&c.m, &c.solution, &c.i, &mut c.vocab, cfg, st)?))
-    }),
-    ("witness solution", |c, cfg, st| {
+    (
+        "M* membership",
+        "a cut search of the `M*` membership check read as definite",
+        |c, cfg, st| {
+            Ok(from_verdict(mstar::in_m_star(&c.m, &c.solution, &c.i, &mut c.vocab, cfg, st)?))
+        },
+    ),
+    ("witness solution", "a cut solution check read as definite", |c, cfg, st| {
         let family = c.family();
         let (m, j, i) = (&c.m, &c.solution, &c.i);
         let v = ground::is_witness_solution(m, j, i, &family, &mut c.vocab, cfg, st)?;
         Ok(from_verdict(v))
     }),
+    (
+        "witness against a refuting candidate",
+        "a cut candidate check counted as passed",
+        |c, cfg, st| {
+            let (m, j, i) = (&c.m, &c.solution, &c.i);
+            let candidates = std::slice::from_ref(&c.candidate);
+            let v = ground::is_witness_for(m, j, i, candidates, &mut c.vocab, cfg, st)?;
+            Ok(from_verdict(v))
+        },
+    ),
 ];
 
 /// The definition-level reference answer of a checker, where one
@@ -378,9 +460,10 @@ proptest! {
         reverse in prop::collection::vec(any::<bool>(), REVERSE_POOL.len()),
         i in 0usize..64,
         j in 0usize..64,
+        k in 0usize..64,
     ) {
-        let mut case = Case::new(&forward, &second, &reverse, i, j);
-        for &(name, check) in CHECKERS {
+        let mut case = Case::new(&forward, &second, &reverse, i, j, k);
+        for &(name, fault, check) in CHECKERS {
             let answers: Vec<Answer> = ladder()
                 .map(|node_budget| {
                     let config = HomConfig { node_budget, ..HomConfig::default() };
@@ -391,7 +474,14 @@ proptest! {
             prop_assert!(truth.is_ok(), "{}: the unbounded run cannot run out", name);
             for (step, answer) in answers.iter().enumerate() {
                 if answer.is_ok() {
-                    prop_assert_eq!(answer, &truth, "{}: step {} decided otherwise", name, step);
+                    prop_assert_eq!(
+                        answer,
+                        &truth,
+                        "{}: step {} decided otherwise ({})",
+                        name,
+                        step,
+                        fault
+                    );
                     prop_assert!(
                         answers[step..].iter().all(Result::is_ok),
                         "{}: a larger budget than step {} turned a definite answer Unknown",
@@ -413,11 +503,11 @@ proptest! {
 #[test]
 fn a_cancelled_context_stops_every_checker() {
     let all = [true; 6];
-    let mut case = Case::new(&all, &all[..3], &all, 5, 0);
+    let mut case = Case::new(&all, &all[..3], &all, 5, 0, 0);
     let ctx = ExecContext::cancellable();
     ctx.cancel.cancel();
     let config = HomConfig { ctx, ..HomConfig::default() };
-    for &(name, check) in CHECKERS {
+    for &(name, _, check) in CHECKERS {
         match check(&mut case, &config, &mut HomStats::default()) {
             Ok(Err(Exhausted::Cancelled)) | Err(CoreError::Cancelled) => {}
             other => panic!("{name}: a cancelled context answered {other:?}"),

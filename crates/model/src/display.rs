@@ -5,10 +5,11 @@
 //! anonymous nulls, which are printed as `?n<id>` and re-interned by
 //! name).
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use crate::fact::Fact;
 use crate::instance::Instance;
+use crate::schema::RelId;
 use crate::value::Value;
 use crate::vocab::Vocabulary;
 
@@ -19,8 +20,37 @@ pub struct ValueDisplay<'a> {
 }
 
 impl fmt::Display for ValueDisplay<'_> {
+    /// The name of [`Vocabulary::value_name`], written straight into the
+    /// formatter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.vocab.value_name(self.value))
+        match self.value {
+            Value::Const(c) => f.write_str(self.vocab.constant_name(c)),
+            Value::Null(n) => match self.vocab.null_label(n) {
+                Some(name) => write!(f, "?{name}"),
+                None => write!(f, "?n{}", n.0),
+            },
+        }
+    }
+}
+
+/// Displays the fact `rel(args)` as `R(v₁, …, vₖ)`.
+struct RowDisplay<'a> {
+    vocab: &'a Vocabulary,
+    rel: RelId,
+    args: &'a [Value],
+}
+
+impl fmt::Display for RowDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.vocab.relation_name(self.rel))?;
+        f.write_char('(')?;
+        for (i, &v) in self.args.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            value(self.vocab, v).fmt(f)?;
+        }
+        f.write_char(')')
     }
 }
 
@@ -32,14 +62,7 @@ pub struct FactDisplay<'a> {
 
 impl fmt::Display for FactDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.vocab.relation_name(self.fact.relation()))?;
-        for (i, &v) in self.fact.args().iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(&self.vocab.value_name(v))?;
-        }
-        f.write_str(")")
+        row(self.vocab, self.fact.relation(), self.fact.args()).fmt(f)
     }
 }
 
@@ -51,11 +74,27 @@ pub struct InstanceDisplay<'a> {
 
 impl fmt::Display for InstanceDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for fact in self.instance.canonical_facts() {
-            writeln!(f, "{}", FactDisplay { vocab: self.vocab, fact: &fact })?;
+        for (rel, args) in canonical_rows(self.instance) {
+            writeln!(f, "{}", row(self.vocab, rel, args))?;
         }
         Ok(())
     }
+}
+
+fn row<'a>(vocab: &'a Vocabulary, rel: RelId, args: &'a [Value]) -> RowDisplay<'a> {
+    RowDisplay { vocab, rel, args }
+}
+
+/// Every fact of `inst` as `(relation, tuple)` in canonical order — the
+/// order of [`Instance::canonical_facts`] (relations by id, tuples
+/// sorted within each) — read in place, one row-id vector per relation.
+fn canonical_rows(inst: &Instance) -> impl Iterator<Item = (RelId, &[Value])> {
+    inst.relations().flat_map(|(rel, data)| {
+        let len = u32::try_from(data.len()).expect("relation too large");
+        let mut ids: Vec<u32> = (0..len).collect();
+        ids.sort_unstable_by(|&a, &b| data.row_slice(a).cmp(data.row_slice(b)));
+        ids.into_iter().map(move |id| (rel, data.row_slice(id)))
+    })
 }
 
 /// Render a value.
@@ -73,14 +112,27 @@ pub fn instance<'a>(vocab: &'a Vocabulary, instance: &'a Instance) -> InstanceDi
     InstanceDisplay { vocab, instance }
 }
 
+/// The lines [`instance`] renders, one `String` per fact: each is
+/// written into one reused buffer and copied out at its exact length.
+pub fn fact_lines(vocab: &Vocabulary, inst: &Instance) -> Vec<String> {
+    let mut lines = Vec::with_capacity(inst.len());
+    let mut buf = String::new();
+    for (rel, args) in canonical_rows(inst) {
+        buf.clear();
+        write!(buf, "{}", row(vocab, rel, args)).expect("writing to a String cannot fail");
+        lines.push(buf.clone());
+    }
+    lines
+}
+
 /// Render an instance inline as `{f₁, f₂, …}` — convenient for messages.
 pub fn instance_inline(vocab: &Vocabulary, inst: &Instance) -> String {
     let mut out = String::from("{");
-    for (i, f) in inst.canonical_facts().iter().enumerate() {
+    for (i, (rel, args)) in canonical_rows(inst).enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&fact(vocab, f).to_string());
+        write!(out, "{}", row(vocab, rel, args)).expect("writing to a String cannot fail");
     }
     out.push('}');
     out

@@ -1,7 +1,8 @@
-//! Instances: deduplicated, column-indexed fact sets.
+//! Instances: deduplicated fact sets, column-indexed on demand.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 use crate::fact::Fact;
 use crate::fx::{FxHashMap, FxHashSet, FxHasher};
@@ -11,31 +12,40 @@ use crate::value::Value;
 use crate::vocab::Vocabulary;
 use crate::ModelError;
 
+/// One column's posting list: `value → ascending row ids`.
+type ColumnIndex = FxHashMap<Value, Vec<u32>>;
+
 /// The tuples of one relation: a [`RowSet`] plus per-column posting
-/// lists.
+/// lists, each built on its first probe.
 ///
 /// Tuples are kept in insertion order (deterministic iteration) and
 /// deduplicated (set semantics, as in the paper), each stored once in
-/// the row set. Each column maintains a posting list
-/// `value → sorted row ids`, which makes homomorphism search and chase
-/// premise matching sub-linear: a partially bound atom
-/// only visits the shortest posting list among its bound columns, and a
-/// fully bound one is a single [`Self::contains`] probe.
+/// the row set. A column's posting list `value → sorted row ids` makes
+/// homomorphism search and chase premise matching sub-linear: a
+/// partially bound atom only visits the shortest posting list among its
+/// bound columns, and a fully bound one is a single [`Self::contains`]
+/// probe that needs no posting list at all.
+///
+/// A column is indexed only once [`Self::rows_with`] asks for it: the
+/// first call builds that column from the rows, and from then on
+/// inserts and removals keep it current. Columns nobody probes cost
+/// nothing to insert into or to clone (DESIGN.md §13.1).
 ///
 /// Row ids are dense `0..len()`: inserting appends, and removing
-/// swap-moves the last row into the freed slot and repairs every index,
-/// so posting lists always hold ascending row ids.
+/// swap-moves the last row into the freed slot and repairs every built
+/// index, so posting lists always hold ascending row ids.
 #[derive(Debug, Clone, Default)]
 pub struct RelationData {
     rows: RowSet,
-    /// `index[col][value]` = sorted row ids with `value` in column `col`.
-    index: Vec<FxHashMap<Value, Vec<u32>>>,
+    /// `index[col]`, once built, maps a value to the sorted row ids with
+    /// that value in column `col`.
+    index: Vec<OnceLock<ColumnIndex>>,
 }
 
 impl RelationData {
     /// An empty relation with the given number of columns.
     fn with_arity(arity: usize) -> Self {
-        RelationData { rows: RowSet::new(arity), index: vec![FxHashMap::default(); arity] }
+        RelationData { rows: RowSet::new(arity), index: vec![OnceLock::new(); arity] }
     }
 
     /// Number of columns.
@@ -59,11 +69,23 @@ impl RelationData {
     }
 
     /// Row ids whose column `col` holds `value`, ascending (empty slice
-    /// if none, including on an empty relation that has no column
-    /// indexes yet).
+    /// if none, or if `col` is out of range). The first call for a
+    /// column builds its posting lists from the rows.
     #[inline]
     pub fn rows_with(&self, col: usize, value: &Value) -> &[u32] {
-        self.index.get(col).and_then(|m| m.get(value)).map_or(&[], |v| &v[..])
+        self.index
+            .get(col)
+            .and_then(|cell| cell.get_or_init(|| self.build_column(col)).get(value))
+            .map_or(&[], |v| &v[..])
+    }
+
+    /// Column `col`'s posting lists, from the rows in id order.
+    fn build_column(&self, col: usize) -> ColumnIndex {
+        let mut column = ColumnIndex::default();
+        for (row, t) in (0u32..).zip(self.tuples()) {
+            column.entry(t[col]).or_default().push(row);
+        }
+        column
     }
 
     /// The tuple at a row id (from [`Self::rows_with`]).
@@ -102,8 +124,10 @@ impl RelationData {
     fn insert(&mut self, tuple: &[Value]) -> bool {
         let (row, new) = self.rows.insert(tuple);
         if new {
-            for (col, &v) in tuple.iter().enumerate() {
-                self.index[col].entry(v).or_default().push(row);
+            for (cell, &v) in self.index.iter_mut().zip(tuple) {
+                if let Some(column) = cell.get_mut() {
+                    column.entry(v).or_default().push(row);
+                }
             }
         }
         new
@@ -111,34 +135,35 @@ impl RelationData {
 
     /// Remove a tuple in place, if present; returns `true` when removed.
     /// The last row is swap-moved into the freed slot (row ids obtained
-    /// earlier from [`Self::rows_with`] are invalidated) and every index
-    /// is repaired.
+    /// earlier from [`Self::rows_with`] are invalidated) and every built
+    /// index is repaired.
     fn remove(&mut self, tuple: &[Value]) -> bool {
         let Some(row) = self.rows.find(tuple) else {
             return false;
         };
-        for (col, &v) in tuple.iter().enumerate() {
-            let col_index = &mut self.index[col];
-            let rows = col_index.get_mut(&v).expect("removed tuple is indexed");
-            let pos = rows.binary_search(&row).expect("removed row is listed");
-            rows.remove(pos);
-            if rows.is_empty() {
-                col_index.remove(&v);
-            }
-        }
         let last = u32::try_from(self.len() - 1).expect("relation too large");
-        if row != last {
-            // The last tuple moves to `row`: renumber its posting-list
-            // entries before the row set moves it.
-            for (col, &v) in self.rows.row(last).iter().enumerate() {
-                let rows = self.index[col].get_mut(&v).expect("moved tuple is indexed");
-                let pos = rows.binary_search(&last).expect("moved row is listed");
-                rows.remove(pos);
-                let ins = rows.binary_search(&row).expect_err("freed row id is unused");
-                rows.insert(ins, row);
+        // Split the borrow: the moved tuple is read while indexes change.
+        let RelationData { rows, index } = self;
+        let moved = rows.row(last);
+        for (col, cell) in index.iter_mut().enumerate() {
+            let Some(column) = cell.get_mut() else { continue };
+            let ids = column.get_mut(&tuple[col]).expect("removed tuple is indexed");
+            let pos = ids.binary_search(&row).expect("removed row is listed");
+            ids.remove(pos);
+            if ids.is_empty() {
+                column.remove(&tuple[col]);
+            }
+            if row != last {
+                // The last tuple moves to `row`: renumber its entry
+                // before the row set moves it.
+                let ids = column.get_mut(&moved[col]).expect("moved tuple is indexed");
+                let pos = ids.binary_search(&last).expect("moved row is listed");
+                ids.remove(pos);
+                let ins = ids.binary_search(&row).expect_err("freed row id is unused");
+                ids.insert(ins, row);
             }
         }
-        self.rows.swap_remove(row);
+        rows.swap_remove(row);
         true
     }
 }
@@ -314,7 +339,7 @@ impl Instance {
     }
 
     /// The sub-instance of facts over `schema`'s relations. Each kept
-    /// relation is copied whole, rows and indexes alike.
+    /// relation is copied whole, rows and built indexes alike.
     pub fn restrict_to(&self, schema: &Schema) -> Instance {
         let mut out = Instance::new();
         for (rel, data) in self.relations().filter(|&(r, _)| schema.contains(r)) {

@@ -17,7 +17,8 @@
 //!   null names, and relation symbols with their arities;
 //! * [`Schema`] — a finite set of relation symbols (a view onto the
 //!   vocabulary), including the replica-schema construction of the paper;
-//! * [`Fact`] and [`Instance`] — deduplicated, column-indexed fact sets;
+//! * [`Fact`] and [`Instance`] — deduplicated fact sets, column-indexed
+//!   on a column's first probe;
 //! * [`RowSet`] — flat deduplicated rows of one width, the store behind
 //!   every relation and the chase's trigger keys;
 //! * [`enumerate`] — bounded enumeration of all instances over a schema

@@ -17,27 +17,34 @@
 
 use crate::fact::Fact;
 use crate::instance::Instance;
+use crate::schema::RelId;
 use crate::value::Value;
 use crate::vocab::Vocabulary;
 use crate::ModelError;
 
 /// Parse an instance from its text form, interning symbols into `vocab`.
+///
+/// Each line's arguments are parsed into one reused buffer and inserted
+/// with [`Instance::insert_args`]: no [`Fact`] and no per-line vector.
 pub fn parse_instance(vocab: &mut Vocabulary, text: &str) -> Result<Instance, ModelError> {
     let mut instance = Instance::new();
+    let mut args = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
-        let fact = parse_fact_line(vocab, line, lineno + 1)?;
-        instance.insert(fact);
+        let rel = parse_fact_line(vocab, line, lineno + 1, &mut args)?;
+        instance.insert_args(rel, &args);
     }
     Ok(instance)
 }
 
 /// Parse a single fact like `P(a, ?x, 'hello world')`.
 pub fn parse_fact(vocab: &mut Vocabulary, line: &str) -> Result<Fact, ModelError> {
-    parse_fact_line(vocab, strip_comment(line).trim(), 1)
+    let mut args = Vec::new();
+    let rel = parse_fact_line(vocab, strip_comment(line).trim(), 1, &mut args)?;
+    Ok(Fact::new(rel, args))
 }
 
 /// `#` starts a comment — but only outside quoted constants.
@@ -53,7 +60,13 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_fact_line(vocab: &mut Vocabulary, line: &str, lineno: usize) -> Result<Fact, ModelError> {
+/// Parse one fact line into its relation and `args` (cleared first).
+fn parse_fact_line(
+    vocab: &mut Vocabulary,
+    line: &str,
+    lineno: usize,
+    args: &mut Vec<Value>,
+) -> Result<RelId, ModelError> {
     let err = |message: String| ModelError::Parse { line: lineno, message };
     let open = line.find('(').ok_or_else(|| err("expected `(` after relation name".into()))?;
     let name = line[..open].trim();
@@ -69,13 +82,13 @@ fn parse_fact_line(vocab: &mut Vocabulary, line: &str, lineno: usize) -> Result<
         return Err(err(format!("unexpected trailing input `{}`", &rest[close + 1..])));
     }
     let args_src = rest[..close].trim();
-    let mut args = Vec::new();
+    args.clear();
     if !args_src.is_empty() {
         for part in split_args(args_src) {
             args.push(parse_value(vocab, part.trim(), lineno)?);
         }
     }
-    let rel = vocab.relation(name, args.len()).map_err(|e| match e {
+    vocab.relation(name, args.len()).map_err(|e| match e {
         ModelError::ArityConflict { name, existing, requested } => ModelError::Parse {
             line: lineno,
             message: format!(
@@ -83,27 +96,29 @@ fn parse_fact_line(vocab: &mut Vocabulary, line: &str, lineno: usize) -> Result<
             ),
         },
         other => other,
-    })?;
-    Ok(Fact::new(rel, args))
+    })
 }
 
-/// Split on commas that are not inside single quotes.
-fn split_args(src: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut in_quote = false;
-    for (i, ch) in src.char_indices() {
-        match ch {
-            '\'' => in_quote = !in_quote,
-            ',' if !in_quote => {
-                parts.push(&src[start..i]);
-                start = i + 1;
+/// The pieces of `src` between commas that are not inside single
+/// quotes.
+fn split_args(src: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(src);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let mut in_quote = false;
+        for (i, ch) in s.char_indices() {
+            match ch {
+                '\'' => in_quote = !in_quote,
+                ',' if !in_quote => {
+                    rest = Some(&s[i + 1..]);
+                    return Some(&s[..i]);
+                }
+                _ => {}
             }
-            _ => {}
         }
-    }
-    parts.push(&src[start..]);
-    parts
+        rest = None;
+        Some(s)
+    })
 }
 
 /// Parse one value token: `?x` (null), `'quoted constant'`, or a bare

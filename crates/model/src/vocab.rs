@@ -134,6 +134,11 @@ impl Vocabulary {
         }
     }
 
+    /// A null's parse name without the `?`, if it has one.
+    pub(crate) fn null_label(&self, n: NullId) -> Option<&str> {
+        self.nulls.get(n.0 as usize)?.as_deref()
+    }
+
     /// Render any value using this vocabulary's names.
     pub fn value_name(&self, v: Value) -> String {
         match v {

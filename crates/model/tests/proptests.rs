@@ -34,6 +34,16 @@ fn abstract_script() -> impl Strategy<Value = Vec<(bool, u8, AbstractFact)>> {
     prop::collection::vec((any::<bool>(), 0u8..64, abstract_fact()), 0..24)
 }
 
+/// Strategy: a script over one instance whose column indexes are built
+/// on demand. Each step is `(op, pick, fact)`: op 0–3 inserts `fact`,
+/// op 4–5 removes the `pick`-th earlier insert (mod their number), op 6
+/// replaces the instance by its clone, and op 7 probes column
+/// `pick % arity` of `fact`'s relation for `fact`'s value there, which
+/// builds that column if nothing probed it before.
+fn lazy_index_script() -> impl Strategy<Value = Vec<(u8, u8, AbstractFact)>> {
+    prop::collection::vec((0u8..8, 0u8..64, abstract_fact()), 0..32)
+}
+
 /// Strategy: a row-set script over one width in `0..=4`. Each step is
 /// `(op, pick, row)`: op 0–1 inserts `row`, op 2 looks it up, op 3
 /// swap-removes the `pick`-th live row (mod their number). Values come
@@ -290,6 +300,70 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    /// Column indexes built on first probe agree with an eager
+    /// reference rebuilt from the rows after every step: whichever
+    /// columns a probe has built so far (a clone keeps them, inserts
+    /// and removals maintain them, the rest stay unbuilt), each posting
+    /// list is exactly the ascending ids of the rows holding the value.
+    #[test]
+    fn on_demand_posting_lists_match_an_eager_rebuild(script in lazy_index_script()) {
+        let mut vocab = Vocabulary::new();
+        let mut inst = Instance::new();
+        let mut inserted: Vec<Fact> = Vec::new();
+        let mut alive: Vec<Fact> = Vec::new();
+        // (relation, column) pairs some probe has built.
+        let mut built: Vec<(rde_model::RelId, usize)> = Vec::new();
+        for (op, pick, fact) in &script {
+            match op {
+                0..=3 => {
+                    let f = materialize_fact(&mut vocab, fact);
+                    let new = !alive.contains(&f);
+                    prop_assert_eq!(inst.insert(f.clone()), new);
+                    if new {
+                        alive.push(f.clone());
+                    }
+                    inserted.push(f);
+                }
+                4 | 5 if !inserted.is_empty() => {
+                    let f = inserted[usize::from(*pick) % inserted.len()].clone();
+                    prop_assert_eq!(inst.remove_fact(&f), alive.contains(&f));
+                    alive.retain(|g| g != &f);
+                }
+                6 => inst = inst.clone(),
+                _ => {
+                    let f = materialize_fact(&mut vocab, fact);
+                    let col = usize::from(*pick) % f.arity();
+                    if let Some(data) = inst.relation(f.relation()) {
+                        let rebuilt: Vec<u32> = (0u32..)
+                            .zip(data.tuples())
+                            .filter(|(_, t)| t[col] == f.args()[col])
+                            .map(|(r, _)| r)
+                            .collect();
+                        prop_assert_eq!(data.rows_with(col, &f.args()[col]), &rebuilt[..]);
+                        if !built.contains(&(f.relation(), col)) {
+                            built.push((f.relation(), col));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(inst.len(), alive.len());
+            let domain: Vec<Value> = inserted.iter().flat_map(|f| f.args().to_vec()).collect();
+            for &(rel, col) in &built {
+                let Some(data) = inst.relation(rel) else { continue };
+                for v in &domain {
+                    let rows = data.rows_with(col, v);
+                    let rebuilt: Vec<u32> =
+                        (0u32..).zip(data.tuples()).filter(|(_, t)| t[col] == *v).map(|(r, _)| r).collect();
+                    prop_assert_eq!(rows, &rebuilt[..], "col {} {:?}", col, v);
+                    prop_assert!(rows.windows(2).all(|w| w[0] < w[1]), "ascending");
+                }
+            }
+            let mut expected = alive.clone();
+            expected.sort();
+            prop_assert_eq!(inst.canonical_facts(), expected);
         }
     }
 }

@@ -63,6 +63,7 @@
 //! Clients map the forms to different exit codes; none of them drop
 //! the connection.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 
 /// A parsed request: op, optional mapping name, headers, body lines.
@@ -555,6 +556,7 @@ impl Reply {
         let mut out = String::new();
         match self {
             Reply::Ok(lines) => {
+                out.reserve(16 + lines.iter().map(|l| l.len() + 1).sum::<usize>());
                 out.push_str(&format!("OK {}\n", lines.len()));
                 for line in lines {
                     out.push_str(&oneline(line));
@@ -625,11 +627,12 @@ fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
     Ok(Some(line))
 }
 
-fn oneline(s: &str) -> String {
+/// `s` with each newline replaced by `"; "`; borrowed when it has none.
+fn oneline(s: &str) -> Cow<'_, str> {
     if s.contains('\n') {
-        s.replace('\n', "; ")
+        Cow::Owned(s.replace('\n', "; "))
     } else {
-        s.to_owned()
+        Cow::Borrowed(s)
     }
 }
 

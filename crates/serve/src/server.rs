@@ -923,12 +923,10 @@ fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Repl
         Err(reply) => return reply,
     };
     match rde_chase::chase(&instance, &entry.mapping.dependencies, &mut vocab, &options) {
-        Ok(result) => {
-            let rendered =
-                display::instance(&vocab, &result.instance.restrict_to(&entry.mapping.target))
-                    .to_string();
-            Reply::Ok(rendered.lines().map(str::to_owned).collect())
-        }
+        Ok(result) => Reply::Ok(display::fact_lines(
+            &vocab,
+            &result.instance.restrict_to(&entry.mapping.target),
+        )),
         Err(e) => chase_reply(e),
     }
 }
