@@ -3,12 +3,15 @@
 //! The renderings round-trip through [`crate::parse`]: for any instance
 //! `I`, `parse_instance(&render(I))` rebuilds `I` (up to null identity for
 //! anonymous nulls, which are printed as `?n<id>` and re-interned by
-//! name).
+//! name). A constant is written bare when it parses back bare, and in
+//! single quotes otherwise (`'a, b'`); a name holding a quote or a
+//! newline has no text form.
 
 use std::fmt::{self, Write};
 
 use crate::fact::Fact;
 use crate::instance::Instance;
+use crate::parse;
 use crate::schema::RelId;
 use crate::value::Value;
 use crate::vocab::Vocabulary;
@@ -24,7 +27,14 @@ impl fmt::Display for ValueDisplay<'_> {
     /// formatter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.value {
-            Value::Const(c) => f.write_str(self.vocab.constant_name(c)),
+            Value::Const(c) => {
+                let name = self.vocab.constant_name(c);
+                if parse::is_bare_constant(name) {
+                    f.write_str(name)
+                } else {
+                    write!(f, "'{name}'")
+                }
+            }
             Value::Null(n) => match self.vocab.null_label(n) {
                 Some(name) => write!(f, "?{name}"),
                 None => write!(f, "?n{}", n.0),

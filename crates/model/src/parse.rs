@@ -149,10 +149,16 @@ pub fn parse_value(
         }
         return Ok(Value::Const(vocab.constant(inner)));
     }
-    if token.chars().all(|c| c.is_alphanumeric() || c == '_') {
+    if is_bare_constant(token) {
         return Ok(Value::Const(vocab.constant(token)));
     }
     Err(err(format!("invalid value token `{token}`")))
+}
+
+/// Does `name` parse back, unquoted, as the constant `name`? The
+/// renderer quotes every constant name that does not.
+pub(crate) fn is_bare_constant(name: &str) -> bool {
+    !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_')
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! The vocabulary: interned constants, nulls, and relation symbols.
 
+use std::sync::Arc;
+
 use crate::fx::FxHashMap;
 use crate::schema::RelId;
 use crate::value::{ConstId, NullId, Value};
@@ -15,20 +17,24 @@ use crate::ModelError;
 ///
 /// Fresh nulls are drawn from this table too, so the chase receives
 /// `&mut Vocabulary` and null identity is consistent session-wide.
+///
+/// Each interned name is stored once: the id table and the name index
+/// share one `Arc<str>`, so interning a new name allocates once and
+/// cloning a vocabulary copies the tables but no name.
 #[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
-    constants: Vec<String>,
-    constant_ids: FxHashMap<String, ConstId>,
+    constants: Vec<Arc<str>>,
+    constant_ids: FxHashMap<Arc<str>, ConstId>,
     /// Null display names; `None` for anonymous (chase-invented) nulls.
-    nulls: Vec<Option<String>>,
-    null_ids: FxHashMap<String, NullId>,
+    nulls: Vec<Option<Arc<str>>>,
+    null_ids: FxHashMap<Arc<str>, NullId>,
     relations: Vec<RelationInfo>,
-    relation_ids: FxHashMap<String, RelId>,
+    relation_ids: FxHashMap<Arc<str>, RelId>,
 }
 
 #[derive(Debug, Clone)]
 struct RelationInfo {
-    name: String,
+    name: Arc<str>,
     arity: usize,
 }
 
@@ -44,8 +50,9 @@ impl Vocabulary {
             return id;
         }
         let id = ConstId(u32::try_from(self.constants.len()).expect("constant table overflow"));
-        self.constants.push(name.to_owned());
-        self.constant_ids.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.constants.push(Arc::clone(&name));
+        self.constant_ids.insert(name, id);
         id
     }
 
@@ -60,8 +67,9 @@ impl Vocabulary {
             return id;
         }
         let id = NullId(u32::try_from(self.nulls.len()).expect("null table overflow"));
-        self.nulls.push(Some(name.to_owned()));
-        self.null_ids.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.nulls.push(Some(Arc::clone(&name)));
+        self.null_ids.insert(name, id);
         id
     }
 
@@ -96,8 +104,9 @@ impl Vocabulary {
             return Ok(id);
         }
         let id = RelId(u32::try_from(self.relations.len()).expect("relation table overflow"));
-        self.relations.push(RelationInfo { name: name.to_owned(), arity });
-        self.relation_ids.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.relations.push(RelationInfo { name: Arc::clone(&name), arity });
+        self.relation_ids.insert(name, id);
         Ok(id)
     }
 
@@ -139,12 +148,11 @@ impl Vocabulary {
         self.nulls.get(n.0 as usize)?.as_deref()
     }
 
-    /// Render any value using this vocabulary's names.
+    /// Render any value using this vocabulary's names, as the instance
+    /// text writes it ([`crate::display::value`]): a constant that
+    /// would not parse back bare is quoted.
     pub fn value_name(&self, v: Value) -> String {
-        match v {
-            Value::Const(c) => self.constant_name(c).to_owned(),
-            Value::Null(n) => self.null_name(n),
-        }
+        crate::display::value(self, v).to_string()
     }
 
     /// Number of interned relation symbols.

@@ -1,19 +1,32 @@
 //! Differential tests of the instance text path against small
 //! reference implementations kept here as oracles: the renderer against
 //! one `Fact` per fact from `canonical_facts` and one `String` per value
-//! from `value_name`, and the parser against one that splits each line
-//! into a `Vec` of argument strings and builds a `Fact` per line.
+//! (a constant quoted unless it is a bare token), and the parser against
+//! one that splits each line into a `Vec` of argument strings and builds
+//! a `Fact` per line.
 
 use proptest::prelude::*;
 use rde_model::parse::{parse_instance, parse_value};
 use rde_model::{display, Fact, Instance, ModelError, Value, Vocabulary};
 
-/// The reference rendering: canonical facts, names through `value_name`.
+/// The reference rendering: canonical facts, a constant's name quoted
+/// unless it is a bare token, nulls through `value_name`.
 fn render_oracle(vocab: &Vocabulary, inst: &Instance) -> Vec<String> {
+    let name = |v: Value| match v {
+        Value::Const(c) => {
+            let name = vocab.constant_name(c);
+            if !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                name.to_owned()
+            } else {
+                format!("'{name}'")
+            }
+        }
+        Value::Null(_) => vocab.value_name(v),
+    };
     inst.canonical_facts()
         .iter()
         .map(|f| {
-            let args: Vec<String> = f.args().iter().map(|&v| vocab.value_name(v)).collect();
+            let args: Vec<String> = f.args().iter().map(|&v| name(v)).collect();
             format!("{}({})", vocab.relation_name(f.relation()), args.join(", "))
         })
         .collect()
@@ -96,16 +109,20 @@ fn split_args(src: &str) -> Vec<&str> {
 
 /// A generated fact: relation (arities 1, 2, 3, 0) and argument codes.
 /// Code `0..4` is a constant, `4..8` a named null, `8..10` an anonymous
-/// (chase-style) null, `10` a quoted constant with a comma and a space.
+/// (chase-style) null, `10..14` a constant that must be quoted (`NEEDS_QUOTES`).
 type GenFact = (u8, Vec<u8>);
 
 fn gen_facts() -> impl Strategy<Value = Vec<GenFact>> {
     let fact = (0u8..4).prop_flat_map(|rel| {
         let arity = [1, 2, 3, 0][usize::from(rel)];
-        (Just(rel), prop::collection::vec(0u8..11, arity))
+        (Just(rel), prop::collection::vec(0u8..14, arity))
     });
     prop::collection::vec(fact, 0..16)
 }
+
+/// Constant names that do not parse back bare: a comma, a space, the
+/// empty name, and a comment sign, parentheses and padding.
+const NEEDS_QUOTES: [&str; 4] = ["a, b", "a b", "", " f(x) #1 "];
 
 fn build(vocab: &mut Vocabulary, facts: &[GenFact]) -> Instance {
     let rels = ["Ra", "Rb", "Rc", "Flag"]
@@ -122,7 +139,7 @@ fn build(vocab: &mut Vocabulary, facts: &[GenFact]) -> Instance {
                 0..=3 => vocab.const_value(&format!("c{c}")),
                 4..=7 => vocab.null_value(&format!("x{c}")),
                 8 | 9 => anonymous[usize::from(c - 8)],
-                _ => vocab.const_value("a, b"),
+                _ => vocab.const_value(NEEDS_QUOTES[usize::from(c - 10)]),
             })
             .collect();
         inst.insert(Fact::new(rels[usize::from(*rel)], args));
@@ -172,13 +189,9 @@ proptest! {
         // parse(render(I)): named nulls keep their names and anonymous
         // ones come back as named nulls `?n<id>`, so a fresh vocabulary
         // renders the same lines (in its own id order), and the instance
-        // is equal once no anonymous null occurs. Constants are written
-        // unquoted, so one that needs quotes (code 10) does not
-        // round-trip and is left out.
+        // is equal once no anonymous null occurs. Constants that need
+        // quotes are written quoted, so they round-trip too.
         let has = |code: &dyn Fn(u8) -> bool| facts.iter().any(|(_, cs)| cs.iter().any(|&c| code(c)));
-        if has(&|c| c == 10) {
-            return Ok(());
-        }
         let mut fresh = Vocabulary::new();
         let reparsed = parse_instance(&mut fresh, &text).unwrap();
         let sorted = |lines: Vec<String>| {

@@ -23,7 +23,12 @@
 //! mode** ([`capture_begin`]/[`capture_take`]/[`append`]) buffers a
 //! request's records without touching the shared sink; the server's
 //! slow-request sampler replays the buffer only for requests that
-//! exceeded its threshold. A sink write that fails mid-stream leaves a
+//! exceeded its threshold, and [`capture_discard`]s the rest. The
+//! buffer is an arena of compact entries whose strings share one
+//! reused `String`, so a discarded capture allocates nothing; owned
+//! [`Record`]s are built only for the memory sink and for a kept
+//! capture. The file sinks render each line from borrowed fields into
+//! one reused buffer. A sink write that fails mid-stream leaves a
 //! `journal.io_drop` marker (stamped with the lost record's request
 //! id) instead of a silent hole.
 //!
@@ -104,25 +109,14 @@ pub enum OwnedField {
 }
 
 impl OwnedField {
-    fn render_into(&self, out: &mut String) {
-        match self {
-            OwnedField::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            OwnedField::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            OwnedField::F64(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            OwnedField::Str(s) => json::escape_into(out, s),
-            OwnedField::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
+    /// The borrowed form, for rendering.
+    fn as_field(&self) -> Field<'_> {
+        match *self {
+            OwnedField::U64(v) => Field::U64(v),
+            OwnedField::I64(v) => Field::I64(v),
+            OwnedField::F64(v) => Field::F64(v),
+            OwnedField::Str(ref s) => Field::Str(s),
+            OwnedField::Bool(b) => Field::Bool(b),
         }
     }
 
@@ -171,29 +165,91 @@ pub struct Record {
     pub fields: Vec<(String, OwnedField)>,
 }
 
+/// The fixed part of a record: everything but its fields.
+#[derive(Clone, Copy)]
+struct Head<'a> {
+    t_us: u64,
+    kind: &'static str,
+    name: &'a str,
+    span: u64,
+    parent: u64,
+    elapsed_us: Option<u64>,
+}
+
+/// The `req` stamp as a trailing field (none outside a request).
+#[cfg(feature = "trace")]
+fn req_field<'a>(req: u64) -> Option<(&'a str, Field<'a>)> {
+    (req != 0).then_some(("req", Field::U64(req)))
+}
+
+fn render_field(out: &mut String, field: Field<'_>) {
+    match field {
+        Field::U64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Field::I64(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Field::F64(v) => {
+            if v.is_finite() {
+                let _ = write!(out, "{v}");
+            } else {
+                out.push_str("null");
+            }
+        }
+        Field::Str(s) => json::escape_into(out, s),
+        Field::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
+    }
+}
+
+/// Append one record as a JSON line (no newline) to `out`. Live
+/// emission and [`Record::to_json_line`] (which capture replay goes
+/// through) both render here, so every path writes the same bytes.
+fn render_line<'f>(
+    out: &mut String,
+    head: Head<'_>,
+    fields: impl Iterator<Item = (&'f str, Field<'f>)>,
+) {
+    let _ = write!(out, "{{\"t_us\":{},\"kind\":\"{}\",\"name\":", head.t_us, head.kind);
+    json::escape_into(out, head.name);
+    if head.span != 0 {
+        let _ = write!(out, ",\"span\":{}", head.span);
+    }
+    if head.kind == "span_open" {
+        let _ = write!(out, ",\"parent\":{}", head.parent);
+    }
+    if let Some(us) = head.elapsed_us {
+        let _ = write!(out, ",\"elapsed_us\":{us}");
+    }
+    for (k, v) in fields {
+        out.push(',');
+        json::escape_into(out, k);
+        out.push(':');
+        render_field(out, v);
+    }
+    out.push('}');
+}
+
 impl Record {
     /// Render the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(96);
-        let _ = write!(out, "{{\"t_us\":{},\"kind\":\"{}\",\"name\":", self.t_us, self.kind);
-        json::escape_into(&mut out, &self.name);
-        if self.span != 0 {
-            let _ = write!(out, ",\"span\":{}", self.span);
-        }
-        if self.kind == "span_open" {
-            let _ = write!(out, ",\"parent\":{}", self.parent);
-        }
-        if let Some(us) = self.elapsed_us {
-            let _ = write!(out, ",\"elapsed_us\":{us}");
-        }
-        for (k, v) in &self.fields {
-            out.push(',');
-            json::escape_into(&mut out, k);
-            out.push(':');
-            v.render_into(&mut out);
-        }
-        out.push('}');
+        self.render_into(&mut out);
         out
+    }
+
+    fn render_into(&self, out: &mut String) {
+        let head = Head {
+            t_us: self.t_us,
+            kind: self.kind,
+            name: &self.name,
+            span: self.span,
+            parent: self.parent,
+            elapsed_us: self.elapsed_us,
+        };
+        render_line(out, head, self.fields.iter().map(|(k, v)| (k.as_str(), v.as_field())));
     }
 
     /// Look up a field by key.
@@ -337,7 +393,7 @@ mod imp {
     use std::sync::{Mutex, OnceLock};
     use std::time::Instant;
 
-    use super::{Field, JournalSummary, OwnedField, Record, Sink};
+    use super::{render_line, req_field, Field, Head, JournalSummary, OwnedField, Record, Sink};
 
     enum Out {
         File(std::io::BufWriter<std::fs::File>),
@@ -389,12 +445,13 @@ mod imp {
             Ok(())
         }
 
+        /// Write `line`, which ends in its newline.
         fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-            let len = line.len() as u64 + 1;
+            let len = line.len() as u64;
             if self.bytes > 0 && self.bytes + len > self.max_bytes {
                 self.rotate()?;
             }
-            writeln!(self.w, "{line}")?;
+            self.w.write_all(line.as_bytes())?;
             self.bytes += len;
             Ok(())
         }
@@ -410,6 +467,8 @@ mod imp {
         /// faults belong to the campaign that owns this sink, not to
         /// whatever campaign happens to be live elsewhere.
         injector: rde_faults::FaultInjector,
+        /// The text sinks render each line here, reused across records.
+        line: String,
     }
 
     static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -421,15 +480,152 @@ mod imp {
     /// hold the heap hostage.
     const CAPTURE_CAP: usize = 1 << 14;
 
+    /// Bytes of buffer an arena keeps between captures. A runaway
+    /// request's buffers are given back at the next `capture_begin`
+    /// rather than held by its thread for good.
+    const ARENA_KEEP_BYTES: usize = 1 << 18;
+
+    /// A string's byte range in [`Arena::text`].
+    #[derive(Clone, Copy)]
+    struct Text {
+        start: usize,
+        end: usize,
+    }
+
+    /// A captured field value; a string lives in [`Arena::text`].
+    #[derive(Clone, Copy)]
+    enum Captured {
+        U64(u64),
+        I64(i64),
+        F64(f64),
+        Str(Text),
+        Bool(bool),
+    }
+
+    /// One captured record: its name and fields as ranges into the
+    /// arena, its request stamp kept apart until replay.
+    struct Entry {
+        kind: &'static str,
+        name: Text,
+        span: u64,
+        parent: u64,
+        t_us: u64,
+        elapsed_us: Option<u64>,
+        req: u64,
+        /// Range in [`Arena::fields`].
+        fields: (usize, usize),
+    }
+
+    /// A thread's capture buffer: compact entries, one field vector
+    /// and one string for every name, key and string value. Clearing
+    /// keeps the capacity, so once a thread has served one request,
+    /// capturing another allocates nothing; only a slow request's
+    /// [`Arena::records`] builds owned [`Record`]s.
+    struct Arena {
+        entries: Vec<Entry>,
+        fields: Vec<(Text, Captured)>,
+        text: String,
+        /// Records past [`CAPTURE_CAP`], counted instead of kept.
+        dropped: u64,
+    }
+
+    impl Arena {
+        const fn new() -> Self {
+            Arena { entries: Vec::new(), fields: Vec::new(), text: String::new(), dropped: 0 }
+        }
+
+        fn clear(&mut self) {
+            let held = self.entries.capacity() * std::mem::size_of::<Entry>()
+                + self.fields.capacity() * std::mem::size_of::<(Text, Captured)>()
+                + self.text.capacity();
+            if held > ARENA_KEEP_BYTES {
+                *self = Arena::new();
+            }
+            self.entries.clear();
+            self.fields.clear();
+            self.text.clear();
+            self.dropped = 0;
+        }
+
+        fn intern(&mut self, s: &str) -> Text {
+            let start = self.text.len();
+            self.text.push_str(s);
+            Text { start, end: self.text.len() }
+        }
+
+        fn str(&self, t: Text) -> &str {
+            &self.text[t.start..t.end]
+        }
+
+        fn push(&mut self, head: Head<'_>, fields: &[(&str, Field<'_>)], req: u64) {
+            if self.entries.len() >= CAPTURE_CAP {
+                self.dropped += 1;
+                return;
+            }
+            let name = self.intern(head.name);
+            let first = self.fields.len();
+            for &(key, value) in fields {
+                let key = self.intern(key);
+                let value = match value {
+                    Field::U64(v) => Captured::U64(v),
+                    Field::I64(v) => Captured::I64(v),
+                    Field::F64(v) => Captured::F64(v),
+                    Field::Str(s) => Captured::Str(self.intern(s)),
+                    Field::Bool(b) => Captured::Bool(b),
+                };
+                self.fields.push((key, value));
+            }
+            self.entries.push(Entry {
+                kind: head.kind,
+                name,
+                span: head.span,
+                parent: head.parent,
+                t_us: head.t_us,
+                elapsed_us: head.elapsed_us,
+                req,
+                fields: (first, self.fields.len()),
+            });
+        }
+
+        /// The captured records, as live emission would have handed
+        /// them to the memory sink: same order, `req` stamped last.
+        fn records(&self) -> Vec<Record> {
+            self.entries
+                .iter()
+                .map(|e| {
+                    let fields = self.fields[e.fields.0..e.fields.1].iter().map(|&(key, value)| {
+                        let value = match value {
+                            Captured::U64(v) => OwnedField::U64(v),
+                            Captured::I64(v) => OwnedField::I64(v),
+                            Captured::F64(v) => OwnedField::F64(v),
+                            Captured::Str(s) => OwnedField::Str(self.str(s).to_owned()),
+                            Captured::Bool(b) => OwnedField::Bool(b),
+                        };
+                        (self.str(key).to_owned(), value)
+                    });
+                    let req = req_field(e.req).map(|(k, v)| (k.to_owned(), v.into()));
+                    Record {
+                        t_us: e.t_us,
+                        kind: e.kind,
+                        name: self.str(e.name).to_owned(),
+                        span: e.span,
+                        parent: e.parent,
+                        elapsed_us: e.elapsed_us,
+                        fields: fields.chain(req).collect(),
+                    }
+                })
+                .collect()
+        }
+    }
+
     thread_local! {
         // Capture mode: while `CAPTURING` is set, this thread's records
-        // are diverted into `CAPTURE` instead of the shared sink — the
+        // are diverted into `ARENA` instead of the shared sink — the
         // slow-request sampler decides after the fact whether to keep
         // them. Thread-local on purpose: capture must not take the
         // STATE lock or interleave with other threads.
         static CAPTURING: Cell<bool> = const { Cell::new(false) };
-        static CAPTURE: RefCell<Vec<Record>> = const { RefCell::new(Vec::new()) };
-        static CAPTURE_DROPPED: Cell<u64> = const { Cell::new(0) };
+        static ARENA: RefCell<Arena> = const { RefCell::new(Arena::new()) };
     }
 
     pub(super) fn now_us() -> u64 {
@@ -442,31 +638,36 @@ mod imp {
 
     pub(super) fn capture_begin() {
         CAPTURING.with(|c| c.set(true));
-        CAPTURE.with(|c| c.borrow_mut().clear());
-        CAPTURE_DROPPED.with(|c| c.set(0));
+        ARENA.with(|a| a.borrow_mut().clear());
+    }
+
+    pub(super) fn capture_discard() {
+        CAPTURING.with(|c| c.set(false));
+        ARENA.with(|a| a.borrow_mut().clear());
     }
 
     pub(super) fn capture_take() -> Vec<Record> {
         CAPTURING.with(|c| c.set(false));
-        let mut records = CAPTURE.with(|c| std::mem::take(&mut *c.borrow_mut()));
-        let dropped = CAPTURE_DROPPED.with(Cell::take);
-        if dropped > 0 {
-            let mut fields = vec![("dropped".to_owned(), OwnedField::U64(dropped))];
-            let req = crate::request::current();
-            if req != 0 {
-                fields.push(("req".to_owned(), OwnedField::U64(req)));
+        ARENA.with(|a| {
+            let mut arena = a.borrow_mut();
+            let mut records = arena.records();
+            if arena.dropped > 0 {
+                let dropped = ("dropped".to_owned(), OwnedField::U64(arena.dropped));
+                let req =
+                    req_field(crate::request::current()).map(|(k, v)| (k.to_owned(), v.into()));
+                records.push(Record {
+                    t_us: now_us(),
+                    kind: "event",
+                    name: "journal.capture_truncated".to_owned(),
+                    span: 0,
+                    parent: 0,
+                    elapsed_us: None,
+                    fields: std::iter::once(dropped).chain(req).collect(),
+                });
             }
-            records.push(Record {
-                t_us: now_us(),
-                kind: "event",
-                name: "journal.capture_truncated".to_owned(),
-                span: 0,
-                parent: 0,
-                elapsed_us: None,
-                fields,
-            });
-        }
-        records
+            arena.clear();
+            records
+        })
     }
 
     fn lock() -> std::sync::MutexGuard<'static, Option<State>> {
@@ -490,7 +691,15 @@ mod imp {
         if let Some(old) = guard.take() {
             finish(old);
         }
-        *guard = Some(State { out, capacity, written: 0, dropped: 0, io_errors: 0, injector });
+        *guard = Some(State {
+            out,
+            capacity,
+            written: 0,
+            dropped: 0,
+            io_errors: 0,
+            injector,
+            line: String::new(),
+        });
         ACTIVE.store(true, Ordering::Relaxed);
         Ok(())
     }
@@ -508,7 +717,7 @@ mod imp {
                 elapsed_us: None,
                 fields: vec![("dropped".to_owned(), OwnedField::U64(state.dropped))],
             };
-            if write_record(&mut state.out, &state.injector, marker).is_err() {
+            if write_record(&mut state.out, &state.injector, &mut state.line, marker).is_err() {
                 state.io_errors += 1;
             }
         }
@@ -532,26 +741,90 @@ mod imp {
         }
     }
 
+    /// A record on its way to the sink. The text sinks render it into
+    /// the state's reused line buffer; only the memory sink gets an
+    /// owned [`Record`].
+    trait Pending {
+        fn render(&self, out: &mut String);
+        fn into_record(self) -> Record;
+        fn req(&self) -> u64;
+    }
+
+    /// A live emission, its strings still borrowed from the call site.
+    struct Live<'a> {
+        head: Head<'a>,
+        fields: &'a [(&'a str, Field<'a>)],
+        req: u64,
+    }
+
+    impl Live<'_> {
+        fn fields(&self) -> impl Iterator<Item = (&str, Field<'_>)> {
+            self.fields.iter().copied().chain(req_field(self.req))
+        }
+    }
+
+    impl Pending for Live<'_> {
+        fn render(&self, out: &mut String) {
+            render_line(out, self.head, self.fields());
+        }
+
+        fn into_record(self) -> Record {
+            Record {
+                t_us: self.head.t_us,
+                kind: self.head.kind,
+                name: self.head.name.to_owned(),
+                span: self.head.span,
+                parent: self.head.parent,
+                elapsed_us: self.head.elapsed_us,
+                fields: self.fields().map(|(k, v)| (k.to_owned(), v.into())).collect(),
+            }
+        }
+
+        fn req(&self) -> u64 {
+            self.req
+        }
+    }
+
+    impl Pending for Record {
+        fn render(&self, out: &mut String) {
+            self.render_into(out);
+        }
+
+        fn into_record(self) -> Record {
+            self
+        }
+
+        fn req(&self) -> u64 {
+            Record::req(self)
+        }
+    }
+
     /// Write one record to the sink. On error the whole record is
     /// skipped (never a partial line), so file sinks stay valid JSONL;
     /// callers count the loss in `State::io_errors`.
     fn write_record(
         out: &mut Out,
         injector: &rde_faults::FaultInjector,
-        record: Record,
+        line: &mut String,
+        record: impl Pending,
     ) -> std::io::Result<()> {
         rde_faults::fault_point!(
             injector,
             "obs.journal.write",
             std::io::Error::other("injected journal write failure")
         );
+        if let Out::Memory(v) = out {
+            v.push(record.into_record());
+            return Ok(());
+        }
+        line.clear();
+        record.render(line);
+        line.push('\n');
         match out {
-            Out::File(w) => writeln!(w, "{}", record.to_json_line())?,
-            Out::Rotating(rot) => rot.write_line(&record.to_json_line())?,
-            Out::Stderr => {
-                eprintln!("{}", record.to_json_line());
-            }
-            Out::Memory(v) => v.push(record),
+            Out::File(w) => w.write_all(line.as_bytes())?,
+            Out::Rotating(rot) => rot.write_line(line)?,
+            Out::Stderr => eprint!("{line}"),
+            Out::Memory(_) => {}
         }
         Ok(())
     }
@@ -581,10 +854,10 @@ mod imp {
     /// from one with a hole in it. (Before this marker existed, a
     /// rotating-sink write failure silently dropped whole event groups
     /// mid-request and only `io_errors` hinted at it.)
-    fn write_or_mark(state: &mut State, record: Record) {
+    fn write_or_mark(state: &mut State, record: impl Pending) {
         let req = record.req();
-        let State { out, injector, io_errors, written, .. } = state;
-        if write_record(out, injector, record).is_ok() {
+        let State { out, injector, io_errors, written, line, .. } = state;
+        if write_record(out, injector, line, record).is_ok() {
             return;
         }
         *io_errors += 1;
@@ -602,7 +875,7 @@ mod imp {
             fields,
         };
         *written += 1;
-        if write_record(out, injector, marker).is_err() {
+        if write_record(out, injector, line, marker).is_err() {
             *io_errors += 1;
         }
     }
@@ -619,24 +892,10 @@ mod imp {
         if !capturing && !ACTIVE.load(Ordering::Relaxed) {
             return;
         }
-        let t_us = now_us();
-        let mut owned: Vec<(String, OwnedField)> =
-            fields.iter().map(|&(k, v)| (k.to_owned(), v.into())).collect();
+        let head = Head { t_us: now_us(), kind, name, span, parent, elapsed_us };
         let req = crate::request::current();
-        if req != 0 {
-            owned.push(("req".to_owned(), OwnedField::U64(req)));
-        }
-        let record =
-            Record { t_us, kind, name: name.to_owned(), span, parent, elapsed_us, fields: owned };
         if capturing {
-            CAPTURE.with(|c| {
-                let mut buf = c.borrow_mut();
-                if buf.len() >= CAPTURE_CAP {
-                    CAPTURE_DROPPED.with(|d| d.set(d.get() + 1));
-                } else {
-                    buf.push(record);
-                }
-            });
+            ARENA.with(|a| a.borrow_mut().push(head, fields, req));
             return;
         }
         let mut guard = lock();
@@ -648,7 +907,7 @@ mod imp {
             return;
         }
         state.written += 1;
-        write_or_mark(state, record);
+        write_or_mark(state, Live { head, fields, req });
     }
 
     /// Append a pre-built record to the shared sink (the slow-request
@@ -668,6 +927,203 @@ mod imp {
         state.written += 1;
         write_or_mark(state, record);
     }
+
+    #[cfg(test)]
+    mod tests {
+        use std::fmt::Write as _;
+
+        use super::*;
+        use crate::json;
+
+        /// The renderer as it was when every line went through an owned
+        /// `Record`, kept as the oracle.
+        fn oracle_line(rec: &Record) -> String {
+            let mut out = String::with_capacity(96);
+            let _ = write!(out, "{{\"t_us\":{},\"kind\":\"{}\",\"name\":", rec.t_us, rec.kind);
+            json::escape_into(&mut out, &rec.name);
+            if rec.span != 0 {
+                let _ = write!(out, ",\"span\":{}", rec.span);
+            }
+            if rec.kind == "span_open" {
+                let _ = write!(out, ",\"parent\":{}", rec.parent);
+            }
+            if let Some(us) = rec.elapsed_us {
+                let _ = write!(out, ",\"elapsed_us\":{us}");
+            }
+            for (k, v) in &rec.fields {
+                out.push(',');
+                json::escape_into(&mut out, k);
+                out.push(':');
+                match v {
+                    OwnedField::U64(v) => {
+                        let _ = write!(out, "{v}");
+                    }
+                    OwnedField::I64(v) => {
+                        let _ = write!(out, "{v}");
+                    }
+                    OwnedField::F64(v) => {
+                        if v.is_finite() {
+                            let _ = write!(out, "{v}");
+                        } else {
+                            out.push_str("null");
+                        }
+                    }
+                    OwnedField::Str(s) => json::escape_into(&mut out, s),
+                    OwnedField::Bool(b) => {
+                        let _ = write!(out, "{b}");
+                    }
+                }
+            }
+            out.push('}');
+            out
+        }
+
+        /// splitmix64: a dependency-free generator for the cases.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, n: u64) -> u64 {
+                self.next() % n
+            }
+
+            /// Zero (the "none" id) one time in three, else any value.
+            fn id(&mut self) -> u64 {
+                if self.below(3) == 0 {
+                    0
+                } else {
+                    self.next()
+                }
+            }
+
+            fn text(&mut self) -> String {
+                const PIECES: &[&str] = &[
+                    "a", "req", ".", "\"", "\\", "\n", "\t", "\r", "\u{1}", "\u{1f}", "é", "∀", " ",
+                ];
+                (0..self.below(6))
+                    .map(|_| PIECES[self.below(PIECES.len() as u64) as usize])
+                    .collect()
+            }
+
+            fn float(&mut self) -> f64 {
+                match self.below(6) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => f64::from_bits(self.next()),
+                    _ => self.below(1000) as f64 / 7.0,
+                }
+            }
+        }
+
+        /// One random emission, as owned strings the borrowed forms
+        /// point into.
+        struct Case {
+            kind: &'static str,
+            name: String,
+            span: u64,
+            parent: u64,
+            elapsed_us: Option<u64>,
+            keys: Vec<String>,
+            strs: Vec<String>,
+            values: Vec<(u8, u64, f64)>,
+            req: u64,
+        }
+
+        impl Case {
+            fn new(rng: &mut Rng) -> Case {
+                let kind = ["span_open", "span_close", "event"][rng.below(3) as usize];
+                let n = rng.below(5) as usize;
+                Case {
+                    kind,
+                    name: rng.text(),
+                    span: rng.id(),
+                    parent: rng.id(),
+                    elapsed_us: (rng.below(2) == 0).then(|| rng.next()),
+                    keys: (0..n).map(|_| rng.text()).collect(),
+                    strs: (0..n).map(|_| rng.text()).collect(),
+                    values: (0..n).map(|_| (rng.below(5) as u8, rng.next(), rng.float())).collect(),
+                    req: rng.id(),
+                }
+            }
+
+            fn fields(&self) -> Vec<(&str, Field<'_>)> {
+                self.keys
+                    .iter()
+                    .zip(&self.strs)
+                    .zip(&self.values)
+                    .map(|((k, s), &(tag, n, x))| {
+                        let v = match tag {
+                            0 => Field::U64(n),
+                            1 => Field::I64(n as i64),
+                            2 => Field::F64(x),
+                            3 => Field::Str(s),
+                            _ => Field::Bool(n % 2 == 0),
+                        };
+                        (k.as_str(), v)
+                    })
+                    .collect()
+            }
+
+            fn head(&self) -> Head<'_> {
+                Head {
+                    t_us: self.span ^ self.req,
+                    kind: self.kind,
+                    name: &self.name,
+                    span: self.span,
+                    parent: self.parent,
+                    elapsed_us: self.elapsed_us,
+                }
+            }
+        }
+
+        #[test]
+        fn live_lines_render_like_owned_records() {
+            let mut rng = Rng(27);
+            for _ in 0..4000 {
+                let case = Case::new(&mut rng);
+                let fields = case.fields();
+                let live = || Live { head: case.head(), fields: &fields, req: case.req };
+                let mut line = String::new();
+                live().render(&mut line);
+                let record = live().into_record();
+                assert_eq!(line, oracle_line(&record), "{record:?}");
+                assert_eq!(record.to_json_line(), line);
+                if !case.keys.iter().any(|k| k == "req") {
+                    assert_eq!(record.req(), case.req);
+                }
+                assert!(json::is_valid(&line), "{line}");
+            }
+        }
+
+        #[test]
+        fn arena_entries_come_back_as_the_records_live_emission_builds() {
+            let mut rng = Rng(11);
+            let mut arena = Arena::new();
+            for round in 0..3 {
+                arena.clear();
+                let cases: Vec<Case> = (0..200).map(|_| Case::new(&mut rng)).collect();
+                let fields: Vec<Vec<(&str, Field<'_>)>> = cases.iter().map(Case::fields).collect();
+                for (case, fields) in cases.iter().zip(&fields) {
+                    arena.push(case.head(), fields, case.req);
+                }
+                let records = arena.records();
+                assert_eq!(records.len(), cases.len(), "round {round}");
+                for ((case, fields), got) in cases.iter().zip(&fields).zip(&records) {
+                    let want = Live { head: case.head(), fields, req: case.req }.into_record();
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(not(feature = "trace"))]
@@ -681,6 +1137,7 @@ mod imp {
         false
     }
     pub(super) fn capture_begin() {}
+    pub(super) fn capture_discard() {}
     pub(super) fn capture_take() -> Vec<Record> {
         Vec::new()
     }
@@ -755,9 +1212,19 @@ pub fn capture_begin() {
 
 /// Stop capturing on the calling thread and return the buffered
 /// records (empty if [`capture_begin`] was never called, or with the
-/// `trace` feature compiled out).
+/// `trace` feature compiled out). This is the slow path: it builds one
+/// owned [`Record`] per buffered entry, in emission order.
 pub fn capture_take() -> Vec<Record> {
     imp::capture_take()
+}
+
+/// Stop capturing on the calling thread and drop the buffer: the fast
+/// path of the slow-request sampler, for a request that was not slow.
+/// The buffer keeps its capacity for the thread's next capture, so
+/// neither capturing nor discarding allocates once a thread has
+/// captured one request of the same shape.
+pub fn capture_discard() {
+    imp::capture_discard()
 }
 
 /// Append a pre-built record directly to the attached sink, subject to

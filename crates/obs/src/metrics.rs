@@ -210,12 +210,15 @@ fn registry() -> std::sync::MutexGuard<'static, BTreeMap<&'static str, Metric>> 
     REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The labeled registry, keyed by `(name, canonical label string)`.
+/// The labeled registry: metric name, then canonical label string.
 /// Kept separate from the unlabeled one so the hot `counter!` macros
-/// stay `&'static str`-keyed and allocation-free.
-static LABELED: Mutex<BTreeMap<(&'static str, String), Metric>> = Mutex::new(BTreeMap::new());
+/// stay `&'static str`-keyed and allocation-free. Nesting by name lets
+/// a lookup borrow its label string: only a new series allocates.
+type LabeledRegistry = BTreeMap<&'static str, BTreeMap<String, Metric>>;
 
-fn labeled_registry() -> std::sync::MutexGuard<'static, BTreeMap<(&'static str, String), Metric>> {
+static LABELED: Mutex<LabeledRegistry> = Mutex::new(BTreeMap::new());
+
+fn labeled_registry() -> std::sync::MutexGuard<'static, LabeledRegistry> {
     LABELED.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -225,11 +228,32 @@ fn labeled_registry() -> std::sync::MutexGuard<'static, BTreeMap<(&'static str, 
 /// their canonical forms are equal — the labeled registry keys on this
 /// string, and the `METRICS` exposition emits it verbatim.
 pub fn format_labels(labels: &[(&str, &str)]) -> String {
-    let mut sorted: Vec<&(&str, &str)> = labels.iter().collect();
-    sorted.sort_by_key(|(k, _)| *k);
     let mut out = String::new();
-    for (i, (k, v)) in sorted.iter().enumerate() {
-        if i > 0 {
+    write_labels(&mut out, labels);
+    out
+}
+
+/// Label sets up to this size sort on the stack.
+const STACK_LABELS: usize = 8;
+
+/// Append the canonical form of `labels` (see [`format_labels`]).
+fn write_labels(out: &mut String, labels: &[(&str, &str)]) {
+    let mut stack = [0usize; STACK_LABELS];
+    let mut heap = Vec::new();
+    let order = if labels.len() <= STACK_LABELS {
+        &mut stack[..labels.len()]
+    } else {
+        heap.resize(labels.len(), 0);
+        &mut heap[..]
+    };
+    for (i, slot) in order.iter_mut().enumerate() {
+        *slot = i;
+    }
+    // Ties broken by position: the order a stable sort by key gives.
+    order.sort_unstable_by_key(|&i| (labels[i].0, i));
+    for (n, &i) in order.iter().enumerate() {
+        let (k, v) = labels[i];
+        if n > 0 {
             out.push(',');
         }
         out.push_str(k);
@@ -244,7 +268,6 @@ pub fn format_labels(labels: &[(&str, &str)]) -> String {
         }
         out.push('"');
     }
-    out
 }
 
 /// Parse a canonical label string (the form [`format_labels`] renders)
@@ -288,11 +311,25 @@ pub fn parse_labels(s: &str) -> Option<Vec<(String, String)>> {
     Some(pairs)
 }
 
+thread_local! {
+    /// The canonical label string of the lookup in progress, reused.
+    static LABEL_KEY: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
+}
+
 fn labeled_metric(name: &'static str, labels: &[(&str, &str)], make: fn() -> Metric) -> Metric {
-    let key = (name, format_labels(labels));
-    // The Metric enum only holds `&'static` leaked handles, so handing
-    // a copy out from under the lock is fine.
-    *labeled_registry().entry(key).or_insert_with(make)
+    LABEL_KEY.with(|key| {
+        let mut key = key.borrow_mut();
+        key.clear();
+        write_labels(&mut key, labels);
+        let mut registry = labeled_registry();
+        let series = registry.entry(name).or_default();
+        // The Metric enum only holds `&'static` leaked handles, so
+        // handing a copy out from under the lock is fine.
+        if let Some(&metric) = series.get(key.as_str()) {
+            return metric;
+        }
+        *series.entry(key.clone()).or_insert_with(make)
+    })
 }
 
 /// Fetch (registering on first use) the counter named `name` with
@@ -419,12 +456,14 @@ pub fn snapshot() -> Snapshot {
             Metric::Gauge(g) => snap.gauges.push((name.to_owned(), g.get())),
         }
     }
-    for ((name, labels), metric) in labeled_registry().iter() {
-        let (name, labels) = ((*name).to_owned(), labels.clone());
-        match metric {
-            Metric::Counter(c) => snap.labeled_counters.push((name, labels, c.get())),
-            Metric::Histogram(h) => snap.labeled_histograms.push((name, labels, h.snapshot())),
-            Metric::Gauge(g) => snap.labeled_gauges.push((name, labels, g.get())),
+    for (&name, series) in labeled_registry().iter() {
+        for (labels, metric) in series {
+            let (name, labels) = (name.to_owned(), labels.clone());
+            match metric {
+                Metric::Counter(c) => snap.labeled_counters.push((name, labels, c.get())),
+                Metric::Histogram(h) => snap.labeled_histograms.push((name, labels, h.snapshot())),
+                Metric::Gauge(g) => snap.labeled_gauges.push((name, labels, g.get())),
+            }
         }
     }
     snap

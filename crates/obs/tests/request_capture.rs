@@ -107,3 +107,111 @@ fn capture_overflow_is_marked_not_silent() {
     assert_eq!(marker.field("dropped").and_then(|f| f.as_u64()), Some(2));
     assert_eq!(marker.req(), 9, "the marker itself is attributed");
 }
+
+/// The records of `records` with what differs between two runs of the
+/// same script taken out: timestamps and durations are dropped (only
+/// whether a duration is present stays), and span ids are renumbered
+/// by first appearance, so nesting is compared, not id values.
+fn normalized(records: &[Record]) -> Vec<String> {
+    let mut ids = std::collections::HashMap::new();
+    let mut id = |raw: u64| {
+        if raw == 0 {
+            return 0;
+        }
+        let next = ids.len() + 1;
+        *ids.entry(raw).or_insert(next)
+    };
+    records
+        .iter()
+        .map(|r| {
+            let (span, parent) = (id(r.span), id(r.parent));
+            format!(
+                "{} {} span={span} parent={parent} timed={} {:?}",
+                r.kind,
+                r.name,
+                r.elapsed_us.is_some(),
+                r.fields
+            )
+        })
+        .collect()
+}
+
+/// Nested spans, events with every field type (escapes, a non-finite
+/// float), a request id that changes mid-tree and records outside any
+/// request, then `flood` more events.
+fn emission_script(flood: u64) {
+    event("test.unstamped", &[("note", "before \"any\" request".into())]);
+    let _req = request::enter(31);
+    let outer = span("test.outer", &[("mapping", "split".into()), ("round", 1u64.into())]);
+    event("test.values", &[("x", 1.5.into()), ("nan", f64::NAN.into()), ("neg", (-3i64).into())]);
+    {
+        let inner = span("test.inner", &[("path", "a\\b\n\tc".into())]);
+        {
+            let _deepest = span("test.deepest", &[]);
+            event("test.deep", &[("flag", true.into())]);
+        }
+        {
+            let _other = request::enter(32);
+            event("test.other_request", &[("s", "é∀".into())]);
+        }
+        inner.close_with(&[("found", false.into()), ("n", 7usize.into())]);
+    }
+    outer.close_with(&[("fired", 5u64.into())]);
+    for i in 0..flood {
+        event("test.flood", &[("i", i.into()), ("tag", "flood".into())]);
+    }
+}
+
+#[test]
+fn capture_returns_what_the_memory_sink_gets_for_the_same_script() {
+    let live = with_memory_journal(1 << 20, || emission_script(3));
+    let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    journal::capture_begin();
+    emission_script(3);
+    let captured = journal::capture_take();
+    assert_eq!(captured.len(), 13);
+    assert_eq!(normalized(&captured), normalized(&live.records));
+    assert!(captured.windows(2).all(|w| w[0].t_us <= w[1].t_us), "emission order");
+    let stamps: Vec<u64> = captured.iter().map(Record::req).collect();
+    assert_eq!(stamps, [0, 31, 31, 31, 31, 31, 31, 32, 31, 31, 31, 31, 31]);
+}
+
+#[test]
+fn capture_overflow_matches_the_memory_sink_up_to_the_cap() {
+    const CAP: usize = 1 << 14;
+    let flood = CAP as u64;
+    let live = with_memory_journal(1 << 20, || emission_script(flood));
+    let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    journal::capture_begin();
+    emission_script(flood);
+    let _req = request::enter(40);
+    let mut captured = journal::capture_take();
+    let marker = captured.pop().expect("truncation marker");
+    assert_eq!(captured.len(), CAP);
+    assert_eq!(normalized(&captured), normalized(&live.records[..CAP]));
+    assert_eq!(marker.name, "journal.capture_truncated");
+    let dropped = live.records.len() - CAP;
+    assert_eq!(marker.field("dropped").and_then(|f| f.as_u64()), Some(dropped as u64));
+    assert_eq!(marker.req(), 40, "stamped with the request live at take time");
+    // The next capture starts empty and is not truncated.
+    journal::capture_begin();
+    event("test.after", &[]);
+    let again = journal::capture_take();
+    assert_eq!(again.len(), 1);
+    assert_eq!(again[0].name, "test.after");
+}
+
+#[test]
+fn a_discarded_capture_leaves_nothing_behind() {
+    let summary = with_memory_journal(1024, || {
+        let _req = request::enter(50);
+        journal::capture_begin();
+        emission_script(2);
+        journal::capture_discard();
+        assert!(journal::capture_take().is_empty(), "a discarded capture cannot be taken");
+        event("test.live", &[]);
+    });
+    let names: Vec<&str> = summary.records.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, ["test.live"], "discarded records never reach the sink");
+    assert_eq!(summary.written, 1);
+}

@@ -66,7 +66,7 @@
 use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 
-/// A parsed request: op, optional mapping name, headers, body lines.
+/// A parsed request: op, optional mapping name, headers, body text.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Request {
     /// The operation, uppercased by convention (`PING`, `LIST`,
@@ -77,8 +77,10 @@ pub struct Request {
     pub mapping: Option<String>,
     /// `key=value` header lines, in order.
     pub headers: Vec<(String, String)>,
-    /// Body lines, verbatim (no terminator line).
-    pub body: Vec<String>,
+    /// The body: each line verbatim and `\n`-terminated (no terminator
+    /// line), or empty. The server reads it into this one `String` and
+    /// parses it in place.
+    pub body: String,
 }
 
 impl Request {
@@ -101,7 +103,11 @@ impl Request {
 
     /// Set the body from a text blob, split into lines.
     pub fn body_text(mut self, text: &str) -> Request {
-        self.body = text.lines().map(str::to_owned).collect();
+        self.body.clear();
+        for line in text.lines() {
+            self.body.push_str(line);
+            self.body.push('\n');
+        }
         self
     }
 
@@ -130,15 +136,6 @@ impl Request {
         }
     }
 
-    /// The body joined back into one text blob (newline-terminated).
-    pub fn body_blob(&self) -> String {
-        let mut s = self.body.join("\n");
-        if !s.is_empty() {
-            s.push('\n');
-        }
-        s
-    }
-
     /// Serialize onto `w` in wire form.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let mut out = String::new();
@@ -156,10 +153,7 @@ impl Request {
         }
         if !self.body.is_empty() {
             out.push('\n');
-            for line in &self.body {
-                out.push_str(line);
-                out.push('\n');
-            }
+            out.push_str(&self.body);
         }
         out.push_str(".\n");
         w.write_all(out.as_bytes())?;
@@ -270,8 +264,9 @@ impl From<FrameError> for io::Error {
 
 /// One raw line off the wire, read under a byte cap.
 enum RawLine {
-    /// A complete line (terminator stripped), within the cap.
-    Line(Vec<u8>),
+    /// A complete line (terminator stripped), within the cap, now in
+    /// the caller's buffer.
+    Line,
     /// Clean EOF before any byte of a line.
     Eof,
     /// EOF after some bytes of an unterminated line.
@@ -284,11 +279,17 @@ enum RawLine {
     },
 }
 
-/// Read one `\n`-terminated line, accumulating at most `cap` bytes.
-/// Consumed byte counts (including terminators and over-cap spill
-/// within the currently buffered chunk) are added to `*consumed`.
-fn raw_line(r: &mut impl BufRead, cap: usize, consumed: &mut usize) -> Result<RawLine, FrameError> {
-    let mut buf: Vec<u8> = Vec::new();
+/// Read one `\n`-terminated line into `buf` (cleared first),
+/// accumulating at most `cap` bytes. Consumed byte counts (including
+/// terminators and over-cap spill within the currently buffered chunk)
+/// are added to `*consumed`.
+fn raw_line(
+    r: &mut impl BufRead,
+    cap: usize,
+    consumed: &mut usize,
+    buf: &mut Vec<u8>,
+) -> Result<RawLine, FrameError> {
+    buf.clear();
     let mut overflowed = false;
     loop {
         let available = match r.fill_buf() {
@@ -318,7 +319,7 @@ fn raw_line(r: &mut impl BufRead, cap: usize, consumed: &mut usize) -> Result<Ra
             while buf.last() == Some(&b'\r') {
                 buf.pop();
             }
-            return Ok(RawLine::Line(buf));
+            return Ok(RawLine::Line);
         }
         let n = available.len();
         if !overflowed && buf.len() + n > cap {
@@ -348,15 +349,16 @@ fn drain_to_terminator(
     mut mid_line: bool,
 ) -> Result<bool, FrameError> {
     let budget = limits.drain_budget();
+    let mut buf = Vec::new();
     loop {
         if *consumed > budget {
             return Ok(false);
         }
-        match raw_line(r, limits.max_line_bytes, consumed)? {
+        match raw_line(r, limits.max_line_bytes, consumed, &mut buf)? {
             RawLine::Eof | RawLine::EofMidLine => return Ok(false),
             RawLine::TooLong { terminated } => mid_line = !terminated,
-            RawLine::Line(bytes) => {
-                if !mid_line && bytes == b"." {
+            RawLine::Line => {
+                if !mid_line && buf == b"." {
                     return Ok(true);
                 }
                 mid_line = false;
@@ -380,11 +382,11 @@ fn violation(
 
 /// Decode one accepted line: NUL bytes and invalid UTF-8 are framing
 /// violations (the engines downstream assume text).
-fn decode_line(bytes: Vec<u8>) -> Result<String, &'static str> {
+fn decode_line(bytes: &[u8]) -> Result<&str, &'static str> {
     if bytes.contains(&0) {
         return Err("NUL byte in request line");
     }
-    String::from_utf8(bytes).map_err(|_| "request line is not valid UTF-8")
+    std::str::from_utf8(bytes).map_err(|_| "request line is not valid UTF-8")
 }
 
 /// Read one request off `r` under `limits`. `Ok(None)` is a clean
@@ -400,10 +402,13 @@ pub fn read_request_limited(
         message: "stream ended mid-request (missing `.` terminator)".to_owned(),
         recoverable: false,
     };
+    // Every line lands in this one buffer; body lines are appended to
+    // the request's body `String` from it.
+    let mut buf = Vec::new();
     // Op line, tolerating stray blank lines between requests (`nc`
     // users).
     let op_line = loop {
-        match raw_line(r, limits.max_line_bytes, &mut consumed)? {
+        match raw_line(r, limits.max_line_bytes, &mut consumed, &mut buf)? {
             RawLine::Eof => return Ok(None),
             RawLine::EofMidLine => return Err(eof_mid_request()),
             RawLine::TooLong { terminated } => {
@@ -415,9 +420,9 @@ pub fn read_request_limited(
                     format!("request line exceeds {} bytes", limits.max_line_bytes),
                 ));
             }
-            RawLine::Line(bytes) => match decode_line(bytes) {
-                Ok(line) if line.is_empty() => continue,
-                Ok(line) => break line,
+            RawLine::Line => match decode_line(&buf) {
+                Ok("") => continue,
+                Ok(line) => break line.to_owned(),
                 Err(why) => return Err(violation(r, limits, &mut consumed, false, why)),
             },
         }
@@ -438,7 +443,7 @@ pub fn read_request_limited(
     let mut in_body = false;
     let mut body_bytes = 0usize;
     loop {
-        let line = match raw_line(r, limits.max_line_bytes, &mut consumed)? {
+        let line = match raw_line(r, limits.max_line_bytes, &mut consumed, &mut buf)? {
             RawLine::Eof | RawLine::EofMidLine => return Err(eof_mid_request()),
             RawLine::TooLong { terminated } => {
                 return Err(violation(
@@ -449,7 +454,7 @@ pub fn read_request_limited(
                     format!("request line exceeds {} bytes", limits.max_line_bytes),
                 ));
             }
-            RawLine::Line(bytes) => match decode_line(bytes) {
+            RawLine::Line => match decode_line(&buf) {
                 Ok(line) => line,
                 Err(why) => return Err(violation(r, limits, &mut consumed, false, why)),
             },
@@ -472,7 +477,8 @@ pub fn read_request_limited(
                     format!("request body exceeds {} bytes", limits.max_body_bytes),
                 ));
             }
-            req.body.push(line);
+            req.body.push_str(line);
+            req.body.push('\n');
         } else {
             let Some((k, v)) = line.split_once('=') else {
                 return Err(violation(
@@ -662,7 +668,7 @@ mod tests {
         assert_eq!(roundtrip(&full), full);
         assert_eq!(full.u64_header("deadline-ms").unwrap(), Some(250));
         assert_eq!(full.u64_header("missing").unwrap(), None);
-        assert_eq!(full.body_blob(), "P(a, b)\nP(b, c)\n");
+        assert_eq!(full.body, "P(a, b)\nP(b, c)\n");
     }
 
     #[test]
@@ -683,7 +689,7 @@ mod tests {
         let mut r = BufReader::new(&wire[..]);
         assert_eq!(read_request(&mut r).unwrap().unwrap().op, "PING");
         let second = read_request(&mut r).unwrap().unwrap();
-        assert_eq!(second.body, vec!["P(a)", "--", "P(b)"]);
+        assert_eq!(second.body, "P(a)\n--\nP(b)\n");
         assert!(read_request(&mut r).unwrap().is_none(), "clean EOF between requests");
     }
 

@@ -652,9 +652,13 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
         counter!("serve.unknown").inc();
     }
     if sampling {
-        let records = rde_obs::journal::capture_take();
         let threshold_us = state.options.trace_slow_ms.unwrap_or(0).saturating_mul(1000);
-        if us >= threshold_us {
+        if us < threshold_us {
+            // The common case: drop the buffer without building a
+            // record from it.
+            rde_obs::journal::capture_discard();
+        } else {
+            let records = rde_obs::journal::capture_take();
             counter!("serve.slow_traces").inc();
             // Bracket the replayed tree so consumers can tell a
             // retroactive dump from live streaming. The event is
@@ -672,17 +676,18 @@ fn admit(state: &ServerState, request: &Request, received: Instant) -> Reply {
     // the journal so rotation, capacity bounds, and the JSONL format
     // come for free. (During capture this was diverted; by now capture
     // is off, so it always reaches the sink.)
-    let mut fields: Vec<(&str, rde_obs::Field)> = vec![
+    let cache = access.cache.map(|hit| if hit { "hit" } else { "miss" });
+    let fields: [(&str, rde_obs::Field); 6] = [
         ("op", op.into()),
         ("mapping", mapping.into()),
         ("tenant", tenant.into()),
         ("outcome", outcome.into()),
         ("us", us.into()),
+        ("cache", cache.unwrap_or_default().into()),
     ];
-    if let Some(hit) = access.cache {
-        fields.push(("cache", if hit { "hit" } else { "miss" }.into()));
-    }
-    rde_obs::event("serve.access", &fields);
+    // Only a request that consulted the arrow cache has a `cache` field.
+    let present = if cache.is_some() { fields.len() } else { fields.len() - 1 };
+    rde_obs::event("serve.access", &fields[..present]);
     reply
 }
 
@@ -914,7 +919,7 @@ fn core_reply(e: CoreError) -> Reply {
 /// reply is bit-identical to the CLI's stdout.
 fn op_chase(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Reply {
     let mut vocab = entry.base_vocab.clone();
-    let instance = match parse_instance(&mut vocab, &request.body_blob()) {
+    let instance = match parse_instance(&mut vocab, &request.body) {
         Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
@@ -984,15 +989,13 @@ fn op_arrow(
         Ok(w) => w,
         Err(reply) => return reply,
     };
-    let Some(split) = request.body.iter().position(|l| l.trim() == "--") else {
+    let Some((first, second)) = split_at_separator(&request.body) else {
         return Reply::Err("ARROW body needs two instances separated by a `--` line".into());
     };
-    let (first, rest) = request.body.split_at(split);
-    let texts = [first.join("\n"), rest[1..].join("\n")];
     let mut handles = Vec::with_capacity(2);
     {
         let mut vocab = lock(&warm.vocab);
-        for text in &texts {
+        for text in [first, second] {
             let instance = match parse_instance(&mut vocab, text) {
                 Ok(i) => i,
                 Err(e) => return Reply::Err(format!("instance: {e}")),
@@ -1015,6 +1018,20 @@ fn op_arrow(
     }
 }
 
+/// The text before and after the first `--` line of `body`, both
+/// borrowed from it.
+fn split_at_separator(body: &str) -> Option<(&str, &str)> {
+    let mut start = 0;
+    for line in body.split_inclusive('\n') {
+        let end = start + line.len();
+        if line.trim() == "--" {
+            return Some((&body[..start], &body[end..]));
+        }
+        start = end;
+    }
+    None
+}
+
 /// `CERTAIN m` — reverse certain answers (Thm 6.5) of the `query=`
 /// header over the body instance, using the catalog's `NAME.rev`
 /// reverse mapping. The forward chase runs the variant the `variant`
@@ -1028,7 +1045,7 @@ fn op_certain(entry: &MappingEntry, request: &Request, config: &HomConfig) -> Re
         return Reply::Err("CERTAIN needs a query= header".into());
     };
     let mut vocab = entry.base_vocab.clone();
-    let instance = match parse_instance(&mut vocab, &request.body_blob()) {
+    let instance = match parse_instance(&mut vocab, &request.body) {
         Ok(i) => i,
         Err(e) => return Reply::Err(format!("instance: {e}")),
     };
