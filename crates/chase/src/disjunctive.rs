@@ -17,7 +17,7 @@ use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
 use rde_model::fx::{FxHashMap, FxHasher};
 use rde_model::{Instance, RelId, RowSet, Substitution, Value, Vocabulary};
 
-use crate::plan::{DependencyPlan, FiringTemplate};
+use crate::plan::{never_witnessed, DependencyPlan, FiringTemplate};
 use crate::ChaseError;
 
 /// Budgets and pruning switches for the disjunctive chase.
@@ -142,12 +142,17 @@ impl Branch {
     /// trigger a fresh enumeration of the branch would find: premise
     /// enumeration order depends only on the premise relations' data,
     /// and the matches are re-enumerated whenever that data grows.
+    /// Unless `checked`, every witness check of the dependency provably
+    /// fails ([`never_witnessed`]): the trigger at the cursor is taken
+    /// without one, and the skipped check counted in `skipped`.
     fn first_trigger(
         &mut self,
         di: usize,
         plan: &DependencyPlan,
+        checked: bool,
         config: &HomConfig,
         trigger: &mut Vec<Value>,
+        skipped: &mut u64,
     ) -> Result<bool, Exhausted> {
         let cursor = &mut self.cursors[di];
         let matches = match &cursor.matches {
@@ -163,8 +168,9 @@ impl Branch {
         // branch may need more nodes than the one that first found the
         // witness. The rescanning chase re-ran those searches at every
         // step, so under a node budget they are re-run here too: a cut
-        // re-check stays the error it always was.
-        if config.node_budget.is_some() {
+        // re-check stays the error it always was. (An unchecked
+        // dependency has none: it passes only the triggers it fires.)
+        if checked && config.node_budget.is_some() {
             let fired = &self.fired[di];
             for vals in (0..cursor.next).map(|i| matches.get(i)).filter(|v| fired.find(v).is_none())
             {
@@ -180,7 +186,13 @@ impl Branch {
         // match at its cursor.
         while cursor.next < matches.len {
             let vals = matches.get(cursor.next);
-            match plan.witnessed(&self.instance, vals, config, &mut stats) {
+            let verdict = if checked {
+                plan.witnessed(&self.instance, vals, config, &mut stats)
+            } else {
+                *skipped += 1;
+                Verdict::Fails
+            };
+            match verdict {
                 Verdict::Holds => cursor.next += 1,
                 Verdict::Fails => {
                     trigger.clear();
@@ -198,15 +210,18 @@ impl Branch {
 
     /// Find the first unfired, unwitnessed trigger in the branch:
     /// lowest dependency index, then premise-match order. Its dependency
-    /// is returned and its key copied into `trigger`.
+    /// is returned and its key copied into `trigger`. `checked[di]`:
+    /// does dependency `di` run its witness checks?
     fn next_trigger(
         &mut self,
         plans: &[DependencyPlan],
+        checked: &[bool],
         config: &HomConfig,
         trigger: &mut Vec<Value>,
+        skipped: &mut u64,
     ) -> Result<Option<usize>, Exhausted> {
         for (di, plan) in plans.iter().enumerate() {
-            if self.first_trigger(di, plan, config, trigger)? {
+            if self.first_trigger(di, plan, checked[di], config, trigger, skipped)? {
                 return Ok(Some(di));
             }
         }
@@ -230,7 +245,9 @@ impl Branch {
 /// firing* in a branch when no disjunct's conclusion is already
 /// witnessed there; firing replaces the branch by one child per
 /// disjunct. Deterministic: triggers are processed in dependency order,
-/// then premise-match order.
+/// then premise-match order. A dependency whose witness checks provably
+/// fail fires its triggers without them (DESIGN.md §17), and the
+/// `chase.disj.checks_skipped` counter counts the checks skipped.
 ///
 /// Each branch keeps one trigger cursor per dependency, so a step
 /// resumes where the previous one stopped instead of re-enumerating
@@ -244,74 +261,16 @@ pub fn disjunctive_chase(
 ) -> Result<DisjunctiveChaseResult, ChaseError> {
     // Compiled once and shared by every branch.
     let plans: Vec<DependencyPlan> = dependencies.iter().map(DependencyPlan::compile).collect();
-    // The dependencies whose premise reads each relation: a new fact
-    // there stales their matches.
-    let mut readers: FxHashMap<RelId, Vec<usize>> = FxHashMap::default();
-    for (di, plan) in plans.iter().enumerate() {
-        let premise = plan.premise();
-        for i in 0..premise.num_atoms() {
-            readers.entry(premise.atom_rel(i)).or_default().push(di);
-        }
+    // Per dependency: do its triggers need a witness check? Not where
+    // every check provably fails (DESIGN.md §17).
+    let checked: Vec<bool> =
+        never_witnessed(dependencies, instance).into_iter().map(|never| !never).collect();
+    let mut checks_skipped = 0;
+    let branched = branch_out(instance, &plans, &checked, vocab, options, &mut checks_skipped);
+    if checks_skipped > 0 {
+        rde_obs::counter!("chase.disj.checks_skipped").add(checks_skipped);
     }
-    let mut steps: u64 = 0;
-    let mut work = vec![Branch {
-        instance: instance.clone(),
-        fired: plans.iter().map(|p| RowSet::new(p.premise().num_vars())).collect(),
-        cursors: vec![TriggerCursor::default(); plans.len()],
-    }];
-    let mut leaves: Vec<Instance> = Vec::new();
-    // Reused by every step: the trigger key, its fresh nulls and the
-    // conclusion atom being inserted.
-    let mut vals: Vec<Value> = Vec::new();
-    let mut fresh: Vec<Value> = Vec::new();
-    let mut atom_buf: Vec<Value> = Vec::new();
-
-    while let Some(mut branch) = work.pop() {
-        // Per-branch cancellation and fault injection: the branching
-        // loop is the disjunctive chase's hot loop, mirroring the
-        // standard chase's per-round check.
-        let ctx = &options.hom.ctx;
-        if ctx.should_inject("chase.disj.branch") || ctx.is_cancelled() {
-            return Err(cut(Exhausted::Cancelled, steps));
-        }
-        let Some(di) =
-            branch.next_trigger(&plans, &options.hom, &mut vals).map_err(|b| cut(b, steps))?
-        else {
-            leaves.push(branch.instance);
-            continue;
-        };
-        steps += 1;
-        if steps > options.max_steps {
-            return Err(ChaseError::RoundBudgetExhausted { rounds: options.max_steps });
-        }
-        // Every child fires the trigger, so record it before they split.
-        branch.cursors[di].next += 1;
-        branch.fired[di].insert(&vals);
-        // One child per disjunct, pushed (and allocating fresh nulls) in
-        // disjunct order; the last takes the parent instead of a copy.
-        let mut spawn = |mut child: Branch, template: &FiringTemplate| {
-            fresh.clear();
-            fresh.extend((0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())));
-            template.instantiate_into(&vals, &fresh, &mut atom_buf, |rel, args| {
-                child.insert(rel, args, &readers);
-                true
-            });
-            if child.instance.len() > options.max_facts {
-                return Err(ChaseError::FactBudgetExhausted { facts: options.max_facts });
-            }
-            work.push(child);
-            if work.len() + leaves.len() > options.max_branches {
-                return Err(ChaseError::BranchBudgetExhausted { branches: options.max_branches });
-            }
-            Ok(())
-        };
-        if let Some((last, rest)) = plans[di].templates().split_last() {
-            for template in rest {
-                spawn(branch.clone(), template)?;
-            }
-            spawn(branch, last)?;
-        }
-    }
+    let (leaves, steps) = branched?;
 
     // Exact-duplicate removal (set semantics of the leaf set), keeping
     // first occurrences: leaves sharing a fingerprint are compared on
@@ -355,6 +314,90 @@ pub fn disjunctive_chase(
     }
 
     Ok(DisjunctiveChaseResult { leaves: unique, steps, pruned })
+}
+
+/// Chase every branch to a leaf: the leaves in the order they are
+/// reached, and the steps taken. Witness checks skipped for the
+/// dependencies that are not `checked` add to `checks_skipped`, also
+/// when the run fails.
+fn branch_out(
+    instance: &Instance,
+    plans: &[DependencyPlan],
+    checked: &[bool],
+    vocab: &mut Vocabulary,
+    options: &DisjunctiveChaseOptions,
+    checks_skipped: &mut u64,
+) -> Result<(Vec<Instance>, u64), ChaseError> {
+    // The dependencies whose premise reads each relation: a new fact
+    // there stales their matches.
+    let mut readers: FxHashMap<RelId, Vec<usize>> = FxHashMap::default();
+    for (di, plan) in plans.iter().enumerate() {
+        let premise = plan.premise();
+        for i in 0..premise.num_atoms() {
+            readers.entry(premise.atom_rel(i)).or_default().push(di);
+        }
+    }
+    let mut steps: u64 = 0;
+    let mut work = vec![Branch {
+        instance: instance.clone(),
+        fired: plans.iter().map(|p| RowSet::new(p.premise().num_vars())).collect(),
+        cursors: vec![TriggerCursor::default(); plans.len()],
+    }];
+    let mut leaves: Vec<Instance> = Vec::new();
+    // Reused by every step: the trigger key, its fresh nulls and the
+    // conclusion atom being inserted.
+    let mut vals: Vec<Value> = Vec::new();
+    let mut fresh: Vec<Value> = Vec::new();
+    let mut atom_buf: Vec<Value> = Vec::new();
+
+    while let Some(mut branch) = work.pop() {
+        // Per-branch cancellation and fault injection: the branching
+        // loop is the disjunctive chase's hot loop, mirroring the
+        // standard chase's per-round check.
+        let ctx = &options.hom.ctx;
+        if ctx.should_inject("chase.disj.branch") || ctx.is_cancelled() {
+            return Err(cut(Exhausted::Cancelled, steps));
+        }
+        let Some(di) = branch
+            .next_trigger(plans, checked, &options.hom, &mut vals, checks_skipped)
+            .map_err(|b| cut(b, steps))?
+        else {
+            leaves.push(branch.instance);
+            continue;
+        };
+        steps += 1;
+        if steps > options.max_steps {
+            return Err(ChaseError::RoundBudgetExhausted { rounds: options.max_steps });
+        }
+        // Every child fires the trigger, so record it before they split.
+        branch.cursors[di].next += 1;
+        branch.fired[di].insert(&vals);
+        // One child per disjunct, pushed (and allocating fresh nulls) in
+        // disjunct order; the last takes the parent instead of a copy.
+        let mut spawn = |mut child: Branch, template: &FiringTemplate| {
+            fresh.clear();
+            fresh.extend((0..template.num_existentials()).map(|_| Value::Null(vocab.fresh_null())));
+            template.instantiate_into(&vals, &fresh, &mut atom_buf, |rel, args| {
+                child.insert(rel, args, &readers);
+                true
+            });
+            if child.instance.len() > options.max_facts {
+                return Err(ChaseError::FactBudgetExhausted { facts: options.max_facts });
+            }
+            work.push(child);
+            if work.len() + leaves.len() > options.max_branches {
+                return Err(ChaseError::BranchBudgetExhausted { branches: options.max_branches });
+            }
+            Ok(())
+        };
+        if let Some((last, rest)) = plans[di].templates().split_last() {
+            for template in rest {
+                spawn(branch.clone(), template)?;
+            }
+            spawn(branch, last)?;
+        }
+    }
+    Ok((leaves, steps))
 }
 
 /// The error a search cut short ends the run with: a cancelled search

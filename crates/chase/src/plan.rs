@@ -26,15 +26,16 @@
 //! plans share the hom searcher's posting lists and its one-probe
 //! handling of fully bound atoms (DESIGN.md §8).
 
-use rde_deps::{Conjunct, Dependency, Premise, Term, VarId};
+use rde_deps::{Atom, Conjunct, Dependency, Premise, Term, VarId};
 use rde_hom::{CompiledPattern, Exhausted, HomConfig, HomStats, PatArg, PatternAtom, Verdict};
-use rde_model::fx::FxHashMap;
+use rde_model::fx::{FxHashMap, FxHashSet};
 use rde_model::{ConstId, Instance, RelId, Value};
 
 /// Outcome of one (possibly budgeted) premise enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchReport {
-    /// Matches enumerated (pre-guard).
+    /// Matches enumerated: those that pass the `Constant` guards, which
+    /// the search applies as it binds (before the inequality guards).
     pub matches: u64,
     /// Homomorphism-search work this enumeration performed.
     pub stats: HomStats,
@@ -114,15 +115,16 @@ impl DependencyPlan {
     }
 }
 
-/// A compiled premise: atoms over dense slots plus guards.
+/// A compiled premise: atoms over dense slots plus guards. A
+/// `Constant(x)` guard marks `x`'s slot constant-only in the pattern,
+/// so the search never binds it to a null; inequalities are checked on
+/// each full match.
 #[derive(Debug, Clone)]
 pub struct PremisePlan {
     pattern: CompiledPattern,
     /// Slot `i` holds the value of `vars[i]`; this is the premise's
     /// variable list in first-appearance (= `universal_vars`) order.
     vars: Vec<VarId>,
-    /// Slots guarded by `Constant(·)`.
-    constant_slots: Vec<u32>,
     /// Slot pairs that must be bound to distinct values.
     inequality_slots: Vec<(u32, u32)>,
 }
@@ -154,10 +156,11 @@ impl PremisePlan {
                     .collect(),
             })
             .collect();
-        let constant_slots = premise.constant_vars.iter().map(|v| slots[v]).collect();
+        let pattern = CompiledPattern::new(atoms)
+            .with_constant_slots(premise.constant_vars.iter().map(|v| slots[v]));
         let inequality_slots =
             premise.inequalities.iter().map(|&(a, b)| (slots[&a], slots[&b])).collect();
-        PremisePlan { pattern: CompiledPattern::new(atoms), vars, constant_slots, inequality_slots }
+        PremisePlan { pattern, vars, inequality_slots }
     }
 
     /// The premise variables in slot order (`universal_vars` order).
@@ -185,15 +188,15 @@ impl PremisePlan {
         self.vars.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect()
     }
 
-    fn guards_hold(&self, vals: &[Value]) -> bool {
-        self.constant_slots.iter().all(|&s| vals[s as usize].is_const())
-            && self.inequality_slots.iter().all(|&(a, b)| vals[a as usize] != vals[b as usize])
+    fn inequalities_hold(&self, vals: &[Value]) -> bool {
+        self.inequality_slots.iter().all(|&(a, b)| vals[a as usize] != vals[b as usize])
     }
 
     /// Unify premise atom `atom_idx` with a fact's argument tuple,
     /// writing the slot seed into `seed` (cleared first, one entry per
-    /// slot); `false` if they don't unify (relation mismatch is the
-    /// caller's job — it has `atom_rel`).
+    /// slot); `false` if they don't unify or the fact puts a null on a
+    /// `Constant`-guarded slot (relation mismatch is the caller's job —
+    /// it has `atom_rel`).
     pub fn seed_from_fact(
         &self,
         atom_idx: usize,
@@ -215,6 +218,7 @@ impl PremisePlan {
                 }
                 PatArg::Var(s) => match seed[s as usize] {
                     Some(v) if v != fv => return false,
+                    None if fv.is_null() && self.pattern.is_constant_only(s) => return false,
                     _ => seed[s as usize] = Some(fv),
                 },
             }
@@ -278,7 +282,7 @@ impl PremisePlan {
                     let value = v.expect("full match binds every slot");
                     *slot = value;
                 }
-                if self.guards_hold(vals) {
+                if self.inequalities_hold(vals) {
                     on_match(vals)
                 } else {
                     true
@@ -374,6 +378,65 @@ impl SatisfactionPlan {
     }
 }
 
+/// Per dependency, whether every witness check of its triggers provably
+/// fails, so a chase may fire them unchecked: the restricted chase's
+/// pre-check and recheck, and the disjunctive chase's branch test. A
+/// dependency qualifies when every disjunct has a conclusion atom `A`
+/// that
+///
+/// 1. names every premise variable,
+/// 2. has a relation of which `input` holds no fact, and
+/// 3. is told apart from every other conclusion atom `B` over its
+///    relation, of this dependency or any other: at some position `A`
+///    holds a premise variable `v` whose every premise atom is over a
+///    relation no dependency writes, and `B` holds an existential.
+///
+/// A fact of `A`'s relation is then either written by `A` under some
+/// trigger key, carrying that key at the premise variables' positions,
+/// or written by some `B`, carrying a fresh null where `A` needs `v`'s
+/// value — an input value, since `v` matches only input facts. So a
+/// witness of `A` under key `k` can only be the fact that firing `k`
+/// itself wrote, and a chase fires each key at most once (per branch),
+/// so no check of an unfired trigger can succeed. With no `B` at all,
+/// (3) holds vacuously: `A` is its relation's only writer. (2) reads
+/// the chase's input, never a resumed snapshot's instance, so a resumed
+/// run skips the same checks as an uninterrupted one (DESIGN.md §17).
+pub fn never_witnessed(deps: &[Dependency], input: &Instance) -> Vec<bool> {
+    let conclusion_atoms: Vec<(&Atom, &Conjunct)> = deps
+        .iter()
+        .flat_map(|d| &d.disjuncts)
+        .flat_map(|c| c.atoms.iter().map(move |a| (a, c)))
+        .collect();
+    let written: FxHashSet<RelId> = conclusion_atoms.iter().map(|(a, _)| a.rel).collect();
+    deps.iter()
+        .map(|d| {
+            let premise_vars = d.premise.atom_vars();
+            let input_only = |v: VarId| {
+                d.premise
+                    .atoms
+                    .iter()
+                    .filter(|p| p.args.contains(&Term::Var(v)))
+                    .all(|p| !written.contains(&p.rel))
+            };
+            let apart = |a: &Atom, (b, c): &(&Atom, &Conjunct)| {
+                a.args.iter().zip(&b.args).any(|(ta, tb)| {
+                    matches!(*ta, Term::Var(v) if premise_vars.contains(&v) && input_only(v))
+                        && matches!(*tb, Term::Var(e) if c.existentials.contains(&e))
+                })
+            };
+            let unwitnessable = |a: &Atom| {
+                premise_vars.iter().all(|&v| a.args.contains(&Term::Var(v)))
+                    && input.relation(a.rel).is_none_or(|r| r.is_empty())
+                    && conclusion_atoms
+                        .iter()
+                        .filter(|(b, _)| b.rel == a.rel && !std::ptr::eq(*b, a))
+                        .all(|other| apart(a, other))
+            };
+            d.disjuncts.iter().all(|c| c.atoms.iter().any(unwitnessable))
+        })
+        .collect()
+}
+
 /// Premise slot count up to which a satisfaction check seeds its search,
 /// and a premise enumeration builds its assignment, in a stack array
 /// instead of a heap vector.
@@ -464,7 +527,7 @@ impl FiringTemplate {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rde_deps::{parse_dependency, Atom};
+    use rde_deps::parse_dependency;
     use rde_hom::for_each_hom;
     use rde_model::{Fact, NullId, Substitution, Vocabulary};
 
@@ -637,6 +700,12 @@ mod tests {
         assert!(!plan.seed_from_fact(0, &[a, b], &mut seed), "P(x,x) cannot unify with P(a,b)");
         assert!(plan.seed_from_fact(0, &[a, a], &mut seed));
         assert_eq!(seed, vec![Some(a)]);
+        // A null on a `Constant`-guarded slot does not unify either.
+        let d = parse_dependency(&mut v, "P(x, y) & Constant(y) -> Q(x)").unwrap();
+        let guarded = PremisePlan::compile(&d.premise);
+        let n = v.null_value("n");
+        assert!(!guarded.seed_from_fact(0, &[a, n], &mut seed));
+        assert!(guarded.seed_from_fact(0, &[n, a], &mut seed));
     }
 
     #[test]
@@ -687,6 +756,76 @@ mod tests {
         assert!(completed);
         let q = v.find_relation("Q").unwrap();
         assert_eq!(facts, vec![Fact::new(q, vec![a, z]), Fact::new(q, vec![z, b])]);
+    }
+
+    #[test]
+    fn never_witnessed_needs_all_three_conditions() {
+        let mut v = Vocabulary::new();
+        let mut marks = |rules: &[&str], input: &str| {
+            let deps: Vec<Dependency> =
+                rules.iter().map(|d| parse_dependency(&mut v, d).unwrap()).collect();
+            let input = rde_model::parse::parse_instance(&mut v, input).unwrap();
+            never_witnessed(&deps, &input)
+        };
+        // All three hold: one atom names x and y, is A's only writer, and
+        // the input has no A (an existential atom qualifies alike).
+        assert_eq!(marks(&["T(x, y) -> A(x, y)"], "T(a, b)"), [true]);
+        assert_eq!(marks(&["T(x, y) -> exists w . B(x, y, w)"], "T(a, b)"), [true]);
+        assert_eq!(marks(&["T(x, y) -> exists w . C(w) & D(y, w, x)"], ""), [true]);
+        // The recovery pair of Theorem 6.5's decomposition: each writer
+        // puts a fresh null where the other holds a value read from an
+        // unwritten relation.
+        let recovery = ["Q(x, y) -> exists z . P(x, y, z)", "R(y, z) -> exists x . P(x, y, z)"];
+        assert_eq!(marks(&recovery, "Q(a, b)\nR(b, c)"), [true, true]);
+        // 1 fails: the atom omits a premise variable.
+        assert_eq!(marks(&["T(x, y) -> U(x)"], "T(a, b)"), [false]);
+        assert_eq!(marks(&["T(x, y) & E(y, z) -> A(x, z)"], ""), [false]);
+        // 2 fails: the input already holds a fact of the relation.
+        assert_eq!(marks(&["T(x, y) -> A(x, y)"], "T(a, b)\nA(c, d)"), [false]);
+        assert_eq!(marks(&recovery, "Q(a, b)\nP(a, b, c)"), [false, false]);
+        // 3 fails: another conclusion atom writes the relation with no
+        // existential where this one reads an input value, in the same
+        // dependency or in another one.
+        assert_eq!(marks(&["E(x, y) -> R(x, y) & R(y, x)"], "E(a, b)"), [false]);
+        assert_eq!(marks(&["T(x, y) -> A(x, y)", "E(x, y) -> A(y, x)"], ""), [false, false]);
+        assert_eq!(
+            marks(&["E(x, y) -> T(x, y)", "T(x, y) & T(y, z) -> T(x, z)"], ""),
+            [false, false]
+        );
+        // ... `v` also occurs in a written relation, so it may bind a
+        // fresh null: `W` is written by the third rule.
+        assert_eq!(
+            marks(
+                &[
+                    "Q(x, y) & W(x) -> exists z . P(x, y, z)",
+                    "R(y, z) -> exists x . P(x, y, z)",
+                    "R(y, z) -> exists w . W(w)"
+                ],
+                ""
+            ),
+            [false, true, false]
+        );
+        // ... the other writer has a premise variable at that position
+        // (the second rule is still told apart by the first's `z`).
+        assert_eq!(
+            marks(&["Q(x, y) -> exists z . P(x, y, z)", "R(y, z) -> P(z, y, z)"], ""),
+            [false, true]
+        );
+        // A disjunctive dependency qualifies only when every disjunct
+        // has such an atom: `S(x, y)` has no existential apart from the
+        // other `S` writer's, until that writer gets one.
+        let second = "Q(x, y) -> exists z . P(x, y, z) | S(x, y)";
+        assert_eq!(marks(&[second, "R(x, y) -> S(x, y)"], ""), [false, false]);
+        assert_eq!(marks(&[second, "R(x, y) -> exists w . S(w, y)"], ""), [true, false]);
+        assert_eq!(marks(&["G(x) -> H(x) | K(x)"], ""), [true]);
+        // Each dependency is marked on its own.
+        assert_eq!(
+            marks(
+                &["E(x, y) -> T(x, y)", "T(x, y) -> A(x, y)", "T(x, y) -> U(x)"],
+                "E(a, b)\nT(c, c)"
+            ),
+            [false, true, false]
+        );
     }
 
     const RELS: [(&str, usize); 3] = [("P", 2), ("Q", 2), ("R", 1)];

@@ -20,13 +20,12 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use rde_deps::{Dependency, SchemaMapping, Term};
+use rde_deps::{Dependency, SchemaMapping};
 use rde_hom::{Exhausted, HomConfig, HomStats, Verdict};
-use rde_model::fx::FxHashMap;
 use rde_model::{Fact, Instance, RelId, RowSet, Value, Vocabulary};
 
 use crate::checkpoint::{self, CheckpointPolicy, SnapshotRef};
-use crate::plan::DependencyPlan;
+use crate::plan::{never_witnessed, DependencyPlan};
 use crate::ChaseError;
 
 /// A named point in the Grahne–Onet chase design space, and the one
@@ -175,7 +174,9 @@ pub struct RoundStats {
     /// insertions under the delta-driven variants (the input size for
     /// round 0), the whole instance under [`ChaseVariant::Naive`].
     pub delta: usize,
-    /// Premise matches enumerated during collection (pre-guard).
+    /// Premise matches enumerated during collection: those that pass
+    /// the `Constant` guards, which the search applies as it binds
+    /// slots, counted before the inequality guards.
     pub matches: u64,
     /// Matches dropped as already fired or already seen this round.
     pub duplicates: u64,
@@ -353,40 +354,6 @@ fn grown_rows(current: &Instance, before: &[(RelId, u32)]) -> Delta {
         }
     }
     delta
-}
-
-/// Per dependency, whether every satisfaction check of its new
-/// triggers provably fails, so the restricted chase may skip them. A
-/// dependency qualifies when some conclusion atom `A`
-///
-/// 1. names every premise variable,
-/// 2. shares its relation with no other conclusion atom, of this
-///    dependency or any other, and
-/// 3. has a relation of which `input` holds no fact.
-///
-/// Then only firings of this dependency write `A`'s relation, and each
-/// writes one `A` fact carrying its trigger key at the premise
-/// variables' positions. A witness of `A` under key `k` can only be
-/// the fact that firing `k` itself wrote, and the key arena collects
-/// and fires each key at most once, so neither the pre-check nor the
-/// recheck of a new trigger can succeed. Condition 3 reads the chase's
-/// input, never a resumed snapshot's instance, so a resumed run skips
-/// the same checks as an uninterrupted one (DESIGN.md §17).
-fn never_witnessed(deps: &[Dependency], input: &Instance) -> Vec<bool> {
-    let mut writers: FxHashMap<RelId, usize> = FxHashMap::default();
-    for atom in deps.iter().flat_map(|d| &d.disjuncts).flat_map(|c| &c.atoms) {
-        *writers.entry(atom.rel).or_default() += 1;
-    }
-    deps.iter()
-        .map(|d| {
-            let premise_vars = d.premise.atom_vars();
-            d.disjuncts.iter().flat_map(|c| &c.atoms).any(|a| {
-                writers[&a.rel] == 1
-                    && input.relation(a.rel).is_none_or(|r| r.is_empty())
-                    && premise_vars.iter().all(|&v| a.args.contains(&Term::Var(v)))
-            })
-        })
-        .collect()
 }
 
 /// Number of facts in a delta.
@@ -1125,43 +1092,6 @@ mod tests {
         let naive =
             chase_mapping(&i, &m, &mut v, &ChaseOptions::for_variant(ChaseVariant::Naive)).unwrap();
         assert!(equivalent(&naive, &restricted));
-    }
-
-    #[test]
-    fn never_witnessed_needs_all_three_conditions() {
-        let mut v = Vocabulary::new();
-        let mut marks = |rules: &[&str], input: &str| {
-            let deps: Vec<Dependency> =
-                rules.iter().map(|d| rde_deps::parse_dependency(&mut v, d).unwrap()).collect();
-            let input = parse_instance(&mut v, input).unwrap();
-            never_witnessed(&deps, &input)
-        };
-        // All three hold: one atom names x and y, is A's only writer, and
-        // the input has no A (an existential atom qualifies alike).
-        assert_eq!(marks(&["T(x, y) -> A(x, y)"], "T(a, b)"), [true]);
-        assert_eq!(marks(&["T(x, y) -> exists w . B(x, y, w)"], "T(a, b)"), [true]);
-        assert_eq!(marks(&["T(x, y) -> exists w . C(w) & D(y, w, x)"], ""), [true]);
-        // 1 fails: the atom omits a premise variable.
-        assert_eq!(marks(&["T(x, y) -> U(x)"], "T(a, b)"), [false]);
-        assert_eq!(marks(&["T(x, y) & E(y, z) -> A(x, z)"], ""), [false]);
-        // 2 fails: another conclusion atom writes the relation, in the
-        // same dependency or in another one.
-        assert_eq!(marks(&["E(x, y) -> R(x, y) & R(y, x)"], "E(a, b)"), [false]);
-        assert_eq!(marks(&["T(x, y) -> A(x, y)", "E(x, y) -> A(y, x)"], ""), [false, false]);
-        assert_eq!(
-            marks(&["E(x, y) -> T(x, y)", "T(x, y) & T(y, z) -> T(x, z)"], ""),
-            [false, false]
-        );
-        // 3 fails: the input already holds a fact of the relation.
-        assert_eq!(marks(&["T(x, y) -> A(x, y)"], "T(a, b)\nA(c, d)"), [false]);
-        // Each dependency is marked on its own.
-        assert_eq!(
-            marks(
-                &["E(x, y) -> T(x, y)", "T(x, y) -> A(x, y)", "T(x, y) -> U(x)"],
-                "E(a, b)\nT(c, c)"
-            ),
-            [false, true, false]
-        );
     }
 
     #[test]

@@ -3,18 +3,24 @@
 //!
 //! [`reference`] re-enumerates every dependency's premise from scratch
 //! after every step, tests `fired` with a freshly allocated key per
-//! match, copies the branch for every child, and deduplicates leaves
-//! through a set of copies. The engine keeps per-branch trigger cursors
-//! and moves the parent into its last child instead; it must be the
-//! same function. Over random dependency sets — recursive ones
-//! (conclusion relations read by premises), multi-atom premises,
-//! `Constant` and `!=` guards, existentials, 1–3 disjuncts — and random
-//! budgets, both give the same leaves (facts in the same row order,
-//! same null ids), steps, pruned count and fresh-null counter, or the
-//! same error.
+//! match, runs every witness check, copies the branch for every child,
+//! and deduplicates leaves through a set of copies. The engine keeps
+//! per-branch trigger cursors, moves the parent into its last child,
+//! and skips the witness checks that provably fail; it must be the same
+//! function. Over random dependency sets — recursive ones (conclusion
+//! relations read by premises), multi-atom premises, `Constant` and
+//! `!=` guards, existentials, 1–3 disjuncts — and recovery-shaped ones
+//! (2–3 dependencies writing one relation with existentials at
+//! complementary positions), under random budgets, both give the same
+//! leaves (facts in the same row order, same null ids), steps, pruned
+//! count and fresh-null counter, or the same error. A skipped check is
+//! a search not run, so where the reference stops on a node budget the
+//! engine may instead finish: it must then return the reference's
+//! unbudgeted result.
 
 use proptest::prelude::*;
 use proptest::test_runner::{TestCaseError, TestRng};
+use rde_chase::plan::never_witnessed;
 use rde_chase::{disjunctive_chase, ChaseError, DisjunctiveChaseOptions, DisjunctiveChaseResult};
 use rde_deps::{parse_dependency, Dependency};
 use rde_hom::HomConfig;
@@ -277,13 +283,75 @@ fn gen_dep() -> impl Strategy<Value = GenDep> {
         })
 }
 
-/// A generated fact: a relation index and two value codes (`0..3` the
-/// constants `c0..c2`, `3..5` the nulls `n0, n1`).
-type GenFact = (usize, [u8; 2]);
+/// The relations of the recovery shape: three binary input relations
+/// and the ternary relation every recovery dependency writes.
+const REC_RELS: [(&str, usize); 4] = [("Q", 2), ("R", 2), ("S", 2), ("P", 3)];
+
+/// Writer `k` of the recovery shape: it reads input relation `k` and
+/// writes `P` with an existential where the other writers hold a
+/// premise variable, as `Q(x, y) -> ∃z P(x, y, z)` and
+/// `R(y, z) -> ∃x P(x, y, z)` recover a decomposition of `P`.
+const WRITERS: [&str; 3] = [
+    "Q(x, y) -> exists z . P(x, y, z)",
+    "R(y, z) -> exists x . P(x, y, z)",
+    "S(x, z) -> exists y . P(x, y, z)",
+];
+
+/// A recovery-shaped dependency set, with variations that take some
+/// writers out of the skip.
+#[derive(Debug, Clone)]
+struct GenRecovery {
+    /// The first 2 or 3 of [`WRITERS`].
+    writers: usize,
+    /// Per writer, a second disjunct `A(x)`, `A(y)` or `A(x)` that does
+    /// not name every premise variable.
+    second_disjunct: [bool; 3],
+    /// Also chase `P(x, y, z) -> Q(x, y)`: `Q` is then written, so the
+    /// first writer's variables may bind the other writers' fresh nulls,
+    /// and its checks can succeed (`P(n, y, z)` written by the second
+    /// writer feeds back `Q(n, y)`, whose trigger it witnesses).
+    feedback: bool,
+}
+
+impl GenRecovery {
+    fn render(&self) -> Vec<String> {
+        let mut deps: Vec<String> = WRITERS[..self.writers]
+            .iter()
+            .zip(self.second_disjunct)
+            .map(|(w, second)| {
+                let var = if w.starts_with('R') { "y" } else { "x" };
+                if second {
+                    format!("{w} | A({var})")
+                } else {
+                    (*w).to_owned()
+                }
+            })
+            .collect();
+        if self.feedback {
+            deps.push("P(x, y, z) -> Q(x, y)".to_owned());
+        }
+        deps
+    }
+}
+
+#[derive(Debug, Clone)]
+enum GenDeps {
+    /// Random dependencies over [`RELS`].
+    Random(Vec<GenDep>),
+    /// A recovery shape over [`REC_RELS`] (and `A`).
+    Recovery(GenRecovery),
+}
+
+/// A generated fact: a relation code and three value codes (`0..3` the
+/// constants `c0..c2`, `3..5` the nulls `n0, n1`; only the first
+/// `arity` are used). Over [`RELS`] the relation is `code % 4`; over
+/// [`REC_RELS`] it is `P` for code 9 and else `code % 3`, so most
+/// recovery inputs hold no `P` fact.
+type GenFact = (u8, [u8; 3]);
 
 #[derive(Debug, Clone)]
 struct Case {
-    deps: Vec<GenDep>,
+    deps: GenDeps,
     facts: Vec<GenFact>,
     max_steps: u64,
     max_branches: usize,
@@ -292,35 +360,53 @@ struct Case {
     prune_subsumed: bool,
 }
 
+fn gen_deps() -> impl Strategy<Value = GenDeps> {
+    let recovery = (2usize..4, (any::<bool>(), any::<bool>(), any::<bool>()), any::<bool>())
+        .prop_map(|(writers, (a, b, c), feedback)| GenRecovery {
+            writers,
+            second_disjunct: [a, b, c],
+            feedback,
+        });
+    // One case in three is recovery-shaped.
+    (0u8..3, prop::collection::vec(gen_dep(), 1..=3), recovery).prop_map(
+        |(shape, random, recovery)| {
+            if shape == 0 {
+                GenDeps::Recovery(recovery)
+            } else {
+                GenDeps::Random(random)
+            }
+        },
+    )
+}
+
 fn gen_case() -> impl Strategy<Value = Case> {
-    let fact = (0..RELS.len(), 0u8..5, 0u8..5).prop_map(|(r, a, b)| (r, [a, b]));
+    let fact = (0u8..10, 0u8..5, 0u8..5, 0u8..5).prop_map(|(r, a, b, c)| (r, [a, b, c]));
     let limits = (select(&[3u64, 24, 120]), select(&[4usize, 16, 64]), select(&[8usize, 32, 200]));
     let budget = select(&[None, Some(0), Some(1), Some(2), Some(3), Some(6), Some(64)]);
-    (
-        prop::collection::vec(gen_dep(), 1..=3),
-        prop::collection::vec(fact, 0..=6),
-        limits,
-        budget,
-        any::<bool>(),
+    (gen_deps(), prop::collection::vec(fact, 0..=6), limits, budget, any::<bool>()).prop_map(
+        |(deps, facts, (max_steps, max_branches, max_facts), node_budget, prune)| Case {
+            deps,
+            facts,
+            max_steps,
+            max_branches,
+            max_facts,
+            node_budget,
+            prune_subsumed: prune,
+        },
     )
-        .prop_map(|(deps, facts, (max_steps, max_branches, max_facts), node_budget, prune)| {
-            Case {
-                deps,
-                facts,
-                max_steps,
-                max_branches,
-                max_facts,
-                node_budget,
-                prune_subsumed: prune,
-            }
-        })
 }
 
 /// How a compared run ended, for the coverage tally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
-    Leaves { branched: bool, pruned: bool },
+    Leaves {
+        branched: bool,
+        pruned: bool,
+    },
     MatchBudget,
+    /// The reference stopped on a node budget and the engine, skipping
+    /// checks, finished with the reference's unbudgeted result.
+    PastMatchBudget,
     Steps,
     Facts,
     Branches,
@@ -337,19 +423,28 @@ fn observe(result: Result<DisjunctiveChaseResult, ChaseError>) -> Observed {
     })
 }
 
-fn check(case: &Case) -> Result<Outcome, TestCaseError> {
+/// A case's vocabulary, dependencies and input instance.
+fn build(case: &Case) -> (Vocabulary, Vec<Dependency>, Instance) {
     let mut vocab = Vocabulary::new();
-    for (name, arity) in RELS {
+    for (name, arity) in RELS.into_iter().chain(REC_RELS) {
         vocab.relation(name, arity).unwrap();
     }
+    let (texts, recovery) = match &case.deps {
+        GenDeps::Random(deps) => (deps.iter().map(render).collect::<Vec<_>>(), false),
+        GenDeps::Recovery(shape) => (shape.render(), true),
+    };
     let deps: Vec<Dependency> =
-        case.deps.iter().map(|d| parse_dependency(&mut vocab, &render(d)).unwrap()).collect();
+        texts.iter().map(|d| parse_dependency(&mut vocab, d).unwrap()).collect();
     let instance: Instance = case
         .facts
         .iter()
-        .map(|&(r, codes)| {
-            let (name, arity) = RELS[r];
-            let args: Vec<Value> = codes[..arity]
+        .map(|&(code, values)| {
+            let (name, arity) = match (recovery, code) {
+                (false, _) => RELS[usize::from(code) % RELS.len()],
+                (true, 9) => REC_RELS[3],
+                (true, _) => REC_RELS[usize::from(code) % 3],
+            };
+            let args: Vec<Value> = values[..arity]
                 .iter()
                 .map(|&c| match c {
                     0..3 => vocab.const_value(&format!("c{c}")),
@@ -359,6 +454,11 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
             Fact::new(vocab.find_relation(name).unwrap(), args)
         })
         .collect();
+    (vocab, deps, instance)
+}
+
+fn check(case: &Case) -> Result<Outcome, TestCaseError> {
+    let (vocab, deps, instance) = build(case);
     let options = DisjunctiveChaseOptions {
         max_branches: case.max_branches,
         max_facts: case.max_facts,
@@ -366,11 +466,26 @@ fn check(case: &Case) -> Result<Outcome, TestCaseError> {
         prune_subsumed: case.prune_subsumed,
         hom: HomConfig { node_budget: case.node_budget, ..HomConfig::default() },
     };
-    let (mut v_ref, mut v_new) = (vocab.clone(), vocab);
+    let (mut v_ref, mut v_new) = (vocab.clone(), vocab.clone());
     let expected = observe(reference::disjunctive_chase(&instance, &deps, &mut v_ref, &options));
     let got = observe(disjunctive_chase(&instance, &deps, &mut v_new, &options));
+    let node_budget_hit = matches!(expected, Err(ChaseError::MatchBudgetExhausted { .. }));
+    if node_budget_hit && got != expected {
+        // The engine skipped the check the reference stopped on.
+        let unbudgeted = DisjunctiveChaseOptions { hom: HomConfig::default(), ..options };
+        let mut v_free = vocab;
+        let free =
+            observe(reference::disjunctive_chase(&instance, &deps, &mut v_free, &unbudgeted));
+        prop_assert_eq!(&got, &free, "the reference stopped on a node budget: {:?}", expected);
+        prop_assert_eq!(v_new.fresh_null(), v_free.fresh_null(), "fresh-null counters differ");
+        return Ok(Outcome::PastMatchBudget);
+    }
     prop_assert_eq!(&got, &expected);
-    prop_assert_eq!(v_new.fresh_null(), v_ref.fresh_null(), "fresh-null counters differ");
+    if !node_budget_hit {
+        // Past a skipped check the engine may run further before its
+        // own node budget stops it, inventing more nulls.
+        prop_assert_eq!(v_new.fresh_null(), v_ref.fresh_null(), "fresh-null counters differ");
+    }
     Ok(match expected {
         Ok((leaves, _, pruned)) => {
             Outcome::Leaves { branched: leaves.len() > 1, pruned: pruned > 0 }
@@ -393,19 +508,39 @@ proptest! {
 }
 
 /// The generator reaches every outcome the comparison is meant to
-/// cover: branching leaf sets, pruning, and each kind of error.
+/// cover: branching leaf sets, pruning, and each kind of error. (A run
+/// that finishes past a node budget the reference stopped on needs
+/// larger inputs: see
+/// `a_skipped_check_answers_past_the_reference_node_budget`.) It also
+/// reports the share of cases with a dependency whose witness checks
+/// the engine skips, recovery-shaped or not.
 #[test]
 fn generated_cases_cover_every_outcome() {
     let mut rng = TestRng::new(0x5EED);
     let strategy = gen_case();
     let mut seen: Vec<Outcome> = Vec::new();
-    for _ in 0..400 {
+    let (mut skipping, mut recovery_skipping, mut recovery) = (0, 0, 0);
+    const CASES: usize = 1000;
+    for _ in 0..CASES {
         let case = strategy.generate(&mut rng);
         let outcome = check(&case).unwrap_or_else(|e| panic!("{}\n{case:#?}", e.0));
         if !seen.contains(&outcome) {
             seen.push(outcome);
         }
+        let (_, deps, instance) = build(&case);
+        let skips = never_witnessed(&deps, &instance).contains(&true);
+        skipping += usize::from(skips);
+        if matches!(case.deps, GenDeps::Recovery(_)) {
+            recovery += 1;
+            recovery_skipping += usize::from(skips);
+        }
     }
+    eprintln!(
+        "{skipping} of {CASES} cases skip some witness checks \
+         ({recovery_skipping} of {recovery} recovery-shaped)"
+    );
+    assert!(skipping * 5 >= CASES, "too few cases skip checks: {skipping} of {CASES}");
+    assert!(recovery_skipping < recovery, "every recovery-shaped case skips");
     for wanted in [
         Outcome::Leaves { branched: true, pruned: false },
         Outcome::Leaves { branched: true, pruned: true },
@@ -450,4 +585,41 @@ fn a_witness_that_outgrows_the_node_budget_fails_as_before() {
     let (new, old) = run(None);
     assert_eq!(new, old);
     assert!(old.is_ok());
+}
+
+/// The recovery writers' witness checks all fail, and the last `S`
+/// trigger's needs four nodes: `P` holds four rows with its `x` (three
+/// from `Q`, one from `S`) and four with its `z` (three from `R`, one
+/// from `S`). Under a budget of three the reference stops there; the
+/// engine skips the check, its premise enumerations fit the budget,
+/// and it finishes with the unbudgeted result.
+#[test]
+fn a_skipped_check_answers_past_the_reference_node_budget() {
+    let mut vocab = Vocabulary::new();
+    let deps: Vec<Dependency> =
+        WRITERS.iter().map(|d| parse_dependency(&mut vocab, d).unwrap()).collect();
+    let input = "Q(a, b1)\nQ(a, b2)\nQ(a, b3)\nR(d1, c)\nR(d2, c)\nR(d3, c)\n\
+                 S(a, e)\nS(f, c)\nS(a, c)";
+    let instance = rde_model::parse::parse_instance(&mut vocab, input).unwrap();
+    assert_eq!(never_witnessed(&deps, &instance), [true, true, true]);
+    let run = |node_budget, engine: bool| {
+        let hom = HomConfig { node_budget, ..HomConfig::default() };
+        let options = DisjunctiveChaseOptions { hom, ..DisjunctiveChaseOptions::default() };
+        let mut v = vocab.clone();
+        let result = if engine {
+            disjunctive_chase(&instance, &deps, &mut v, &options)
+        } else {
+            reference::disjunctive_chase(&instance, &deps, &mut v, &options)
+        };
+        (observe(result), v.fresh_null())
+    };
+    let (stopped, _) = run(Some(3), false);
+    assert!(
+        matches!(stopped, Err(ChaseError::MatchBudgetExhausted { .. })),
+        "the reference needs four nodes for the last check: {stopped:?}"
+    );
+    assert!(run(Some(4), false).0.is_ok());
+    let unbudgeted = run(None, false);
+    assert!(unbudgeted.0.is_ok());
+    assert_eq!(run(Some(3), true), unbudgeted);
 }

@@ -928,24 +928,24 @@ fn cmd_serve(opts: &Options) -> Result<(), CliError> {
     // `serve.access` JSONL line per request, plus any span trees the
     // slow-request sampler keeps. The journal is process-global, so it
     // and --trace-out cannot both own the sink.
-    let access_log_attached = match (&opts.access_log, &opts.trace_out) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::Message(
-                "--access-log and --trace-out both claim the journal; pass one".into(),
-            ));
-        }
-        (Some(path), None) => {
+    if let (Some(_), Some(_)) = (&opts.access_log, &opts.trace_out) {
+        return Err(CliError::Message(
+            "--access-log and --trace-out both claim the journal; pass one".into(),
+        ));
+    }
+    let mut access_log_attached = false;
+    let served: Result<(), CliError> = (|| {
+        let server = rde_serve::Server::bind(serve_options).map_err(|e| e.to_string())?;
+        // Attached once bound, so the catalog's eager warm build stays
+        // out of the access log: it holds what requests record.
+        if let Some(path) = &opts.access_log {
             journal::attach(
                 Sink::rotating(path.as_str(), ACCESS_LOG_MAX_BYTES, ACCESS_LOG_KEEP),
                 JOURNAL_CAPACITY,
             )
             .map_err(|e| format!("--access-log `{path}`: {e}"))?;
-            journal::enabled()
+            access_log_attached = journal::enabled();
         }
-        _ => false,
-    };
-    let served: Result<(), CliError> = (|| {
-        let server = rde_serve::Server::bind(serve_options).map_err(|e| e.to_string())?;
         let addr = server.local_addr().map_err(|e| format!("bound address: {e}"))?;
         println!("serving {}", server.mapping_names().join(", "));
         println!("listening on {addr}");

@@ -99,7 +99,9 @@ pub struct HomStats {
     pub nodes: u64,
     /// Failed unifications (a proxy for backtracking work).
     pub backtracks: u64,
-    /// Homomorphisms reported to the callback.
+    /// Homomorphisms reported to the callback (a pattern's
+    /// constant-only slots cut the matches that would bind one to a
+    /// null before they are found).
     pub found: u64,
 }
 
@@ -166,10 +168,19 @@ pub struct PatternAtom {
 /// dance [`for_each_hom`] needs, because slots are pattern-local —
 /// they can never collide with target nulls, so no per-call offset
 /// scan exists at all.
+///
+/// A slot may be marked *constant-only* ([`Self::with_constant_slots`]):
+/// a match never binds it to a null. The check runs where the slot gets
+/// bound, so a branch that would bind one to a null is cut at that row
+/// instead of being enumerated and filtered afterwards; the matches
+/// that remain come in the unmarked search's order.
 #[derive(Debug, Clone)]
 pub struct CompiledPattern {
     atoms: Vec<PatternAtom>,
     n_vars: u32,
+    /// `constant_only[v]`: slot `v` binds only constants. Empty when no
+    /// slot is marked, so the check is one length test.
+    constant_only: Vec<bool>,
 }
 
 impl CompiledPattern {
@@ -185,7 +196,36 @@ impl CompiledPattern {
             })
             .max()
             .unwrap_or(0);
-        CompiledPattern { atoms, n_vars }
+        CompiledPattern { atoms, n_vars, constant_only: Vec::new() }
+    }
+
+    /// Mark `slots` constant-only: every match binds them to constants.
+    /// A slot no atom uses is never bound, so marking it changes
+    /// nothing.
+    pub fn with_constant_slots(mut self, slots: impl IntoIterator<Item = u32>) -> Self {
+        for slot in slots {
+            if slot < self.n_vars {
+                self.constant_only.resize(self.n_vars as usize, false);
+                self.constant_only[slot as usize] = true;
+            }
+        }
+        self
+    }
+
+    /// May slot `slot` bind only a constant?
+    #[inline]
+    pub fn is_constant_only(&self, slot: u32) -> bool {
+        self.constant_only.get(slot as usize).copied().unwrap_or(false)
+    }
+
+    /// Does the seed bind a constant-only slot to a null? Such a seed
+    /// extends to no match.
+    fn seed_breaks_marks(&self, seed: &[Option<Value>]) -> bool {
+        !self.constant_only.is_empty()
+            && seed
+                .iter()
+                .zip(&self.constant_only)
+                .any(|(v, &marked)| marked && v.is_some_and(|v| v.is_null()))
     }
 
     /// Number of variable slots (one past the largest used index).
@@ -270,6 +310,8 @@ impl CompiledPattern {
             meter.exhausted = Some(Exhausted::Nodes(0));
         } else if config.ctx.is_cancelled() {
             meter.exhausted = Some(Exhausted::Cancelled);
+        } else if self.seed_breaks_marks(seed) {
+            // A null seeded on a constant-only slot: nothing to search.
         } else if allow_probe_only && self.fully_bound(skip, seed, config) {
             self.probe_only(skip, target, &seed[..self.n_vars as usize], &mut meter, on_found);
         } else {
@@ -374,7 +416,15 @@ impl CompiledPattern {
         probe_tuple.clear();
         remaining.clear();
         remaining.extend(0..facts.len());
-        let mut searcher = Searcher { facts, vals, meter, trail, probe_tuple, on_found };
+        let mut searcher = Searcher {
+            facts,
+            vals,
+            constant_only: &self.constant_only,
+            meter,
+            trail,
+            probe_tuple,
+            on_found,
+        };
         searcher.solve(&mut remaining);
         let Searcher { vals, meter, trail, probe_tuple, .. } = searcher;
         SCRATCH.set(Some(Scratch { vals, trail, probe_tuple, remaining }));
@@ -491,6 +541,8 @@ struct Searcher<'a, F: FnMut(&[Option<Value>]) -> bool> {
     facts: Vec<PatternFact<'a>>,
     /// Variable assignment: `vals[v]` is the image of slot `v`.
     vals: Vec<Option<Value>>,
+    /// The pattern's constant-only marks (empty when none).
+    constant_only: &'a [bool],
     /// Budgets, counters and completion status.
     meter: Meter<'a>,
     /// Scratch undo stack of bound slots, shared across the whole
@@ -667,13 +719,15 @@ impl<'a, F: FnMut(&[Option<Value>]) -> bool> Searcher<'a, F> {
     }
 
     /// Check one pattern argument against one target value, binding a
-    /// fresh variable (recorded on the shared trail) as needed.
+    /// fresh variable (recorded on the shared trail) as needed. A
+    /// constant-only slot refuses a null.
     #[inline]
     fn bind(&mut self, arg: PatArg, tv: Value) -> bool {
         match arg {
             PatArg::Fixed(v) => v == tv,
             PatArg::Var(x) => match self.vals[x as usize] {
                 Some(v) => v == tv,
+                None if tv.is_null() && self.constant_only.get(x as usize) == Some(&true) => false,
                 None => {
                     self.vals[x as usize] = Some(tv);
                     self.trail.push(x);
@@ -1198,6 +1252,41 @@ mod tests {
         };
         assert_eq!(seeded(c(0), c(1)), HomStats { nodes: 1, backtracks: 0, found: 1 });
         assert_eq!(seeded(c(3), c(2)), HomStats { nodes: 0, backtracks: 0, found: 0 });
+    }
+
+    #[test]
+    fn constant_only_slots_cut_null_bindings_where_they_bind() {
+        // E(x, y) & F(y) with y constant-only. Under fixed order F(y)
+        // is searched first: binding y to n0 fails right there (one
+        // node, one backtrack), so E is never searched under it.
+        let pattern = CompiledPattern::new(vec![
+            PatternAtom { rel: RelId(0), args: vec![PatArg::Var(0), PatArg::Var(1)] },
+            PatternAtom { rel: RelId(1), args: vec![PatArg::Var(1)] },
+        ]);
+        let marked = pattern.clone().with_constant_slots([1, 7]);
+        assert!(marked.is_constant_only(1) && !marked.is_constant_only(0));
+        assert!(!marked.is_constant_only(7), "a slot no atom uses stays unmarked");
+        let target = inst(&[(0, &[c(0), n(0)]), (0, &[c(0), c(1)]), (1, &[n(0)]), (1, &[c(1)])]);
+        let fixed = HomConfig { dynamic_order: false, ..HomConfig::default() };
+        let run = |p: &CompiledPattern, seed: &[Option<Value>]| {
+            let mut seen = Vec::new();
+            let report = p.for_each_match(&target, seed, &fixed, |vals| {
+                seen.push(vals.to_vec());
+                true
+            });
+            (seen, report.stats)
+        };
+        let (all, stats) = run(&pattern, &[]);
+        assert_eq!(all, vec![vec![Some(c(0)), Some(n(0))], vec![Some(c(0)), Some(c(1))]]);
+        assert_eq!(stats, HomStats { nodes: 4, backtracks: 0, found: 2 });
+        let (constant, stats) = run(&marked, &[]);
+        assert_eq!(constant, vec![vec![Some(c(0)), Some(c(1))]]);
+        assert_eq!(stats, HomStats { nodes: 3, backtracks: 1, found: 1 });
+        // A null seeded on the marked slot extends to no match, on the
+        // probe-only path and through the searcher alike, at no cost.
+        for seed in [&[Some(c(0)), Some(n(0))][..], &[None, Some(n(0))]] {
+            assert_eq!(run(&marked, seed), (Vec::new(), HomStats::default()));
+        }
     }
 
     /// `E(x, c1)` and `F(c2, y)` over seeded slots `x` and `y`.

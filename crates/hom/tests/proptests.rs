@@ -270,6 +270,95 @@ proptest! {
     }
 }
 
+/// `seq` minus the matches that bind a slot of `marked` to a null.
+fn without_null_marks(seq: &[Vec<Option<Value>>], marked: &[u32]) -> Vec<Vec<Option<Value>>> {
+    seq.iter()
+        .filter(|vals| {
+            marked
+                .iter()
+                .all(|&s| !vals.get(s as usize).copied().flatten().is_some_and(|v| v.is_null()))
+        })
+        .cloned()
+        .collect()
+}
+
+/// Unify `atom` with a target tuple on top of `seed` (one entry per
+/// slot), as the delta-seeded chase seeds a search through the atom it
+/// skips; `None` when they do not unify.
+fn seed_through(
+    atom: &PatternAtom,
+    tuple: &[Value],
+    seed: &[Option<Value>],
+) -> Option<Vec<Option<Value>>> {
+    let mut seed = seed.to_vec();
+    for (&arg, &tv) in atom.args.iter().zip(tuple) {
+        match arg {
+            PatArg::Fixed(v) if v != tv => return None,
+            PatArg::Fixed(_) => {}
+            PatArg::Var(x) => match seed[x as usize] {
+                Some(v) if v != tv => return None,
+                _ => seed[x as usize] = Some(tv),
+            },
+        }
+    }
+    Some(seed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Constant-only slots drop exactly the matches that bind one to a
+    /// null and keep the rest in the unmarked search's order: on the
+    /// full search, on delta-seeded searches through every atom and
+    /// every target tuple it unifies with (a seed may itself put a null
+    /// on a marked slot), and on the probe-only path those seeds often
+    /// take, which is also compared against the searcher alone. Every
+    /// `found` count is the number of matches reported.
+    #[test]
+    fn constant_only_slots_drop_exactly_the_null_bindings(
+        target in abstract_target(12),
+        atoms in abstract_pattern(3),
+        seed in prop::collection::vec(0u8..9, 2),
+        marks in prop::collection::vec(any::<bool>(), 5),
+        dynamic_order in any::<bool>(),
+        use_index in any::<bool>(),
+    ) {
+        let mut vocab = Vocabulary::new();
+        let (pattern, seed) = materialize_pattern(&mut vocab, &atoms, &seed);
+        let target = materialize_target(&mut vocab, &target);
+        let marked_slots: Vec<u32> = (0..5).filter(|&s| marks[s as usize]).collect();
+        let marked = pattern.clone().with_constant_slots(marked_slots.iter().copied());
+        for slot in 0..pattern.num_vars() as u32 {
+            prop_assert_eq!(marked.is_constant_only(slot), marked_slots.contains(&slot));
+            prop_assert!(!pattern.is_constant_only(slot));
+        }
+        let config = HomConfig { dynamic_order, use_index, ..HomConfig::default() };
+        let mut seed = seed;
+        seed.resize(5, None);
+        let compare = |skip: Option<usize>, seed: &[Option<Value>]| {
+            let (all, _) = run_excluding(&pattern, skip, &target, seed, &config, false);
+            let expected = without_null_marks(&all, &marked_slots);
+            for via_searcher in [false, true] {
+                let (got, report) =
+                    run_excluding(&marked, skip, &target, seed, &config, via_searcher);
+                prop_assert!(report.complete());
+                prop_assert_eq!(&got, &expected, "skip {:?}, via searcher {}", skip, via_searcher);
+                prop_assert_eq!(report.stats.found, got.len() as u64);
+            }
+            Ok(())
+        };
+        compare(None, &seed)?;
+        for (skip, atom) in pattern.atoms().iter().enumerate() {
+            let Some(data) = target.relation(atom.rel) else { continue };
+            for tuple in data.tuples() {
+                if let Some(delta_seed) = seed_through(atom, tuple, &seed) {
+                    compare(Some(skip), &delta_seed)?;
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

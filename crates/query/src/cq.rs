@@ -3,7 +3,7 @@
 use rde_chase::DependencyPlan;
 use rde_deps::{parse_dependency, Atom, DepError, Dependency};
 use rde_hom::HomConfig;
-use rde_model::{Instance, Vocabulary};
+use rde_model::{Instance, RowSet, Value, Vocabulary};
 
 use crate::answers::AnswerSet;
 
@@ -104,35 +104,45 @@ impl ConjunctiveQuery {
 /// body into `I`. Answers may contain nulls; use [`evaluate_null_free`]
 /// for `q(I)↓`.
 pub fn evaluate(q: &ConjunctiveQuery, instance: &Instance) -> AnswerSet {
-    evaluate_plan(&DependencyPlan::compile(&q.dep), instance, false)
+    answer_set(&evaluate_plan(&DependencyPlan::compile(&q.dep), q.arity(), instance))
 }
 
 /// Evaluate `q(I)↓`: the null-free answers.
 pub fn evaluate_null_free(q: &ConjunctiveQuery, instance: &Instance) -> AnswerSet {
-    evaluate_plan(&DependencyPlan::compile(&q.dep), instance, true)
+    answer_set(&evaluate_plan(&null_free_plan(q), q.arity(), instance))
 }
 
-/// `q(I)` through a plan compiled from `q`'s dependency, keeping only
-/// the null-free answers when `null_free` is set (`q(I)↓`).
-pub(crate) fn evaluate_plan(
-    plan: &DependencyPlan,
-    instance: &Instance,
-    null_free: bool,
-) -> AnswerSet {
-    let mut out = AnswerSet::new();
+/// The plan of `q` with every head variable guarded by `Constant`, so
+/// the search binds them to constants only: evaluating it is `q(I)↓`,
+/// and the matches `↓` would drop are cut where they bind a null
+/// instead of being enumerated.
+pub(crate) fn null_free_plan(q: &ConjunctiveQuery) -> DependencyPlan {
+    let mut dep = q.dep.clone();
+    dep.premise.constant_vars.extend(q.head().vars());
+    DependencyPlan::compile(&dep)
+}
+
+/// The answers of the query a plan was compiled from, deduplicated in a
+/// row set of the head's arity.
+pub(crate) fn evaluate_plan(plan: &DependencyPlan, arity: usize, instance: &Instance) -> RowSet {
+    let template = &plan.templates()[0];
+    let mut out = RowSet::new(arity);
     let mut head = Vec::new();
     plan.premise().for_each_match(instance, &HomConfig::default(), |vals| {
         // The head has no existentials: its one "firing" is the answer,
-        // built in `head` and copied out only when it is new.
-        plan.templates()[0].instantiate_into(vals, &[], &mut head, |_, args| {
-            if (!null_free || args.iter().all(|v| v.is_const())) && !out.contains(args) {
-                out.insert(args.to_vec());
-            }
+        // built in `head` and copied into the row set only when new.
+        template.instantiate_into(vals, &[], &mut head, |_, args| {
+            out.insert(args);
             true
         });
         true
     });
     out
+}
+
+/// The public form of a row set of answers.
+pub(crate) fn answer_set(rows: &RowSet) -> AnswerSet {
+    rows.rows().map(<[Value]>::to_vec).collect()
 }
 
 #[cfg(test)]

@@ -1,15 +1,14 @@
 //! Certain answers and reverse query answering (Section 6.2).
 
 use rde_chase::{
-    chase, chase_mapping, disjunctive_chase, ChaseError, ChaseOptions, DependencyPlan,
-    DisjunctiveChaseOptions,
+    chase, chase_mapping, disjunctive_chase, ChaseError, ChaseOptions, DisjunctiveChaseOptions,
 };
 use rde_deps::{Dependency, SchemaMapping};
 use rde_model::fx::FxHashMap;
-use rde_model::{Instance, RelId, Vocabulary};
+use rde_model::{Instance, RelId, RowSet, Vocabulary};
 
 use crate::answers::AnswerSet;
-use crate::cq::{evaluate_plan, ConjunctiveQuery};
+use crate::cq::{answer_set, evaluate_plan, null_free_plan, ConjunctiveQuery};
 use crate::slice::slice;
 
 /// `(⋂_K q(K))↓` over a family of instances — the right-hand side of
@@ -19,33 +18,43 @@ use crate::slice::slice;
 /// agree on them (the leaves of a disjunctive chase typically differ
 /// only in the relations a disjunction chose between) are evaluated
 /// once: they are grouped by a fingerprint of those facts, confirmed by
-/// set equality. The intersection shrinks in place and stops at the
-/// first empty one.
+/// set equality. `↓` runs inside the join: the query is compiled with
+/// its head variables constant-only, so a match that would bind one to
+/// a null is cut where it binds it. The answers stay in flat row sets;
+/// the intersection shrinks in place, stops at the first empty one,
+/// and becomes an [`AnswerSet`] once, at the end.
 pub fn certain_answers_over<'a>(
     q: &ConjunctiveQuery,
     instances: impl IntoIterator<Item = &'a Instance>,
 ) -> AnswerSet {
-    let plan = DependencyPlan::compile(q.as_dependency());
+    let plan = null_free_plan(q);
     let body = body_relations(q);
     let mut evaluated: FxHashMap<u64, Vec<&Instance>> = FxHashMap::default();
-    let mut certain: Option<AnswerSet> = None;
+    let mut certain: Option<RowSet> = None;
     for k in instances {
         let group = evaluated.entry(k.fingerprint_over(&body)).or_default();
         if group.iter().any(|seen| seen.same_facts_over(k, &body)) {
             continue;
         }
         group.push(k);
-        let answers = evaluate_plan(&plan, k, true);
-        if let Some(acc) = certain.as_mut() {
-            acc.retain(|t| answers.contains(t));
-        } else {
-            certain = Some(answers);
+        let answers = evaluate_plan(&plan, q.arity(), k);
+        match certain.as_mut() {
+            None => certain = Some(answers),
+            // Backwards, so the row `swap_remove` moves into a freed id
+            // has already been kept.
+            Some(acc) => {
+                for id in (0..acc.len() as u32).rev() {
+                    if answers.find(acc.row(id)).is_none() {
+                        acc.swap_remove(id);
+                    }
+                }
+            }
         }
-        if certain.as_ref().is_some_and(AnswerSet::is_empty) {
+        if certain.as_ref().is_some_and(RowSet::is_empty) {
             break;
         }
     }
-    certain.unwrap_or_default()
+    certain.as_ref().map(answer_set).unwrap_or_default()
 }
 
 /// The relations the query's body reads, sorted and deduplicated.
